@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Timing comparison of the numba-jitted kernels against the pure-numpy
-fallback path on representative desk-scale inputs.
+"""Timing of the public numpy kernels on representative desk-scale inputs
+(best of three runs each).
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -23,18 +23,11 @@ def best_of(fn, repeats=3):
 
 
 def main():
-    if not k._HAS_NUMBA:
-        print("numba is not importable; only the numpy path can be timed")
-
     cases = []
 
     g = group_preset("dihedral:180")  # order 360, degree 180
     cases.append(
-        (
-            f"mult_table   dihedral:180 (n={g.order})",
-            lambda: k._mult_table_nb(g.images),
-            lambda: k._mult_table_np(g.images),
-        )
+        (f"mult_table   dihedral:180 (n={g.order})", lambda: k.mult_table(g.images))
     )
 
     s6 = group_preset("sym:6")  # order 720, 11 classes
@@ -42,16 +35,13 @@ def main():
     cases.append(
         (
             f"class_matrix sym:6 (n={s6.order}, |C|={len(s6.classes[big_class])})",
-            lambda: k._class_matrix_nb(
-                s6.mult, s6.inv, s6.class_of, s6.classes[big_class], s6.class_reps
-            ),
-            lambda: k._class_matrix_np(
+            lambda: k.class_matrix(
                 s6.mult, s6.inv, s6.class_of, s6.classes[big_class], s6.class_reps
             ),
         )
     )
 
-    p = 373587883  # < 2**31, so both integer paths are exact
+    p = 373587883  # < 2**31, so the int64 route is taken
     rng = np.random.default_rng(0)
     vals = rng.integers(0, p, size=s6.order)
     mask = np.zeros(s6.order, dtype=bool)
@@ -60,36 +50,16 @@ def main():
     cases.append(
         (
             f"induced_sums sym:6 (n={s6.order}, k={s6.num_classes})",
-            lambda: k._induced_sums_nb(
-                s6.mult, s6.inv, s6.class_reps, vals.astype(np.int64), mask, p
-            ),
-            lambda: k._induced_sums_np(
-                s6.mult, s6.inv, s6.class_reps, vals.astype(np.int64), mask, p
-            ),
+            lambda: k.induced_sums(s6.mult, s6.inv, s6.class_reps, vals, mask, p),
         )
     )
 
     mat = rng.integers(0, p, size=(200, 260))
-    cases.append(
-        (
-            "rref_mod     200x260 random",
-            lambda: k._rref_nb(mat.astype(np.int64) % p, p),
-            lambda: k._rref_np(mat.astype(np.int64) % p, p),
-        )
-    )
+    cases.append(("rref_mod     200x260 random", lambda: k.rref_mod(mat, p)))
 
-    if k._HAS_NUMBA:
-        for _, nb, _np in cases:
-            nb()  # compile outside the timed region
-
-    print(f"{'kernel':44s} {'numba':>10s} {'numpy':>10s} {'speedup':>8s}")
-    for name, nb, np_fn in cases:
-        t_np = best_of(np_fn)
-        if k._HAS_NUMBA:
-            t_nb = best_of(nb)
-            print(f"{name:44s} {t_nb * 1e3:9.2f}ms {t_np * 1e3:9.2f}ms {t_np / t_nb:7.1f}x")
-        else:
-            print(f"{name:44s} {'-':>10s} {t_np * 1e3:9.2f}ms {'-':>8s}")
+    print(f"{'kernel':44s} {'time':>10s}")
+    for name, fn in cases:
+        print(f"{name:44s} {best_of(fn) * 1e3:9.2f}ms")
 
 
 if __name__ == "__main__":

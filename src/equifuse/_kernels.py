@@ -1,81 +1,21 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, in numpy, with exact integer arithmetic throughout.
 
-The jitted path is used when numba imports cleanly and EQUIFUSE_NO_NUMBA is
-unset.  Modular kernels additionally require the modulus to fit in 31 bits so
-that products stay inside int64; larger moduli are routed to an exact
-object-dtype numpy path regardless of the flag.  Both paths are exact integer
-arithmetic and produce identical results (see tests/test_kernels.py and
-benchmarks/bench_kernels.py).
+Modular kernels work in int64 while the modulus fits in 31 bits, so that a
+product of two residues stays below 2**62.  A larger modulus, or an
+object-dtype input, is routed to exact Python-int arithmetic on object
+arrays; the input picks the route, no setting does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import numba_disabled
-
 INT64_SAFE_P = 1 << 31  # products of two residues stay below 2**62
 
-try:
-    from numba import njit
 
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_USE_NUMBA = _HAS_NUMBA and not numba_disabled()
-
-
-def backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# multiplication table: compose every pair of rows, locate result by binary
-# search (rows are lexicographically sorted by construction)
-
-
-@njit(cache=True)
-def _mult_table_nb(images):  # pragma: no cover - exercised via dispatch
-    n, d = images.shape
-    out = np.empty((n, n), dtype=np.int32)
-    comp = np.empty(d, dtype=np.int32)
-    for a in range(n):
-        for b in range(n):
-            for t in range(d):
-                comp[t] = images[a, images[b, t]]
-            lo = 0
-            hi = n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                c = 0
-                for t in range(d):
-                    x = images[mid, t]
-                    y = comp[t]
-                    if x < y:
-                        c = -1
-                        break
-                    if x > y:
-                        c = 1
-                        break
-                if c < 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            out[a, b] = lo
-    return out
-
-
-def _mult_table_np(images):
+def mult_table(images: np.ndarray) -> np.ndarray:
+    """n x n index table for row-composition of lex-sorted permutations."""
+    images = np.ascontiguousarray(images, dtype=np.int32)
     n, _ = images.shape
     lookup = {images[i].tobytes(): i for i in range(n)}
     out = np.empty((n, n), dtype=np.int32)
@@ -87,180 +27,61 @@ def _mult_table_np(images):
     return out
 
 
-def mult_table(images: np.ndarray) -> np.ndarray:
-    """n x n index table for row-composition of lex-sorted permutations."""
-    images = np.ascontiguousarray(images, dtype=np.int32)
-    if _USE_NUMBA:
-        return _mult_table_nb(images)
-    return _mult_table_np(images)
-
-
-# ---------------------------------------------------------------------------
-# class multiplication matrix: A[j, c] = #{x in C_i : class(x^-1 z_c) == j}
-
-
-@njit(cache=True)
-def _class_matrix_nb(mult, inv, class_of, members, reps):  # pragma: no cover
+def class_matrix(mult, inv, class_of, members, reps):
+    """A[j, c] = #{x in members : class_of[x^-1 reps[c]] == j}."""
+    members = np.asarray(members, dtype=np.int32)
+    reps = np.asarray(reps, dtype=np.int32)
     k = reps.shape[0]
-    out = np.zeros((k, k), dtype=np.int64)
-    for idx in range(members.shape[0]):
-        xinv = inv[members[idx]]
-        for c in range(k):
-            y = mult[xinv, reps[c]]
-            out[class_of[y], c] += 1
-    return out
-
-
-def _class_matrix_np(mult, inv, class_of, members, reps):
-    k = reps.shape[0]
-    prods = mult[np.ix_(inv[members], reps)]
-    j = class_of[prods]
+    j = class_of[mult[np.ix_(inv[members], reps)]]
     out = np.zeros((k, k), dtype=np.int64)
     cols = np.broadcast_to(np.arange(k, dtype=np.int64), j.shape)
     np.add.at(out, (j, cols), 1)
     return out
 
 
-def class_matrix(mult, inv, class_of, members, reps):
-    members = np.ascontiguousarray(members, dtype=np.int32)
-    reps = np.ascontiguousarray(reps, dtype=np.int32)
-    if _USE_NUMBA:
-        return _class_matrix_nb(mult, inv, class_of, members, reps)
-    return _class_matrix_np(mult, inv, class_of, members, reps)
-
-
-# ---------------------------------------------------------------------------
-# Frobenius induction sums: for each class rep h, sum chi(x^-1 h x) over all
-# x in the big group, restricted to conjugates landing in the subgroup
-
-
-@njit(cache=True)
-def _induced_sums_nb(mult, inv, reps, values, in_sub, p):  # pragma: no cover
-    k = reps.shape[0]
-    n = mult.shape[0]
-    out = np.zeros(k, dtype=np.int64)
-    for c in range(k):
-        h = reps[c]
-        acc = np.int64(0)
-        for x in range(n):
-            y = mult[mult[inv[x], h], x]
-            if in_sub[y]:
-                acc = (acc + values[y]) % p
-        out[c] = acc
-    return out
-
-
-def _induced_sums_np(mult, inv, reps, values, in_sub, p):
-    n = mult.shape[0]
-    ar = np.arange(n)
-    big = values.dtype == object
+def induced_sums(mult, inv, reps, values, in_sub, p):
+    """For each class rep h, the sum mod p of values[x^-1 h x] over every x
+    in the big group whose conjugate x^-1 h x lies in the subgroup."""
+    big = values.dtype == object or p >= INT64_SAFE_P
+    vals = values.astype(object if big else np.int64, copy=False)
+    ar = np.arange(mult.shape[0])
     out = np.zeros(len(reps), dtype=object if big else np.int64)
     for c, h in enumerate(reps):
         y = mult[mult[inv, int(h)], ar]
         sel = y[in_sub[y]]
-        out[c] = int(values[sel].sum() % p) if sel.size else 0
+        out[c] = int(vals[sel].sum() % p) if sel.size else 0
     return out
-
-
-def induced_sums(mult, inv, reps, values, in_sub, p):
-    reps = np.ascontiguousarray(reps, dtype=np.int32)
-    if values.dtype == object or p >= INT64_SAFE_P:
-        vals = values if values.dtype == object else values.astype(object)
-        return _induced_sums_np(mult, inv, reps, vals, in_sub, p)
-    vals = np.ascontiguousarray(values, dtype=np.int64)
-    if _USE_NUMBA:
-        return _induced_sums_nb(mult, inv, reps, vals, in_sub, p)
-    return _induced_sums_np(mult, inv, reps, vals, in_sub, p)
-
-
-# ---------------------------------------------------------------------------
-# reduced row echelon form over F_p
-
-
-@njit(cache=True)
-def _powmod_nb(a, e, p):  # pragma: no cover
-    r = np.int64(1)
-    b = a % p
-    while e > 0:
-        if e & 1:
-            r = (r * b) % p
-        b = (b * b) % p
-        e >>= 1
-    return r
-
-
-@njit(cache=True)
-def _rref_nb(a, p):  # pragma: no cover
-    m, n = a.shape
-    piv = np.empty(min(m, n), dtype=np.int64)
-    r = 0
-    for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            for t in range(n):
-                tmp = a[r, t]
-                a[r, t] = a[pr, t]
-                a[pr, t] = tmp
-        inv = _powmod_nb(a[r, c], p - 2, p)
-        for t in range(n):
-            a[r, t] = (a[r, t] * inv) % p
-        for i in range(m):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for t in range(n):
-                    a[i, t] = (a[i, t] - f * a[r, t]) % p
-        piv[r] = c
-        r += 1
-        if r == m:
-            break
-    return piv[:r]
-
-
-def _rref_np(a, p):
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        f = a[:, c].copy()
-        f[r] = 0
-        a -= np.outer(f, a[r])
-        a %= p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return np.array(pivots, dtype=np.int64)
 
 
 def rref_mod(a: np.ndarray, p: int):
     """Row-reduce a copy of `a` mod p; returns (rref matrix, pivot columns)."""
     if a.dtype == object or p >= INT64_SAFE_P:
-        work = np.array([[int(v) % p for v in row] for row in a], dtype=object)
-        if work.size == 0:
-            work = work.reshape(a.shape)
-        piv = _rref_np(work, p)
-        return work, piv
-    work = np.ascontiguousarray(a, dtype=np.int64) % p
-    if _USE_NUMBA:
-        piv = _rref_nb(work, p)
+        work = np.array(
+            [[int(v) % p for v in row] for row in a], dtype=object
+        ).reshape(a.shape)
     else:
-        piv = _rref_np(work, p)
-    return work, piv
+        work = np.ascontiguousarray(a, dtype=np.int64) % p
+    m, n = work.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(work[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            work[[r, i]] = work[[i, r]]
+        inv = pow(int(work[r, c]), p - 2, p)
+        work[r] = (work[r] * inv) % p
+        f = work[:, c].copy()
+        f[r] = 0
+        work -= np.outer(f, work[r])
+        work %= p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return work, np.array(pivots, dtype=np.int64)
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Exit codes: 0 = success with all internal checks passing, 1 = verification
 failure (witness JSON on stdout) or internal invariant failure, 2 = input
 error.  All numeric output is exact integers plus the prime where modular
-values appear; reruns are byte-identical and --jobs never affects output.
+values appear; reruns are byte-identical.  --jobs is accepted for old scripts
+and ignored.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def _cmd_double(args) -> int:
     G = presets.parse_group_spec(args.spec)
     datum = presets.load_action("conjugation", G)
     ctx = chartab.make_context([G, G], prime_override=args.prime_override)
-    ring = fusion.fusion_ring(datum, G.full_subgroup(), ctx, jobs=args.jobs)
+    ring = fusion.fusion_ring(datum, G.full_subgroup(), ctx)
     _emit_ring(ring, args)
     return 0
 
@@ -168,7 +169,7 @@ def _cmd_fuse(args) -> int:
         [datum.F, datum.G], prime_override=args.prime_override
     )
     H = _parse_subgroup(datum.F, args.subgroup)
-    ring = fusion.fusion_ring(datum, H, ctx, jobs=args.jobs)
+    ring = fusion.fusion_ring(datum, H, ctx)
     _emit_ring(ring, args)
     return 0
 
@@ -197,7 +198,7 @@ def _add_common(sub, jobs=False, fmt=False):
                      help="expert: fixed prime (must satisfy the context invariants)")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
-                         help="parallelism hint; never affects output")
+                         help="ignored; accepted for compatibility")
     if fmt:
         sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -266,7 +267,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (EquifuseError, ValueError) as exc:
+    except (EquifuseError, ValueError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

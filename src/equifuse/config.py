@@ -1,4 +1,4 @@
-"""Runtime configuration: enumeration caps and kernel backend selection.
+"""Runtime configuration: enumeration caps.
 
 Caps are read from the environment on every call so tests and CLI users can
 adjust them without re-importing.
@@ -17,12 +17,3 @@ def order_cap() -> int:
 def lattice_cap() -> int:
     return int(os.environ.get("EQUIFUSE_CAP_LATTICE", DEFAULT_LATTICE_CAP))
 
-
-def numba_disabled() -> bool:
-    """True when EQUIFUSE_NO_NUMBA requests the pure-numpy kernel path."""
-    return os.environ.get("EQUIFUSE_NO_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )

@@ -690,7 +690,7 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     return report
 
 
-def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext, jobs: int = 1) -> FusionRing:
+def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRing:
     """Full structure-constant table over simples(d, H), with every ring
     invariant verified (and cross-checked against the orbit-sum form)."""
     eng = _engine(d, ctx)
@@ -698,20 +698,10 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext, jobs: int = 
     labels = basis.labels
     n = len(labels)
     pairs = [(i, j) for i in range(n) for j in range(n)]
-
-    def compute(pair):
-        i, j = pair
+    constants = {}
+    for i, j in pairs:
         raw = eng.fuse_pair(H, labels[i], labels[j])
-        return sorted((basis.pos[key], c) for key, c in raw.items())
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(compute, pairs))
-    else:
-        results = [compute(p) for p in pairs]
-    constants = {pair: tuple(res) for pair, res in zip(pairs, results)}
+        constants[(i, j)] = tuple(sorted((basis.pos[key], c) for key, c in raw.items()))
 
     unit = basis.pos[(0, 0)]
     checks = {"associative": True, "dim_hom": True, "matches_M_form": True}

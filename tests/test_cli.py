@@ -205,6 +205,12 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert json.loads(err.strip())["error"] == "OrderCapExceeded"
 
+    def test_unwritable_table_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, _, err = run(capsys, "group", "sym:3", "--table", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "FileNotFoundError"
+
 
 class TestDeterminism:
     def test_rerun_and_jobs_byte_identical(self, capsys):
@@ -220,12 +226,9 @@ class TestDeterminism:
         assert len(outs) == 1
 
     def test_fresh_process_identical(self):
-        import os
-
         cmd = [sys.executable, "-m", "equifuse", "double", "cyclic:3", "--table", "-"]
-        env = {**os.environ, "EQUIFUSE_NO_NUMBA": "1"}
         runs = [
-            subprocess.run(cmd, capture_output=True, env=env, check=True).stdout
+            subprocess.run(cmd, capture_output=True, check=True).stdout
             for _ in range(2)
         ]
         assert runs[0] == runs[1]

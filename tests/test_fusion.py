@@ -348,11 +348,6 @@ class TestFusionRing:
             "matches_M_form": True,
         }
 
-    def test_jobs_do_not_change_result(self, ds3):
-        r1 = fu.fusion_ring(ds3.datum, full(ds3), ds3.ctx, jobs=1)
-        r8 = fu.fusion_ring(ds3.datum, full(ds3), ds3.ctx, jobs=8)
-        assert r1.constants == r8.constants
-
     def test_double_of_s4(self, s4):
         # 21 simples: 5 + 4 + 5 + 4 + 3 over the five classes' centralizers
         scen = drinfeld_double_scenario(s4)
