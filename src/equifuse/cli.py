@@ -4,12 +4,13 @@ Exit codes: 0 = success with all internal checks passing, 1 = verification
 failure (witness JSON on stdout) or internal invariant failure, 2 = input
 error.  All numeric output is exact integers plus the prime where modular
 values appear; reruns are byte-identical.  --jobs is accepted for old scripts
-and ignored.
+and ignored.  --table is opened before any work, so a bad path exits 2 at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -25,16 +26,15 @@ from .permgrp import Group, Subgroup
 _INTERNAL_ERRORS = (InvariantViolation, EigenbasisFailure)
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _open_table(path: str):
+    """The --table destination; - is standard output, which stays open."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
-def _emit_json(obj, path) -> None:
-    _write(path, json.dumps(obj, indent=2) + "\n")
+def _emit_json(obj, out) -> None:
+    out.write(json.dumps(obj, indent=2) + "\n")
 
 
 def emit_csv(ring: fusion.FusionRing) -> str:
@@ -121,7 +121,7 @@ def _family_from_spec(spec: str, prime_override):
     raise InvalidInput(f"family spec must start with char: or equiv:, got {spec!r}")
 
 
-def _cmd_group(args) -> int:
+def _cmd_group(args, out) -> int:
     G = presets.parse_group_spec(args.spec)
     data = presets.group_to_json_dict(G)
     data["order"] = G.order
@@ -129,14 +129,14 @@ def _cmd_group(args) -> int:
         {"rep": list(G.elements[int(r)].images), "size": int(s)}
         for r, s in zip(G.class_reps, G.class_sizes)
     ]
-    _emit_json(data, args.table)
+    _emit_json(data, out)
     return 0
 
 
-def _cmd_chartable(args) -> int:
+def _cmd_chartable(args, out) -> int:
     G = presets.parse_group_spec(args.spec)
     ctx = chartab.make_context([G], prime_override=args.prime_override)
-    _emit_json(_chartable_json_dict(G, ctx), args.table)
+    _emit_json(_chartable_json_dict(G, ctx), out)
     if args.verbose:
         table = chartab.character_table(G, ctx)
         lifted = chartab.cyclotomic_lift(table, ctx)
@@ -145,23 +145,23 @@ def _cmd_chartable(args) -> int:
     return 0
 
 
-def _emit_ring(ring, args) -> None:
+def _emit_ring(ring, args, out) -> None:
     if args.format == "csv":
-        _write(args.table, emit_csv(ring))
+        out.write(emit_csv(ring))
     else:
-        _emit_json(_ring_json_dict(ring), args.table)
+        _emit_json(_ring_json_dict(ring), out)
 
 
-def _cmd_double(args) -> int:
+def _cmd_double(args, out) -> int:
     G = presets.parse_group_spec(args.spec)
     datum = presets.load_action("conjugation", G)
     ctx = chartab.make_context([G, G], prime_override=args.prime_override)
     ring = fusion.fusion_ring(datum, G.full_subgroup(), ctx)
-    _emit_ring(ring, args)
+    _emit_ring(ring, args, out)
     return 0
 
 
-def _cmd_fuse(args) -> int:
+def _cmd_fuse(args, out) -> int:
     F = presets.parse_group_spec(args.F) if args.F else None
     G = presets.parse_group_spec(args.G) if args.G else None
     datum = presets.load_action(args.action, F, G)
@@ -170,24 +170,24 @@ def _cmd_fuse(args) -> int:
     )
     H = _parse_subgroup(datum.F, args.subgroup)
     ring = fusion.fusion_ring(datum, H, ctx)
-    _emit_ring(ring, args)
+    _emit_ring(ring, args, out)
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     fam = _family_from_spec(args.family, args.prime_override)
     if args.what == "mackey":
         report = mackey.verify_mackey_axioms(fam)
     else:
         report = mackey.verify_green_axioms(fam)
-    _emit_json(report.to_json_dict(), args.table)
+    _emit_json(report.to_json_dict(), out)
     return 0 if report.ok else 1
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario(args, out) -> int:
     if args.action_verb != "list":
         raise InvalidInput(f"unknown scenario action {args.action_verb!r}")
-    _emit_json(presets.scenario_catalog(), args.table)
+    _emit_json(presets.scenario_catalog(), out)
     return 0
 
 
@@ -260,7 +260,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        with _open_table(args.table) as out:
+            return args.fn(args, out)
     except _INTERNAL_ERRORS as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -112,10 +112,6 @@ class MackeyFamily:
             raise NoRingStructure("family has no unit")
         return self._unit_fn(H)
 
-    def multiply(self, H: Subgroup, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        t = self.product_tensor(H)
-        return np.einsum("i,j,ijk->k", u, v, t)
-
 
 def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
     """The family H |-> (virtual characters of H), with restriction,
@@ -251,8 +247,16 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
     )
 
 
-def _sub_in(child: Subgroup, parent_sub: Subgroup) -> Subgroup:
-    return child.viewed_in(parent_sub)
+def _double_coset_side(fam: MackeyFamily, L: Subgroup, H: Subgroup, K: Subgroup):
+    """Matrix of the sum over x in H\\L/K of I_{xK n H}^H R_{xK n H}^{xK} c_{K,x}."""
+    out = np.zeros((fam.size(H), fam.size(K)), dtype=np.int64)
+    for r in double_coset_reps(L.group(), H.viewed_in(L), K.viewed_in(L)):
+        x = int(L.members[int(r)])
+        c_mat, xk = fam.conjugation(K, x)
+        xk = fam.lattice_member(xk)
+        meet = fam.lattice_member(xk.intersect(H))
+        out += fam.induction(meet, H) @ fam.restriction(xk, meet) @ c_mat
+    return out
 
 
 def mackey_rhs(fam: MackeyFamily, H: Subgroup, K: Subgroup, v: np.ndarray,
@@ -265,17 +269,7 @@ def mackey_rhs(fam: MackeyFamily, H: Subgroup, K: Subgroup, v: np.ndarray,
     L = fam.lattice_member(L)
     if not (L.contains(H) and L.contains(K)):
         raise NotASubgroup("H and K must lie inside the ambient subgroup")
-    lgrp = L.group()
-    reps_loc = double_coset_reps(lgrp, _sub_in(H, L), _sub_in(K, L))
-    out = np.zeros(fam.size(H), dtype=np.int64)
-    for r in reps_loc:
-        x = int(L.members[int(r)])
-        c_mat, xk = fam.conjugation(K, x)
-        xk = fam.lattice_member(xk)
-        meet = fam.lattice_member(xk.intersect(H))
-        term = fam.induction(meet, H) @ fam.restriction(xk, meet) @ c_mat
-        out += term @ v
-    return out
+    return _double_coset_side(fam, L, H, K) @ v
 
 
 def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
@@ -291,13 +285,13 @@ def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
         n = fam.size(H)
         ident = np.eye(n, dtype=np.int64)
         report.record("M0", np.array_equal(fam.restriction(H, H), ident),
-                      (_name(H), "R"), "R_H^H = id")
+                      (H, "R"), "R_H^H = id")
         report.record("M0", np.array_equal(fam.induction(H, H), ident),
-                      (_name(H), "I"), "I_H^H = id")
+                      (H, "I"), "I_H^H = id")
         for h in H.members:
             mat, tgt = fam.conjugation(H, int(h))
             ok = tgt.key == H.key and np.array_equal(mat, ident)
-            report.record("M0", ok, (_name(H), f"c_{int(h)}"), "c_{H,h} = id for h in H")
+            report.record("M0", ok, (H, f"c_{int(h)}"), "c_{H,h} = id for h in H")
 
     contained = {
         (i, j)
@@ -313,12 +307,12 @@ def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
             lhs = fam.restriction(K, J) @ fam.restriction(H, K)
             rhs = fam.restriction(H, J)
             report.record("M1", np.array_equal(lhs, rhs),
-                          (_name(J), _name(K), _name(H)), "R transitivity",
+                          (J, K, H), "R transitivity",
                           lhs, rhs)
             lhs_i = fam.induction(K, H) @ fam.induction(J, K)
             rhs_i = fam.induction(J, H)
             report.record("M2", np.array_equal(lhs_i, rhs_i),
-                          (_name(J), _name(K), _name(H)), "I transitivity",
+                          (J, K, H), "I transitivity",
                           lhs_i, rhs_i)
 
     for H in lattice:
@@ -328,25 +322,17 @@ def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
                 cy, _ = fam.conjugation(xh, y)
                 cyx, _ = fam.conjugation(H, int(G.mult[y, x]))
                 report.record("M3", np.array_equal(cy @ cx, cyx),
-                              (_name(H), x, y), "c_y c_x = c_yx")
+                              (H, x, y), "c_y c_x = c_yx")
 
     full = fam.lattice[-1]
     for L in lattice:
         axiom = "M4" if L.key == full.key else "M4rel"
         inside = [S for S in lattice if L.contains(S)]
-        lgrp = L.group()
         for H in inside:
             for K in inside:
                 lhs = fam.restriction(L, H) @ fam.induction(K, L)
-                rhs = np.zeros_like(lhs)
-                for r in double_coset_reps(lgrp, _sub_in(H, L), _sub_in(K, L)):
-                    x = int(L.members[int(r)])
-                    c_mat, xk = fam.conjugation(K, x)
-                    xk = fam.lattice_member(xk)
-                    meet = fam.lattice_member(xk.intersect(H))
-                    rhs += fam.induction(meet, H) @ fam.restriction(xk, meet) @ c_mat
-                report.record(axiom, np.array_equal(lhs, rhs),
-                              (_name(L), _name(H), _name(K)),
+                rhs = _double_coset_side(fam, L, H, K)
+                report.record(axiom, np.array_equal(lhs, rhs), (L, H, K),
                               "double-coset relation", lhs, rhs)
     return report
 
@@ -354,7 +340,10 @@ def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
 def verify_green_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
     """Check that every a(H) is an associative unital ring, that restriction
     and conjugation are unitary ring maps (G1), and both projection formulas
-    (G2), (G3) on all basis pairs of every nested pair of subgroups."""
+    (G2), (G3) on all basis pairs of every nested pair of subgroups.
+
+    Associativity is `fusion.associativity_failure` (O(n^3) memory), both G1
+    loops are `_is_unitary_ring_map`, and G2/G3 are `_projection_sides`."""
     if not fam.has_ring:
         raise NoRingStructure("family has no multiplication")
     lattice = list(lattice) if lattice is not None else fam.lattice
@@ -368,14 +357,11 @@ def verify_green_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
         tensors[H.key] = t
         u = fam.unit_index(H)
         units[H.key] = u
-        n = fam.size(H)
-        assoc = np.array_equal(
-            np.einsum("ijm,mkl->ijkl", t, t), np.einsum("jkm,iml->ijkl", t, t)
-        )
-        report.record("ring", assoc, (_name(H),), "associativity on basis triples")
-        ident = np.eye(n, dtype=np.int64)
+        ident = np.eye(fam.size(H), dtype=np.int64)
+        report.record("ring", fusion.associativity_failure(t) is None, (H,),
+                      "associativity on basis triples")
         report.record("ring", np.array_equal(t[u], ident) and np.array_equal(t[:, u], ident),
-                      (_name(H),), "two-sided unit")
+                      (H,), "two-sided unit")
 
     for H in lattice:
         th = tensors[H.key]
@@ -383,25 +369,14 @@ def verify_green_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
         for K in lattice:
             if not H.contains(K) or K.key == H.key:
                 continue
-            r = fam.restriction(H, K)
-            tk = tensors[K.key]
-            unit_ok = np.array_equal(r[:, uh], _unit_vec(fam, K))
-            prod_ok = np.array_equal(
-                np.einsum("ijm,am->ija", th, r),
-                np.einsum("ai,bj,abm->ijm", r, r, tk),
-            )
-            report.record("G1", unit_ok and prod_ok, (_name(H), _name(K)),
-                          "R is a unitary ring map")
+            ok = _is_unitary_ring_map(fam.restriction(H, K), th, uh,
+                                      tensors[K.key], units[K.key])
+            report.record("G1", ok, (H, K), "R is a unitary ring map")
         for x in range(G.order):
             c, xh = fam.conjugation(H, x)
-            txh = tensors[fam.lattice_member(xh).key]
-            unit_ok = np.array_equal(c[:, uh], _unit_vec(fam, fam.lattice_member(xh)))
-            prod_ok = np.array_equal(
-                np.einsum("ijm,am->ija", th, c),
-                np.einsum("ai,bj,abm->ijm", c, c, txh),
-            )
-            report.record("G1", unit_ok and prod_ok, (_name(H), f"x={x}"),
-                          "c is a unitary ring map")
+            xh = fam.lattice_member(xh)
+            ok = _is_unitary_ring_map(c, th, uh, tensors[xh.key], units[xh.key])
+            report.record("G1", ok, (H, f"x={x}"), "c is a unitary ring map")
 
     for H in lattice:
         th = tensors[H.key]
@@ -411,22 +386,29 @@ def verify_green_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
             r = fam.restriction(H, K)
             ind = fam.induction(K, H)
             tk = tensors[K.key]
-            lhs2 = np.einsum("bj,ibm,lm->ijl", r, tk, ind)
-            rhs2 = np.einsum("ai,ajl->ijl", ind, th)
+            lhs2, rhs2 = _projection_sides(r, ind, tk, th)
             report.record("G2", np.array_equal(lhs2, rhs2),
-                          (_name(H), _name(K)), "I(a R(b)) = I(a) b", lhs2, rhs2)
-            lhs3 = np.einsum("bj,bim,lm->ijl", r, tk, ind)
-            rhs3 = np.einsum("ai,jal->ijl", ind, th)
+                          (H, K), "I(a R(b)) = I(a) b", lhs2, rhs2)
+            lhs3, rhs3 = _projection_sides(r, ind, tk.transpose(1, 0, 2),
+                                           th.transpose(1, 0, 2))
             report.record("G3", np.array_equal(lhs3, rhs3),
-                          (_name(H), _name(K)), "I(R(b) a) = b I(a)", lhs3, rhs3)
+                          (H, K), "I(R(b) a) = b I(a)", lhs3, rhs3)
     return report
 
 
-def _unit_vec(fam: MackeyFamily, H: Subgroup) -> np.ndarray:
-    v = np.zeros(fam.size(H), dtype=np.int64)
-    v[fam.unit_index(H)] = 1
-    return v
+def _is_unitary_ring_map(f, t_src, u_src, t_dst, u_dst) -> bool:
+    """f(e_{u_src}) = e_{u_dst} and f(e_i e_j) = f(e_i) f(e_j) on all basis pairs."""
+    unit_ok = np.array_equal(f[:, u_src], np.eye(len(t_dst), dtype=np.int64)[u_dst])
+    # [i, b, m] = (f(e_i) e_b)_m, then [i, j, m] = (f(e_i) f(e_j))_m
+    left = np.einsum("ai,abm->ibm", f, t_dst)
+    product = np.einsum("bj,ibm->ijm", f, left)
+    return unit_ok and np.array_equal(np.einsum("ijm,am->ija", t_src, f), product)
 
 
-def _name(H: Subgroup) -> str:
-    return f"H[o{H.order}:{H.members[:4].tolist()}]"
+def _projection_sides(r, ind, tk, th):
+    """[a, b, :] of I(a R(b)) and of I(a) b, for r = R_K^H, ind = I_K^H; with
+    both tensors transposed in their first two axes, I(R(b) a) and b I(a)."""
+    # [a, c, l] = I(e_a e_c)_l, then [a, b, l] = I(e_a R(e_b))_l
+    induced = np.einsum("acm,lm->acl", tk, ind)
+    lhs = np.einsum("cb,acl->abl", r, induced)
+    return lhs, np.einsum("ma,mbl->abl", ind, th)

@@ -354,6 +354,9 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
+    def __str__(self):
+        return f"H[o{self.order}:{self._members[:4].tolist()}]"
+
 
 def _close(G: Group, base, extra):
     """Close base (already a subgroup member list) together with extra

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from equifuse import fusion
 from equifuse.cli import main
 
 
@@ -209,6 +210,16 @@ class TestErrorsAndExitCodes:
         path = tmp_path / "missing" / "x.json"
         code, _, err = run(capsys, "group", "sym:3", "--table", str(path))
         assert code == 2
+        assert json.loads(err)["error"] == "FileNotFoundError"
+
+    def test_bad_table_path_fails_before_the_work(self, capsys, tmp_path, monkeypatch):
+        def never(*_args):
+            raise AssertionError("the ring was computed for an unwritable path")
+
+        monkeypatch.setattr(fusion, "fusion_ring", never)
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "double", "sym:4", "--table", str(path))
+        assert code == 2 and out == ""
         assert json.loads(err)["error"] == "FileNotFoundError"
 
 

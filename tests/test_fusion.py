@@ -6,6 +6,8 @@ double-coset product with the orbit-sum product; smaller derived values
 (stabilizer tables, hand-computed inductions) pin individual paths.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -369,6 +371,64 @@ class TestFusionRing:
                     s3.mult[ring.labels[i].orbit_rep, ring.labels[j].orbit_rep]
                 )
         assert not np.array_equal(t, t.transpose(1, 0, 2))  # S3 is nonabelian
+
+
+def _dense_associativity_failure(t):
+    """Reference: both sides of (e_i e_j) e_k = e_i (e_j e_k) as dense n^4
+    arrays, first mismatch in index order."""
+    lhs = np.einsum("ijm,mkl->ijkl", t, t)
+    rhs = np.einsum("jkm,iml->ijkl", t, t)
+    bad = np.argwhere(lhs != rhs)
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def _cyclic_group_ring(n):
+    t = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        t[i, np.arange(n), (i + np.arange(n)) % n] = 1
+    return t
+
+
+class TestAssociativityFailure:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_dense_on_random_tensors(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 6
+        t = rng.integers(0, 3, size=(n, n, n))
+        assert fu.associativity_failure(t) == _dense_associativity_failure(t)
+
+    def test_associative_rings_pass(self, ds3, s3):
+        tensors = [
+            _cyclic_group_ring(7),
+            fu.fusion_ring(ds3.datum, full(ds3), ds3.ctx).tensor(),
+            fu.fusion_ring(ds3.datum, s3.trivial_subgroup(), ds3.ctx).tensor(),
+        ]
+        for t in tensors:
+            assert _dense_associativity_failure(t) is None
+            assert fu.associativity_failure(t) is None
+
+    def test_matches_dense_on_perturbed_ring(self, ds3):
+        t0 = fu.fusion_ring(ds3.datum, full(ds3), ds3.ctx).tensor()
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            t = t0.copy()
+            t[tuple(rng.integers(0, len(t), size=3))] += 1
+            bad = fu.associativity_failure(t)
+            assert bad is not None
+            assert bad == _dense_associativity_failure(t)
+
+    def test_memory_stays_below_one_dense_array(self):
+        # the dense form holds two n^4 int64 arrays (2 x 42 MB at n = 48)
+        n = 48
+        t = _cyclic_group_ring(n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert fu.associativity_failure(t) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n**4 * 8
 
 
 class TestEqRestrict:

@@ -5,6 +5,9 @@ the S3-sized pinned values, the verifier's failure reporting, and the
 structural properties the verifier itself relies on.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -175,6 +178,89 @@ class TestVerifiers:
         )
         with pytest.raises(NoRingStructure):
             mk.verify_green_axioms(stripped)
+
+
+def _bump(m):
+    m = m.copy()
+    m[0, 0] += 1
+    return m
+
+
+def _tamper(fn, when, change):
+    """fn with `change` applied to the matrix (or tensor) of every call that
+    matches `when`; the conjugation callback's target is left alone."""
+
+    def wrapped(*args):
+        out = fn(*args)
+        if not when(*args):
+            return out
+        if isinstance(out, tuple):
+            return change(out[0]), out[1]
+        return change(out)
+
+    return wrapped
+
+
+# map tampered, which calls, change, failed count per axiom, first witness
+# context, sha256 of the whole report JSON as `verify green` prints it
+GREEN_TAMPERS = {
+    "R": ("r", lambda H, K: H.order == 24 and K.order == 4, _bump,
+          {"G1": 7, "G2": 7, "G3": 7},
+          ["H[o24:[0, 1, 2, 3]]", "H[o4:[0, 1, 6, 7]]"],
+          "7982705951649a5a78c0504312fe2d4872ff1ce1db747ee4a699687b6c8290f9"),
+    "R=0": ("r", lambda H, K: H.order == 24 and K.order == 4, np.zeros_like,
+            {"G1": 7, "G2": 7, "G3": 7},
+            ["H[o24:[0, 1, 2, 3]]", "H[o4:[0, 1, 6, 7]]"],
+            "625d6793df682f5a4a7e1e780a79b9e9e5c6fa3fe9211f7e52cc8685e96e26df"),
+    "I": ("i", lambda K, H: K.order == 3 and H.order == 12, _bump,
+          {"G2": 4, "G3": 4},
+          ["H[o12:[0, 3, 4, 7]]", "H[o3:[0, 3, 4]]"],
+          "ca938620f037016d0420bae7528c16f585764e7e791ac6641eead07f274c3d8f"),
+    "c": ("c", lambda H, x: H.order == 8 and x == 5, _bump,
+          {"G1": 3},
+          ["H[o8:[0, 1, 6, 7]]", "x=5"],
+          "f9a74737f5e6d0dc3356f51f305bb816dc7c143c72d2a1fab62445c4bf200fce"),
+    "product": ("mul", lambda H: H.order == 6, _bump,
+                {"ring": 8, "G1": 24, "G2": 24, "G3": 24},
+                ["H[o6:[0, 1, 2, 3]]"],
+                "573773369fc13ec178a44e1e47611e4134d7060e20e740d087edb62cac097d62"),
+}
+
+
+@pytest.fixture(scope="module")
+def char_s4(s4, ctx_s4):
+    return mk.char_ring_family(s4, ctx_s4)
+
+
+@pytest.fixture(scope="module")
+def green_s4(char_s4):
+    return mk.verify_green_axioms(char_s4)
+
+
+class TestGreenMutations:
+    """One kind of map of the S4 character-ring family is broken at a time;
+    the Green verifier must count every broken identity, with the same
+    checks as on the intact family."""
+
+    @pytest.mark.parametrize("name", sorted(GREEN_TAMPERS))
+    def test_tampered_map_is_caught(self, name, char_s4, green_s4):
+        which, when, change, failed, context, digest = GREEN_TAMPERS[name]
+        fns = {k: getattr(char_s4, f"_{k}_fn") for k in ("r", "i", "c", "mul")}
+        fns[which] = _tamper(fns[which], when, change)
+        broken = mk.MackeyFamily(
+            char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
+            fns["r"], fns["i"], fns["c"], mul_fn=fns["mul"],
+            unit_fn=char_s4._unit_fn,
+        )
+        report = mk.verify_green_axioms(broken)
+        assert {a: f for a, (_, f) in report.counts.items() if f} == failed
+        assert {a: c for a, (c, _) in report.counts.items()} == {
+            a: c for a, (c, _) in green_s4.counts.items()
+        }
+        data = report.to_json_dict()
+        assert data["witnesses"][0]["context"] == context
+        text = json.dumps(data, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestObservedProperties:
