@@ -15,6 +15,15 @@ stabilizer H_g); products are computed two independent ways:
 
 Their agreement on every basis pair is the package's strongest internal
 oracle and is enforced whenever a full FusionRing is assembled.
+
+Both forms take their local products from `_Engine.m_block`, which gives
+every product at a pair of grading points (g, h) as one tensor: by Frobenius
+reciprocity the multiplicities of Ind_I^{H_gh}(Res chi_i . Res psi_j) are
+inner products over the classes of I = H_g n H_h, so a block is one
+contraction of three class-fused character tables, with no induction sums
+and no per-irreducible decomposition.  Associativity of an assembled table
+is checked slice by slice with float64 BLAS products, which are exact while
+n * max|N|^2 < 2**53; past that bound the check refuses to answer.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chartab
+from . import _kernels, chartab
 from .chartab import ClassFunction, ModularContext, character_table
 from .errors import (
     ElementNotInGroup,
@@ -158,7 +167,7 @@ class _Basis:
 
 class _Engine:
     """Caches for one (datum, prime) pair: stabilizers, orbit data, character
-    tables, conjugation bijections and local products at irreducible level."""
+    tables, conjugation bijections, factorizations and local-product blocks."""
 
     def __init__(self, d: CoherentDatum, ctx: ModularContext):
         self.d = d
@@ -170,9 +179,9 @@ class _Engine:
         self._orbit = {}
         self._to_rep = {}
         self._conj = {}
-        self._m = {}
+        self._blocks = {}
         self._bases = {}
-        self._facreps = {}
+        self._facts = {}
 
     # -- group-side caches ---------------------------------------------------
 
@@ -287,13 +296,27 @@ class _Engine:
                 out[key] = out.get(key, 0) + int(c)
         return out
 
-    # -- local product at irreducible level -----------------------------------
+    # -- local products, one block per pair of grading points -----------------
 
-    def m_irr(self, H: Subgroup, g: int, h: int, i: int, j: int):
-        """Decomposition over Irr(H_gh) of m_{g,h}(chi_i, psi_j); the grading
-        point of the result is g*h (not normalized)."""
-        key = (H.key, g, h, i, j)
-        hit = self._m.get(key)
+    def m_block(self, H: Subgroup, g: int, h: int):
+        """All local products at (g, h) at once: (q, N) with q = g*h and
+        N[i, j, k] the multiplicity of rho_k in m_{g,h}(chi_i, psi_j) =
+        Ind_I^{H_q}(Res chi_i . Res psi_j), for I = H_g n H_h (which fixes
+        q, so I <= H_q).
+
+        Frobenius reciprocity gives <Ind_I f, rho>_{H_q} = <f, Res rho>_I, so
+        N[i, j, k] = (1/|I|) sum over classes c of I of
+        |c| chi_i(c) psi_j(c) rho_k(c^-1): one contraction over the classes
+        of I, through the class-fusion columns of I into the three tables.
+        The sum is taken mod p and lifted symmetrically, which is exactly
+        what `chartab.decompose` returns for the induced character.  The
+        irreducible rows of H_q are orthonormal (`character_table` checks
+        it), so they are a basis of the class functions and the coordinates
+        need no reconstruction check; the block is checked instead against
+        the degrees, N @ deg_q = [H_q : I] outer(deg_g, deg_h), and for
+        negative parts."""
+        key = (H.key, g, h)
+        hit = self._blocks.get(key)
         if hit is not None:
             return hit
         p = self.ctx.p
@@ -301,18 +324,40 @@ class _Engine:
         q = int(self.G.mult[g, h])
         Sq = self.stab(H, q)
         inter = Sg.intersect(Sh)
-        chi = self.table(Sg).rows[i]
-        psi = self.table(Sh).rows[j]
-        ri = chartab.restrict(chi, inter.viewed_in(Sg))
-        rj = chartab.restrict(psi, inter.viewed_in(Sh))
-        prod = chartab.pointwise_product(ri, rj, p)
-        ind = chartab.induce(prod, Sq.group(), p)
-        coeffs = np.array(chartab.decompose(ind, self.table(Sq)).coeffs, dtype=np.int64)
-        if (coeffs < 0).any():
+        igrp = inter.group()
+        reps = inter.members[igrp.class_reps]
+        dtype = np.int64 if p < _kernels.INT64_SAFE_P else object
+
+        def at(sub, elems):
+            # table of sub, one column per element of elems
+            grp = sub.group()
+            cols = grp.class_of[np.searchsorted(sub.members, elems)]
+            rows = np.array([r.values for r in self.table(sub).rows], dtype=dtype)
+            return rows[:, cols]
+
+        chi, psi = at(Sg, reps), at(Sh, reps)
+        rho_inv = at(Sq, self.F.inv[reps])
+        weights = igrp.class_sizes.astype(dtype) * pow(inter.order, p - 2, p) % p
+        prod = (chi * weights % p)[:, None, :] * psi[None, :, :] % p
+        flat = _kernels.matmul_mod(prod.reshape(-1, len(reps)), rho_inv.T, p)
+        block = np.where(flat > p // 2, flat - p, flat).astype(np.int64)
+        block = block.reshape(len(chi), len(psi), len(rho_inv))
+        if (block < 0).any():
             raise InvariantViolation("local product decomposed with a negative part")
-        hit = (q, coeffs)
-        self._m[key] = hit
+        deg = [np.array(self.table(s).degrees, dtype=np.int64) for s in (Sg, Sh, Sq)]
+        if not np.array_equal(
+            block @ deg[2], (Sq.order // inter.order) * np.outer(deg[0], deg[1])
+        ):
+            raise InvariantViolation("local product block fails the degree identity")
+        hit = (q, block)
+        self._blocks[key] = hit
         return hit
+
+    def m_irr(self, H: Subgroup, g: int, h: int, i: int, j: int):
+        """Decomposition over Irr(H_gh) of m_{g,h}(chi_i, psi_j); the grading
+        point of the result is g*h (not normalized)."""
+        q, block = self.m_block(H, g, h)
+        return q, block[i, j]
 
     # -- the two product forms -------------------------------------------------
 
@@ -342,25 +387,31 @@ class _Engine:
             )
         return out
 
-    def fact_reps(self, H: Subgroup, g: int, choice: str):
-        """Stabilizer-orbit representatives of the first coordinates of
-        factorizations h*k = g; choice picks min or max of each orbit."""
-        key = (H.key, g, choice)
-        reps = self._facreps.get(key)
-        if reps is None:
-            Sg = self.stab(H, g)
-            rows = self.A[Sg.members]
+    def factorizations(self, H: Subgroup, choice: str) -> dict:
+        """For each canonical g, one factorization h*k = g per orbit of H_g
+        on the first coordinates h, with h the min or max of its orbit as
+        `choice` says; listed as (g, h, k) under the key (orbit rep of h,
+        orbit rep of k), so a product visits only the factorizations whose
+        two factors have components."""
+        key = (H.key, choice)
+        out = self._facts.get(key)
+        if out is None:
+            reps, rep_of = self.orbit_data(H)
             m = self.G.order
-            seen = np.zeros(m, dtype=bool)
-            reps = []
-            for pt in range(m):
-                if seen[pt]:
-                    continue
-                orb = np.unique(rows[:, pt])
-                seen[orb] = True
-                reps.append(int(orb[0]) if choice == "min" else int(orb[-1]))
-            self._facreps[key] = reps
-        return reps
+            out = {}
+            for g in reps:
+                rows = self.A[self.stab(H, g).members]
+                seen = np.zeros(m, dtype=bool)
+                for pt in range(m):
+                    if seen[pt]:
+                        continue
+                    orb = np.unique(rows[:, pt])
+                    seen[orb] = True
+                    h = int(orb[0]) if choice == "min" else int(orb[-1])
+                    k = int(self.G.mult[int(self.G.inv[h]), g])
+                    out.setdefault((int(rep_of[h]), int(rep_of[k])), []).append((g, h, k))
+            self._facts[key] = out
+        return out
 
     def component_at(self, H: Subgroup, v: InvariantVector, h: int):
         """The implied component of an invariant vector at an arbitrary
@@ -383,26 +434,17 @@ class _Engine:
     ) -> InvariantVector:
         if alpha.subgroup != H or beta.subgroup != H:
             raise SubgroupMismatch("invariant vectors live over a different subgroup")
-        comps = {}
+        facts = self.factorizations(H, choice)
+        acc = {}
+        for ra in alpha.components:
+            for rb in beta.components:
+                for g, h, k in facts.get((ra, rb), ()):
+                    va = self.component_at(H, alpha, h)
+                    vb = self.component_at(H, beta, k)
+                    _, block = self.m_block(H, h, k)
+                    acc[g] = acc.get(g, 0) + np.einsum("i,j,ijk->k", va, vb, block)
         reps, _ = self.orbit_data(H)
-        Ginv = self.G.inv
-        for g in reps:
-            size = self.table(self.stab(H, g)).size
-            acc = np.zeros(size, dtype=np.int64)
-            for h in self.fact_reps(H, g, choice):
-                k_pt = int(self.G.mult[int(Ginv[h]), g])
-                va = self.component_at(H, alpha, h)
-                if va is None:
-                    continue
-                vb = self.component_at(H, beta, k_pt)
-                if vb is None:
-                    continue
-                for i in np.nonzero(va)[0]:
-                    for j in np.nonzero(vb)[0]:
-                        q, vec = self.m_irr(H, h, k_pt, int(i), int(j))
-                        acc += int(va[i]) * int(vb[j]) * vec
-            if acc.any():
-                comps[g] = acc
+        comps = {g: acc[g] for g in reps if g in acc}
         return InvariantVector(H, comps)
 
 
@@ -688,13 +730,34 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
 
 def associativity_failure(t: np.ndarray):
     """First (i, j, k, l) with ((e_i e_j) e_k)_l != (e_i (e_j e_k))_l for
-    t[i, j, k] = N_ij^k, or None; one i-slice at a time, in O(n^3) memory."""
-    for i in range(t.shape[0]):
-        left = np.einsum("jm,mkl->jkl", t[i], t)
-        right = np.einsum("jkm,ml->jkl", t, t[i])
-        bad = np.argwhere(left != right)
-        if len(bad):
-            return (i, *(int(v) for v in bad[0]))
+    t[i, j, k] = N_ij^k, or None.
+
+    Both sides are float64 BLAS products over a block of j for one i at a
+    time, so besides t the check holds one float64 copy of t and two blocks
+    of n^3 / 4 entries.  If n * max|t|^2 < 2**53, every product of two
+    entries and every partial sum of n of them is an integer of absolute
+    value below 2**53, so float64 represents each one exactly and the sums
+    are exact in any order; above that bound the check raises instead of
+    comparing inexactly."""
+    n = t.shape[0]
+    top = int(np.abs(t).max(initial=0))
+    if n * top * top >= 1 << 53:
+        raise InvariantViolation(
+            f"associativity check needs n * max|t|^2 < 2**53, got n={n}, max|t|={top}"
+        )
+    f = t.astype(np.float64)
+    rows = f.reshape(n, n * n)  # [m, (k, l)]
+    pairs = f.reshape(n * n, n)  # [(j, k), m]
+    step = max(1, n // 4)
+    for i in range(n):
+        for j0 in range(0, n, step):
+            j1 = min(j0 + step, n)
+            left = f[i, j0:j1] @ rows  # [j, (k, l)]: sum_m t[i, j, m] t[m, k, l]
+            right = pairs[j0 * n:j1 * n] @ f[i]  # [(j, k), l]: sum_m t[j, k, m] t[i, m, l]
+            bad = np.argwhere(left.reshape(-1, n, n) != right.reshape(-1, n, n))
+            if len(bad):
+                j, k, l = (int(v) for v in bad[0])
+                return (i, j0 + j, k, l)
     return None
 
 

@@ -1,8 +1,11 @@
 """Command-line front end: JSON/CSV emission, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from equifuse import fusion
 from equifuse.cli import main
@@ -243,3 +246,69 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+# D4 acting on C4 through D4 -> Aut(C4) = Z2 (rotations fix C4, reflections
+# invert it): a coherent datum that is not a double
+D4_ON_C4 = {"actor": "dihedral:4", "target": "cyclic:4",
+            "images": {"0": [0, 1, 2, 3], "1": [0, 3, 2, 1]}}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _pinned(*cases):
+    """Parametrize (argv, digest) over "command line | stdout sha256" cases."""
+    return pytest.mark.parametrize("argv, digest", [
+        pytest.param(cmd.split(), digest, id=cmd.replace(" ", "_"))
+        for cmd, digest in (case.split(" | ") for case in cases)
+    ])
+
+
+class TestPinnedOutput:
+    """stdout sha256 recorded from the per-irreducible induce/decompose
+    product path, so any change to the local products shows byte for byte."""
+
+    @_pinned(
+        "double sym:4 | 2d01900a5eed97abaf6c1f89e40d062f3e8590c9d1002471c79eb86b9681cd0e",
+        "double dihedral:6 | 4be7cc05737cd369357a8f952952bfa9f6e64dd34c99dc022347a0d712ce2e64",
+        "verify green --family char:sym:4"
+        " | 8f0907167aa952b088220e9af83a1ba18bd11f8b26dde0d734bf4b477f2cf450",
+    )
+    def test_stdout(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert _sha256(out) == digest
+
+    def test_fuse_on_action_file(self, capsys, tmp_path):
+        path = tmp_path / "d4_on_c4.json"
+        path.write_text(json.dumps(D4_ON_C4))
+        code, out, _ = run(capsys, "fuse", "--action", str(path))
+        assert code == 0
+        assert _sha256(out) == (
+            "02d31ad21bab2e80b7f229bd50c2ec6879799a0bc78ba25567f45de9b1d51119"
+        )
+
+
+class TestLargePrimes:
+    """Past the int64-safe range (p >= 2**31) a product of residues can
+    overflow int64, so local products run on Python ints there; the digests
+    come from the per-irreducible path, like those of TestPinnedOutput."""
+
+    @_pinned(
+        "double alt:4 --prime-override 2147484061"
+        " | 3a47c2df7e0dcc22ea3d2d6d6f916f624f24123ee70ace01319e4e346b78af35",
+        "double alt:4 --prime-override 1099511628781"
+        " | 3a47c2df7e0dcc22ea3d2d6d6f916f624f24123ee70ace01319e4e346b78af35",
+        "double cyclic:5 --prime-override 2147484061"
+        " | df6ecf43d8d955a6318b2b68d1fc5a9f8337929814727922cb285367104bb87c",
+        "double cyclic:5 --prime-override 1099511628781"
+        " | a12b2fe4551a2233650430076314948070445c52eebc7088cd0917e98bfff859",
+        "double sym:3 --prime-override 2147483659"
+        " | 1c23e4f925e2b67a49ac8af7b457928f7a80c2177c14c7043e5d2b3473ee79ae",
+    )
+    def test_stdout(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert _sha256(out) == digest

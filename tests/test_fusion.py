@@ -13,8 +13,8 @@ import pytest
 
 from equifuse import chartab as ct
 from equifuse import fusion as fu
-from equifuse.errors import SubgroupMismatch
-from equifuse.permgrp import subgroup_lattice
+from equifuse.errors import InvariantViolation, SubgroupMismatch
+from equifuse.permgrp import GroupAction, subgroup_lattice
 from equifuse.presets import classical_scenario, drinfeld_double_scenario, group_preset
 
 
@@ -159,6 +159,52 @@ class TestMProduct:
         assert out.degree == 3
         tab_s3 = ct.character_table(s3, ctx)
         assert ct.decompose(out, tab_s3).coeffs == (1, 0, 1)
+
+
+def _d4_on_c4():
+    """D4 acting on C4 through D4 -> Aut(C4) = Z2: rotations fix C4 and
+    reflections invert it.  Not a double; the stabilizer of a generator of
+    C4 is the rotation subgroup, whose characters are not real."""
+    F, G = group_preset("dihedral:4"), group_preset("cyclic:4")
+    action = GroupAction.from_generator_rows(F, G, [[0, 1, 2, 3], [0, 3, 2, 1]])
+    return fu.CoherentDatum(F, G, action), ct.make_context([F, G])
+
+
+@pytest.fixture(scope="module")
+def block_data(ds3, dz2, s3, d4):
+    doubled, classical = drinfeld_double_scenario(d4), classical_scenario(s3)
+    return {
+        "ds3": (ds3.datum, ds3.ctx),
+        "dz2": (dz2.datum, dz2.ctx),
+        "dd4": (doubled.datum, doubled.ctx),
+        "classical_s3": (classical.datum, classical.ctx),
+        "d4_on_c4": _d4_on_c4(),
+    }
+
+
+class TestMBlock:
+    """The reciprocity block against induce + decompose, entry by entry."""
+
+    @pytest.mark.parametrize("name", ["ds3", "dz2", "dd4", "classical_s3", "d4_on_c4"])
+    def test_matches_induce_and_decompose(self, block_data, name):
+        d, ctx = block_data[name]
+        eng = fu._engine(d, ctx)
+        for H in subgroup_lattice(d.F):
+            for g in range(d.G.order):
+                for h in range(d.G.order):
+                    q, block = eng.m_block(H, g, h)
+                    assert q == int(d.G.mult[g, h])
+                    Sg, Sh, Sq = eng.stab(H, g), eng.stab(H, h), eng.stab(H, q)
+                    tq = eng.table(Sq)
+                    for i, chi in enumerate(eng.table(Sg).rows):
+                        for j, psi in enumerate(eng.table(Sh).rows):
+                            ind = fu.m_product(d, H, g, chi, h, psi, ctx)
+                            assert tuple(block[i, j]) == ct.decompose(ind, tq).coeffs
+                            assert np.array_equal(eng.m_irr(H, g, h, i, j)[1], block[i, j])
+                    # the degree identity: N @ deg_q = [S_q : I] deg_g deg_h
+                    index = Sq.order // Sg.intersect(Sh).order
+                    degs = [np.array(eng.table(S).degrees) for S in (Sg, Sh, Sq)]
+                    assert np.array_equal(block @ degs[2], index * np.outer(degs[0], degs[1]))
 
 
 class TestFuse:
@@ -416,6 +462,23 @@ class TestAssociativityFailure:
             bad = fu.associativity_failure(t)
             assert bad is not None
             assert bad == _dense_associativity_failure(t)
+
+    def test_matches_dense_just_below_the_exactness_bound(self):
+        # n * max|t|^2 just under 2**53: the sums need all 53 bits
+        n = 4
+        top = int((2**53 // n) ** 0.5) - 1
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            t = rng.integers(top - 3, top + 1, size=(n, n, n))
+            assert n * int(t.max()) ** 2 < 2**53
+            bad = fu.associativity_failure(t)
+            assert bad is not None and bad == _dense_associativity_failure(t)
+
+    def test_above_the_exactness_bound_raises(self):
+        t = _cyclic_group_ring(4)
+        t[1, 1, 2] = 2**26  # 4 * 2**52 = 2**54
+        with pytest.raises(InvariantViolation, match="2\\*\\*53"):
+            fu.associativity_failure(t)
 
     def test_memory_stays_below_one_dense_array(self):
         # the dense form holds two n^4 int64 arrays (2 x 42 MB at n = 48)
