@@ -512,25 +512,44 @@ def induce(chi: ClassFunction, H: Group, p: int) -> ClassFunction:
     return ClassFunction(H, [(int(s) * scale) % p for s in sums])
 
 
-def conjugate_cf(chi: ClassFunction, ambient: Group, x: int) -> ClassFunction:
-    """Transport chi along conjugation by x: the result lives on xHx^-1 and
-    has values (x chi)(y) = chi(x^-1 y x)."""
+def conjugation_class_map(sub: Group, emb, ambient: Group, x: int):
+    """Conjugation by x on classes: (T, m) with T = x sub x^-1 as a group and
+    m[j] the class of `sub` holding x^-1 r x, for r the j-th class
+    representative of T, so a class function chi of `sub` moves to the values
+    chi.values[m[j]] on T.  `emb[i]` is the index in `ambient` of element i
+    of `sub`."""
     if not 0 <= x < ambient.order:
         raise ElementNotInGroup(f"index {x}")
-    Hgrp = chi.group
-    emb = _embed_indices(Hgrp, ambient)
-    conj_members = np.sort(ambient.mult[ambient.mult[x, emb], ambient.inv[x]])
+    mult, inv = ambient.mult, ambient.inv
+    conj_members = np.sort(mult[mult[x, emb], inv[x]])
     mask = np.zeros(ambient.order, dtype=bool)
     mask[conj_members] = True
     target = Subgroup(ambient, mask, None, _verified=True).group()
-    pos = {int(e): i for i, e in enumerate(emb)}
-    temb = _embed_indices(target, ambient)
-    vals = []
-    for r in target.class_reps:
-        y = int(temb[int(r)])
-        pre = int(ambient.mult[ambient.mult[ambient.inv[x], y], x])
-        vals.append(chi.values[int(Hgrp.class_of[pos[pre]])])
-    return ClassFunction(target, vals)
+    pre = mult[mult[inv[x], conj_members[target.class_reps]], x]
+    pos = np.full(ambient.order, -1, dtype=np.int64)
+    pos[emb] = np.arange(len(emb))
+    return target, sub.class_of[pos[pre]].tolist()
+
+
+def conjugation_perm(H: Subgroup, x: int, ctx: ModularContext) -> np.ndarray:
+    """perm[i] = the row of the character table of xHx^-1 that the i-th
+    irreducible of H becomes when moved along conjugation by x."""
+    tgrp, class_map = conjugation_class_map(H.group(), H.members, H.parent, x)
+    tgt = character_table(tgrp, ctx)
+    return np.array([
+        tgt.row_index(ClassFunction(tgrp, [chi.values[c] for c in class_map]))
+        for chi in character_table(H.group(), ctx).rows
+    ], dtype=np.int32)
+
+
+def conjugate_cf(chi: ClassFunction, ambient: Group, x: int) -> ClassFunction:
+    """Transport chi along conjugation by x: the result lives on xHx^-1 and
+    has values (x chi)(y) = chi(x^-1 y x)."""
+    Hgrp = chi.group
+    target, class_map = conjugation_class_map(
+        Hgrp, _embed_indices(Hgrp, ambient), ambient, x
+    )
+    return ClassFunction(target, [chi.values[c] for c in class_map])
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> VirtualCharacter:

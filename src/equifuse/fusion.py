@@ -167,7 +167,8 @@ class _Basis:
 
 class _Engine:
     """Caches for one (datum, prime) pair: stabilizers, orbit data, character
-    tables, conjugation bijections, factorizations and local-product blocks."""
+    tables, conjugation bijections, factorizations, local-product blocks and
+    the double-coset representatives of each pair of grading points."""
 
     def __init__(self, d: CoherentDatum, ctx: ModularContext):
         self.d = d
@@ -180,6 +181,7 @@ class _Engine:
         self._to_rep = {}
         self._conj = {}
         self._blocks = {}
+        self._coset_reps = {}
         self._bases = {}
         self._facts = {}
 
@@ -233,20 +235,8 @@ class _Engine:
         hit = self._conj.get(key)
         if hit is not None:
             return hit
-        F = self.F
+        perm = chartab.conjugation_perm(src, x, self.ctx)
         tgt = src.conjugate(x)
-        src_grp, tgt_grp = src.group(), tgt.group()
-        src_tab, tgt_tab = self.table(src), self.table(tgt)
-        spos = {int(e): i for i, e in enumerate(src.members)}
-        perm = np.empty(src_tab.size, dtype=np.int32)
-        xin = int(F.inv[x])
-        for i, row in enumerate(src_tab.rows):
-            vals = []
-            for r in tgt_grp.class_reps:
-                y = int(tgt.members[int(r)])
-                pre = int(F.mult[F.mult[xin, y], x])
-                vals.append(row.values[int(src_grp.class_of[spos[pre]])])
-            perm[i] = tgt_tab._row_index[tuple(vals)]
         self._conj[key] = (perm, tgt)
         return perm, tgt
 
@@ -353,6 +343,19 @@ class _Engine:
         self._blocks[key] = hit
         return hit
 
+    def coset_reps(self, H: Subgroup, g: int, h: int):
+        """Parent indices of the representatives x of the double cosets
+        H_h x H_g in H."""
+        key = (H.key, g, h)
+        xs = self._coset_reps.get(key)
+        if xs is None:
+            local = double_coset_reps(
+                H.group(), self.stab(H, h).viewed_in(H), self.stab(H, g).viewed_in(H)
+            )
+            xs = H.members[local].tolist()
+            self._coset_reps[key] = xs
+        return xs
+
     def m_irr(self, H: Subgroup, g: int, h: int, i: int, j: int):
         """Decomposition over Irr(H_gh) of m_{g,h}(chi_i, psi_j); the grading
         point of the result is g*h (not normalized)."""
@@ -364,13 +367,8 @@ class _Engine:
     def fuse_pair(self, H: Subgroup, a: SimpleLabel, b: SimpleLabel) -> dict:
         g, i = a.orbit_rep, a.char_index
         h, j = b.orbit_rep, b.char_index
-        Hgrp = H.group()
-        Sg_loc = self.stab(H, g).viewed_in(H)
-        Sh_loc = self.stab(H, h).viewed_in(H)
-        reps_loc = double_coset_reps(Hgrp, Sh_loc, Sg_loc)
         out = {}
-        for r in reps_loc:
-            x = int(H.members[int(r)])
+        for x in self.coset_reps(H, g, h):
             g2 = int(self.A[x, g])
             perm, _ = self.conj_perm(self.stab(H, g), x)
             i2 = int(perm[i])

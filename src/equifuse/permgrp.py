@@ -217,9 +217,7 @@ class Group:
             for i in seed:
                 if not 0 <= i < self.order:
                     raise ElementNotInGroup(f"index {i}")
-            members = _close(self, [], seed)
-            mask = np.zeros(self.order, dtype=bool)
-            mask[members] = True
+            mask = _close(self, None, seed)
             generators = tuple(seed)
         return Subgroup(self, np.asarray(mask, dtype=bool), generators)
 
@@ -278,13 +276,13 @@ class Subgroup:
         """A generating set of parent element indices (greedy if not given)."""
         if self._gens is None:
             gens = []
-            span = [0]
+            span = _close(self.parent, None, [])
             for i in self._members:
                 i = int(i)
-                if i not in span:
+                if not span[i]:
                     gens.append(i)
                     span = _close(self.parent, span, [i])
-                    if len(span) == self.order:
+                    if span.sum() == self.order:
                         break
             self._gens = tuple(gens)
         return self._gens
@@ -358,32 +356,28 @@ class Subgroup:
         return f"H[o{self.order}:{self._members[:4].tolist()}]"
 
 
-def _close(G: Group, base, extra):
-    """Close base (already a subgroup member list) together with extra
-    elements under multiplication; returns sorted member indices."""
-    mask = np.zeros(G.order, dtype=bool)
-    elems = []
-    for i in base:
-        mask[i] = True
-        elems.append(int(i))
-    if not mask[0]:
-        mask[0] = True
-        elems.append(0)
-    stack = [int(i) for i in extra]
-    mult = G.mult
-    while stack:
-        x = stack.pop()
-        if mask[x]:
-            continue
-        mask[x] = True
-        elems.append(x)
-        for z in mult[x, elems]:
-            if not mask[z]:
-                stack.append(int(z))
-        for z in mult[elems, x]:
-            if not mask[z]:
-                stack.append(int(z))
-    return sorted(elems)
+def _close(G: Group, base, extra) -> np.ndarray:
+    """Membership mask of the subgroup generated by the subgroup with mask
+    `base` (None for the trivial subgroup) and the element indices `extra`.
+
+    Breadth-first over a numpy frontier: multiply every frontier element on
+    the right by every generator (the members of base and extra), keep the
+    products not yet in the mask, repeat.  Starting from the new generators
+    this reaches all of <S, E>: in a finite group inverses are positive
+    powers, so every element b of <S, E> is a positive word in S and E, and
+    if b is outside S then some g in E is outside S and b = g^{o(g)} b =
+    g (g^{o(g)-1} b) is g followed by a positive word.
+    """
+    mask = np.zeros(G.order, dtype=bool) if base is None else base.copy()
+    mask[0] = True
+    extra = np.asarray(extra, dtype=np.int64)
+    gens = np.union1d(np.flatnonzero(mask), extra)
+    frontier = np.unique(extra[~mask[extra]])
+    while frontier.size:
+        mask[frontier] = True
+        products = G.mult[frontier][:, gens].ravel()
+        frontier = np.unique(products[~mask[products]])
+    return mask
 
 
 def build_group(generators, degree=None, cap=None) -> Group:
@@ -579,19 +573,16 @@ def subgroup_lattice(G: Group, cap=None):
         return G._lattice
     found: dict[bytes, Subgroup] = {}
 
-    def record(members, gens) -> Subgroup | None:
-        mask = np.zeros(G.order, dtype=bool)
-        mask[list(members)] = True
+    def record(mask, gens) -> Subgroup | None:
         sub = Subgroup(G, mask, gens, _verified=True)
         if sub.key in found:
             return None
         found[sub.key] = sub
         return sub
 
-    worklist = [record([0], ())]
+    worklist = [record(_close(G, None, []), ())]
     for i in range(1, G.order):
-        members = _close(G, [0], [i])
-        sub = record(members, (i,))
+        sub = record(_close(G, None, [i]), (i,))
         if sub is not None:
             worklist.append(sub)
     while worklist:
@@ -601,8 +592,7 @@ def subgroup_lattice(G: Group, cap=None):
             if assigned[g]:
                 continue
             assigned[G.mult[g, S.members]] = True
-            members = _close(G, list(S.members), [g])
-            sub = record(members, S.generators + (g,))
+            sub = record(_close(G, S.mask, [g]), S.generators + (g,))
             if sub is not None:
                 worklist.append(sub)
     lattice = sorted(found.values(), key=lambda s: (s.order, tuple(s.members)))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 MAX_WITNESSES = 100
 
 
@@ -47,6 +49,18 @@ class AxiomReport:
         if not ok and len(self.witnesses) < MAX_WITNESSES:
             self.witnesses.append(
                 Witness(axiom=axiom, context=tuple(context), detail=detail, lhs=lhs, rhs=rhs)
+            )
+
+    def record_all(self, axiom, ok, context, detail=""):
+        """Count len(ok) checks at once; context(i) gives the context of the
+        i-th check and is called only for failures, in increasing i."""
+        ok = np.asarray(ok, dtype=bool)
+        bad = np.flatnonzero(~ok)
+        checked, failed = self.counts.get(axiom, (0, 0))
+        self.counts[axiom] = (checked + ok.size, failed + bad.size)
+        for i in bad[: MAX_WITNESSES - len(self.witnesses)]:
+            self.witnesses.append(
+                Witness(axiom=axiom, context=tuple(context(int(i))), detail=detail)
             )
 
     @property

@@ -268,13 +268,19 @@ def _pinned(*cases):
 
 class TestPinnedOutput:
     """stdout sha256 recorded from the per-irreducible induce/decompose
-    product path, so any change to the local products shows byte for byte."""
+    product path and (for `verify mackey`) the one-pair-at-a-time M3 loop,
+    so any change to the local products or the verifier shows byte for
+    byte."""
 
     @_pinned(
         "double sym:4 | 2d01900a5eed97abaf6c1f89e40d062f3e8590c9d1002471c79eb86b9681cd0e",
         "double dihedral:6 | 4be7cc05737cd369357a8f952952bfa9f6e64dd34c99dc022347a0d712ce2e64",
         "verify green --family char:sym:4"
         " | 8f0907167aa952b088220e9af83a1ba18bd11f8b26dde0d734bf4b477f2cf450",
+        "verify mackey --family char:alt:5"
+        " | 1d11e87ea878446e69b53446f7a95b3320db21035519e9f2077b1456c6bf1e85",
+        "verify mackey --family equiv:dihedral:6:dihedral:6:conjugation"
+        " | 4f9ff28e42896eaf2798e5af2d30261837a64c941e2de724fce3427b010ac2ff",
     )
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -263,6 +263,100 @@ class TestGreenMutations:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# map tampered, which calls, change, failed count per axiom, first witness
+# context, sha256 of the whole report JSON as `verify mackey` prints it; all
+# recorded from the one-pair-at-a-time M3 loop.  H = <(2 3)> = [0, 1] and
+# x = 2 = (1 2), which does not normalize H; x = 23 = (0 3)(1 2) outside H
+# breaks every c_{H,23} at once and gives more than 100 M3 witnesses.
+MACKEY_TAMPERS = {
+    "R": ("r", lambda H, K: H.order == 24 and K.order == 4, _bump,
+          {"M1": 32, "M4": 203},
+          ["H[o2:[0, 16]]", "H[o4:[0, 7, 16, 23]]", "H[o24:[0, 1, 2, 3]]"],
+          "163a9d4dba94b28aa67cc3d94cadee539be770aac4480c98ac5d23cad2a80dcd"),
+    "I": ("i", lambda K, H: K.order == 3 and H.order == 12, _bump,
+          {"M2": 8, "M4": 8, "M4rel": 36},
+          ["H[o3:[0, 15, 20]]", "H[o12:[0, 3, 4, 7]]", "H[o24:[0, 1, 2, 3]]"],
+          "d8d1e10ea7296654bae4a0eb2a59e4d37cec29c2fe4172fe5cac4f19fd546bcd"),
+    "c": ("c", lambda H, x: H.members.tolist() == [0, 1] and x == 2, _bump,
+          {"M3": 68, "M4": 22, "M4rel": 3},
+          ["H[o2:[0, 1]]", "1", "2"],
+          "000531d12dd7f0a8f5a20ceac8255ca1c9f5e24974773471975bac99b6133098"),
+    "c-many": ("c", lambda H, x: x == 23 and not H.mask[23], _bump,
+               {"M3": 1407, "M4": 1, "M4rel": 8},
+               ["H[o1:[0]]", "1", "22"],
+               "3d14c67e530aac23ecc6a6290ce30ca1eb52df3d9ee520a9c0f95b466a579736"),
+}
+
+
+@pytest.fixture(scope="module")
+def mackey_s4(char_s4):
+    return mk.verify_mackey_axioms(char_s4)
+
+
+class TestMackeyMutations:
+    """One map of the S4 character-ring family is broken at a time; the
+    Mackey verifier must count every broken identity, with the same checks
+    as on the intact family, and list its witnesses in the same order up to
+    the witness cap."""
+
+    @pytest.mark.parametrize("name", sorted(MACKEY_TAMPERS))
+    def test_tampered_map_is_caught(self, name, char_s4, mackey_s4):
+        which, when, change, failed, context, digest = MACKEY_TAMPERS[name]
+        fns = {k: getattr(char_s4, f"_{k}_fn") for k in ("r", "i", "c")}
+        fns[which] = _tamper(fns[which], when, change)
+        broken = mk.MackeyFamily(
+            char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
+            fns["r"], fns["i"], fns["c"],
+        )
+        report = mk.verify_mackey_axioms(broken)
+        assert {a: f for a, (_, f) in report.counts.items() if f} == failed
+        assert {a: c for a, (c, _) in report.counts.items()} == {
+            a: c for a, (c, _) in mackey_s4.counts.items()
+        }
+        data = report.to_json_dict()
+        assert data["witnesses"][0]["context"] == context
+        text = json.dumps(data, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_m3_is_exhaustive(self, s4, char_s4, mackey_s4):
+        assert mackey_s4.counts["M3"] == (len(char_s4.lattice) * s4.order**2, 0)
+
+
+class TestConjugationByClassMap:
+    """c_{H,x} and conjugate_cf against chi(x^-1 y x) evaluated element by
+    element with Perm arithmetic, for every lattice subgroup H and every x."""
+
+    @pytest.mark.parametrize("name", ["sym:4", "alt:5"])
+    def test_every_subgroup_and_element(self, name):
+        from equifuse.presets import group_preset
+
+        G = group_preset(name)
+        ctx = ct.make_context([G])
+        fam = mk.char_ring_family(G, ctx)
+        for H in fam.lattice:
+            hgrp = H.group()
+            rows = ct.character_table(hgrp, ctx).rows
+            for x in range(G.order):
+                xp = G.perm(x)
+                target = H.conjugate(x).group()
+                tab_t = ct.character_table(target, ctx)
+                pre = [
+                    hgrp.element_index(xp.inverse() * y * xp)
+                    for y in target.elements
+                ]
+                mat, _ = fam.conjugation(H, x)
+                for i, chi in enumerate(rows):
+                    expected = [chi.value_at(e) for e in pre]
+                    moved = ct.conjugate_cf(chi, G, x)
+                    assert moved.group.elements == target.elements
+                    assert [moved.value_at(t) for t in range(target.order)] == expected
+                    (r,) = np.flatnonzero(mat[:, i])
+                    assert mat[r, i] == 1
+                    assert [
+                        tab_t.rows[r].value_at(t) for t in range(target.order)
+                    ] == expected
+
+
 class TestObservedProperties:
     def test_commutative_top_level_products(self, char_s3, equiv_ds3):
         for fam in (char_s3, equiv_ds3):

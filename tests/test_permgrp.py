@@ -5,6 +5,7 @@ Derived expected values are checked against independent brute-force oracles
 closure for the lattice).
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -32,6 +33,7 @@ from equifuse.permgrp import (
     subgroup_lattice,
     transporter,
 )
+from equifuse.presets import group_preset
 
 perm_strategy = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(range(n))
@@ -387,6 +389,56 @@ class TestSubgroupLattice:
         g = build_group([cyc([(0, 1, 2)], 3)])
         with pytest.raises(OrderCapExceeded):
             subgroup_lattice(g)
+
+
+# sha256 of repr([(s.key, s.generators) for s in subgroup_lattice(G)]),
+# recorded from the element-at-a-time stack closure
+LATTICE_DIGESTS = {
+    "alt:5": "0a4c67a3462387f4ab652a79a58044bd99bd9bb046b1ba77d46d656cb4877946",
+    "sym:4": "520636062c1967ea9bb76249d12a2033be435b206b66e5f29fcbe487ce6e96ce",
+    "dihedral:12": "4e6268a39870b329f437916f960c4b60e1265f83ebf4dd2a2816047be84e94ff",
+    "quaternion8": "a7b0bde9691a53eb25a869204bc2f8f7855d4b9454fc05cd981d4618e4539413",
+    "sym:5": "bb390a66003eb0921aebe431c34de77a5ce608320d21b38c765b6527a198289e",
+}
+
+
+def brute_closure(G, seeds):
+    """Sorted members of <seeds>: multiply all pairs until nothing is new."""
+    members = {0, *(int(s) for s in seeds)}
+    while True:
+        new = {int(G.mult[a, b]) for a in members for b in members} - members
+        if not new:
+            return sorted(members)
+        members |= new
+
+
+class TestClosure:
+    @pytest.mark.parametrize("name", sorted(LATTICE_DIGESTS))
+    def test_lattice_keys_and_generators_pinned(self, name):
+        lat = subgroup_lattice(group_preset(name))
+        text = repr([(s.key, s.generators) for s in lat])
+        assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["sym:4", "alt:5", "dihedral:12", "quaternion8"])
+    def test_subgroup_matches_product_closure(self, name):
+        G = group_preset(name)
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            seeds = rng.integers(0, G.order, size=int(rng.integers(0, 4))).tolist()
+            sub = G.subgroup(indices=seeds)
+            assert sub.members.tolist() == brute_closure(G, seeds)
+            assert sub.generators == tuple(seeds)
+
+    def test_greedy_generators(self, s4):
+        for sub in subgroup_lattice(s4):
+            greedy = Subgroup(s4, sub.mask).generators
+            span = [0]
+            expected = []
+            for i in sub.members.tolist():
+                if i not in span:
+                    expected.append(i)
+                    span = brute_closure(s4, span + [i])
+            assert greedy == tuple(expected)
 
 
 class TestSubgroup:
