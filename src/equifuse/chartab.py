@@ -8,10 +8,18 @@ equal-degree splitting, and rows are normalized so the value at the identity
 is the (integer) degree.  The prime is chosen large enough that every
 multiplicity and structure constant occurring downstream lifts uniquely from
 F_p to the integers.
+
+Every multiplicity the rest of the package needs, of a restriction, an
+induction, a product of characters or a local product, is a
+`reciprocity_block`: one modular contraction of class-fused tables over the
+classes of a subgroup, for all irreducibles at once.  `restrict`, `induce`,
+`pointwise_product` and `decompose` act on one class function at a time;
+they are the public calculus and the tests' reference for the block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +31,7 @@ from .errors import (
     ElementNotInGroup,
     GroupMismatch,
     InvalidPrime,
+    InvariantViolation,
     NotASubgroup,
     NotInSpan,
 )
@@ -550,6 +559,52 @@ def conjugate_cf(chi: ClassFunction, ambient: Group, x: int) -> ClassFunction:
         Hgrp, _embed_indices(Hgrp, ambient), ambient, x
     )
     return ClassFunction(target, [chi.values[c] for c in class_map])
+
+
+def reciprocity_block(inner: Subgroup, factors, target: Subgroup, ctx: ModularContext) -> np.ndarray:
+    """N[i_1, ..., i_r, k] = <Res chi_{i_1} ... Res chi_{i_r}, Res rho_k>_I for
+    I = `inner`, chi_{i_t} the irreducibles of factors[t] and rho_k those of
+    `target`; every group is a Subgroup of one parent, containing I.
+
+    By Frobenius reciprocity, <f, Res rho>_I = <Ind_I f, rho>_T, so one block
+    holds every restriction (factors = (H,), target = I), induction
+    (factors = (I,)), product of characters (I = factors = target) and local
+    product Ind_I^{H_q}(Res chi . Res psi) (I = H_g n H_h, target H_q)
+    multiplicity at once.  It is one contraction over the classes c of I:
+    (1/|I|) sum_c |c| chi_{i_1}(c) ... chi_{i_r}(c) rho_k(c^-1), through the
+    class-fusion columns of I into each table, taken mod p and lifted
+    symmetrically, which is exactly what `decompose` returns.  The rows of
+    the target table are orthonormal (`character_table` checks it), so they
+    are a basis of the class functions and the coordinates need no
+    reconstruction check.  The block is checked instead for negative parts
+    (every entry is the multiplicity of a genuine character) and against the
+    degrees: Res Reg_T = [T : I] Reg_I, so
+    N @ deg_T = [T : I] deg_1 x ... x deg_r."""
+    p = ctx.p
+    parent, igrp = inner.parent, inner.group()
+    reps = inner.members[igrp.class_reps]
+    dtype = np.int64 if p < _kernels.INT64_SAFE_P else object
+    tables = [character_table(s.group(), ctx) for s in (*factors, target)]
+
+    def at(sub, table, elems):
+        # the table of sub, one column per element of elems
+        cols = sub.group().class_of[np.searchsorted(sub.members, elems)]
+        return np.array([r.values for r in table.rows], dtype=dtype)[:, cols]
+
+    prod = (igrp.class_sizes.astype(dtype) * pow(inner.order, p - 2, p) % p)[None, :]
+    for sub, table in zip(factors, tables):
+        prod = (prod[:, None, :] * at(sub, table, reps)[None, :, :] % p).reshape(-1, len(reps))
+    rho_inv = at(target, tables[-1], parent.inv[reps])
+    flat = _kernels.matmul_mod(prod, rho_inv.T, p)
+    block = np.where(flat > p // 2, flat - p, flat).astype(np.int64)
+    degs = [np.array(t.degrees, dtype=np.int64) for t in tables]
+    block = block.reshape([len(d) for d in degs])
+    if (block < 0).any():
+        raise InvariantViolation("reciprocity block has a negative multiplicity")
+    expected = (target.order // inner.order) * functools.reduce(np.multiply.outer, degs[:-1])
+    if not np.array_equal(block @ degs[-1], expected):
+        raise InvariantViolation("reciprocity block fails the degree identity")
+    return block
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> VirtualCharacter:

@@ -20,10 +20,13 @@ Both forms take their local products from `_Engine.m_block`, which gives
 every product at a pair of grading points (g, h) as one tensor: by Frobenius
 reciprocity the multiplicities of Ind_I^{H_gh}(Res chi_i . Res psi_j) are
 inner products over the classes of I = H_g n H_h, so a block is one
-contraction of three class-fused character tables, with no induction sums
-and no per-irreducible decomposition.  Associativity of an assembled table
-is checked slice by slice with float64 BLAS products, which are exact while
-n * max|N|^2 < 2**53; past that bound the check refuses to answer.
+`chartab.reciprocity_block`, with no induction sums and no per-irreducible
+decomposition.  Restriction and induction of simples read their
+multiplicities off rows of such blocks too, and the structure-constant
+tensor is assembled in one place, `_Engine.product_tensor`.  Associativity
+of an assembled table is checked slice by slice with float64 BLAS products,
+which are exact while n * max|N|^2 < 2**53; past that bound the check
+refuses to answer.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, chartab
+from . import chartab
 from .chartab import ClassFunction, ModularContext, character_table
 from .errors import (
     ElementNotInGroup,
@@ -42,8 +45,6 @@ from .errors import (
 )
 from .permgrp import Group, GroupAction, Subgroup, double_coset_reps
 from .reports import AxiomReport
-
-_SAMPLE_SEED = 0xC0FFEE
 
 
 class CoherentDatum:
@@ -292,55 +293,17 @@ class _Engine:
         """All local products at (g, h) at once: (q, N) with q = g*h and
         N[i, j, k] the multiplicity of rho_k in m_{g,h}(chi_i, psi_j) =
         Ind_I^{H_q}(Res chi_i . Res psi_j), for I = H_g n H_h (which fixes
-        q, so I <= H_q).
-
-        Frobenius reciprocity gives <Ind_I f, rho>_{H_q} = <f, Res rho>_I, so
-        N[i, j, k] = (1/|I|) sum over classes c of I of
-        |c| chi_i(c) psi_j(c) rho_k(c^-1): one contraction over the classes
-        of I, through the class-fusion columns of I into the three tables.
-        The sum is taken mod p and lifted symmetrically, which is exactly
-        what `chartab.decompose` returns for the induced character.  The
-        irreducible rows of H_q are orthonormal (`character_table` checks
-        it), so they are a basis of the class functions and the coordinates
-        need no reconstruction check; the block is checked instead against
-        the degrees, N @ deg_q = [H_q : I] outer(deg_g, deg_h), and for
-        negative parts."""
+        q, so I <= H_q): the `chartab.reciprocity_block` of I, (H_g, H_h)
+        and H_q."""
         key = (H.key, g, h)
         hit = self._blocks.get(key)
-        if hit is not None:
-            return hit
-        p = self.ctx.p
-        Sg, Sh = self.stab(H, g), self.stab(H, h)
-        q = int(self.G.mult[g, h])
-        Sq = self.stab(H, q)
-        inter = Sg.intersect(Sh)
-        igrp = inter.group()
-        reps = inter.members[igrp.class_reps]
-        dtype = np.int64 if p < _kernels.INT64_SAFE_P else object
-
-        def at(sub, elems):
-            # table of sub, one column per element of elems
-            grp = sub.group()
-            cols = grp.class_of[np.searchsorted(sub.members, elems)]
-            rows = np.array([r.values for r in self.table(sub).rows], dtype=dtype)
-            return rows[:, cols]
-
-        chi, psi = at(Sg, reps), at(Sh, reps)
-        rho_inv = at(Sq, self.F.inv[reps])
-        weights = igrp.class_sizes.astype(dtype) * pow(inter.order, p - 2, p) % p
-        prod = (chi * weights % p)[:, None, :] * psi[None, :, :] % p
-        flat = _kernels.matmul_mod(prod.reshape(-1, len(reps)), rho_inv.T, p)
-        block = np.where(flat > p // 2, flat - p, flat).astype(np.int64)
-        block = block.reshape(len(chi), len(psi), len(rho_inv))
-        if (block < 0).any():
-            raise InvariantViolation("local product decomposed with a negative part")
-        deg = [np.array(self.table(s).degrees, dtype=np.int64) for s in (Sg, Sh, Sq)]
-        if not np.array_equal(
-            block @ deg[2], (Sq.order // inter.order) * np.outer(deg[0], deg[1])
-        ):
-            raise InvariantViolation("local product block fails the degree identity")
-        hit = (q, block)
-        self._blocks[key] = hit
+        if hit is None:
+            Sg, Sh = self.stab(H, g), self.stab(H, h)
+            q = int(self.G.mult[g, h])
+            block = chartab.reciprocity_block(
+                Sg.intersect(Sh), (Sg, Sh), self.stab(H, q), self.ctx
+            )
+            hit = self._blocks[key] = (q, block)
         return hit
 
     def coset_reps(self, H: Subgroup, g: int, h: int):
@@ -384,6 +347,18 @@ class _Engine:
                 f"dimension conservation failed: {total} != {a.dim * b.dim}"
             )
         return out
+
+    def product_tensor(self, H: Subgroup) -> np.ndarray:
+        """t[i, j, k] = N_ij^k over the basis of H, one `fuse_pair` per
+        label pair."""
+        basis = self.basis(H)
+        n = len(basis.labels)
+        t = np.zeros((n, n, n), dtype=np.int64)
+        for i, a in enumerate(basis.labels):
+            for j, b in enumerate(basis.labels):
+                for key, c in self.fuse_pair(H, a, b).items():
+                    t[i, j, basis.pos[key]] = c
+        return t
 
     def factorizations(self, H: Subgroup, choice: str) -> dict:
         """For each canonical g, one factorization h*k = g per orbit of H_g
@@ -509,6 +484,12 @@ def fuse(d: CoherentDatum, H: Subgroup, a: SimpleLabel, b: SimpleLabel, ctx: Mod
     }
 
 
+def product_tensor(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> np.ndarray:
+    """t[i, j, k] = N_ij^k over simples(d, H) by the double-coset formula,
+    with dimension conservation enforced on every pair."""
+    return _engine(d, ctx).product_tensor(H)
+
+
 def invariant_basis(d: CoherentDatum, H: Subgroup, ctx: ModularContext):
     """Orbit-sum invariant vectors, in bijection with simples(d, H)."""
     eng = _engine(d, ctx)
@@ -553,12 +534,8 @@ def eq_restrict(d: CoherentDatum, H: Subgroup, K: Subgroup, a: SimpleLabel, ctx:
         x = int(H.members[int(r)])
         g2 = int(eng.A[x, g])
         perm, tgt = eng.conj_perm(Sg, x)
-        chi2 = eng.table(tgt).rows[int(perm[i])]
         Kg2 = eng.stab(K, g2)
-        restricted = chartab.restrict(chi2, Kg2.viewed_in(tgt))
-        vec = np.array(
-            chartab.decompose(restricted, eng.table(Kg2)).coeffs, dtype=np.int64
-        )
+        vec = chartab.reciprocity_block(Kg2, (tgt,), Kg2, ctx)[int(perm[i])]
         for key, c in eng.normalize(K, g2, vec).items():
             label = basisK.labels[basisK.pos[key]]
             out[label] = out.get(label, 0) + c
@@ -578,10 +555,7 @@ def eq_induce(d: CoherentDatum, K: Subgroup, H: Subgroup, a: SimpleLabel, ctx: M
     eng = _engine(d, ctx)
     g, i = a.orbit_rep, a.char_index
     Kg = eng.stab(K, g)
-    Hg = eng.stab(H, g)
-    chi = eng.table(Kg).rows[i]
-    ind = chartab.induce(chi, Hg.group(), ctx.p)
-    vec = np.array(chartab.decompose(ind, eng.table(Hg)).coeffs, dtype=np.int64)
+    vec = chartab.reciprocity_block(Kg, (Kg,), eng.stab(H, g), ctx)[i]
     basisH = eng.basis(H)
     out = {}
     for key, c in eng.normalize(H, g, vec).items():
@@ -616,20 +590,18 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     """Machine check of the graded-system compatibilities: conjugation is an
     action (C1) trivial on stabilizers (C2) and multiplicative (C3), the unit
     behaves (C4), the invariant product is associative on basis triples (C5),
-    and the orbit-sum product is independent of the representative choice."""
+    and the orbit-sum product is independent of the representative choice.
+
+    C1 and C3 are checked for the generators s of H, which proves them for
+    every x in H, by induction on the length of x as a word in the
+    generators (positive words suffice in a finite group).  C1 is checked
+    as c_1 = id and c_s c_y = c_sy for every s and every y in H; if
+    c_x c_y = c_xy for all y, then for sx, c_sx c_y = c_s c_x c_y =
+    c_s c_xy = c_sxy.  C3 for s and for x gives it for sx through C1:
+    c_sx m(a, b) = c_s m(c_x a, c_x b) = m(c_sx a, c_sx b)."""
     eng = _engine(d, ctx)
     report = AxiomReport(title=f"coherent axioms over subgroup of order {H.order}")
-    rng = np.random.default_rng((_SAMPLE_SEED, H.order))
-    members = H.members
     nG = d.G.order
-
-    def sample(k):
-        if len(members) <= k:
-            return [int(m) for m in members]
-        picks = rng.choice(len(members), size=k, replace=False)
-        return sorted(int(members[i]) for i in picks)
-
-    xs = sample(5)
     F = d.F
 
     # basis elements of the graded system: (grading point, irreducible index)
@@ -641,18 +613,18 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     for g, i in graded:
         perm, _ = eng.conj_perm(eng.stab(H, g), 0)
         report.record("C1", int(perm[i]) == i, (H.order, g, i), "c_1 = id")
-    for x in xs:
-        for y in xs:
-            xy = int(F.mult[x, y])
+    for s in H.generators:
+        for y in H.members.tolist():
+            sy = int(F.mult[s, y])
             for g, i in graded:
                 py, _ = eng.conj_perm(eng.stab(H, g), y)
                 gy = int(eng.A[y, g])
-                px, _ = eng.conj_perm(eng.stab(H, gy), x)
-                pxy, _ = eng.conj_perm(eng.stab(H, g), xy)
-                lhs = (int(eng.A[x, gy]), int(px[int(py[i])]))
-                rhs = (int(eng.A[xy, g]), int(pxy[i]))
+                ps, _ = eng.conj_perm(eng.stab(H, gy), s)
+                psy, _ = eng.conj_perm(eng.stab(H, g), sy)
+                lhs = (int(eng.A[s, gy]), int(ps[int(py[i])]))
+                rhs = (int(eng.A[sy, g]), int(psy[i]))
                 report.record(
-                    "C1", lhs == rhs, (x, y, g, i), "c_x c_y = c_xy", list(lhs), list(rhs)
+                    "C1", lhs == rhs, (s, y, g, i), "c_s c_y = c_sy", list(lhs), list(rhs)
                 )
 
     # C2: stabilizer elements act trivially on their component
@@ -669,7 +641,7 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
             )
 
     # C3: conjugation is multiplicative for the local products
-    for x in xs:
+    for x in H.generators:
         for g, i in graded:
             for h, j in graded:
                 q, vec = eng.m_irr(H, g, h, i, j)
@@ -767,21 +739,15 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
     basis = eng.basis(H)
     labels = basis.labels
     n = len(labels)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    constants = {}
-    for i, j in pairs:
-        raw = eng.fuse_pair(H, labels[i], labels[j])
-        constants[(i, j)] = tuple(sorted((basis.pos[key], c) for key, c in raw.items()))
-
+    tensor = eng.product_tensor(H)
+    constants = {
+        (i, j): tuple((int(k), int(tensor[i, j, k])) for k in np.flatnonzero(tensor[i, j]))
+        for i in range(n)
+        for j in range(n)
+    }
     unit = basis.pos[(0, 0)]
     checks = {"associative": True, "dim_hom": True, "matches_M_form": True}
 
-    tensor = np.zeros((n, n, n), dtype=np.int64)
-    for (i, j), terms in constants.items():
-        for k, c in terms:
-            if c < 0:
-                raise InvariantViolation(f"negative constant at {(i, j, k)}")
-            tensor[i, j, k] = c
     dims = basis.dims
     if not (
         np.array_equal(tensor[unit], np.eye(n, dtype=np.int64))
@@ -794,20 +760,18 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
     if bad is not None:
         raise InvariantViolation(f"associativity fails at {bad}")
 
+    # the orbit-sum products e_i e_j for one i at a time, as rows of labels
     inv = invariant_basis(d, H, ctx)
-    for (i, j) in pairs:
-        prod = eng.fuse_invariants(H, inv[i], inv[j])
-        expected = {}
-        for k, c in constants[(i, j)]:
-            lab = labels[k]
-            vec = expected.setdefault(
-                lab.orbit_rep,
-                np.zeros(eng.table(lab.stabilizer).size, dtype=np.int64),
-            )
-            vec[lab.char_index] += c
-        if prod != InvariantVector(H, expected):
+    for i in range(n):
+        row = np.zeros((n, n), dtype=np.int64)
+        for j in range(n):
+            for g, v in eng.fuse_invariants(H, inv[i], inv[j]).components.items():
+                k = basis.pos[(g, 0)]
+                row[j, k:k + len(v)] = v
+        bad = np.flatnonzero((row != tensor[i]).any(axis=1))
+        if len(bad):
             raise InvariantViolation(
-                f"double-coset and orbit-sum products disagree at pair {(i, j)}"
+                f"double-coset and orbit-sum products disagree at pair {(i, int(bad[0]))}"
             )
 
     return FusionRing(d, H, labels, unit, constants, tensor, checks)

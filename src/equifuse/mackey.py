@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chartab, fusion
-from .chartab import ModularContext, character_table
+from .chartab import ModularContext, character_table, reciprocity_block
 from .errors import NoRingStructure, NotASubgroup
 from .permgrp import Group, Subgroup, double_coset_reps, subgroup_lattice
 from .reports import AxiomReport
@@ -28,8 +28,8 @@ from .reports import AxiomReport
 class MackeyFamily:
     """Based family {a(H)} over a lattice with I/R/c maps as integer matrices.
 
-    Matrices are computed basis-vector by basis-vector through the supplied
-    callbacks and cached by subgroup membership key.
+    Each callback returns a whole matrix (or product tensor), cached by
+    subgroup membership key.
     """
 
     def __init__(self, ambient, lattice, title, size_fn, r_fn, i_fn, c_fn,
@@ -117,31 +117,15 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
     """The family H |-> (virtual characters of H), with restriction,
     Frobenius induction, conjugation of characters, and pointwise product."""
     lattice = subgroup_lattice(G)
-    p = ctx.p
-
-    def table(H: Subgroup):
-        return character_table(H.group(), ctx)
 
     def size_fn(H):
-        return table(H).size
+        return character_table(H.group(), ctx).size
 
     def r_fn(H, K):
-        tab_h, tab_k = table(H), table(K)
-        k_in_h = K.viewed_in(H)
-        cols = [
-            chartab.decompose(chartab.restrict(chi, k_in_h), tab_k).coeffs
-            for chi in tab_h.rows
-        ]
-        return np.array(cols, dtype=np.int64).T
+        return reciprocity_block(K, (H,), K, ctx).T
 
     def i_fn(K, H):
-        tab_h, tab_k = table(H), table(K)
-        hgrp = H.group()
-        cols = [
-            chartab.decompose(chartab.induce(chi, hgrp, p), tab_h).coeffs
-            for chi in tab_k.rows
-        ]
-        return np.array(cols, dtype=np.int64).T
+        return reciprocity_block(K, (K,), H, ctx).T
 
     def c_fn(H, x):
         perm = chartab.conjugation_perm(H, x, ctx)
@@ -150,19 +134,12 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
         return mat, H.conjugate(x)
 
     def mul_fn(H):
-        tab = table(H)
-        k = tab.size
-        t = np.zeros((k, k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                prod = chartab.pointwise_product(tab.rows[i], tab.rows[j], p)
-                t[i, j] = chartab.decompose(prod, tab).coeffs
-        return t
+        return reciprocity_block(H, (H, H), H, ctx)
 
     return MackeyFamily(
         G,
         lattice,
-        f"character rings of subgroups (|G|={G.order}, p={p})",
+        f"character rings of subgroups (|G|={G.order}, p={ctx.p})",
         size_fn,
         r_fn,
         i_fn,
@@ -216,13 +193,7 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
         return mat, target
 
     def mul_fn(H):
-        bh = basis(H)
-        n = len(bh)
-        t = np.zeros((n, n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                t[i, j] = vector(fusion.fuse(datum, H, bh[i], bh[j], ctx), bh)
-        return t
+        return fusion.product_tensor(datum, H, ctx)
 
     def unit_fn(H):
         bh = basis(H)

@@ -145,7 +145,6 @@ class Group:
             else _kernels.mult_table(self.images)
         )
         self.inv = np.argmax(self.mult == 0, axis=1).astype(np.int32)
-        self._subgroup_groups: dict[bytes, Group] = {}
         self._char_tables: dict[int, object] = {}
         self._lattice = None
 

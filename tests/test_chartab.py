@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from equifuse import chartab as ct
-from equifuse.errors import GroupMismatch, InvalidPrime, NotASubgroup
+from equifuse.errors import GroupMismatch, InvalidPrime, InvariantViolation, NotASubgroup
 from equifuse.permgrp import Perm, subgroup_lattice
+from equifuse.presets import group_preset
 
 
 def cyc(cycles, degree):
@@ -322,6 +323,65 @@ class TestDecompose:
         tab = ct.character_table(s3, ctx_s3)
         with pytest.raises(GroupMismatch):
             ct.decompose(ct.ClassFunction(z4, [1, 1, 1, 1]), tab)
+
+
+class TestReciprocityBlock:
+    """The one class contraction against the per-irreducible references,
+    for every nested pair K <= H of a lattice: restriction (I = K, factor H),
+    induction (factor K, target H), and products of restrictions (factors
+    (H, H), target K; for K = H the character ring's product)."""
+
+    @pytest.mark.parametrize("spec,prime", [
+        ("sym:4", None), ("alt:5", None), ("sym:3", 2147483659),
+    ])
+    def test_matches_restrict_induce_and_products(self, spec, prime):
+        G = group_preset(spec)
+        ctx = ct.make_context([G], prime_override=prime)
+        p = ctx.p
+        lattice = subgroup_lattice(G)
+        for H in lattice:
+            tab_h = ct.character_table(H.group(), ctx)
+            for K in (K for K in lattice if H.contains(K)):
+                tab_k = ct.character_table(K.group(), ctx)
+                res = [ct.restrict(chi, K.viewed_in(H)) for chi in tab_h.rows]
+                block = ct.reciprocity_block(K, (H,), K, ctx)
+                assert [tuple(r) for r in block] == [ct.decompose(r, tab_k).coeffs for r in res]
+                block = ct.reciprocity_block(K, (K,), H, ctx)
+                assert [tuple(r) for r in block] == [
+                    ct.decompose(ct.induce(psi, H.group(), p), tab_h).coeffs
+                    for psi in tab_k.rows
+                ]
+                block = ct.reciprocity_block(K, (H, H), K, ctx)
+                for i, a in enumerate(res):
+                    for j, b in enumerate(res):
+                        prod = ct.pointwise_product(a, b, p)
+                        assert tuple(block[i, j]) == ct.decompose(prod, tab_k).coeffs
+
+    def _mutant(self, G, ctx, monkeypatch, rows):
+        H = G.full_subgroup()
+        table = ct.character_table(H.group(), ctx)
+        mutant = ct.CharacterTable(H.group(), ctx.p, rows(table.rows, ctx.p))
+        mutant.degrees = table.degrees
+        monkeypatch.setitem(H.group()._char_tables, ctx.p, mutant)
+        return H
+
+    def test_rows_swapped_under_their_degrees_fail_the_degree_identity(
+        self, s3, ctx_s3, monkeypatch
+    ):
+        # rows 1 (sgn, degree 1) and 2 (degree 2) of S3 trade places; the
+        # restriction to the trivial subgroup reads the rows' own degrees
+        H = self._mutant(s3, ctx_s3, monkeypatch, lambda r, p: [r[0], r[2], r[1]])
+        one = s3.trivial_subgroup()
+        with pytest.raises(InvariantViolation, match="degree identity"):
+            ct.reciprocity_block(one, (H,), one, ctx_s3)
+
+    def test_negated_row_fails_the_sign_check(self, s3, ctx_s3, monkeypatch):
+        H = self._mutant(s3, ctx_s3, monkeypatch, lambda r, p: [
+            r[0], r[1], ct.ClassFunction(r[2].group, [-v % p for v in r[2].values])
+        ])
+        one = s3.trivial_subgroup()
+        with pytest.raises(InvariantViolation, match="negative multiplicity"):
+            ct.reciprocity_block(one, (H,), one, ctx_s3)
 
 
 class TestDegreeHomomorphism:

@@ -367,6 +367,23 @@ class TestCoherentAxioms:
         report = fu.verify_coherent_axioms(ds3.datum, full(ds3), ds3.ctx)
         assert report.ok
 
+    def test_tampered_non_generator_fails_c1(self, s3):
+        """C1 is checked for the generators s of H only, as c_s c_y = c_sy
+        for every y; a wrong c_x for an x outside the generators still
+        fails it, both as c_y (y = x) and as c_sy (y = s^-1 x)."""
+        scen = drinfeld_double_scenario(s3)
+        d, ctx, H = scen.datum, scen.ctx, full(scen)
+        eng = fu._engine(d, ctx)
+        x = next(x for x in range(s3.order)
+                 if s3.element_order(x) == 3 and x not in H.generators)
+        g = next(g for g in range(s3.order) if s3.element_order(g) == 2)
+        src = eng.stab(H, g)  # the transpositions' centralizer: x is not in it
+        perm, tgt = eng.conj_perm(src, x)
+        eng._conj[(src.key, x)] = (perm[::-1].copy(), tgt)
+        report = fu.verify_coherent_axioms(d, H, ctx)
+        assert report.counts["C1"][1] > 0
+        assert all(report.counts[a][1] == 0 for a in ("C2", "C3", "C4"))
+
 
 class TestFusionRing:
     def test_trivial_group_gives_integers(self, trivial):
@@ -417,6 +434,30 @@ class TestFusionRing:
                     s3.mult[ring.labels[i].orbit_rep, ring.labels[j].orbit_rep]
                 )
         assert not np.array_equal(t, t.transpose(1, 0, 2))  # S3 is nonabelian
+
+    def test_orbit_sum_disagreement_names_the_first_pair(self, ds3, monkeypatch):
+        """The orbit-sum product perturbed at three pairs of D(S3): the ring
+        is refused at the first of them in (i, j) order.  The exception type
+        and message were recorded with the per-pair `InvariantVector`
+        comparison."""
+        d, ctx, H = ds3.datum, ds3.ctx, full(ds3)
+        inv = fu.invariant_basis(d, H, ctx)
+        perturbed = {(2, 6), (2, 3), (5, 0)}
+        original = fu._Engine.fuse_invariants
+
+        def fuse_invariants(self, H, alpha, beta, choice="min"):
+            out = original(self, H, alpha, beta, choice)
+            if (inv.index(alpha), inv.index(beta)) not in perturbed:
+                return out
+            comps = {g: v.copy() for g, v in out.components.items()}
+            comps[min(comps)][0] += 1
+            return fu.InvariantVector(H, comps)
+
+        monkeypatch.setattr(fu._Engine, "fuse_invariants", fuse_invariants)
+        with pytest.raises(InvariantViolation) as exc:
+            fu.fusion_ring(d, H, ctx)
+        assert type(exc.value) is InvariantViolation
+        assert str(exc.value) == "double-coset and orbit-sum products disagree at pair (2, 3)"
 
 
 def _dense_associativity_failure(t):
