@@ -21,10 +21,15 @@ every product at a pair of grading points (g, h) as one tensor: by Frobenius
 reciprocity the multiplicities of Ind_I^{H_gh}(Res chi_i . Res psi_j) are
 inner products over the classes of I = H_g n H_h, so a block is one
 `chartab.reciprocity_block`, with no induction sums and no per-irreducible
-decomposition.  Restriction and induction of simples read their
-multiplicities off rows of such blocks too, and the structure-constant
-tensor is assembled in one place, `_Engine.product_tensor`.  Associativity
-of an assembled table is checked slice by slice with float64 BLAS products,
+decomposition.  Every block comes from one cache, `_Engine.block`, keyed by
+its subgroups, and every move of a result to the canonical orbit
+representative goes through one transport map, `_Engine.slots`.  The
+restriction, induction and conjugation matrices of the equivariant simples
+are assembled from those blocks and slots once per orbit representative
+(`_Engine.restriction`, `induction`, `conjugation`); the public per-label
+functions read one column of them.  The structure-constant tensor is
+assembled in one place, `_Engine.product_tensor`.  Associativity of an
+assembled table is checked slice by slice with float64 BLAS products,
 which are exact while n * max|N|^2 < 2**53; past that bound the check
 refuses to answer.
 """
@@ -168,8 +173,10 @@ class _Basis:
 
 class _Engine:
     """Caches for one (datum, prime) pair: stabilizers, orbit data, character
-    tables, conjugation bijections, factorizations, local-product blocks and
-    the double-coset representatives of each pair of grading points."""
+    tables, conjugation bijections, transport slots, factorizations,
+    reciprocity blocks (by subgroups, indexed by pairs of grading points), the
+    double-coset representatives of each pair of grading points, and the
+    restriction, induction and conjugation matrices of the simples."""
 
     def __init__(self, d: CoherentDatum, ctx: ModularContext):
         self.d = d
@@ -181,10 +188,15 @@ class _Engine:
         self._orbit = {}
         self._to_rep = {}
         self._conj = {}
+        self._slots = {}
+        self._block = {}
         self._blocks = {}
         self._coset_reps = {}
         self._bases = {}
         self._facts = {}
+        self._res = {}
+        self._ind = {}
+        self._cmat = {}
 
     # -- group-side caches ---------------------------------------------------
 
@@ -268,41 +280,46 @@ class _Engine:
             self._bases[H.key] = b
         return b
 
-    def normalize(self, H: Subgroup, q: int, vec) -> dict:
-        """Transport a decomposed character at grading point q to the
-        canonical representative; returns {(rep, irr index): coeff}."""
-        _, rep_of = self.orbit_data(H)
-        q0 = int(rep_of[q])
-        out = {}
-        if q0 == q:
-            for t, c in enumerate(vec):
-                if c:
-                    out[(q0, t)] = out.get((q0, t), 0) + int(c)
-            return out
-        x = self.to_rep(H, q)
-        perm, _ = self.conj_perm(self.stab(H, q), x)
-        for t, c in enumerate(vec):
-            if c:
-                key = (q0, int(perm[t]))
-                out[key] = out.get(key, 0) + int(c)
-        return out
+    def slots(self, H: Subgroup, q: int) -> np.ndarray:
+        """The transport map at grading point q: [t] = position in basis(H)
+        of irreducible t of H_q once moved to the canonical representative
+        q0 of q (along `to_rep`, so by `conj_perm` unless q = q0)."""
+        key = (H.key, q)
+        s = self._slots.get(key)
+        if s is None:
+            _, rep_of = self.orbit_data(H)
+            q0 = int(rep_of[q])
+            base = self.basis(H).pos[(q0, 0)]
+            if q0 == q:
+                s = base + np.arange(self.table(self.stab(H, q)).size)
+            else:
+                perm, _ = self.conj_perm(self.stab(H, q), self.to_rep(H, q))
+                s = base + perm
+            self._slots[key] = s
+        return s
 
-    # -- local products, one block per pair of grading points -----------------
+    # -- reciprocity blocks ----------------------------------------------------
+
+    def block(self, inner: Subgroup, factors, target: Subgroup) -> np.ndarray:
+        """`chartab.reciprocity_block(inner, factors, target)`, cached by the
+        subgroups."""
+        key = (inner.key, tuple(f.key for f in factors), target.key)
+        b = self._block.get(key)
+        if b is None:
+            b = self._block[key] = chartab.reciprocity_block(inner, factors, target, self.ctx)
+        return b
 
     def m_block(self, H: Subgroup, g: int, h: int):
         """All local products at (g, h) at once: (q, N) with q = g*h and
         N[i, j, k] the multiplicity of rho_k in m_{g,h}(chi_i, psi_j) =
         Ind_I^{H_q}(Res chi_i . Res psi_j), for I = H_g n H_h (which fixes
-        q, so I <= H_q): the `chartab.reciprocity_block` of I, (H_g, H_h)
-        and H_q."""
+        q, so I <= H_q): the block of I, (H_g, H_h) and H_q."""
         key = (H.key, g, h)
         hit = self._blocks.get(key)
         if hit is None:
             Sg, Sh = self.stab(H, g), self.stab(H, h)
             q = int(self.G.mult[g, h])
-            block = chartab.reciprocity_block(
-                Sg.intersect(Sh), (Sg, Sh), self.stab(H, q), self.ctx
-            )
+            block = self.block(Sg.intersect(Sh), (Sg, Sh), self.stab(H, q))
             hit = self._blocks[key] = (q, block)
         return hit
 
@@ -327,21 +344,18 @@ class _Engine:
 
     # -- the two product forms -------------------------------------------------
 
-    def fuse_pair(self, H: Subgroup, a: SimpleLabel, b: SimpleLabel) -> dict:
+    def fuse_pair(self, H: Subgroup, a: SimpleLabel, b: SimpleLabel) -> np.ndarray:
+        """Coordinates of a * b over basis(H), by the double-coset formula."""
         g, i = a.orbit_rep, a.char_index
         h, j = b.orbit_rep, b.char_index
-        out = {}
+        basis = self.basis(H)
+        out = np.zeros(len(basis.labels), dtype=np.int64)
         for x in self.coset_reps(H, g, h):
             g2 = int(self.A[x, g])
             perm, _ = self.conj_perm(self.stab(H, g), x)
-            i2 = int(perm[i])
-            q, vec = self.m_irr(H, g2, h, i2, j)
-            for key, c in self.normalize(H, q, vec).items():
-                out[key] = out.get(key, 0) + c
-        basis = self.basis(H)
-        total = sum(
-            c * int(basis.dims[basis.pos[key]]) for key, c in out.items()
-        )
+            q, vec = self.m_irr(H, g2, h, int(perm[i]), j)
+            out[self.slots(H, q)] += vec
+        total = int(out @ basis.dims)
         if total != a.dim * b.dim:
             raise InvariantViolation(
                 f"dimension conservation failed: {total} != {a.dim * b.dim}"
@@ -351,14 +365,75 @@ class _Engine:
     def product_tensor(self, H: Subgroup) -> np.ndarray:
         """t[i, j, k] = N_ij^k over the basis of H, one `fuse_pair` per
         label pair."""
-        basis = self.basis(H)
-        n = len(basis.labels)
+        labels = self.basis(H).labels
+        n = len(labels)
         t = np.zeros((n, n, n), dtype=np.int64)
-        for i, a in enumerate(basis.labels):
-            for j, b in enumerate(basis.labels):
-                for key, c in self.fuse_pair(H, a, b).items():
-                    t[i, j, basis.pos[key]] = c
+        for i, a in enumerate(labels):
+            for j, b in enumerate(labels):
+                t[i, j] = self.fuse_pair(H, a, b)
         return t
+
+    # -- restriction, induction and conjugation of simples --------------------
+
+    def restriction(self, H: Subgroup, K: Subgroup) -> np.ndarray:
+        """Matrix of restriction from the simples over H to those over
+        K <= H.  The simple (g, chi) over H underlies Ind_{H_g}^H, so by
+        Mackey it restricts to the sum over double cosets K x H_g of the
+        restriction of x.chi from x H_g x^-1 to K_xg: a column of the block
+        (K_xg, (x H_g x^-1,), K_xg), moved to the canonical representative."""
+        key = (H.key, K.key)
+        r = self._res.get(key)
+        if r is None:
+            bh, bk = self.basis(H), self.basis(K)
+            r = np.zeros((len(bk.labels), len(bh.labels)), dtype=np.int64)
+            for g in self.orbit_data(H)[0]:
+                Sg = self.stab(H, g)
+                for loc in double_coset_reps(H.group(), K.viewed_in(H), Sg.viewed_in(H)):
+                    x = int(H.members[int(loc)])
+                    g2 = int(self.A[x, g])
+                    perm, tgt = self.conj_perm(Sg, x)
+                    Kg2 = self.stab(K, g2)
+                    rows = np.ix_(self.slots(K, g2), self.slots(H, g))
+                    r[rows] += self.block(Kg2, (tgt,), Kg2)[perm].T
+            if not np.array_equal(bk.dims @ r, bh.dims):
+                raise InvariantViolation("restriction changed the total dimension")
+            self._res[key] = r
+        return r
+
+    def induction(self, K: Subgroup, H: Subgroup) -> np.ndarray:
+        """Matrix of induction from the simples over K <= H to those over H:
+        (g, chi) goes to (g, Ind_{K_g}^{H_g} chi), a row of the block
+        (K_g, (K_g,), H_g), moved to the canonical representative."""
+        key = (K.key, H.key)
+        m = self._ind.get(key)
+        if m is None:
+            bh, bk = self.basis(H), self.basis(K)
+            m = np.zeros((len(bh.labels), len(bk.labels)), dtype=np.int64)
+            for g in self.orbit_data(K)[0]:
+                Kg = self.stab(K, g)
+                rows = np.ix_(self.slots(H, g), self.slots(K, g))
+                m[rows] += self.block(Kg, (Kg,), self.stab(H, g)).T
+            if not np.array_equal(bh.dims @ m, (H.order // K.order) * bk.dims):
+                raise InvariantViolation("induction changed the dimension bookkeeping")
+            self._ind[key] = m
+        return m
+
+    def conjugation(self, H: Subgroup, x: int):
+        """(matrix of transport along x from the simples over H to those
+        over xHx^-1, xHx^-1): (g, chi) goes to (xg, x.chi), moved to the
+        canonical representative.  Checked to be a bijection of bases."""
+        key = (H.key, x)
+        hit = self._cmat.get(key)
+        if hit is None:
+            tgt = H.conjugate(x)
+            m = np.zeros((len(self.basis(tgt).labels), len(self.basis(H).labels)), dtype=np.int64)
+            for g in self.orbit_data(H)[0]:
+                perm, _ = self.conj_perm(self.stab(H, g), x)
+                m[self.slots(tgt, int(self.A[x, g]))[perm], self.slots(H, g)] = 1
+            if not ((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()):
+                raise InvariantViolation("conjugation did not map a simple to a simple")
+            hit = self._cmat[key] = (m, tgt)
+        return hit
 
     def factorizations(self, H: Subgroup, choice: str) -> dict:
         """For each canonical g, one factorization h*k = g per orbit of H_g
@@ -431,6 +506,11 @@ def simples(d: CoherentDatum, H: Subgroup, ctx: ModularContext):
     return list(_engine(d, ctx).basis(H).labels)
 
 
+def _labels(basis: _Basis, vec) -> dict:
+    """{SimpleLabel: multiplicity} of a coordinate vector over `basis`."""
+    return {basis.labels[k]: int(vec[k]) for k in np.flatnonzero(vec)}
+
+
 def normalize_label(d: CoherentDatum, H: Subgroup, g: int, chi: ClassFunction, ctx: ModularContext):
     """Transport (g, chi) to the canonical orbit representative and decompose;
     returns {SimpleLabel: multiplicity}."""
@@ -444,10 +524,9 @@ def normalize_label(d: CoherentDatum, H: Subgroup, g: int, chi: ClassFunction, c
     if (vec < 0).any():
         raise NotAClassFunction("not a genuine character (negative multiplicity)")
     basis = eng.basis(H)
-    return {
-        basis.labels[basis.pos[key]]: c
-        for key, c in eng.normalize(H, g, vec).items()
-    }
+    out = np.zeros(len(basis.labels), dtype=np.int64)
+    out[eng.slots(H, g)] = vec
+    return _labels(basis, out)
 
 
 def m_product(
@@ -477,17 +556,7 @@ def fuse(d: CoherentDatum, H: Subgroup, a: SimpleLabel, b: SimpleLabel, ctx: Mod
     if a.subgroup != H or b.subgroup != H:
         raise SubgroupMismatch("labels live over a different subgroup")
     eng = _engine(d, ctx)
-    basis = eng.basis(H)
-    return {
-        basis.labels[basis.pos[key]]: c
-        for key, c in eng.fuse_pair(H, a, b).items()
-    }
-
-
-def product_tensor(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> np.ndarray:
-    """t[i, j, k] = N_ij^k over simples(d, H) by the double-coset formula,
-    with dimension conservation enforced on every pair."""
-    return _engine(d, ctx).product_tensor(H)
+    return _labels(eng.basis(H), eng.fuse_pair(H, a, b))
 
 
 def invariant_basis(d: CoherentDatum, H: Subgroup, ctx: ModularContext):
@@ -524,25 +593,8 @@ def eq_restrict(d: CoherentDatum, H: Subgroup, K: Subgroup, a: SimpleLabel, ctx:
     if not H.contains(K):
         raise SubgroupMismatch("K is not contained in H")
     eng = _engine(d, ctx)
-    g, i = a.orbit_rep, a.char_index
-    Hgrp = H.group()
-    Sg = eng.stab(H, g)
-    reps_loc = double_coset_reps(Hgrp, K.viewed_in(H), Sg.viewed_in(H))
-    basisK = eng.basis(K)
-    out = {}
-    for r in reps_loc:
-        x = int(H.members[int(r)])
-        g2 = int(eng.A[x, g])
-        perm, tgt = eng.conj_perm(Sg, x)
-        Kg2 = eng.stab(K, g2)
-        vec = chartab.reciprocity_block(Kg2, (tgt,), Kg2, ctx)[int(perm[i])]
-        for key, c in eng.normalize(K, g2, vec).items():
-            label = basisK.labels[basisK.pos[key]]
-            out[label] = out.get(label, 0) + c
-    total = sum(l.dim * c for l, c in out.items())
-    if total != a.dim:
-        raise InvariantViolation("restriction changed the total dimension")
-    return out
+    col = eng.restriction(H, K)[:, eng.basis(H).pos[(a.orbit_rep, a.char_index)]]
+    return _labels(eng.basis(K), col)
 
 
 def eq_induce(d: CoherentDatum, K: Subgroup, H: Subgroup, a: SimpleLabel, ctx: ModularContext):
@@ -553,18 +605,8 @@ def eq_induce(d: CoherentDatum, K: Subgroup, H: Subgroup, a: SimpleLabel, ctx: M
     if not H.contains(K):
         raise SubgroupMismatch("K is not contained in H")
     eng = _engine(d, ctx)
-    g, i = a.orbit_rep, a.char_index
-    Kg = eng.stab(K, g)
-    vec = chartab.reciprocity_block(Kg, (Kg,), eng.stab(H, g), ctx)[i]
-    basisH = eng.basis(H)
-    out = {}
-    for key, c in eng.normalize(H, g, vec).items():
-        label = basisH.labels[basisH.pos[key]]
-        out[label] = out.get(label, 0) + c
-    total = sum(l.dim * c for l, c in out.items())
-    if total != a.dim * (H.order // K.order):
-        raise InvariantViolation("induction changed the dimension bookkeeping")
-    return out
+    col = eng.induction(K, H)[:, eng.basis(K).pos[(a.orbit_rep, a.char_index)]]
+    return _labels(eng.basis(H), col)
 
 
 def eq_conjugate(d: CoherentDatum, H: Subgroup, x: int, a: SimpleLabel, ctx: ModularContext):
@@ -574,16 +616,10 @@ def eq_conjugate(d: CoherentDatum, H: Subgroup, x: int, a: SimpleLabel, ctx: Mod
     if not 0 <= x < d.F.order:
         raise ElementNotInGroup(f"index {x}")
     eng = _engine(d, ctx)
-    H2 = H.conjugate(x)
-    g2 = int(eng.A[x, a.orbit_rep])
-    perm, _ = eng.conj_perm(eng.stab(H, a.orbit_rep), x)
-    vec = np.zeros(eng.table(eng.stab(H2, g2)).size, dtype=np.int64)
-    vec[int(perm[a.char_index])] = 1
-    basis2 = eng.basis(H2)
-    (key, c), = eng.normalize(H2, g2, vec).items()
-    if c != 1:
-        raise InvariantViolation("conjugation did not map a simple to a simple")
-    return basis2.labels[basis2.pos[key]]
+    mat, tgt = eng.conjugation(H, x)
+    col = mat[:, eng.basis(H).pos[(a.orbit_rep, a.char_index)]]
+    (label,) = _labels(eng.basis(tgt), col)
+    return label
 
 
 def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> AxiomReport:
@@ -766,8 +802,7 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
         row = np.zeros((n, n), dtype=np.int64)
         for j in range(n):
             for g, v in eng.fuse_invariants(H, inv[i], inv[j]).components.items():
-                k = basis.pos[(g, 0)]
-                row[j, k:k + len(v)] = v
+                row[j, eng.slots(H, g)] = v
         bad = np.flatnonzero((row != tensor[i]).any(axis=1))
         if len(bad):
             raise InvariantViolation(

@@ -150,68 +150,22 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
 
 
 def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> MackeyFamily:
-    """The family H |-> free Z-module on the equivariant simples over H,
-    with maps realized by the fusion engine."""
+    """The family H |-> free Z-module on the equivariant simples over H.
+    Its maps are the fusion engine's whole matrices: restriction, induction
+    and conjugation assembled once per orbit representative from cached
+    reciprocity blocks, and the double-coset product tensor."""
     F = datum.F
-    lattice = subgroup_lattice(F)
-
-    def basis(H):
-        return fusion.simples(datum, H, ctx)
-
-    def vector(labels_to_mult, target_basis):
-        pos = {(l.orbit_rep, l.char_index): i for i, l in enumerate(target_basis)}
-        out = np.zeros(len(target_basis), dtype=np.int64)
-        for label, c in labels_to_mult.items():
-            out[pos[(label.orbit_rep, label.char_index)]] += c
-        return out
-
-    def size_fn(H):
-        return len(basis(H))
-
-    def r_fn(H, K):
-        bh, bk = basis(H), basis(K)
-        cols = [
-            vector(fusion.eq_restrict(datum, H, K, a, ctx), bk) for a in bh
-        ]
-        return np.array(cols, dtype=np.int64).T
-
-    def i_fn(K, H):
-        bh, bk = basis(H), basis(K)
-        cols = [
-            vector(fusion.eq_induce(datum, K, H, a, ctx), bh) for a in bk
-        ]
-        return np.array(cols, dtype=np.int64).T
-
-    def c_fn(H, x):
-        target = H.conjugate(x)
-        bh, bt = basis(H), basis(target)
-        pos = {(l.orbit_rep, l.char_index): i for i, l in enumerate(bt)}
-        mat = np.zeros((len(bt), len(bh)), dtype=np.int64)
-        for i, a in enumerate(bh):
-            moved = fusion.eq_conjugate(datum, H, x, a, ctx)
-            mat[pos[(moved.orbit_rep, moved.char_index)], i] = 1
-        return mat, target
-
-    def mul_fn(H):
-        return fusion.product_tensor(datum, H, ctx)
-
-    def unit_fn(H):
-        bh = basis(H)
-        for i, l in enumerate(bh):
-            if l.orbit_rep == 0 and l.char_index == 0:
-                return i
-        raise NoRingStructure("unit label missing")
-
+    eng = fusion._engine(datum, ctx)
     return MackeyFamily(
         F,
-        lattice,
+        subgroup_lattice(F),
         f"equivariant K0 family (|F|={F.order}, |G|={datum.G.order}, p={ctx.p})",
-        size_fn,
-        r_fn,
-        i_fn,
-        c_fn,
-        mul_fn=mul_fn,
-        unit_fn=unit_fn,
+        lambda H: len(eng.basis(H).labels),
+        eng.restriction,
+        eng.induction,
+        eng.conjugation,
+        mul_fn=eng.product_tensor,
+        unit_fn=lambda H: eng.basis(H).pos[(0, 0)],
     )
 
 

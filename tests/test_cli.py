@@ -281,6 +281,14 @@ class TestPinnedOutput:
         " | 1d11e87ea878446e69b53446f7a95b3320db21035519e9f2077b1456c6bf1e85",
         "verify mackey --family equiv:dihedral:6:dihedral:6:conjugation"
         " | 4f9ff28e42896eaf2798e5af2d30261837a64c941e2de724fce3427b010ac2ff",
+        # recorded when the equivariant family built R, I and c one simple
+        # at a time through eq_restrict/eq_induce/eq_conjugate
+        "verify green --family equiv:dihedral:6:dihedral:6:conjugation"
+        " | f712e49d29807bafa5698dc2d992cd851c33517f67f479832bc9a6b906a11257",
+        "verify green --family equiv:sym:4:sym:4:conjugation"
+        " | 69cce0e01e5b6faf98fa62a3b6732bc1de713675ba58f3ec130275d6851ce87c",
+        "verify mackey --family equiv:sym:4:sym:4:conjugation"
+        " | b64460ff4e818d9a52a2f071fa025a6c4fa65d4395640174513e5465a64c3aac",
     )
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -651,3 +651,44 @@ class TestEqConjugate:
                 two = fu.eq_conjugate(d, h.conjugate(x), y, one, ctx)
                 direct = fu.eq_conjugate(d, h, int(s3.mult[y, x]), a, ctx)
                 assert two == direct
+
+
+class TestMapChecks:
+    """Each whole-matrix check of the restriction, induction and
+    conjugation maps catches a tampered cache entry of a fresh D(S3), as
+    TestCoherentAxioms catches a tampered conj_perm.  With H = S3 and
+    K = A3, the simples at g = e read the block (A3, (S3,), A3) for
+    restriction, the block (A3, (A3,), S3) for induction, and the
+    conj_perm of H_e = S3 for conjugation."""
+
+    @pytest.fixture
+    def fresh(self, s3):
+        scen = drinfeld_double_scenario(s3)
+        d, ctx = scen.datum, scen.ctx
+        return d, ctx, full(scen), s3.subgroup(indices=[3]), fu._engine(d, ctx)
+
+    @staticmethod
+    def _bump(m):
+        m = m.copy()
+        m[0, 0] += 1
+        return m
+
+    def test_restriction_keeps_total_dimension(self, fresh):
+        d, ctx, H, a3, eng = fresh
+        eng._block[(a3.key, (H.key,), a3.key)] = self._bump(eng.block(a3, (H,), a3))
+        with pytest.raises(InvariantViolation, match="restriction changed the total dimension"):
+            fu.eq_restrict(d, H, a3, fu.simples(d, H, ctx)[0], ctx)
+
+    def test_induction_keeps_dimension_bookkeeping(self, fresh):
+        d, ctx, H, a3, eng = fresh
+        eng._block[(a3.key, (a3.key,), H.key)] = self._bump(eng.block(a3, (a3,), H))
+        with pytest.raises(InvariantViolation, match="induction changed the dimension bookkeeping"):
+            fu.eq_induce(d, a3, H, fu.simples(d, a3, ctx)[0], ctx)
+
+    def test_conjugation_maps_simples_to_simples(self, fresh):
+        d, ctx, H, _, eng = fresh
+        x = 1  # a transposition
+        perm, tgt = eng.conj_perm(H, x)
+        eng._conj[(H.key, x)] = (np.zeros_like(perm), tgt)
+        with pytest.raises(InvariantViolation, match="conjugation did not map a simple to a simple"):
+            fu.eq_conjugate(d, H, x, fu.simples(d, H, ctx)[0], ctx)

@@ -16,6 +16,8 @@ from equifuse import fusion as fu
 from equifuse import mackey as mk
 from equifuse.errors import NoRingStructure
 from equifuse.permgrp import GroupAction
+from equifuse.presets import load_action
+from test_cli import D4_ON_C4
 
 
 @pytest.fixture(scope="module")
@@ -379,3 +381,51 @@ class TestObservedProperties:
                 mat, _ = char_s3.conjugation(H, x)
                 assert np.array_equal(mat.sum(axis=0), np.ones(mat.shape[1]))
                 assert np.array_equal(mat.sum(axis=1), np.ones(mat.shape[0]))
+
+
+def _map_digests(fam):
+    """sha256 of every R_K^H, I_K^H (K <= H), c_{H,x} and product tensor
+    over the whole lattice, one digest per kind of map."""
+    hashes = {kind: hashlib.sha256() for kind in ("R", "I", "c", "product")}
+
+    def feed(kind, m):
+        m = np.asarray(m, dtype=np.int64)
+        hashes[kind].update(repr(m.shape).encode() + m.tobytes())
+
+    for H in fam.lattice:
+        for K in fam.lattice:
+            if H.contains(K):
+                feed("R", fam.restriction(H, K))
+                feed("I", fam.induction(K, H))
+        for x in range(fam.ambient.order):
+            feed("c", fam.conjugation(H, x)[0])
+        feed("product", fam.product_tensor(H))
+    return {kind: h.hexdigest() for kind, h in hashes.items()}
+
+
+class TestPinnedEquivariantMaps:
+    """Digests recorded when the equivariant family built its matrices one
+    simple at a time through eq_restrict/eq_induce/eq_conjugate and its
+    tensors from per-pair label dicts."""
+
+    def test_ds3(self, s3):
+        ctx = ct.make_context([s3, s3])
+        datum = fu.CoherentDatum(s3, s3, GroupAction.conjugation(s3))
+        assert _map_digests(mk.equivariant_k0_family(datum, ctx)) == {
+            "R": "de2154ba27dda611951d910249e868fc691f76b8ad68d1340958281be905f202",
+            "I": "39ec3ef1fdcbe9966dc4b910660a22e4671611a97b526672c8cfd5b0a215461b",
+            "c": "afe1e48e3c629c66a179ea4a24e925f5ad660331f360ee1b9eff04ddeaea7090",
+            "product": "a757be4be2cd2dbac964f0db7b953b3b99f34b13a772eb5828cf2110bc0650be",
+        }
+
+    def test_d4_on_c4(self, tmp_path):
+        path = tmp_path / "d4_on_c4.json"
+        path.write_text(json.dumps(D4_ON_C4))
+        datum = load_action(str(path))
+        ctx = ct.make_context([datum.F, datum.G])
+        assert _map_digests(mk.equivariant_k0_family(datum, ctx)) == {
+            "R": "6bdc674c6f21281d6bc00147a47f6da6100ec0e681def36b07437a382ea841cf",
+            "I": "8835abbe5cf62c5df3f9ff0b309015c1ef28e9d3068931d6db49297cb55f4293",
+            "c": "38d5e65b2b40b85b311e83908614f119762f8bf18ac5067530f5817da6b8853a",
+            "product": "0e9aee051ca201c84581fa69c12c811377e2c3a1f678e61205ae20d39348db23",
+        }
