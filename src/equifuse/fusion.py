@@ -11,10 +11,12 @@ stabilizer H_g); products are computed two independent ways:
   normalization per double coset of H_h \\ H / H_g;
 * `fuse_via_M` runs the orbit-sum multiplication on F-invariant graded
   vectors, summing local products over stabilizer-orbit representatives of
-  factorizations.
+  factorizations.  Its table is one tensor, `_Engine.orbit_sum_tensor`,
+  with one block added per factorization.
 
 Their agreement on every basis pair is the package's strongest internal
-oracle and is enforced whenever a full FusionRing is assembled.
+oracle: whenever a full FusionRing is assembled, the two tensors are
+compared once.
 
 Both forms take their local products from `_Engine.m_block`, which gives
 every product at a pair of grading points (g, h) as one tensor: by Frobenius
@@ -435,65 +437,58 @@ class _Engine:
             hit = self._cmat[key] = (m, tgt)
         return hit
 
-    def factorizations(self, H: Subgroup, choice: str) -> dict:
+    def factorizations(self, H: Subgroup, choice: str) -> list:
         """For each canonical g, one factorization h*k = g per orbit of H_g
         on the first coordinates h, with h the min or max of its orbit as
-        `choice` says; listed as (g, h, k) under the key (orbit rep of h,
-        orbit rep of k), so a product visits only the factorizations whose
-        two factors have components."""
+        `choice` says; a flat list of (g, h, k) in the order of g and of the
+        orbit minima."""
+        if choice not in ("min", "max"):
+            raise ValueError(f"representative choice must be 'min' or 'max', got {choice!r}")
         key = (H.key, choice)
         out = self._facts.get(key)
         if out is None:
-            reps, rep_of = self.orbit_data(H)
             m = self.G.order
-            out = {}
-            for g in reps:
-                rows = self.A[self.stab(H, g).members]
-                seen = np.zeros(m, dtype=bool)
-                for pt in range(m):
-                    if seen[pt]:
-                        continue
-                    orb = np.unique(rows[:, pt])
-                    seen[orb] = True
-                    h = int(orb[0]) if choice == "min" else int(orb[-1])
-                    k = int(self.G.mult[int(self.G.inv[h]), g])
-                    out.setdefault((int(rep_of[h]), int(rep_of[k])), []).append((g, h, k))
+            out = []
+            for g in self.orbit_data(H)[0]:
+                reps, rep_of = self.orbit_data(self.stab(H, g))
+                if choice == "max":
+                    last = np.zeros(m, dtype=np.int64)
+                    np.maximum.at(last, rep_of, np.arange(m))
+                    reps = last[reps].tolist()
+                for h in reps:
+                    out.append((g, h, int(self.G.mult[int(self.G.inv[h]), g])))
             self._facts[key] = out
         return out
 
-    def component_at(self, H: Subgroup, v: InvariantVector, h: int):
-        """The implied component of an invariant vector at an arbitrary
-        grading point (conjugate of the stored representative component)."""
-        _, rep_of = self.orbit_data(H)
-        h0 = int(rep_of[h])
-        base = v.components.get(h0)
-        if base is None:
-            return None
-        if h == h0:
-            return base
-        x = int(self.F.inv[self.to_rep(H, h)])  # carries h0 to h
-        perm, _ = self.conj_perm(self.stab(H, h0), x)
-        out = np.zeros_like(base)
-        out[perm] = base
-        return out
+    def orbit_sum_tensor(self, H: Subgroup, choice: str = "min") -> np.ndarray:
+        """t[a, b, c] = coordinate c of the orbit-sum product of basis
+        vectors a and b: the block m_block(H, h, k) of each factorization
+        (g, h, k), with its rows and columns at the labels whose components
+        they read and its last axis at the labels of g.  The component of a
+        basis vector at h is its canonical component moved along
+        to_rep(H, h)^-1, and moving along to_rep(H, h) and back is the
+        identity, so that component's entry t is label slots(H, h)[t]."""
+        n = len(self.basis(H).labels)
+        t = np.zeros((n, n, n), dtype=np.int64)
+        for g, h, k in self.factorizations(H, choice):
+            _, block = self.m_block(H, h, k)
+            t[np.ix_(self.slots(H, h), self.slots(H, k), self.slots(H, g))] += block
+        return t
 
     def fuse_invariants(
         self, H: Subgroup, alpha: InvariantVector, beta: InvariantVector, choice="min"
     ) -> InvariantVector:
         if alpha.subgroup != H or beta.subgroup != H:
             raise SubgroupMismatch("invariant vectors live over a different subgroup")
-        facts = self.factorizations(H, choice)
-        acc = {}
-        for ra in alpha.components:
-            for rb in beta.components:
-                for g, h, k in facts.get((ra, rb), ()):
-                    va = self.component_at(H, alpha, h)
-                    vb = self.component_at(H, beta, k)
-                    _, block = self.m_block(H, h, k)
-                    acc[g] = acc.get(g, 0) + np.einsum("i,j,ijk->k", va, vb, block)
+        t = self.orbit_sum_tensor(H, choice)
         reps, _ = self.orbit_data(H)
-        comps = {g: acc[g] for g in reps if g in acc}
-        return InvariantVector(H, comps)
+        a, b = np.zeros((2, len(t)), dtype=np.int64)
+        for vec, v in ((a, alpha), (b, beta)):
+            for g in reps:
+                if g in v.components:
+                    vec[self.slots(H, g)] = v.components[g]
+        out = np.einsum("i,j,ijk->k", a, b, t)
+        return InvariantVector(H, {g: out[self.slots(H, g)] for g in reps})
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +576,10 @@ def fuse_via_M(
     rep_choice: str = "min",
 ) -> InvariantVector:
     """Orbit-sum multiplication: component at each canonical g is the sum of
-    local products over stabilizer-orbit representatives of factorizations."""
+    local products over stabilizer-orbit representatives of factorizations.
+    Both vectors are contracted against `_Engine.orbit_sum_tensor`, whose
+    associativity is one exhaustive `associativity_failure` check (C5 of
+    `verify_coherent_axioms`)."""
     return _engine(d, ctx).fuse_invariants(H, alpha, beta, rep_choice)
 
 
@@ -634,7 +632,12 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     as c_1 = id and c_s c_y = c_sy for every s and every y in H; if
     c_x c_y = c_xy for all y, then for sx, c_sx c_y = c_s c_x c_y =
     c_s c_xy = c_sxy.  C3 for s and for x gives it for sx through C1:
-    c_sx m(a, b) = c_s m(c_x a, c_x b) = m(c_sx a, c_sx b)."""
+    c_sx m(a, b) = c_s m(c_x a, c_x b) = m(c_sx a, c_sx b).
+
+    C5 is `associativity_failure` on the orbit-sum tensor: one exhaustive
+    check per H, whose witness is the first failing (i, j, k, l).
+    Representative independence compares the "min" and "max" orbit-sum
+    tensors pair by pair."""
     eng = _engine(d, ctx)
     report = AxiomReport(title=f"coherent axioms over subgroup of order {H.order}")
     nG = d.G.order
@@ -676,61 +679,51 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
                 "c_x = id on A(g) for x in H_g",
             )
 
-    # C3: conjugation is multiplicative for the local products
+    # C3: conjugation is multiplicative for the local products, one block
+    # per (x, g, h) with (i, j) in increasing order
     for x in H.generators:
-        for g, i in graded:
-            for h, j in graded:
-                q, vec = eng.m_irr(H, g, h, i, j)
-                pq, _ = eng.conj_perm(eng.stab(H, q), x)
-                lhs = np.zeros_like(vec)
-                lhs[pq] = vec
-                pg, _ = eng.conj_perm(eng.stab(H, g), x)
+        for g in range(nG):
+            pg, _ = eng.conj_perm(eng.stab(H, g), x)
+            for h in range(nG):
                 ph, _ = eng.conj_perm(eng.stab(H, h), x)
-                q2, rhs = eng.m_irr(
-                    H, int(eng.A[x, g]), int(eng.A[x, h]), int(pg[i]), int(ph[j])
-                )
-                ok = q2 == int(eng.A[x, q]) and np.array_equal(lhs, rhs)
-                report.record(
-                    "C3", ok, (x, g, i, h, j), "c_x m = m (c_x x c_x)", lhs.tolist(), rhs.tolist()
+                q, block = eng.m_block(H, g, h)
+                q2, moved = eng.m_block(H, int(eng.A[x, g]), int(eng.A[x, h]))
+                if q2 == int(eng.A[x, q]):
+                    pq, _ = eng.conj_perm(eng.stab(H, q), x)
+                    lhs = np.zeros_like(block)
+                    lhs[:, :, pq] = block
+                    ok = (lhs == moved[np.ix_(pg, ph)]).all(axis=2)
+                else:
+                    ok = np.zeros(block.shape[:2], dtype=bool)
+                nh = ok.shape[1]
+                report.record_all(
+                    "C3", ok.ravel(), lambda t: (x, g, t // nh, h, t % nh), "c_x m = m (c_x x c_x)"
                 )
 
     # C4: the trivial character at the identity grading is a two-sided unit
-    for g, i in graded:
-        q, vec = eng.m_irr(H, 0, g, 0, i)
-        unit_left = q == g and vec[i] == 1 and int(vec.sum()) == 1
-        q2, vec2 = eng.m_irr(H, g, 0, i, 0)
-        unit_right = q2 == g and vec2[i] == 1 and int(vec2.sum()) == 1
-        report.record("C4", unit_left and unit_right, (g, i), "m(1, a) = m(a, 1) = a")
+    for g in range(nG):
+        q, left = eng.m_block(H, 0, g)
+        q2, right = eng.m_block(H, g, 0)
+        left, right = left[0], right[:, 0]
+        ok = (
+            (q == g) & (left.diagonal() == 1) & (left.sum(axis=1) == 1)
+            & (q2 == g) & (right.diagonal() == 1) & (right.sum(axis=1) == 1)
+        )
+        report.record_all("C4", ok, lambda i: (g, i), "m(1, a) = m(a, 1) = a")
 
-    # C5: associativity of the orbit-sum product on all basis triples
-    basis_inv = invariant_basis(d, H, ctx)
-    n = len(basis_inv)
-    pair = {}
-    for i in range(n):
-        for j in range(n):
-            pair[(i, j)] = eng.fuse_invariants(H, basis_inv[i], basis_inv[j])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = eng.fuse_invariants(H, pair[(i, j)], basis_inv[k])
-                rhs = eng.fuse_invariants(H, basis_inv[i], pair[(j, k)])
-                report.record(
-                    "C5",
-                    lhs == rhs,
-                    (i, j, k),
-                    "(ab)c = a(bc) on invariants",
-                )
+    # C5: associativity of the orbit-sum product on all basis triples, one
+    # exhaustive check
+    orbit = eng.orbit_sum_tensor(H)
+    bad = associativity_failure(orbit)
+    report.record("C5", bad is None, bad or (), "(ab)c = a(bc) on invariants")
 
     # independence of the factorization-representative choice
-    for i in range(n):
-        for j in range(n):
-            alt = eng.fuse_invariants(H, basis_inv[i], basis_inv[j], choice="max")
-            report.record(
-                "Tg-independence",
-                alt == pair[(i, j)],
-                (i, j),
-                "orbit-sum product with reversed representative set",
-            )
+    n = len(orbit)
+    same = (eng.orbit_sum_tensor(H, "max") == orbit).all(axis=2).ravel()
+    report.record_all(
+        "Tg-independence", same, lambda t: (t // n, t % n),
+        "orbit-sum product with reversed representative set",
+    )
     return report
 
 
@@ -792,21 +785,15 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
         raise InvariantViolation("unit row/column is not the identity")
     if not np.array_equal(tensor @ dims, np.outer(dims, dims)):
         raise InvariantViolation("dimension map is not a ring homomorphism")
+    # the orbit-sum tensor is compared and dropped before the associativity
+    # check, so the two are never resident together
+    bad = np.argwhere((eng.orbit_sum_tensor(H) != tensor).any(axis=2))
+    if len(bad):
+        raise InvariantViolation(
+            f"double-coset and orbit-sum products disagree at pair {tuple(int(v) for v in bad[0])}"
+        )
     bad = associativity_failure(tensor)
     if bad is not None:
         raise InvariantViolation(f"associativity fails at {bad}")
-
-    # the orbit-sum products e_i e_j for one i at a time, as rows of labels
-    inv = invariant_basis(d, H, ctx)
-    for i in range(n):
-        row = np.zeros((n, n), dtype=np.int64)
-        for j in range(n):
-            for g, v in eng.fuse_invariants(H, inv[i], inv[j]).components.items():
-                row[j, eng.slots(H, g)] = v
-        bad = np.flatnonzero((row != tensor[i]).any(axis=1))
-        if len(bad):
-            raise InvariantViolation(
-                f"double-coset and orbit-sum products disagree at pair {(i, int(bad[0]))}"
-            )
 
     return FusionRing(d, H, labels, unit, constants, tensor, checks)

@@ -262,6 +262,83 @@ class TestFuse:
                 assert {l.orbit_rep for l in out} == {b.orbit_rep}
 
 
+def _component_at(eng, H, v, h):
+    """Reference: the implied component of an invariant vector at any
+    grading point, the stored component at the orbit representative h0
+    moved along the inverse of to_rep(H, h), which carries h0 to h."""
+    h0 = int(eng.orbit_data(H)[1][h])
+    base = v.components.get(h0)
+    if base is None or h == h0:
+        return base
+    perm, _ = eng.conj_perm(eng.stab(H, h0), int(eng.F.inv[eng.to_rep(H, h)]))
+    out = np.zeros_like(base)
+    out[perm] = base
+    return out
+
+
+def _factorizations(eng, H, choice):
+    """Reference: for each canonical g, h = the min or max of each orbit of
+    H_g on G, in the order of the orbit minima, and k = h^-1 g."""
+    G = eng.G
+    out = []
+    for g in eng.orbit_data(H)[0]:
+        rows = eng.A[eng.stab(H, g).members]
+        seen = np.zeros(G.order, dtype=bool)
+        for pt in range(G.order):
+            if not seen[pt]:
+                orb = np.unique(rows[:, pt])
+                seen[orb] = True
+                h = int(orb[0] if choice == "min" else orb[-1])
+                out.append((g, h, int(G.mult[int(G.inv[h]), g])))
+    return out
+
+
+def _orbit_sum_reference(eng, H, alpha, beta, choice):
+    """Reference: the orbit-sum product one factorization at a time, each
+    factor's component moved by `_component_at` and contracted with its
+    local product block."""
+    acc = {}
+    for g, h, k in _factorizations(eng, H, choice):
+        va, vb = _component_at(eng, H, alpha, h), _component_at(eng, H, beta, k)
+        if va is not None and vb is not None:
+            _, block = eng.m_block(H, h, k)
+            acc[g] = acc.get(g, 0) + np.einsum("i,j,ijk->k", va, vb, block)
+    return fu.InvariantVector(H, acc)
+
+
+class TestOrbitSumTensor:
+    """`_Engine.orbit_sum_tensor` against the per-factorization reference,
+    for both representative choices."""
+
+    @pytest.mark.parametrize("choice", ["min", "max"])
+    @pytest.mark.parametrize("name", ["ds3", "dd4", "d4_on_c4", "classical_s3", "ds3_trivial"])
+    def test_matches_reference(self, block_data, ds3, name, choice):
+        if name == "ds3_trivial":
+            d, ctx = ds3.datum, ds3.ctx
+            H = d.F.trivial_subgroup()
+        else:
+            d, ctx = block_data[name]
+            H = d.F.full_subgroup()
+        eng = fu._engine(d, ctx)
+        assert eng.factorizations(H, choice) == _factorizations(eng, H, choice)
+        t = eng.orbit_sum_tensor(H, choice)
+        inv = fu.invariant_basis(d, H, ctx)
+        for i, a in enumerate(inv):
+            for j, b in enumerate(inv):
+                ref = _orbit_sum_reference(eng, H, a, b, choice)
+                row = np.zeros(len(inv), dtype=np.int64)
+                for g, v in ref.components.items():
+                    row[eng.slots(H, g)] = v
+                assert np.array_equal(t[i, j], row), (i, j)
+                assert eng.fuse_invariants(H, a, b, choice) == ref
+
+    def test_unknown_representative_choice_raises(self, ds3):
+        d, ctx, H = ds3.datum, ds3.ctx, full(ds3)
+        inv = fu.invariant_basis(d, H, ctx)
+        with pytest.raises(ValueError, match="'mid'"):
+            fu.fuse_via_M(d, H, inv[1], inv[2], ctx, rep_choice="mid")
+
+
 class TestInvariantsAndMForm:
     def test_basis_bijection(self, ds3):
         d, ctx = ds3.datum, ds3.ctx
@@ -319,7 +396,7 @@ class TestInvariantsAndMForm:
         inv = fu.invariant_basis(d, H, ctx)
         prod = eng.fuse_invariants(H, inv[5], inv[5])
         q = 4  # non-canonical 3-cycle
-        implied = eng.component_at(H, prod, q)
+        implied = _component_at(eng, H, prod, q)
         Sq = eng.stab(H, q)
         direct = np.zeros(eng.table(Sq).size, dtype=np.int64)
         rows = eng.A[Sq.members]
@@ -331,8 +408,8 @@ class TestInvariantsAndMForm:
             seen[orb] = True
             h = int(orb[0])
             k = int(d.G.mult[d.G.inv[h], q])
-            va = eng.component_at(H, inv[5], h)
-            vb = eng.component_at(H, inv[5], k)
+            va = _component_at(eng, H, inv[5], h)
+            vb = _component_at(eng, H, inv[5], k)
             if va is None or vb is None:
                 continue
             for i in np.nonzero(va)[0]:
@@ -383,6 +460,26 @@ class TestCoherentAxioms:
         report = fu.verify_coherent_axioms(d, H, ctx)
         assert report.counts["C1"][1] > 0
         assert all(report.counts[a][1] == 0 for a in ("C2", "C3", "C4"))
+
+    def test_tampered_block_fails_c3(self, s3):
+        """One local product of a fresh D(S3) bumped at g of order 3 and h
+        of order 2: C3, checked a block per (x, g, h), fails four times with
+        the witnesses of the check per (x, g, i, h, j); C1, C2 and C4 pass."""
+        scen = drinfeld_double_scenario(s3)
+        d, ctx, H = scen.datum, scen.ctx, full(scen)
+        eng = fu._engine(d, ctx)
+        g = next(x for x in range(s3.order) if s3.element_order(x) == 3)
+        h = next(x for x in range(s3.order) if s3.element_order(x) == 2)
+        q, block = eng.m_block(H, g, h)
+        block = block.copy()
+        block[0, 0, 0] += 1
+        eng._blocks[(H.key, g, h)] = (q, block)
+        report = fu.verify_coherent_axioms(d, H, ctx)
+        assert {a: report.counts[a] for a in ("C1", "C2", "C3", "C4")} == {
+            "C1": (195, 0), "C2": (18, 0), "C3": (450, 4), "C4": (15, 0),
+        }
+        c3 = [w.context for w in report.witnesses if w.axiom == "C3"]
+        assert c3 == [(2, 3, 0, 1, 0), (2, 4, 0, 5, 0), (3, 3, 0, 1, 0), (3, 3, 0, 2, 0)]
 
 
 class TestFusionRing:
@@ -441,19 +538,16 @@ class TestFusionRing:
         and message were recorded with the per-pair `InvariantVector`
         comparison."""
         d, ctx, H = ds3.datum, ds3.ctx, full(ds3)
-        inv = fu.invariant_basis(d, H, ctx)
-        perturbed = {(2, 6), (2, 3), (5, 0)}
-        original = fu._Engine.fuse_invariants
+        perturbed = [(2, 6), (2, 3), (5, 0)]
+        original = fu._Engine.orbit_sum_tensor
 
-        def fuse_invariants(self, H, alpha, beta, choice="min"):
-            out = original(self, H, alpha, beta, choice)
-            if (inv.index(alpha), inv.index(beta)) not in perturbed:
-                return out
-            comps = {g: v.copy() for g, v in out.components.items()}
-            comps[min(comps)][0] += 1
-            return fu.InvariantVector(H, comps)
+        def orbit_sum_tensor(self, H, choice="min"):
+            t = original(self, H, choice)
+            for i, j in perturbed:
+                t[i, j, 0] += 1
+            return t
 
-        monkeypatch.setattr(fu._Engine, "fuse_invariants", fuse_invariants)
+        monkeypatch.setattr(fu._Engine, "orbit_sum_tensor", orbit_sum_tensor)
         with pytest.raises(InvariantViolation) as exc:
             fu.fusion_ring(d, H, ctx)
         assert type(exc.value) is InvariantViolation
