@@ -48,6 +48,7 @@ from .errors import (
     ElementNotInGroup,
     InvariantViolation,
     NotAClassFunction,
+    NotASubgroup,
     SubgroupMismatch,
 )
 from .permgrp import Group, GroupAction, Subgroup, double_coset_reps
@@ -327,14 +328,13 @@ class _Engine:
 
     def coset_reps(self, H: Subgroup, g: int, h: int):
         """Parent indices of the representatives x of the double cosets
-        H_h x H_g in H."""
+        H_h x H_g in H: those of the parent that lie in H (see
+        `mackey._double_coset_side` for why they are the same)."""
         key = (H.key, g, h)
         xs = self._coset_reps.get(key)
         if xs is None:
-            local = double_coset_reps(
-                H.group(), self.stab(H, h).viewed_in(H), self.stab(H, g).viewed_in(H)
-            )
-            xs = H.members[local].tolist()
+            xs = double_coset_reps(self.F, self.stab(H, h), self.stab(H, g))
+            xs = xs[H.mask[xs]].tolist()
             self._coset_reps[key] = xs
         return xs
 
@@ -386,12 +386,14 @@ class _Engine:
         key = (H.key, K.key)
         r = self._res.get(key)
         if r is None:
+            if not H.contains(K):
+                raise NotASubgroup("restriction target is not contained")
             bh, bk = self.basis(H), self.basis(K)
             r = np.zeros((len(bk.labels), len(bh.labels)), dtype=np.int64)
             for g in self.orbit_data(H)[0]:
                 Sg = self.stab(H, g)
-                for loc in double_coset_reps(H.group(), K.viewed_in(H), Sg.viewed_in(H)):
-                    x = int(H.members[int(loc)])
+                xs = double_coset_reps(self.F, K, Sg)
+                for x in xs[H.mask[xs]].tolist():
                     g2 = int(self.A[x, g])
                     perm, tgt = self.conj_perm(Sg, x)
                     Kg2 = self.stab(K, g2)

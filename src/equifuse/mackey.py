@@ -169,16 +169,34 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
     )
 
 
-def _double_coset_side(fam: MackeyFamily, L: Subgroup, H: Subgroup, K: Subgroup):
-    """Matrix of the sum over x in H\\L/K of I_{xK n H}^H R_{xK n H}^{xK} c_{K,x}."""
-    out = np.zeros((fam.size(H), fam.size(K)), dtype=np.int64)
-    for r in double_coset_reps(L.group(), H.viewed_in(L), K.viewed_in(L)):
-        x = int(L.members[int(r)])
+def _double_coset_side(fam: MackeyFamily, L: Subgroup, H: Subgroup, K: Subgroup,
+                       cache=None):
+    """Matrix of the sum over x in H\\L/K of I_{xK n H}^H R_{xK n H}^{xK} c_{K,x}.
+
+    The representatives are those of H\\G/K that lie in L: for H, K <= L
+    and x in L, HxK lies in L, and a double coset that meets L lies in it,
+    so H\\L/K is the set of double cosets HxK of G with x in L.  As
+    `L.members` is increasing, the least element of HxK in L's own
+    numbering is its least in G's, so these are the representatives
+    `double_coset_reps(L.group(), ...)` would give, moved into G.
+
+    P_S = I_{S n H}^H R_{S n H}^S depends on x only through S = xKx^-1, so
+    it is computed once per S and kept in `cache` (keyed by S alone, so a
+    cache passed in must serve one H only; the verifier keeps one per
+    (L, H)).  The terms are summed as one stacked product, exactly in int64."""
+    cache = {} if cache is None else cache
+    reps = double_coset_reps(fam.ambient, H, K)
+    Ps, cs = [], []
+    for x in reps[L.mask[reps]].tolist():
         c_mat, xk = fam.conjugation(K, x)
-        xk = fam.lattice_member(xk)
-        meet = fam.lattice_member(xk.intersect(H))
-        out += fam.induction(meet, H) @ fam.restriction(xk, meet) @ c_mat
-    return out
+        P = cache.get(xk.key)
+        if P is None:
+            xk = fam.lattice_member(xk)
+            meet = fam.lattice_member(xk.intersect(H))
+            P = cache[xk.key] = fam.induction(meet, H) @ fam.restriction(xk, meet)
+        Ps.append(P)
+        cs.append(c_mat)
+    return (np.stack(Ps) @ np.stack(cs)).sum(axis=0)
 
 
 def mackey_rhs(fam: MackeyFamily, H: Subgroup, K: Subgroup, v: np.ndarray,
@@ -226,10 +244,11 @@ def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
         for j, b in enumerate(lattice)
         if b.contains(a)
     }
+    above = {}
+    for (ki, hi) in contained:
+        above.setdefault(ki, []).append(hi)
     for (ji, ki) in contained:
-        for (ki2, hi) in contained:
-            if ki2 != ki:
-                continue
+        for hi in above[ki]:
             J, K, H = lattice[ji], lattice[ki], lattice[hi]
             lhs = fam.restriction(K, J) @ fam.restriction(H, K)
             rhs = fam.restriction(H, J)
@@ -265,9 +284,10 @@ def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
         axiom = "M4" if L.key == full.key else "M4rel"
         inside = [S for S in lattice if L.contains(S)]
         for H in inside:
+            cache = {}
             for K in inside:
                 lhs = fam.restriction(L, H) @ fam.induction(K, L)
-                rhs = _double_coset_side(fam, L, H, K)
+                rhs = _double_coset_side(fam, L, H, K, cache)
                 report.record(axiom, np.array_equal(lhs, rhs), (L, H, K),
                               "double-coset relation", lhs, rhs)
     return report

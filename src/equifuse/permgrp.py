@@ -448,17 +448,20 @@ def left_coset_reps(G: Group, H: Subgroup) -> np.ndarray:
 
 
 def double_coset_reps(G: Group, K: Subgroup, H: Subgroup) -> np.ndarray:
-    """Lex-minimal representatives x of the double cosets KxH."""
+    """Lex-minimal representatives x of the double cosets KxH, increasing.
+
+    Two gathers and a min: [y] = min(yH) for every y, then [x] = min over k
+    in K of min(kxH) = min(KxH) for every x, and x is a representative iff
+    it is that minimum.  This is the set of the scan that keeps each
+    unassigned x and assigns KxH: the scan meets the least element of
+    every double coset first, and every other element after it.  The
+    transients are |G| x |H| and |K| x |G| int32, each at most one
+    multiplication table."""
     if K.parent is not G or H.parent is not G:
         raise NotASubgroup("subgroups belong to a different group")
-    assigned = np.zeros(G.order, dtype=bool)
-    reps = []
-    for g in range(G.order):
-        if not assigned[g]:
-            reps.append(g)
-            block = G.mult[np.ix_(G.mult[K.members, g], H.members)]
-            assigned[block.ravel()] = True
-    return np.array(reps, dtype=np.int32)
+    coset_min = G.mult[:, H.members].min(axis=1)
+    double_min = coset_min[G.mult[K.members]].min(axis=0)
+    return np.flatnonzero(double_min == np.arange(G.order)).astype(np.int32)
 
 
 class GroupAction:

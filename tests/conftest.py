@@ -1,7 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from equifuse import chartab
-from equifuse.presets import group_preset
+from equifuse.presets import group_from_json_dict, group_preset
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +60,25 @@ def ctx_s3(s3):
 @pytest.fixture(scope="session")
 def ctx_s4(s4):
     return chartab.make_context([s4])
+
+
+@pytest.fixture(scope="session")
+def s4_moved_json():
+    """Group JSON of sym:4 acting on its six pairs of points, the pairs
+    numbered in a seeded order.  Its elements sort in another order than
+    those of sym:4.  A relabelling of the four points would not do that:
+    the group would still be all permutations of its points, with the same
+    sorted element list and multiplication table."""
+    pairs = list(itertools.combinations(range(4), 2))
+    random.Random(1).shuffle(pairs)
+    number = {pair: i for i, pair in enumerate(pairs)}
+    gens = [
+        [number[tuple(sorted((g.images[a], g.images[b])))] for a, b in pairs]
+        for g in group_preset("sym:4").generators
+    ]
+    return {"degree": 6, "generators": gens}
+
+
+@pytest.fixture(scope="session")
+def s4_moved(s4_moved_json):
+    return group_from_json_dict(s4_moved_json)

@@ -295,6 +295,17 @@ class TestPinnedOutput:
         assert code == 0
         assert _sha256(out) == digest
 
+    def test_mackey_on_moved_s4(self, capsys, tmp_path, s4_moved_json):
+        # S4 numbered in another element order; recorded with the double
+        # cosets of each L found by a scan of L.group()
+        path = tmp_path / "s4_moved.json"
+        path.write_text(json.dumps(s4_moved_json))
+        code, out, _ = run(capsys, "verify", "mackey", "--family", f"char:{path}")
+        assert code == 0
+        assert _sha256(out) == (
+            "6a378d2ac56758a07579c63843d1fcc3f163da76b2197fc07c6b7f8863d84020"
+        )
+
     def test_fuse_on_action_file(self, capsys, tmp_path):
         path = tmp_path / "d4_on_c4.json"
         path.write_text(json.dumps(D4_ON_C4))

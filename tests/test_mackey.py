@@ -18,6 +18,7 @@ from equifuse.errors import NoRingStructure
 from equifuse.permgrp import GroupAction
 from equifuse.presets import load_action
 from test_cli import D4_ON_C4
+from test_permgrp import reference_double_coset_reps
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,37 @@ class TestMackeyRhs:
             v = np.zeros(equiv_ds3.size(a3), dtype=np.int64)
             v[i] = 1
             assert np.array_equal(mk.mackey_rhs(equiv_ds3, a3, a3, v), lhs_mat @ v)
+
+
+def reference_double_coset_side(fam, L, H, K):
+    """The per-coset loop `_double_coset_side` replaced: representatives of
+    H\\L/K found by a scan of L.group(), and the intersection looked up in
+    the lattice once per coset."""
+    out = np.zeros((fam.size(H), fam.size(K)), dtype=np.int64)
+    for r in reference_double_coset_reps(L.group(), H.viewed_in(L), K.viewed_in(L)):
+        x = int(L.members[int(r)])
+        c_mat, xk = fam.conjugation(K, x)
+        xk = fam.lattice_member(xk)
+        meet = fam.lattice_member(xk.intersect(H))
+        out += fam.induction(meet, H) @ fam.restriction(xk, meet) @ c_mat
+    return out
+
+
+class TestDoubleCosetSide:
+    """`_double_coset_side` against the per-coset loop on every nested
+    (L, H, K), with one cache shared by every K of an (L, H), as the
+    verifier shares it."""
+
+    @pytest.mark.parametrize("name", ["char_s4", "equiv_ds3"])
+    def test_every_nested_triple(self, request, name):
+        fam = request.getfixturevalue(name)
+        for L in fam.lattice:
+            inside = [S for S in fam.lattice if L.contains(S)]
+            for H in inside:
+                cache = {}
+                for K in inside:
+                    got = mk._double_coset_side(fam, L, H, K, cache)
+                    assert np.array_equal(got, reference_double_coset_side(fam, L, H, K))
 
 
 class TestVerifiers:

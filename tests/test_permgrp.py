@@ -253,6 +253,52 @@ class TestDoubleCosets:
         assert total == s3.order
 
 
+def reference_double_coset_reps(G, K, H):
+    """The scan `double_coset_reps` replaced: walk G in index order, keep
+    each x not yet assigned and assign its double coset KxH."""
+    assigned = np.zeros(G.order, dtype=bool)
+    reps = []
+    for g in range(G.order):
+        if not assigned[g]:
+            reps.append(g)
+            block = G.mult[np.ix_(G.mult[K.members, g], H.members)]
+            assigned[block.ravel()] = True
+    return np.array(reps, dtype=np.int32)
+
+
+class TestDoubleCosetsAgainstScan:
+    """The two min-gathers against the scan, on every pair of lattice
+    subgroups; the moved S4 numbers its elements in another order."""
+
+    @pytest.mark.parametrize("name", ["sym:4", "alt:5", "moved"])
+    def test_every_lattice_pair(self, name, s4_moved):
+        G = s4_moved if name == "moved" else group_preset(name)
+        lattice = subgroup_lattice(G)
+        for K in lattice:
+            for H in lattice:
+                reps = double_coset_reps(G, K, H)
+                assert reps.dtype == np.int32
+                assert np.array_equal(reps, reference_double_coset_reps(G, K, H))
+
+    def test_moved_s4_has_another_element_order(self, s4, s4_moved):
+        # same order, but index i -> i is no isomorphism onto sym:4
+        assert s4_moved.order == s4.order
+        assert not np.array_equal(s4_moved.mult, s4.mult)
+
+    def test_filter_by_l_is_the_double_cosets_in_l(self, s4):
+        """H, K <= L: the representatives of H\\G/K that lie in L are those
+        of H\\L/K, moved from L's numbering into G's."""
+        lattice = subgroup_lattice(s4)
+        for L in lattice:
+            inside = [S for S in lattice if L.contains(S)]
+            for H in inside:
+                for K in inside:
+                    reps = double_coset_reps(s4, H, K)
+                    local = reference_double_coset_reps(
+                        L.group(), H.viewed_in(L), K.viewed_in(L))
+                    assert np.array_equal(reps[L.mask[reps]], L.members[local])
+
+
 class TestActions:
     def test_conjugation_reproduces_classes(self, s3):
         act = GroupAction.conjugation(s3)
