@@ -31,18 +31,21 @@ are assembled from those blocks and slots once per orbit representative
 (`_Engine.restriction`, `induction`, `conjugation`); the public per-label
 functions read one column of them.  The structure-constant tensor is
 assembled in one place, `_Engine.product_tensor`.  Associativity of an
-assembled table is checked slice by slice with float64 BLAS products,
-which are exact while n * max|N|^2 < 2**53; past that bound the check
-refuses to answer.
+assembled table is decided on the slices of a generating set of basis
+elements (the generator lemma of `associativity_failure`), and every slice
+is scanned only to name the first failure.  The slices are float64 BLAS
+products, which are exact while n * max|N|^2 < 2**53; past that bound the
+check refuses to answer.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import chartab
+from . import _kernels, chartab
 from .chartab import ClassFunction, ModularContext, character_table
 from .errors import (
     ElementNotInGroup,
@@ -580,8 +583,8 @@ def fuse_via_M(
     """Orbit-sum multiplication: component at each canonical g is the sum of
     local products over stabilizer-orbit representatives of factorizations.
     Both vectors are contracted against `_Engine.orbit_sum_tensor`, whose
-    associativity is one exhaustive `associativity_failure` check (C5 of
-    `verify_coherent_axioms`)."""
+    associativity on all basis triples is one `associativity_failure` check,
+    exhaustive by the generator lemma (C5 of `verify_coherent_axioms`)."""
     return _engine(d, ctx).fuse_invariants(H, alpha, beta, rep_choice)
 
 
@@ -636,8 +639,9 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     c_s c_xy = c_sxy.  C3 for s and for x gives it for sx through C1:
     c_sx m(a, b) = c_s m(c_x a, c_x b) = m(c_sx a, c_sx b).
 
-    C5 is `associativity_failure` on the orbit-sum tensor: one exhaustive
-    check per H, whose witness is the first failing (i, j, k, l).
+    C5 is `associativity_failure` on the orbit-sum tensor: one check per H,
+    exhaustive by the generator lemma, whose witness is the first failing
+    (i, j, k, l).
     Representative independence compares the "min" and "max" orbit-sum
     tensors pair by pair."""
     eng = _engine(d, ctx)
@@ -713,8 +717,8 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
         )
         report.record_all("C4", ok, lambda i: (g, i), "m(1, a) = m(a, 1) = a")
 
-    # C5: associativity of the orbit-sum product on all basis triples, one
-    # exhaustive check
+    # C5: associativity of the orbit-sum product on all basis triples,
+    # exhaustive by the generator lemma
     orbit = eng.orbit_sum_tensor(H)
     bad = associativity_failure(orbit)
     report.record("C5", bad is None, bad or (), "(ab)c = a(bc) on invariants")
@@ -729,36 +733,116 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     return report
 
 
+# A prime with n * p^2 < 2**63 for any table that fits in memory, so the span
+# products stay in int64 (`_kernels.matmul_mod`).
+_SPAN_PRIME = 1_000_003
+
+
+def _generators(t: np.ndarray):
+    """Basis indices S for the generator lemma of `associativity_failure`,
+    in increasing order, or None if no basis element is a left unit.
+
+    With a left unit e_u (t[u] == I), S is grown greedily: each step adds
+    the smallest basis index b with e_b outside W, where W is the span mod
+    p of e_u and S under left multiplication by S.  W is kept as reduced
+    echelon rows; each round maps only the rows it just added (all of W for
+    a new generator) through every t[s] mod p, so a round is a few
+    `matmul_mod` products and one `rref_mod`, with no loop per vector."""
+    n = len(t)
+    eye = np.eye(n, dtype=np.int64)
+    unit = next((u for u in range(n) if np.array_equal(t[u], eye)), None)
+    if unit is None:
+        return None
+    p = _SPAN_PRIME
+    gens, left = [], []
+    span = np.zeros((0, n), dtype=np.int64)  # span[r] is 1 at piv[r], 0 at other pivots
+    piv = np.zeros(0, dtype=np.int64)
+    new = eye[[unit]]
+    while True:
+        new, add = _kernels.rref_mod((new - _kernels.matmul_mod(new[:, piv], span, p)) % p, p)
+        new = new[:len(add)]
+        if len(add):
+            span = np.vstack([(span - _kernels.matmul_mod(span[:, add], new, p)) % p, new])
+            piv = np.concatenate([piv, add])
+            if len(piv) == n:
+                return gens
+            if left:
+                new = np.vstack([_kernels.matmul_mod(new, m, p) for m in left])
+                continue
+        # e_b lies in W exactly when the row with pivot b is e_b itself
+        inside = piv[np.count_nonzero(span, axis=1) == 1]
+        b = int(np.flatnonzero(~np.isin(np.arange(n), inside))[0])
+        gens.append(b)
+        left.append(t[b] % p)
+        new = np.vstack([eye[[b]], _kernels.matmul_mod(span, left[-1], p)])
+
+
+def _slice_failure(f: np.ndarray, i: int):
+    """First (i, j, k, l) with ((e_i e_j) e_k)_l != (e_i (e_j e_k))_l for
+    the float64 table f, or None: both sides over a block of j at a time."""
+    n = len(f)
+    rows = f.reshape(n, n * n)  # [m, (k, l)]
+    pairs = f.reshape(n * n, n)  # [(j, k), m]
+    step = max(1, n // 4)
+    for j0 in range(0, n, step):
+        j1 = min(j0 + step, n)
+        left = (f[i, j0:j1] @ rows).reshape(-1, n, n)  # sum_m t[i, j, m] t[m, k, l]
+        right = (pairs[j0 * n:j1 * n] @ f[i]).reshape(-1, n, n)  # sum_m t[j, k, m] t[i, m, l]
+        if not np.array_equal(left, right):
+            j, k, l = (int(v) for v in np.argwhere(left != right)[0])
+            return (i, j0 + j, k, l)
+    return None
+
+
 def associativity_failure(t: np.ndarray):
     """First (i, j, k, l) with ((e_i e_j) e_k)_l != (e_i (e_j e_k))_l for
     t[i, j, k] = N_ij^k, or None.
 
+    The answer is decided on the i-slices of a generating set S
+    (`_generators`), by the generator lemma, a linear form of Light's
+    associativity test (Clifford and Preston, *The Algebraic Theory of
+    Semigroups* I, 1961, section 1.2).  Let the product be bilinear with a
+    left unit 1, and suppose (s y) z = s (y z) for every s in S and all y,
+    z.  The set T = {x : (x y) z = x (y z) for all y, z} is a subspace, the
+    kernel of a linear map.  It contains 1 and S, and it is closed under
+    x -> s x for s in S: for x in T, ((s x) y) z = (s (x y)) z =
+    s ((x y) z) = s (x (y z)) = (s x)(y z), using s, s, x and s in turn.  So T
+    contains the span W of 1 and S under left multiplication by S, and if
+    W is everything, the product is associative.  W is computed mod a
+    prime p; rank n mod p means an n x n minor of integer coordinates is
+    nonzero mod p, hence nonzero, so W has rank n over Q as well.  The
+    prime can only make S larger, never change the answer.
+
+    So the slices i in S are checked first, and if they all hold the table
+    is associative.  If one fails, or no basis element is a left unit, the
+    full scan over every i runs, and its first failure is the witness.  (By
+    the same lemma the first failing slice lies in S whenever membership
+    in W mod p and over Q agree; the scan keeps the witness exact where
+    the prime hides a basis element.)  The check thus costs |S| n^4
+    multiply-adds on an associative table with a left unit, and up to n^5
+    otherwise.
+
     Both sides are float64 BLAS products over a block of j for one i at a
-    time, so besides t the check holds one float64 copy of t and two blocks
-    of n^3 / 4 entries.  If n * max|t|^2 < 2**53, every product of two
-    entries and every partial sum of n of them is an integer of absolute
-    value below 2**53, so float64 represents each one exactly and the sums
-    are exact in any order; above that bound the check raises instead of
-    comparing inexactly."""
+    time (`_slice_failure`), so besides t the check holds one float64 copy
+    of t and two blocks of n^3 / 4 entries.  If n * max|t|^2 < 2**53, every
+    product of two entries and every partial sum of n of them is an integer
+    of absolute value below 2**53, so float64 represents each one exactly
+    and the sums are exact in any order; above that bound the check raises
+    instead of comparing inexactly."""
     n = t.shape[0]
     top = int(np.abs(t).max(initial=0))
     if n * top * top >= 1 << 53:
         raise InvariantViolation(
             f"associativity check needs n * max|t|^2 < 2**53, got n={n}, max|t|={top}"
         )
+    gens = _generators(t)  # before the float64 copy, so its temporaries are gone
     f = t.astype(np.float64)
-    rows = f.reshape(n, n * n)  # [m, (k, l)]
-    pairs = f.reshape(n * n, n)  # [(j, k), m]
-    step = max(1, n // 4)
+    if gens is not None and all(_slice_failure(f, i) is None for i in gens):
+        return None
     for i in range(n):
-        for j0 in range(0, n, step):
-            j1 = min(j0 + step, n)
-            left = f[i, j0:j1] @ rows  # [j, (k, l)]: sum_m t[i, j, m] t[m, k, l]
-            right = pairs[j0 * n:j1 * n] @ f[i]  # [(j, k), l]: sum_m t[j, k, m] t[i, m, l]
-            bad = np.argwhere(left.reshape(-1, n, n) != right.reshape(-1, n, n))
-            if len(bad):
-                j, k, l = (int(v) for v in bad[0])
-                return (i, j0 + j, k, l)
+        bad = _slice_failure(f, i)
+        if bad is not None:
+            return bad
     return None
 
 
@@ -771,11 +855,15 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
     labels = basis.labels
     n = len(labels)
     tensor = eng.product_tensor(H)
-    constants = {
-        (i, j): tuple((int(k), int(tensor[i, j, k])) for k in np.flatnonzero(tensor[i, j]))
-        for i in range(n)
-        for j in range(n)
-    }
+    # one np.nonzero per row, in ascending (j, k): each pair (i, j) takes its
+    # count of (k, N) entries off the row's stream.  Row by row, not over the
+    # whole tensor, to keep every temporary small
+    constants = {}
+    for i, row in enumerate(tensor):
+        js, ks = np.nonzero(row)
+        entries = zip(ks.tolist(), row[js, ks].tolist())
+        for j, count in enumerate(np.bincount(js, minlength=n).tolist()):
+            constants[(i, j)] = tuple(itertools.islice(entries, count))
     unit = basis.pos[(0, 0)]
     checks = {"associative": True, "dim_hom": True, "matches_M_form": True}
 

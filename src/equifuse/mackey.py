@@ -298,8 +298,10 @@ def verify_green_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
     and conjugation are unitary ring maps (G1), and both projection formulas
     (G2), (G3) on all basis pairs of every nested pair of subgroups.
 
-    Associativity is `fusion.associativity_failure` (O(n^3) memory), both G1
-    loops are `_is_unitary_ring_map`, and G2/G3 are `_projection_sides`."""
+    Associativity is `fusion.associativity_failure` (O(n^3) memory), which
+    checks the slices of a generating set of basis elements and proves the
+    rest by its generator lemma; both G1 loops are `_is_unitary_ring_map`,
+    and G2/G3 are `_projection_sides`."""
     if not fam.has_ring:
         raise NoRingStructure("family has no multiplication")
     lattice = list(lattice) if lattice is not None else fam.lattice

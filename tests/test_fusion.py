@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from equifuse import _kernels
 from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse.errors import InvariantViolation, SubgroupMismatch
@@ -627,6 +628,129 @@ class TestAssociativityFailure:
         finally:
             tracemalloc.stop()
         assert peak < n**4 * 8
+
+
+def _dense_failure_by_slices(t):
+    """The dense reference one i at a time: both sides for a fixed i as
+    n^3 arrays, so tables too large for two n^4 arrays can be compared.
+    Exact in int32 while n * max|t|^2 < 2**31."""
+    assert len(t) * int(np.abs(t).max()) ** 2 < 2**31
+    t = t.astype(np.int32)
+    for i in range(len(t)):
+        lhs = np.einsum("jm,mkl->jkl", t[i], t)
+        rhs = np.einsum("jkm,ml->jkl", t, t[i])
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            return (i,) + tuple(int(v) for v in bad[0])
+    return None
+
+
+def _word_span_rank(t, unit, gens):
+    """Rank mod p of the right-nested words s1(s2(...(sk e_unit))), s in
+    gens: every row found so far is multiplied on the left by every s until
+    the rank stops growing."""
+    p = fu._SPAN_PRIME
+    rows = np.eye(len(t), dtype=np.int64)[[unit]]
+    rank = 1
+    while True:
+        rows = np.vstack([rows] + [rows @ (t[s] % p) % p for s in gens])
+        rows, piv = _kernels.rref_mod(rows, p)
+        rows = rows[:len(piv)]
+        if len(piv) == rank:
+            return rank
+        rank = len(piv)
+
+
+@pytest.fixture(scope="module")
+def double_tensors(ds3, d4):
+    """Structure constants of D(S3), D(D4) and D(D10) (8, 22 and 64 simples)."""
+    out = {}
+    for name, scen in [
+        ("ds3", ds3),
+        ("dd4", drinfeld_double_scenario(d4)),
+        ("dd10", drinfeld_double_scenario(group_preset("dihedral:10"))),
+    ]:
+        out[name] = fu.fusion_ring(scen.datum, full(scen), scen.ctx).tensor()
+    return out
+
+
+class TestGeneratorLemma:
+    """`associativity_failure` decides on the i-slices of a generating set S
+    and scans every slice only to name the witness."""
+
+    @pytest.mark.parametrize("name", ["ds3", "dd4", "dd10"])
+    def test_bump_outside_the_generators_still_fails(self, double_tensors, name):
+        # one entry of t[i] raised for every i outside S and the unit: only
+        # the S-slices decide, so each failure must still be found, and the
+        # witness must be the dense reference's
+        t0 = double_tensors[name]
+        n = len(t0)
+        gens = fu._generators(t0)
+        assert gens and 0 not in gens and np.array_equal(t0[0], np.eye(n))
+        rng = np.random.default_rng(3)
+        for i in sorted(set(range(1, n)) - set(gens)):
+            t = t0.copy()
+            j, k = (int(v) for v in rng.integers(0, n, size=2))
+            t[i, j, k] += 1
+            bad = fu.associativity_failure(t)
+            assert bad is not None
+            if n <= 22:
+                assert bad == _dense_associativity_failure(t)
+            else:
+                assert bad == _dense_failure_by_slices(t)
+
+    def test_sliced_reference_is_the_dense_reference(self, double_tensors):
+        t0 = double_tensors["dd4"]
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            t = t0.copy()
+            t[tuple(rng.integers(0, len(t), size=3))] += 1
+            assert _dense_failure_by_slices(t) == _dense_associativity_failure(t)
+
+    def test_perturbed_unit_row_takes_the_full_scan(self, double_tensors):
+        t0 = double_tensors["ds3"]
+        for j, k in [(1, 2), (3, 3), (7, 0)]:
+            t = t0.copy()
+            t[0, j, k] += 1
+            assert fu._generators(t) is None
+            bad = fu.associativity_failure(t)
+            assert bad is not None and bad == _dense_associativity_failure(t)
+
+    def test_associative_table_checks_only_the_generator_slices(
+        self, double_tensors, monkeypatch
+    ):
+        t = double_tensors["dd10"]
+        gens = fu._generators(t)
+        seen = []
+        original = fu._slice_failure
+
+        def counted(f, i):
+            seen.append(i)
+            return original(f, i)
+
+        monkeypatch.setattr(fu, "_slice_failure", counted)
+        assert fu.associativity_failure(t) is None
+        assert seen == gens and len(gens) == 7
+
+    def test_generators_span(self, double_tensors):
+        for t in [_cyclic_group_ring(12), double_tensors["ds3"]]:
+            gens = fu._generators(t)
+            assert gens == sorted(set(gens)) and len(gens) < len(t)
+            assert _word_span_rank(t, 0, gens) == len(t)
+            assert _word_span_rank(t, 0, gens[:-1]) < len(t)
+
+    def test_witness_comes_from_the_full_scan(self):
+        # e0 a unit, e1 e1 = e2 + p e3, e3 e3 = e2 and e2 e3 = -p e2, every
+        # other product of e1, e2, e3 zero.  Mod p, e1 e1 = e2, so S = [1, 3];
+        # the first failing slice is 2, outside S, and only the full scan
+        # names it
+        p = fu._SPAN_PRIME
+        t = np.zeros((4, 4, 4), dtype=np.int64)
+        t[0] = t[:, 0] = np.eye(4, dtype=np.int64)
+        t[1, 1, 2], t[1, 1, 3] = 1, p
+        t[3, 3, 2], t[2, 3, 2] = 1, -p
+        assert fu._generators(t) == [1, 3]
+        assert fu.associativity_failure(t) == _dense_associativity_failure(t) == (2, 1, 1, 2)
 
 
 class TestEqRestrict:
