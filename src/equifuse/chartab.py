@@ -1,13 +1,15 @@
 """Exact character theory over a prime field.
 
-Character tables are computed by simultaneous diagonalization of the class
-multiplication matrices over F_p (the classical class-matrix approach):
-common eigenspaces are split by deterministic-seeded random linear
-combinations, eigenvalues are extracted from characteristic polynomials by
-equal-degree splitting, and rows are normalized so the value at the identity
-is the (integer) degree.  The prime is chosen large enough that every
-multiplicity and structure constant occurring downstream lifts uniquely from
-F_p to the integers.
+Character tables are computed by diagonalizing the class multiplication
+matrices over F_p at once (Dixon's class-matrix method): one
+deterministic-seeded random combination z of them with k distinct
+eigenvalues has the common eigenvectors as its eigenvectors, its
+eigenvalues are the roots of its characteristic polynomial (gcd with
+x^p - x, then equal-degree splitting), and each eigenvector, normalized so
+the value at the identity is the (integer) degree, is one row.  Row
+orthogonality is checked as one Gram product.  The prime is chosen large
+enough that every multiplicity and structure constant occurring downstream
+lifts uniquely from F_p to the integers.
 
 Every multiplicity the rest of the package needs, of a restriction, an
 induction, a product of characters or a local product, is a
@@ -28,7 +30,6 @@ import numpy as np
 from . import _kernels
 from .errors import (
     EigenbasisFailure,
-    ElementNotInGroup,
     GroupMismatch,
     InvalidPrime,
     InvariantViolation,
@@ -281,15 +282,12 @@ def _pgcd(a, b, p):
 
 
 def _distinct_roots(f, p, rng):
-    """All roots in F_p of f (which is assumed to split over F_p), via
-    gcd with x^p - x and equal-degree splitting."""
+    """The distinct roots in F_p of f, sorted: g = gcd(f, x^p - x) is the
+    product of the distinct linear factors of f, and g is split by
+    equal-degree splitting (Cantor-Zassenhaus) with draws from `rng`."""
     f = _pmonic(f, p)
     if len(f) <= 1:
         return []
-    if p <= 4096:
-        return sorted(
-            r for r in range(p) if _peval(f, r, p) == 0
-        )
     xp = _ppowmod([0, 1], p, f, p)
     sub = list(xp)
     if len(sub) < 2:
@@ -338,13 +336,6 @@ def _pquo(a, b, p):
     return _ptrim(q)
 
 
-def _peval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _char_poly(m, p):
     """Monic characteristic polynomial of m over F_p (Faddeev-LeVerrier)."""
     k = m.shape[0]
@@ -362,51 +353,35 @@ def _char_poly(m, p):
     return coeffs
 
 
-def _solve_in_basis(basis, image, p):
-    """X with basis @ X = image (columns of basis independent, image in span)."""
-    k, s = basis.shape
-    aug = np.concatenate([basis, image], axis=1)
-    r, piv = _kernels.rref_mod(aug, p)
-    if len(piv) != s or any(int(c) != i for i, c in enumerate(piv)):
-        raise EigenbasisFailure("subspace basis lost rank during splitting")
-    if k > s and np.any(r[s:, s:] != 0):
-        raise EigenbasisFailure("image left the invariant subspace")
-    return r[:s, s:].copy()
-
-
 def _common_eigenbasis(mats, k, p, rng):
-    """Split F_p^k into the common one-dimensional eigenspaces of the
-    commuting matrices `mats` using random linear combinations."""
-    big = p >= _kernels.INT64_SAFE_P
-    dtype = object if big else np.int64
-    spaces = [np.eye(k, dtype=dtype)]
+    """The common eigenvectors of the commuting class matrices `mats` (all
+    classes but the identity's), read off one random element
+    z = sum_c r_c C_c of the class algebra whose spectrum is simple
+    (Dixon, Numer. Math. 10, 1967).
+
+    Lemma: one draw of r from (F_p^*)^(k-1) fails with probability at most
+    C(k, 2)/(p - 1) < 1/(2k).  Proof: as p does not divide |G| and F_p holds
+    the e-th roots of unity, the class algebra is split semisimple, so the
+    C_c have a common eigenbasis, one vector per irreducible chi, on which
+    C_c acts by the central character omega_chi(C_c).  Distinct characters
+    have distinct central characters, so for chi != psi the linear form
+    sum_c r_c (omega_chi - omega_psi)(C_c) has a nonzero coefficient (never
+    at the identity class, where both are 1); given the other r's, at most
+    one value of that coefficient's r_c makes z's eigenvalues at chi and
+    psi collide.  A union bound over the C(k, 2) pairs, with
+    p > |G|^3 >= k^3 (`make_context`), gives the bound (Schwartz-Zippel,
+    J. ACM 27, 1980).  Once z has k distinct eigenvalues in F_p, each
+    eigenspace is a line, so its vector is the common eigenvector of one
+    character.  64 draws in a row without a simple spectrum raise
+    EigenbasisFailure."""
+    dtype = object if p >= _kernels.INT64_SAFE_P else np.int64
+    ident = np.eye(k, dtype=dtype)
     for _ in range(64):
-        if all(s.shape[1] == 1 for s in spaces):
-            break
-        combo = np.zeros((k, k), dtype=dtype)
-        for m in mats:
-            r = int(rng.integers(1, p))
-            combo = (combo + r * m.astype(dtype)) % p
-        nxt = []
-        for s in spaces:
-            if s.shape[1] == 1:
-                nxt.append(s)
-                continue
-            x = _solve_in_basis(s, _kernels.matmul_mod(combo, s, p), p)
-            f = _char_poly(x, p)
-            for lam in _distinct_roots(f, p, rng):
-                shifted = x.copy()
-                for i in range(x.shape[0]):
-                    shifted[i, i] = (shifted[i, i] - lam) % p
-                null = _kernels.nullspace_mod(shifted, p)
-                if null.shape[1] > 0:
-                    nxt.append(_kernels.matmul_mod(s, null, p))
-        if sum(s.shape[1] for s in nxt) != k:
-            raise EigenbasisFailure("eigenspace dimensions do not add up")
-        spaces = nxt
-    if not all(s.shape[1] == 1 for s in spaces):
-        raise EigenbasisFailure("could not separate all eigenspaces")
-    return [s[:, 0] for s in spaces]
+        z = sum(int(rng.integers(1, p)) * m.astype(dtype) for m in mats) % p
+        roots = _distinct_roots(_char_poly(z, p), p, rng)
+        if len(roots) == k:
+            return [_kernels.nullspace_mod((z - lam * ident) % p, p)[:, 0] for lam in roots]
+    raise EigenbasisFailure("no random class-algebra element had a simple spectrum")
 
 
 def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
@@ -429,6 +404,7 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
     vectors = _common_eigenbasis(mats, k, p, rng) if k > 1 else [np.array([1])]
 
     order_inv = pow(G.order, p - 2, p)
+    size_inv = [pow(int(c), p - 2, p) for c in sizes]
     rows = []
     for u in vectors:
         u0 = int(u[0]) % p
@@ -438,7 +414,7 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
         omega = [(int(v) * scale) % p for v in u]
         s = 0
         for j in range(k):
-            s = (s + omega[j] * omega[int(inv_class[j])] * pow(int(sizes[j]), p - 2, p)) % p
+            s = (s + omega[j] * omega[int(inv_class[j])] * size_inv[j]) % p
         d_sq = (G.order * pow(s, p - 2, p)) % p
         degree = None
         for d in range(1, G.order + 1):
@@ -447,36 +423,24 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
                 break
         if degree is None:
             raise EigenbasisFailure("no divisor of |G| squares to the degree value")
-        values = [
-            (degree * omega[j] * pow(int(sizes[j]), p - 2, p)) % p for j in range(k)
-        ]
-        rows.append(tuple(values))
+        rows.append(tuple((degree * omega[j] * size_inv[j]) % p for j in range(k)))
     rows.sort(key=lambda v: (v[0], v))
     cfs = [ClassFunction(G, v) for v in rows]
 
     if sum(v[0] ** 2 for v in rows) != G.order:
         raise EigenbasisFailure("degree squares do not sum to the group order")
-    for i, a in enumerate(cfs):
-        for j, b in enumerate(cfs):
-            ip = _inner_raw(a, b, p)
-            if ip != (1 if i == j else 0):
-                raise EigenbasisFailure("row orthogonality failed")
+    # row orthogonality as one Gram product: [a, b] = (1/|G|) sum_c |c| a(c) b(c^-1)
+    v = np.array(rows, dtype=object if p >= _kernels.INT64_SAFE_P else np.int64)
+    weights = np.array([int(c) * order_inv % p for c in sizes], dtype=v.dtype)
+    gram = _kernels.matmul_mod(v, (v[:, inv_class] * weights % p).T, p)
+    if not (gram == np.eye(k, dtype=np.int64)).all():
+        raise EigenbasisFailure("row orthogonality failed")
     if rows[0] != tuple([1] * k):
         raise EigenbasisFailure("first row is not the trivial character")
 
     table = CharacterTable(G, p, cfs)
     G._char_tables[p] = table
     return table
-
-
-def _inner_raw(a: ClassFunction, b: ClassFunction, p: int) -> int:
-    G = a.group
-    sizes = G.class_sizes
-    inv_class = G.inverse_class
-    acc = 0
-    for j in range(G.num_classes):
-        acc = (acc + int(sizes[j]) * a.values[j] * b.values[int(inv_class[j])]) % p
-    return (acc * pow(G.order, p - 2, p)) % p
 
 
 def inner_product(a: ClassFunction, b: ClassFunction, p: int, lift: str = "nonneg") -> int:
@@ -487,7 +451,12 @@ def inner_product(a: ClassFunction, b: ClassFunction, p: int, lift: str = "nonne
     """
     if not _same_group(a.group, b.group):
         raise GroupMismatch("class functions live on different groups")
-    v = _inner_raw(a, b, p)
+    G = a.group
+    acc = sum(
+        int(c) * x * b.values[int(j)]
+        for c, x, j in zip(G.class_sizes, a.values, G.inverse_class)
+    )
+    v = acc * pow(G.order, p - 2, p) % p
     if lift == "symmetric" and v > p // 2:
         v -= p
     return v
@@ -521,44 +490,40 @@ def induce(chi: ClassFunction, H: Group, p: int) -> ClassFunction:
     return ClassFunction(H, [(int(s) * scale) % p for s in sums])
 
 
-def conjugation_class_map(sub: Group, emb, ambient: Group, x: int):
-    """Conjugation by x on classes: (T, m) with T = x sub x^-1 as a group and
-    m[j] the class of `sub` holding x^-1 r x, for r the j-th class
-    representative of T, so a class function chi of `sub` moves to the values
-    chi.values[m[j]] on T.  `emb[i]` is the index in `ambient` of element i
-    of `sub`."""
-    if not 0 <= x < ambient.order:
-        raise ElementNotInGroup(f"index {x}")
-    mult, inv = ambient.mult, ambient.inv
-    conj_members = np.sort(mult[mult[x, emb], inv[x]])
-    mask = np.zeros(ambient.order, dtype=bool)
-    mask[conj_members] = True
-    target = Subgroup(ambient, mask, None, _verified=True).group()
-    pre = mult[mult[inv[x], conj_members[target.class_reps]], x]
-    pos = np.full(ambient.order, -1, dtype=np.int64)
-    pos[emb] = np.arange(len(emb))
-    return target, sub.class_of[pos[pre]].tolist()
+def conjugation_class_map(H: Subgroup, x: int):
+    """Conjugation by x on classes: (T, m) with T = xHx^-1 (from
+    `Subgroup.conjugate`) and m[j] the class of H holding x^-1 r x, for r the
+    j-th class representative of T, so a class function chi of H moves to
+    the values chi.values[m[j]] on T."""
+    T = H.conjugate(x)
+    G = H.parent
+    pre = G.mult[G.mult[G.inv[x], T.members[T.group().class_reps]], x]
+    return T, H.group().class_of[np.searchsorted(H.members, pre)].tolist()
 
 
-def conjugation_perm(H: Subgroup, x: int, ctx: ModularContext) -> np.ndarray:
-    """perm[i] = the row of the character table of xHx^-1 that the i-th
-    irreducible of H becomes when moved along conjugation by x."""
-    tgrp, class_map = conjugation_class_map(H.group(), H.members, H.parent, x)
-    tgt = character_table(tgrp, ctx)
-    return np.array([
-        tgt.row_index(ClassFunction(tgrp, [chi.values[c] for c in class_map]))
+def conjugation_perm(H: Subgroup, x: int, ctx: ModularContext):
+    """(perm, xHx^-1): perm[i] = the row of the character table of xHx^-1
+    that the i-th irreducible of H becomes when moved along conjugation by x."""
+    T, class_map = conjugation_class_map(H, x)
+    tgt = character_table(T.group(), ctx)
+    perm = np.array([
+        tgt.row_index(ClassFunction(T.group(), [chi.values[c] for c in class_map]))
         for chi in character_table(H.group(), ctx).rows
     ], dtype=np.int32)
+    return perm, T
 
 
 def conjugate_cf(chi: ClassFunction, ambient: Group, x: int) -> ClassFunction:
     """Transport chi along conjugation by x: the result lives on xHx^-1 and
-    has values (x chi)(y) = chi(x^-1 y x)."""
-    Hgrp = chi.group
-    target, class_map = conjugation_class_map(
-        Hgrp, _embed_indices(Hgrp, ambient), ambient, x
-    )
-    return ClassFunction(target, [chi.values[c] for c in class_map])
+    has values (x chi)(y) = chi(x^-1 y x).  H = chi.group is taken as a
+    Subgroup of `ambient`; its elements are lex-sorted like ambient's, so
+    the Subgroup's group has chi's class numbering."""
+    mask = np.zeros(ambient.order, dtype=bool)
+    mask[_embed_indices(chi.group, ambient)] = True
+    gens = [ambient.element_index(g) for g in chi.group.generators]
+    H = Subgroup(ambient, mask, gens, _verified=True)
+    T, class_map = conjugation_class_map(H, x)
+    return ClassFunction(T.group(), [chi.values[c] for c in class_map])
 
 
 def reciprocity_block(inner: Subgroup, factors, target: Subgroup, ctx: ModularContext) -> np.ndarray:

@@ -54,7 +54,7 @@ from .errors import (
     NotASubgroup,
     SubgroupMismatch,
 )
-from .permgrp import Group, GroupAction, Subgroup, double_coset_reps
+from .permgrp import Group, GroupAction, Subgroup, double_coset_reps, transporter
 from .reports import AxiomReport
 
 
@@ -240,11 +240,7 @@ class _Engine:
         x = self._to_rep.get(key)
         if x is None:
             _, rep_of = self.orbit_data(H)
-            q0 = int(rep_of[q])
-            members = H.members
-            hits = members[self.A[members, q] == q0]
-            x = int(hits[0])
-            self._to_rep[key] = x
+            x = self._to_rep[key] = transporter(self.d.action, q, int(rep_of[q]), within=H)
         return x
 
     def conj_perm(self, src: Subgroup, x: int):
@@ -252,12 +248,9 @@ class _Engine:
         transport along x, as (index permutation, target Subgroup)."""
         key = (src.key, x)
         hit = self._conj.get(key)
-        if hit is not None:
-            return hit
-        perm = chartab.conjugation_perm(src, x, self.ctx)
-        tgt = src.conjugate(x)
-        self._conj[key] = (perm, tgt)
-        return perm, tgt
+        if hit is None:
+            hit = self._conj[key] = chartab.conjugation_perm(src, x, self.ctx)
+        return hit
 
     # -- simples and normalization -------------------------------------------
 

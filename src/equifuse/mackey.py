@@ -128,10 +128,10 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
         return reciprocity_block(K, (K,), H, ctx).T
 
     def c_fn(H, x):
-        perm = chartab.conjugation_perm(H, x, ctx)
+        perm, xh = chartab.conjugation_perm(H, x, ctx)
         mat = np.zeros((len(perm), len(perm)), dtype=np.int64)
         mat[perm, np.arange(len(perm))] = 1
-        return mat, H.conjugate(x)
+        return mat, xh
 
     def mul_fn(H):
         return reciprocity_block(H, (H, H), H, ctx)
@@ -212,7 +212,7 @@ def mackey_rhs(fam: MackeyFamily, H: Subgroup, K: Subgroup, v: np.ndarray,
     return _double_coset_side(fam, L, H, K) @ v
 
 
-def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
+def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
     """Exhaustively check identity maps (M0), transitivity of restriction
     (M1) and induction (M2), composition of conjugations (M3), and the
     double-coset relation (M4) at the top level plus its relativization
@@ -222,7 +222,7 @@ def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
     with C_H[x] = c_{H,x} stacked over all x in G, the checks for every y
     are C_{xHx^-1} @ c_{H,x} == C_H[yx], one result per y, recorded in
     increasing y (so witnesses come out in triple-loop order)."""
-    lattice = list(lattice) if lattice is not None else fam.lattice
+    lattice = fam.lattice
     report = AxiomReport(title=fam.title)
     G = fam.ambient
 
@@ -293,7 +293,7 @@ def verify_mackey_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
     return report
 
 
-def verify_green_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
+def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     """Check that every a(H) is an associative unital ring, that restriction
     and conjugation are unitary ring maps (G1), and both projection formulas
     (G2), (G3) on all basis pairs of every nested pair of subgroups.
@@ -304,7 +304,7 @@ def verify_green_axioms(fam: MackeyFamily, lattice=None) -> AxiomReport:
     and G2/G3 are `_projection_sides`."""
     if not fam.has_ring:
         raise NoRingStructure("family has no multiplication")
-    lattice = list(lattice) if lattice is not None else fam.lattice
+    lattice = fam.lattice
     report = AxiomReport(title=fam.title)
     G = fam.ambient
 

@@ -12,7 +12,7 @@ import numpy as np
 from .chartab import ModularContext, make_context
 from .errors import InvalidInput, UnknownPreset
 from .fusion import CoherentDatum
-from .permgrp import Group, GroupAction, Perm, build_group
+from .permgrp import Group, GroupAction, Perm, build_group, centralizer
 
 _PRESET_RE = re.compile(r"^(sym|alt|cyclic|dihedral):(\d+)$")
 
@@ -248,9 +248,7 @@ def scenario_catalog():
         G = group_preset(spec)
         count = 0
         for rep in G.class_reps:
-            mask = G.mult[:, int(rep)] == G.mult[int(rep), :]
-            cent = G.subgroup(mask=mask)
-            count += cent.group().num_classes
+            count += centralizer(G, int(rep)).group().num_classes
         rows.append(
             {
                 "scenario": f"double:{spec}",

@@ -8,9 +8,17 @@ pins the induction examples.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equifuse import chartab as ct
-from equifuse.errors import GroupMismatch, InvalidPrime, InvariantViolation, NotASubgroup
+from equifuse.errors import (
+    EigenbasisFailure,
+    GroupMismatch,
+    InvalidPrime,
+    InvariantViolation,
+    NotASubgroup,
+)
 from equifuse.permgrp import Perm, subgroup_lattice
 from equifuse.presets import group_preset
 
@@ -105,6 +113,65 @@ class TestCharacterTable:
                     assert acc == s4.order // int(s4.class_sizes[a])
                 else:
                     assert acc == 0
+
+
+def _pmul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _roots_by_scan(f, p):
+    """Every r in F_p with f(r) = 0, by Horner evaluation at each point."""
+    def at(r):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * r + c) % p
+        return acc
+    return [r for r in range(p) if at(r) == 0]
+
+
+class TestDistinctRoots:
+    """`_distinct_roots` (gcd with x^p - x, then equal-degree splitting)
+    against a scan of the whole field."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_a_scan_of_the_field(self, data):
+        p = data.draw(st.sampled_from([11, 223, 1741]))
+        roots = data.draw(st.lists(st.integers(0, p - 1), max_size=7, unique=True))
+        f = [data.draw(st.integers(1, p - 1))]  # a unit leading factor
+        for r in roots:
+            f = _pmul(f, [(-r) % p, 1], p)
+        if data.draw(st.booleans()):
+            # x^2 + b x + c is irreducible when its discriminant n is a non-square
+            n = data.draw(st.integers(1, p - 1).filter(lambda n: pow(n, (p - 1) // 2, p) == p - 1))
+            b = data.draw(st.integers(0, p - 1))
+            f = _pmul(f, [(b * b - n) * pow(4, p - 2, p) % p, b, 1], p)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        found = ct._distinct_roots(f, p, rng)
+        assert found == _roots_by_scan(f, p) == sorted(roots)
+
+
+class TestCommonEigenbasis:
+    @pytest.mark.parametrize("p", [1741, 2147484061])
+    def test_two_degenerate_diagonals_separate_the_axes(self, p):
+        # each matrix has a repeated eigenvalue, so neither splits F_p^4 into
+        # lines alone; together they tell every axis apart
+        mats = [np.diag([1, 1, 2, 2]), np.diag([3, 4, 3, 4])]
+        vectors = ct._common_eigenbasis(mats, 4, p, np.random.default_rng(7))
+        axes = []
+        for v in vectors:
+            nonzero = [i for i, x in enumerate(v) if int(x) % p]
+            assert len(nonzero) == 1
+            axes.append(nonzero[0])
+        assert sorted(axes) == [0, 1, 2, 3]
+
+    def test_no_simple_spectrum_raises(self):
+        with pytest.raises(EigenbasisFailure):
+            ct._common_eigenbasis([np.diag([1, 1, 2])], 3, 1741, np.random.default_rng(7))
 
 
 class TestKnownDegreeSequences:

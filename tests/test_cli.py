@@ -289,6 +289,30 @@ class TestPinnedOutput:
         " | 69cce0e01e5b6faf98fa62a3b6732bc1de713675ba58f3ec130275d6851ce87c",
         "verify mackey --family equiv:sym:4:sym:4:conjugation"
         " | b64460ff4e818d9a52a2f071fa025a6c4fa65d4395640174513e5465a64c3aac",
+        # recorded when character tables split eigenspaces over rounds of
+        # random combinations, finding roots by a scan of F_p for p <= 4096
+        "chartable sym:3"
+        " | 32b518fe2915532b3eff952f7e095f6352ccb115afe582635c64911f071697ce",
+        "chartable klein4"
+        " | 597d1f57f101918d82eb985d1e2d8f2a5a59086d8c7b5b730c7e5cfe7015f9e0",
+        "chartable quaternion8"
+        " | 2669c4c1ff2698498e0dfcd7d5709322f4483b62d9963377bcabf1683ec0c353",
+        "chartable dihedral:6"
+        " | 4aa27724057208972fbb94be7b4e60faebb9456ff0c7f6272818b9109a8b0fec",
+        "chartable cyclic:12"
+        " | 4367a12d933d0dfe9887744a47c10b0d95e8b5e3db400377d91760503b349945",
+        "chartable sym:4"
+        " | 1b0a1185df0f6666a17b124268b35453a7abe840efc075d805068a988c1c47f4",
+        "chartable dihedral:10"
+        " | 16125441c639c3a4ecabf2ceddb24f832f5f7dba9d89e62bbd1f40b27f89a5cb",
+        "chartable alt:5"
+        " | dd76d7300c4b777784210b5dbc32caef8eb6e4276d3c68265ecd31eaf4e0ec87",
+        "chartable sym:5"
+        " | e4a5f67b724693ef388026aad4e4188f481243682e864e9b818232fb4a527928",
+        "chartable sym:6"
+        " | 0ed290e4cf1994cf280b6bda2d46ff6e1ba9de5bb2f861d7a69d6d5e44bf94ed",
+        "chartable cyclic:60"
+        " | 04f9fbdb7d6d4f716be6fa2933348ce2159fa8a64c6e3f31fd266f0e38be644f",
     )
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
@@ -332,6 +356,11 @@ class TestLargePrimes:
         " | a12b2fe4551a2233650430076314948070445c52eebc7088cd0917e98bfff859",
         "double sym:3 --prime-override 2147483659"
         " | 1c23e4f925e2b67a49ac8af7b457928f7a80c2177c14c7043e5d2b3473ee79ae",
+        # recorded when character tables split eigenspaces over rounds
+        "chartable alt:4 --prime-override 1099511628781"
+        " | 180fae1681b753a88c8348b18d5db2568dc3e5043012308b1a5568d3cec8de73",
+        "chartable sym:4 --prime-override 2147484061"
+        " | 5a8bd2ad253b1c2e440506bb52ba0c31c8ab1a2fb2e1caa71c0f0992138a9421",
     )
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
