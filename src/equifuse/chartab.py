@@ -503,14 +503,19 @@ def conjugation_class_map(H: Subgroup, x: int):
 
 def conjugation_perm(H: Subgroup, x: int, ctx: ModularContext):
     """(perm, xHx^-1): perm[i] = the row of the character table of xHx^-1
-    that the i-th irreducible of H becomes when moved along conjugation by x."""
+    that the i-th irreducible of H becomes when moved along conjugation by x.
+    Each moved row is looked up by its value tuple in the target table's
+    row index; a row that is not there raises NotInSpan."""
     T, class_map = conjugation_class_map(H, x)
-    tgt = character_table(T.group(), ctx)
-    perm = np.array([
-        tgt.row_index(ClassFunction(T.group(), [chi.values[c] for c in class_map]))
-        for chi in character_table(H.group(), ctx).rows
-    ], dtype=np.int32)
-    return perm, T
+    index = character_table(T.group(), ctx)._row_index
+    try:
+        perm = [
+            index[tuple(chi.values[c] for c in class_map)]
+            for chi in character_table(H.group(), ctx).rows
+        ]
+    except KeyError:
+        raise NotInSpan("values do not match any irreducible row") from None
+    return np.array(perm, dtype=np.int32), T
 
 
 def conjugate_cf(chi: ClassFunction, ambient: Group, x: int) -> ClassFunction:

@@ -62,4 +62,4 @@ class InvalidPrime(EquifuseError):
 
 
 class InvalidInput(EquifuseError):
-    """Malformed input file or command-line specification."""
+    """Malformed input file, command-line specification or argument value."""

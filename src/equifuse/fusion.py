@@ -27,10 +27,11 @@ decomposition.  Every block comes from one cache, `_Engine.block`, keyed by
 its subgroups, and every move of a result to the canonical orbit
 representative goes through one transport map, `_Engine.slots`.  The
 restriction, induction and conjugation matrices of the equivariant simples
-are assembled from those blocks and slots once per orbit representative
-(`_Engine.restriction`, `induction`, `conjugation`); the public per-label
-functions read one column of them.  The structure-constant tensor is
-assembled in one place, `_Engine.product_tensor`.  Associativity of an
+are assembled from those blocks and slots, one orbit representative at a
+time (`_Engine.restriction`, `induction`, `conjugation`); the engine does
+not keep them, `mackey.MackeyFamily` does, and the public per-label
+functions build one and read one column of it.  The structure-constant
+tensor is assembled in one place, `_Engine.product_tensor`.  Associativity of an
 assembled table is decided on the slices of a generating set of basis
 elements (the generator lemma of `associativity_failure`), and every slice
 is scanned only to name the first failure.  The slices are float64 BLAS
@@ -49,6 +50,7 @@ from . import _kernels, chartab
 from .chartab import ClassFunction, ModularContext, character_table
 from .errors import (
     ElementNotInGroup,
+    InvalidInput,
     InvariantViolation,
     NotAClassFunction,
     NotASubgroup,
@@ -178,11 +180,14 @@ class _Basis:
 
 
 class _Engine:
-    """Caches for one (datum, prime) pair: stabilizers, orbit data, character
-    tables, conjugation bijections, transport slots, factorizations,
-    reciprocity blocks (by subgroups, indexed by pairs of grading points), the
-    double-coset representatives of each pair of grading points, and the
-    restriction, induction and conjugation matrices of the simples."""
+    """Caches for one (datum, prime) pair, only of the pieces that are
+    reused: stabilizers, orbit data, bases, conjugation bijections of
+    irreducibles, transport slots, reciprocity blocks (by subgroups, and
+    indexed by pairs of grading points) and the double-coset
+    representatives of each pair of grading points.  Transporters,
+    factorizations and the whole restriction, induction and conjugation
+    matrices are built on every call; `mackey.MackeyFamily` caches the
+    matrices."""
 
     def __init__(self, d: CoherentDatum, ctx: ModularContext):
         self.d = d
@@ -192,17 +197,12 @@ class _Engine:
         self.A = d.action.point_maps
         self._stab = {}
         self._orbit = {}
-        self._to_rep = {}
         self._conj = {}
         self._slots = {}
         self._block = {}
         self._blocks = {}
         self._coset_reps = {}
         self._bases = {}
-        self._facts = {}
-        self._res = {}
-        self._ind = {}
-        self._cmat = {}
 
     # -- group-side caches ---------------------------------------------------
 
@@ -235,13 +235,10 @@ class _Engine:
         return od
 
     def to_rep(self, H: Subgroup, q: int) -> int:
-        """Lex-minimal x in H with map(x, q) == canonical rep of q."""
-        key = (H.key, q)
-        x = self._to_rep.get(key)
-        if x is None:
-            _, rep_of = self.orbit_data(H)
-            x = self._to_rep[key] = transporter(self.d.action, q, int(rep_of[q]), within=H)
-        return x
+        """Lex-minimal x in H with map(x, q) == canonical rep of q.  Not
+        cached: its one caller, `slots`, is."""
+        _, rep_of = self.orbit_data(H)
+        return transporter(self.d.action, q, int(rep_of[q]), within=H)
 
     def conj_perm(self, src: Subgroup, x: int):
         """Bijection of irreducibles Irr(src) -> Irr(x src x^-1) induced by
@@ -378,84 +375,71 @@ class _Engine:
         K <= H.  The simple (g, chi) over H underlies Ind_{H_g}^H, so by
         Mackey it restricts to the sum over double cosets K x H_g of the
         restriction of x.chi from x H_g x^-1 to K_xg: a column of the block
-        (K_xg, (x H_g x^-1,), K_xg), moved to the canonical representative."""
-        key = (H.key, K.key)
-        r = self._res.get(key)
-        if r is None:
-            if not H.contains(K):
-                raise NotASubgroup("restriction target is not contained")
-            bh, bk = self.basis(H), self.basis(K)
-            r = np.zeros((len(bk.labels), len(bh.labels)), dtype=np.int64)
-            for g in self.orbit_data(H)[0]:
-                Sg = self.stab(H, g)
-                xs = double_coset_reps(self.F, K, Sg)
-                for x in xs[H.mask[xs]].tolist():
-                    g2 = int(self.A[x, g])
-                    perm, tgt = self.conj_perm(Sg, x)
-                    Kg2 = self.stab(K, g2)
-                    rows = np.ix_(self.slots(K, g2), self.slots(H, g))
-                    r[rows] += self.block(Kg2, (tgt,), Kg2)[perm].T
-            if not np.array_equal(bk.dims @ r, bh.dims):
-                raise InvariantViolation("restriction changed the total dimension")
-            self._res[key] = r
+        (K_xg, (x H_g x^-1,), K_xg), moved to the canonical representative.
+        Not cached."""
+        if not H.contains(K):
+            raise NotASubgroup("restriction target is not contained")
+        bh, bk = self.basis(H), self.basis(K)
+        r = np.zeros((len(bk.labels), len(bh.labels)), dtype=np.int64)
+        for g in self.orbit_data(H)[0]:
+            Sg = self.stab(H, g)
+            xs = double_coset_reps(self.F, K, Sg)
+            for x in xs[H.mask[xs]].tolist():
+                g2 = int(self.A[x, g])
+                perm, tgt = self.conj_perm(Sg, x)
+                Kg2 = self.stab(K, g2)
+                rows = np.ix_(self.slots(K, g2), self.slots(H, g))
+                r[rows] += self.block(Kg2, (tgt,), Kg2)[perm].T
+        if not np.array_equal(bk.dims @ r, bh.dims):
+            raise InvariantViolation("restriction changed the total dimension")
         return r
 
     def induction(self, K: Subgroup, H: Subgroup) -> np.ndarray:
         """Matrix of induction from the simples over K <= H to those over H:
         (g, chi) goes to (g, Ind_{K_g}^{H_g} chi), a row of the block
-        (K_g, (K_g,), H_g), moved to the canonical representative."""
-        key = (K.key, H.key)
-        m = self._ind.get(key)
-        if m is None:
-            bh, bk = self.basis(H), self.basis(K)
-            m = np.zeros((len(bh.labels), len(bk.labels)), dtype=np.int64)
-            for g in self.orbit_data(K)[0]:
-                Kg = self.stab(K, g)
-                rows = np.ix_(self.slots(H, g), self.slots(K, g))
-                m[rows] += self.block(Kg, (Kg,), self.stab(H, g)).T
-            if not np.array_equal(bh.dims @ m, (H.order // K.order) * bk.dims):
-                raise InvariantViolation("induction changed the dimension bookkeeping")
-            self._ind[key] = m
+        (K_g, (K_g,), H_g), moved to the canonical representative.  Not
+        cached."""
+        bh, bk = self.basis(H), self.basis(K)
+        m = np.zeros((len(bh.labels), len(bk.labels)), dtype=np.int64)
+        for g in self.orbit_data(K)[0]:
+            Kg = self.stab(K, g)
+            rows = np.ix_(self.slots(H, g), self.slots(K, g))
+            m[rows] += self.block(Kg, (Kg,), self.stab(H, g)).T
+        if not np.array_equal(bh.dims @ m, (H.order // K.order) * bk.dims):
+            raise InvariantViolation("induction changed the dimension bookkeeping")
         return m
 
     def conjugation(self, H: Subgroup, x: int):
         """(matrix of transport along x from the simples over H to those
         over xHx^-1, xHx^-1): (g, chi) goes to (xg, x.chi), moved to the
-        canonical representative.  Checked to be a bijection of bases."""
-        key = (H.key, x)
-        hit = self._cmat.get(key)
-        if hit is None:
-            tgt = H.conjugate(x)
-            m = np.zeros((len(self.basis(tgt).labels), len(self.basis(H).labels)), dtype=np.int64)
-            for g in self.orbit_data(H)[0]:
-                perm, _ = self.conj_perm(self.stab(H, g), x)
-                m[self.slots(tgt, int(self.A[x, g]))[perm], self.slots(H, g)] = 1
-            if not ((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()):
-                raise InvariantViolation("conjugation did not map a simple to a simple")
-            hit = self._cmat[key] = (m, tgt)
-        return hit
+        canonical representative.  Checked to be a bijection of bases.
+        Not cached."""
+        tgt = H.conjugate(x)
+        m = np.zeros((len(self.basis(tgt).labels), len(self.basis(H).labels)), dtype=np.int64)
+        for g in self.orbit_data(H)[0]:
+            perm, _ = self.conj_perm(self.stab(H, g), x)
+            m[self.slots(tgt, int(self.A[x, g]))[perm], self.slots(H, g)] = 1
+        if not ((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()):
+            raise InvariantViolation("conjugation did not map a simple to a simple")
+        return m, tgt
 
     def factorizations(self, H: Subgroup, choice: str) -> list:
         """For each canonical g, one factorization h*k = g per orbit of H_g
         on the first coordinates h, with h the min or max of its orbit as
         `choice` says; a flat list of (g, h, k) in the order of g and of the
-        orbit minima."""
+        orbit minima.  Not cached."""
         if choice not in ("min", "max"):
             raise ValueError(f"representative choice must be 'min' or 'max', got {choice!r}")
-        key = (H.key, choice)
-        out = self._facts.get(key)
-        if out is None:
-            m = self.G.order
-            out = []
-            for g in self.orbit_data(H)[0]:
-                reps, rep_of = self.orbit_data(self.stab(H, g))
-                if choice == "max":
-                    last = np.zeros(m, dtype=np.int64)
-                    np.maximum.at(last, rep_of, np.arange(m))
-                    reps = last[reps].tolist()
-                for h in reps:
-                    out.append((g, h, int(self.G.mult[int(self.G.inv[h]), g])))
-            self._facts[key] = out
+        m = self.G.order
+        out = []
+        for g in self.orbit_data(H)[0]:
+            reps, rep_of = self.orbit_data(self.stab(H, g))
+            if choice == "max":
+                last = np.zeros(m, dtype=np.int64)
+                np.maximum.at(last, rep_of, np.arange(m))
+                reps = last[reps].tolist()
+            for h in reps:
+                out.append((g, h, int(self.G.mult[int(self.G.inv[h]), g])))
         return out
 
     def orbit_sum_tensor(self, H: Subgroup, choice: str = "min") -> np.ndarray:
@@ -476,16 +460,25 @@ class _Engine:
     def fuse_invariants(
         self, H: Subgroup, alpha: InvariantVector, beta: InvariantVector, choice="min"
     ) -> InvariantVector:
+        """The orbit-sum product of two invariant vectors.  Each stored
+        component must sit at a canonical orbit representative g and have
+        one coordinate per irreducible of H_g; anything else is refused,
+        not dropped or broadcast."""
         if alpha.subgroup != H or beta.subgroup != H:
             raise SubgroupMismatch("invariant vectors live over a different subgroup")
-        t = self.orbit_sum_tensor(H, choice)
-        reps, _ = self.orbit_data(H)
-        a, b = np.zeros((2, len(t)), dtype=np.int64)
+        reps, rep_of = self.orbit_data(H)
+        a, b = np.zeros((2, len(self.basis(H).labels)), dtype=np.int64)
         for vec, v in ((a, alpha), (b, beta)):
-            for g in reps:
-                if g in v.components:
-                    vec[self.slots(H, g)] = v.components[g]
-        out = np.einsum("i,j,ijk->k", a, b, t)
+            for g, comp in v.components.items():
+                if not (0 <= g < len(rep_of) and rep_of[g] == g):
+                    raise InvalidInput(f"component at {g}, not at a canonical orbit representative")
+                slots = self.slots(H, g)
+                if comp.shape != slots.shape:
+                    raise InvalidInput(
+                        f"component at {g} has shape {comp.shape}, expected {slots.shape}"
+                    )
+                vec[slots] = comp
+        out = np.einsum("i,j,ijk->k", a, b, self.orbit_sum_tensor(H, choice))
         return InvariantVector(H, {g: out[self.slots(H, g)] for g in reps})
 
 
@@ -583,7 +576,8 @@ def fuse_via_M(
 
 def eq_restrict(d: CoherentDatum, H: Subgroup, K: Subgroup, a: SimpleLabel, ctx: ModularContext):
     """Restriction of a simple over H to K <= H, by the double-coset
-    decomposition of the underlying induced object."""
+    decomposition of the underlying induced object.  Each call builds the
+    whole matrix `_Engine.restriction(H, K)` and reads one column."""
     if a.subgroup != H:
         raise SubgroupMismatch("label lives over a different subgroup")
     if not H.contains(K):
@@ -595,7 +589,8 @@ def eq_restrict(d: CoherentDatum, H: Subgroup, K: Subgroup, a: SimpleLabel, ctx:
 
 def eq_induce(d: CoherentDatum, K: Subgroup, H: Subgroup, a: SimpleLabel, ctx: ModularContext):
     """Induction of a simple over K up to H >= K, via induction between the
-    stabilizers at the same grading point."""
+    stabilizers at the same grading point.  Each call builds the whole
+    matrix `_Engine.induction(K, H)` and reads one column."""
     if a.subgroup != K:
         raise SubgroupMismatch("label lives over a different subgroup")
     if not H.contains(K):
@@ -606,7 +601,9 @@ def eq_induce(d: CoherentDatum, K: Subgroup, H: Subgroup, a: SimpleLabel, ctx: M
 
 
 def eq_conjugate(d: CoherentDatum, H: Subgroup, x: int, a: SimpleLabel, ctx: ModularContext):
-    """Transport of a simple over H to one over xHx^-1; a bijection of bases."""
+    """Transport of a simple over H to one over xHx^-1; a bijection of bases.
+    Each call builds the whole matrix `_Engine.conjugation(H, x)` and reads
+    one column."""
     if a.subgroup != H:
         raise SubgroupMismatch("label lives over a different subgroup")
     if not 0 <= x < d.F.order:

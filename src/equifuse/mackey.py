@@ -28,8 +28,11 @@ from .reports import AxiomReport
 class MackeyFamily:
     """Based family {a(H)} over a lattice with I/R/c maps as integer matrices.
 
-    Each callback returns a whole matrix (or product tensor), cached by
-    subgroup membership key.
+    Each callback returns a whole matrix (or product tensor).  The R, I and
+    c matrices are cached by subgroup membership key (and x), since the
+    verifiers read each one many times; sizes and product tensors are not,
+    since each is read once per subgroup (the Green verifier keeps its own
+    tensors).
     """
 
     def __init__(self, ambient, lattice, title, size_fn, r_fn, i_fn, c_fn,
@@ -44,15 +47,9 @@ class MackeyFamily:
         self._c_fn = c_fn
         self._mul_fn = mul_fn
         self._unit_fn = unit_fn
-        self._sizes = {}
         self._R = {}
         self._I = {}
         self._C = {}
-        self._mul = {}
-
-    @property
-    def has_ring(self) -> bool:
-        return self._mul_fn is not None
 
     def lattice_member(self, sub: Subgroup) -> Subgroup:
         member = self.by_key.get(sub.key)
@@ -61,11 +58,7 @@ class MackeyFamily:
         return member
 
     def size(self, H: Subgroup) -> int:
-        s = self._sizes.get(H.key)
-        if s is None:
-            s = self._size_fn(H)
-            self._sizes[H.key] = s
-        return s
+        return self._size_fn(H)
 
     def restriction(self, H: Subgroup, K: Subgroup) -> np.ndarray:
         """Matrix of R_K^H : a(H) -> a(K) for K <= H."""
@@ -101,11 +94,7 @@ class MackeyFamily:
     def product_tensor(self, H: Subgroup) -> np.ndarray:
         if self._mul_fn is None:
             raise NoRingStructure("family has no multiplication")
-        t = self._mul.get(H.key)
-        if t is None:
-            t = self._mul_fn(H)
-            self._mul[H.key] = t
-        return t
+        return self._mul_fn(H)
 
     def unit_index(self, H: Subgroup) -> int:
         if self._unit_fn is None:
@@ -301,9 +290,8 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     Associativity is `fusion.associativity_failure` (O(n^3) memory), which
     checks the slices of a generating set of basis elements and proves the
     rest by its generator lemma; both G1 loops are `_is_unitary_ring_map`,
-    and G2/G3 are `_projection_sides`."""
-    if not fam.has_ring:
-        raise NoRingStructure("family has no multiplication")
+    and G2/G3 are `_projection_sides`.  A family without a multiplication
+    raises `NoRingStructure` at its first `product_tensor`."""
     lattice = fam.lattice
     report = AxiomReport(title=fam.title)
     G = fam.ambient

@@ -496,14 +496,19 @@ class GroupAction:
 
     @classmethod
     def from_generator_rows(cls, actor: Group, target: Group, rows) -> "GroupAction":
-        """Build the full table from one row per actor generator index."""
+        """Build the full table from one row per actor generator index; each
+        row must hold |target| integer indices into the target's elements."""
         n, m = actor.order, target.order
         pm = np.full((n, m), -1, dtype=np.int32)
         pm[0] = np.arange(m, dtype=np.int32)
         gen_idx = [actor.element_index(g) for g in actor.generators]
         gen_rows = {}
         for i, gi in enumerate(gen_idx):
-            row = np.asarray(rows[i], dtype=np.int32)
+            row = np.asarray(rows[i])
+            if row.shape != (m,) or row.dtype.kind not in "iu":
+                raise ValueError(f"row {i} is not {m} integers")
+            if ((row < 0) | (row >= m)).any():
+                raise ValueError(f"row {i} has an entry outside 0..{m - 1}")
             gen_rows[gi] = row
         queue = [0]
         while queue:

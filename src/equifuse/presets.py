@@ -154,7 +154,12 @@ def parse_generator_list(text: str, degree: int):
 
 def load_action(spec: str, F: Group | None = None, G: Group | None = None) -> CoherentDatum:
     """Build a coherent datum from the literal 'conjugation' (actor acting on
-    itself) or an action JSON file {actor, target, images}."""
+    itself) or an action JSON file: {actor, target, images}, with images
+    {"<generator index>": [one target index per target element]}, or the
+    JSON string "conjugation" or an object with images "conjugation" (the
+    actor, by default F, acting on itself, as for the literal).  Any other shape, and a row
+    that is not a permutation of the target's indices, raises
+    InvalidInput."""
     if spec == "conjugation":
         if F is None:
             raise InvalidInput("conjugation needs a group")
@@ -168,9 +173,14 @@ def load_action(spec: str, F: Group | None = None, G: Group | None = None) -> Co
         raise InvalidInput(f"cannot read action file {spec!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"bad JSON in {spec}: {exc}") from exc
-    if data == "conjugation" or data.get("images") == "conjugation":
-        actor = _group_from_field(data.get("actor"), F)
-        return CoherentDatum(actor, actor, GroupAction.conjugation(actor))
+    if data == "conjugation":
+        data = {"images": "conjugation"}
+    if not isinstance(data, dict):
+        raise InvalidInput(
+            f"action JSON must be an object or \"conjugation\", got {type(data).__name__}"
+        )
+    if data.get("images") == "conjugation":
+        return load_action("conjugation", _group_from_field(data.get("actor"), F), G)
     actor = _group_from_field(data.get("actor"), F)
     target = _group_from_field(data.get("target"), G)
     images = data.get("images")
@@ -181,7 +191,7 @@ def load_action(spec: str, F: Group | None = None, G: Group | None = None) -> Co
         row = images.get(str(i))
         if row is None:
             raise InvalidInput(f"action JSON missing images for generator {i}")
-        rows.append(np.asarray(row, dtype=np.int32))
+        rows.append(row)
     try:
         action = GroupAction.from_generator_rows(actor, target, rows)
     except ValueError as exc:

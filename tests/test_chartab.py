@@ -18,6 +18,7 @@ from equifuse.errors import (
     InvalidPrime,
     InvariantViolation,
     NotASubgroup,
+    NotInSpan,
 )
 from equifuse.permgrp import Perm, subgroup_lattice
 from equifuse.presets import group_preset
@@ -367,6 +368,22 @@ class TestConjugate:
                 moved = ct.conjugate_cf(chi, s4, x)
                 target_tab = ct.character_table(moved.group, ctx_s4)
                 target_tab.row_index(moved)  # raises if not an irreducible row
+
+    def test_conjugation_perm_rejects_a_wrong_class_map(self, s3, ctx_s3, monkeypatch):
+        # every class sent to the identity class moves the degree-2
+        # irreducible of S3 to (2, 2, 2), which is no row of the table
+        H = s3.full_subgroup()
+        perm, _ = ct.conjugation_perm(H, 1, ctx_s3)
+        assert sorted(perm.tolist()) == [0, 1, 2]
+
+        def collapse(sub, x):
+            T, class_map = original(sub, x)
+            return T, [0] * len(class_map)
+
+        original = ct.conjugation_class_map
+        monkeypatch.setattr(ct, "conjugation_class_map", collapse)
+        with pytest.raises(NotInSpan):
+            ct.conjugation_perm(H, 1, ctx_s3)
 
 
 class TestDecompose:

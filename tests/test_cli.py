@@ -127,6 +127,39 @@ class TestFuse:
         assert code == 0
         assert sorted(l["dim"] for l in json.loads(out)["labels"]) == [1, 1, 2]
 
+    @pytest.mark.parametrize("data", [
+        pytest.param([1, 2], id="list"),
+        pytest.param(None, id="null"),
+        pytest.param("conjugation", id="conjugation-without-a-group"),
+        pytest.param({"actor": "sym:3", "target": "sym:3",
+                      "images": {"0": [0, 1, 2], "1": [0, 1, 2, 3, 4, 5]}}, id="short-row"),
+        pytest.param({"actor": "sym:3", "target": "sym:3",
+                      "images": {"0": [0, 1, 2, 3, 4, 5, 7, 7], "1": [0, 1, 2, 3, 4, 5]}},
+                     id="long-row"),
+        pytest.param({"actor": "sym:3", "target": "sym:3",
+                      "images": {"0": [0, 1.5, 2, 3, 4, 5], "1": [0, 1, 2, 3, 4, 5]}},
+                     id="float-row"),
+    ])
+    def test_malformed_action_file_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "fuse", "--action", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "InvalidInput"
+
+    def test_conjugation_string_file_uses_the_given_group(self, capsys, tmp_path):
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps("conjugation"))
+        code, out, _ = run(capsys, "fuse", "--F", "sym:3", "--action", str(path))
+        assert code == 0
+        assert len(json.loads(out)["labels"]) == 8
+        code, _, err = run(
+            capsys, "fuse", "--F", "sym:3", "--G", "cyclic:2", "--action", str(path)
+        )
+        assert code == 2
+        assert json.loads(err)["message"] == "conjugation requires actor = target"
+
     def test_conjigation_mismatched_groups(self, capsys):
         code, _, err = run(
             capsys, "fuse", "--F", "sym:3", "--G", "cyclic:2", "--action", "conjugation"

@@ -14,7 +14,7 @@ import pytest
 from equifuse import _kernels
 from equifuse import chartab as ct
 from equifuse import fusion as fu
-from equifuse.errors import InvariantViolation, SubgroupMismatch
+from equifuse.errors import InvalidInput, InvariantViolation, SubgroupMismatch
 from equifuse.permgrp import GroupAction, subgroup_lattice
 from equifuse.presets import classical_scenario, drinfeld_double_scenario, group_preset
 
@@ -420,6 +420,30 @@ class TestInvariantsAndMForm:
                     direct += int(va[i]) * int(vb[j]) * vec
         assert np.array_equal(implied, direct)
 
+    def test_component_off_the_canonical_points_raises(self, ds3):
+        # InvariantVector(H, {2: [1, 1]}) * e_0 used to drop the component
+        # and return the zero vector
+        d, ctx, H = ds3.datum, ds3.ctx, full(ds3)
+        eng = fu._engine(d, ctx)
+        assert 2 not in eng.orbit_data(H)[0]
+        inv = fu.invariant_basis(d, H, ctx)
+        bad = fu.InvariantVector(H, {2: [1, 1]})
+        for a, b in ((bad, inv[0]), (inv[0], bad)):
+            with pytest.raises(InvalidInput, match="not at a canonical orbit representative"):
+                fu.fuse_via_M(d, H, a, b, ctx)
+
+    def test_component_of_the_wrong_length_raises(self, ds3):
+        # {3: [1]} used to act as [1, 1, 1], one coordinate per irreducible
+        # of the stabilizer of the 3-cycle
+        d, ctx, H = ds3.datum, ds3.ctx, full(ds3)
+        eng = fu._engine(d, ctx)
+        assert eng.table(eng.stab(H, 3)).size == 3
+        inv = fu.invariant_basis(d, H, ctx)
+        bad = fu.InvariantVector(H, {3: [1]})
+        for a, b in ((bad, inv[0]), (inv[0], bad)):
+            with pytest.raises(InvalidInput, match=r"has shape \(1,\), expected \(3,\)"):
+                fu.fuse_via_M(d, H, a, b, ctx)
+
     def test_classical_reduction_to_character_ring(self, s3):
         # trivial grading group: orbit-sum product = pointwise character product
         scen = classical_scenario(s3)
@@ -517,6 +541,21 @@ class TestFusionRing:
         ring = fu.fusion_ring(scen.datum, s4.full_subgroup(), scen.ctx)
         assert ring.size == 21
         assert sum(d * d for d in ring.dims) == s4.order**2
+
+    def test_each_reciprocity_block_is_built_once(self, monkeypatch):
+        # every block of D(D10) comes from the engine's cache by subgroups
+        scen = drinfeld_double_scenario(group_preset("dihedral:10"))
+        calls = []
+        original = ct.reciprocity_block
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ct, "reciprocity_block", counted)
+        ring = fu.fusion_ring(scen.datum, full(scen), scen.ctx)
+        assert ring.size == 64
+        assert len(calls) == len(fu._engine(scen.datum, scen.ctx)._block)
 
     def test_trivial_subgroup_gives_group_ring(self, ds3, s3):
         # H = 1: one simple per element of G and the (noncommutative)

@@ -5,6 +5,7 @@ the S3-sized pinned values, the verifier's failure reporting, and the
 structural properties the verifier itself relies on.
 """
 
+import collections
 import hashlib
 import json
 
@@ -212,6 +213,43 @@ class TestVerifiers:
         )
         with pytest.raises(NoRingStructure):
             mk.verify_green_axioms(stripped)
+
+
+class TestFamilyCaches:
+    """The family caches every R, I and c matrix, so one Mackey verifier
+    run calls each callback exactly once per distinct argument pair, and
+    it asks for R and I on every nested pair and for c at every (H, x)."""
+
+    @staticmethod
+    def _counted(fam):
+        calls = {name: collections.Counter() for name in "ric"}
+
+        def counting(name, fn):
+            def wrapped(a, b):
+                calls[name][a.key, getattr(b, "key", b)] += 1
+                return fn(a, b)
+
+            return wrapped
+
+        fam._r_fn = counting("r", fam._r_fn)
+        fam._i_fn = counting("i", fam._i_fn)
+        fam._c_fn = counting("c", fam._c_fn)
+        return calls
+
+    @pytest.mark.parametrize("which", ["char:sym:4", "equiv:sym:3"])
+    def test_each_map_is_built_once(self, which, s3, s4, ctx_s4):
+        if which == "char:sym:4":
+            fam = mk.char_ring_family(s4, ctx_s4)
+        else:
+            datum = fu.CoherentDatum(s3, s3, GroupAction.conjugation(s3))
+            fam = mk.equivariant_k0_family(datum, ct.make_context([s3, s3]))
+        calls = self._counted(fam)
+        assert mk.verify_mackey_axioms(fam).ok
+        nested = sum(H.contains(K) for H in fam.lattice for K in fam.lattice)
+        assert len(calls["r"]) == len(calls["i"]) == nested
+        assert len(calls["c"]) == len(fam.lattice) * fam.ambient.order
+        for name in "ric":
+            assert set(calls[name].values()) == {1}, name
 
 
 def _bump(m):
