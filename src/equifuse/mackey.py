@@ -1,12 +1,15 @@
 """Mackey and Green functor families over a subgroup lattice, and the
-exhaustive machine verifier for their axioms.
+machine verifier for their axioms.
 
 A family assigns to every lattice subgroup H a free Z-module with a fixed
 basis, together with single-step restriction, induction and conjugation
 matrices (and optionally a multiplication tensor).  The verifier composes
 those single-step maps itself, so transitivity and the double-coset relation
 are checked against independent re-compositions rather than any internal
-shortcut of the family.
+shortcut of the family.  Identity maps, transitivity, composition of
+conjugations and conjugation compatibility are checked on every instance;
+the double-coset relation once per conjugacy class of triples (L, H, K),
+which a lemma in `verify_mackey_axioms` proves is enough once those pass.
 
 Two families ship: the character rings of all subgroups, and the
 equivariantization family built on the fusion engine.  The first realizes
@@ -172,7 +175,9 @@ def _double_coset_side(fam: MackeyFamily, L: Subgroup, H: Subgroup, K: Subgroup,
     P_S = I_{S n H}^H R_{S n H}^S depends on x only through S = xKx^-1, so
     it is computed once per S and kept in `cache` (keyed by S alone, so a
     cache passed in must serve one H only; the verifier keeps one per
-    (L, H)).  The terms are summed as one stacked product, exactly in int64."""
+    (L, H) of class representatives, so it calls this, and
+    `double_coset_reps`, once per representative triple).  The terms are
+    summed as one stacked product, exactly in int64."""
     cache = {} if cache is None else cache
     reps = double_coset_reps(fam.ambient, H, K)
     Ps, cs = [], []
@@ -202,15 +207,70 @@ def mackey_rhs(fam: MackeyFamily, H: Subgroup, K: Subgroup, v: np.ndarray,
 
 
 def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
-    """Exhaustively check identity maps (M0), transitivity of restriction
-    (M1) and induction (M2), composition of conjugations (M3), and the
-    double-coset relation (M4) at the top level plus its relativization
-    inside every proper overgroup (reported separately as M4rel).
+    """Check identity maps (M0), transitivity of restriction (M1) and
+    induction (M2), composition of conjugations (M3) and conjugation
+    compatibility (Mc) exhaustively, and the double-coset relation once per
+    conjugacy class of triples: at the top level (M4) and inside every
+    proper subgroup (M4rel).  Each report row names its mode: "exhaustive"
+    or "classes".
 
-    M3 is checked on every triple (H, x, y), one stacked product per (H, x):
-    with C_H[x] = c_{H,x} stacked over all x in G, the checks for every y
-    are C_{xHx^-1} @ c_{H,x} == C_H[yx], one result per y, recorded in
-    increasing y (so witnesses come out in triple-loop order)."""
+    Write xS = xSx^-1.  M3 is checked on every triple (H, x, y), one stacked
+    product per (H, x): with C_H[x] = c_{H,x} stacked over all x in G, the
+    checks for every y are C_{xH} @ c_{H,x} == C_H[yx], one result per y,
+    recorded in increasing y (so witnesses come out in triple-loop order).
+
+    Mc is checked on every nested pair K <= H and every x in G, stacked over
+    x the same way: c_{K,x} R^H_K = R^{xH}_{xK} c_{H,x} and
+    c_{H,x} I^H_K = I^{xH}_{xK} c_{K,x}.  A check at (H, K, x) also fails
+    when c_{H,x} or c_{K,x} names a target other than the conjugate, so
+    where Mc holds the family's targets are the conjugates.
+
+    M4 at (L, H, K), for H, K <= L, is R^L_H I^L_K = D(L, H, K), where
+    D(L, H, K) is the sum over x in H\\L/K of
+    T_x = I^H_{H n xK} R^{xK}_{H n xK} c_{K,x}.  It is checked only where L
+    is the first of its G-conjugacy class in lattice order and H and K are
+    each the first of their L-conjugacy class among the subgroups of L; the
+    classes are read off the targets of the conjugation stacks.
+
+    Lemma.  Given M0, M3 and Mc (all exhaustive here):
+      (a) T_x depends only on the double coset HxK, so D does not depend on
+          the choice of representatives;
+      (b) M4 holds at (L, H, K) iff it holds at (gL, gH, gK), for g in G;
+      (c) M4 holds at (L, H, K) iff it holds at (L, aH, bK), for a, b in L.
+    Every (L', H', K') with H', K' <= L' is (gL, g(aH), g(bK)) for a class
+    representative (L, H, K), some g in G and a, b in L, and L' = G iff
+    L = G.  So M4 and M4rel at the representatives imply them everywhere.
+
+    Proof.  Each c_{S,g} is invertible: c_{gS,g^-1} c_{S,g} = c_{S,1} = id
+    by M3 and M0, and likewise with g and g^-1 swapped.  Let S = H n xK.
+      (a) For h in H and k in K, c_{K,hxk} = c_{xK,h} c_{K,x} c_{K,k}
+          = c_{xK,h} c_{K,x} (M3, M0), hxK = h(xK) and H n hxK = hS.  By Mc
+          for S <= xK and S <= H, and M0 for c_{H,h}:
+          R^{hxK}_{hS} c_{xK,h} = c_{S,h} R^{xK}_S and
+          I^H_{hS} c_{S,h} = c_{H,h} I^H_S = I^H_S, so T_{hxk} = T_x.
+      (b) Write ' for conjugation by g.  By Mc for H <= L and K <= L,
+          c_{H,g} R^L_H I^L_K = R^{L'}_{H'} c_{L,g} I^L_K
+          = R^{L'}_{H'} I^{L'}_{K'} c_{K,g}.  Conjugation by g carries
+          H\\L/K onto H'\\L'/K', x to x' = gxg^-1, with x'K' = g(xK) and
+          H' n x'K' = gS.  By Mc for S <= H and S <= xK, then M3 twice
+          (c_{xK,g} c_{K,x} = c_{K,gx} = c_{K',x'} c_{K,g}):
+          c_{H,g} T_x = I^{H'}_{gS} c_{S,g} R^{xK}_S c_{K,x}
+          = I^{H'}_{gS} R^{g(xK)}_{gS} c_{xK,g} c_{K,x} = T'_{x'} c_{K,g}.
+          With (a), c_{H,g} D(L, H, K) = D(L', H', K') c_{K,g}: both sides
+          of M4 are carried over by the invertible c_{H,g} and c_{K,g}.
+      (c) For a in L, Mc for H <= L and M0 for c_{L,a} give
+          R^L_{aH} = c_{H,a} R^L_H; the ax with x in H\\L/K represent
+          aH\\L/K, and T^{aH}_{ax} = c_{H,a} T_x as in (b) with K left
+          alone (c_{K,ax} = c_{xK,a} c_{K,x}).  For b in L, Mc for K <= L
+          and M0 give I^L_{bK} c_{K,b} = I^L_K; the xb^-1 represent
+          H\\L/bK, with (xb^-1)(bK) = xK and c_{bK,xb^-1} c_{K,b} = c_{K,x}
+          (M3), so T^{bK}_{xb^-1} c_{K,b} = T_x.  Each side of M4 moves by
+          the same invertible map.  QED
+
+    When M0, M3 or Mc fails the report already fails, so a report that
+    passes has checked M4 at every triple.  Every conjugate and every
+    intersection of lattice subgroups is in the lattice, so every map the
+    proof names is one the family defines."""
     lattice = fam.lattice
     report = AxiomReport(title=fam.title)
     G = fam.ambient
@@ -250,28 +310,66 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
                           (J, K, H), "I transitivity",
                           lhs_i, rhs_i)
 
-    stacks = {}
+    count = len(lattice)
+    index = {S.key: i for i, S in enumerate(lattice)}
+    stacks = [None] * count
+    # [i, x] = lattice index of the target of c_{lattice[i], x}
+    target = np.zeros((count, G.order), dtype=np.int64)
 
-    def c_stack(H):
-        """[x] = matrix of c_{H,x}, for every x in G."""
-        s = stacks.get(H.key)
-        if s is None:
-            s = np.stack([fam.conjugation(H, x)[0] for x in range(G.order)])
-            stacks[H.key] = s
-        return s
+    def c_stack(i):
+        """[x] = matrix of c_{H,x} for H = lattice[i], for every x in G;
+        the first call also fills target[i]."""
+        if stacks[i] is None:
+            hits = [fam.conjugation(lattice[i], x) for x in range(G.order)]
+            target[i] = [index[fam.lattice_member(t).key] for _, t in hits]
+            stacks[i] = np.stack([m for m, _ in hits])
+        return stacks[i]
 
-    for H in lattice:
-        c_h = c_stack(H)
+    for hi, H in enumerate(lattice):
+        c_h = c_stack(hi)
         for x in range(G.order):
-            xh = fam.conjugation(H, x)[1]
             # [y] = (c_y c_x == c_yx) for every y in G at once
-            ok = (c_stack(xh) @ c_h[x] == c_h[G.mult[:, x]]).all(axis=(1, 2))
+            ok = (c_stack(target[hi, x]) @ c_h[x] == c_h[G.mult[:, x]]).all(axis=(1, 2))
             report.record_all("M3", ok, lambda y: (H, x, y), "c_y c_x = c_yx")
 
-    full = fam.lattice[-1]
-    for L in lattice:
+    # [i, x] = (the target of c_{lattice[i], x} is x lattice[i] x^-1)
+    masks = np.array([S.mask for S in lattice])
+    orders = np.array([S.order for S in lattice])
+    rows = np.arange(G.order)[:, None]
+    is_conjugate = np.array([
+        masks[target[i]][rows, G.mult[G.mult[:, H.members], G.inv[:, None]]].all(axis=1)
+        & (orders[target[i]] == H.order)
+        for i, H in enumerate(lattice)
+    ])
+    for ki, K in enumerate(lattice):
+        for hi in above[ki]:
+            H = lattice[hi]
+            good = is_conjugate[hi] & is_conjugate[ki]
+            # where a target is wrong, compare against (H, K) itself: that x fails
+            code = np.where(good, target[hi] * count + target[ki], hi * count + ki)
+            pairs = np.unique(code)
+            at = np.searchsorted(pairs, code)
+            moved = [(lattice[p // count], lattice[p % count]) for p in pairs.tolist()]
+            ok = good & (
+                c_stack(ki) @ fam.restriction(H, K)
+                == np.stack([fam.restriction(xh, xk) for xh, xk in moved])[at] @ c_stack(hi)
+            ).all(axis=(1, 2))
+            report.record_all("Mc", ok, lambda x: (H, K, x), "c R = R c")
+            ok = good & (
+                c_stack(hi) @ fam.induction(K, H)
+                == np.stack([fam.induction(xk, xh) for xh, xk in moved])[at] @ c_stack(ki)
+            ).all(axis=(1, 2))
+            report.record_all("Mc", ok, lambda x: (H, K, x), "c I = I c")
+
+    full = lattice[-1]
+    for li, L in enumerate(lattice):
+        if target[li].min() < li:
+            continue
         axiom = "M4" if L.key == full.key else "M4rel"
-        inside = [S for S in lattice if L.contains(S)]
+        inside = [
+            S for si, S in enumerate(lattice)
+            if (si, li) in contained and target[si, L.members].min() == si
+        ]
         for H in inside:
             cache = {}
             for K in inside:
@@ -279,6 +377,8 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
                 rhs = _double_coset_side(fam, L, H, K, cache)
                 report.record(axiom, np.array_equal(lhs, rhs), (L, H, K),
                               "double-coset relation", lhs, rhs)
+    report.modes.update(dict.fromkeys(("M0", "M1", "M2", "M3", "Mc"), "exhaustive"),
+                        M4="classes", M4rel="classes")
     return report
 
 

@@ -37,11 +37,14 @@ class Witness:
 @dataclass
 class AxiomReport:
     """Counts of checks per axiom id and witnesses for every failure
-    (witness storage is capped; the failure count is not)."""
+    (witness storage is capped; the failure count is not).  `modes` names,
+    for the axioms that set one, how they were checked: "exhaustive" or a
+    named reduction such as "classes"."""
 
     title: str
     counts: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
+    modes: dict = field(default_factory=dict)
 
     def record(self, axiom, ok, context=(), detail="", lhs=None, rhs=None):
         checked, failed = self.counts.get(axiom, (0, 0))
@@ -72,10 +75,13 @@ class AxiomReport:
         return self.failures == 0
 
     def axiom_rows(self):
-        return [
-            {"id": axiom, "checked": c, "failed": f}
-            for axiom, (c, f) in sorted(self.counts.items())
-        ]
+        rows = []
+        for axiom, (c, f) in sorted(self.counts.items()):
+            row = {"id": axiom, "checked": c, "failed": f}
+            if axiom in self.modes:
+                row["mode"] = self.modes[axiom]
+            rows.append(row)
+        return rows
 
     def to_json_dict(self):
         return {

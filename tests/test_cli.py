@@ -175,7 +175,7 @@ class TestVerify:
         data = json.loads(out)
         assert all(row["failed"] == 0 for row in data["axioms"])
         assert {row["id"] for row in data["axioms"]} == {
-            "M0", "M1", "M2", "M3", "M4", "M4rel",
+            "M0", "M1", "M2", "M3", "M4", "M4rel", "Mc",
         }
 
     def test_green_equiv(self, capsys):
@@ -303,7 +303,9 @@ class TestPinnedOutput:
     """stdout sha256 recorded from the per-irreducible induce/decompose
     product path and (for `verify mackey`) the one-pair-at-a-time M3 loop,
     so any change to the local products or the verifier shows byte for
-    byte."""
+    byte.  The `verify mackey` digests were re-recorded when the report
+    gained the Mc row and per-axiom modes and M4 went to class
+    representatives; every row still reads failed 0."""
 
     @_pinned(
         "double sym:4 | 2d01900a5eed97abaf6c1f89e40d062f3e8590c9d1002471c79eb86b9681cd0e",
@@ -311,9 +313,9 @@ class TestPinnedOutput:
         "verify green --family char:sym:4"
         " | 8f0907167aa952b088220e9af83a1ba18bd11f8b26dde0d734bf4b477f2cf450",
         "verify mackey --family char:alt:5"
-        " | 1d11e87ea878446e69b53446f7a95b3320db21035519e9f2077b1456c6bf1e85",
+        " | 565ce655a5a5f1f837799066bf82d9d992150f42fdb326b7ca3454eaa0f0c8a5",
         "verify mackey --family equiv:dihedral:6:dihedral:6:conjugation"
-        " | 4f9ff28e42896eaf2798e5af2d30261837a64c941e2de724fce3427b010ac2ff",
+        " | cbcbd32a8c8b479d4ea650823b7f40ccf3a29472b1c4ae14c2791fae572b356f",
         # recorded when the equivariant family built R, I and c one simple
         # at a time through eq_restrict/eq_induce/eq_conjugate
         "verify green --family equiv:dihedral:6:dihedral:6:conjugation"
@@ -321,7 +323,7 @@ class TestPinnedOutput:
         "verify green --family equiv:sym:4:sym:4:conjugation"
         " | 69cce0e01e5b6faf98fa62a3b6732bc1de713675ba58f3ec130275d6851ce87c",
         "verify mackey --family equiv:sym:4:sym:4:conjugation"
-        " | b64460ff4e818d9a52a2f071fa025a6c4fa65d4395640174513e5465a64c3aac",
+        " | 2fdbddc8cf98a7ad64a22d3532c852bf584f411bc6ed08d54d51b9541e5ff7b4",
         # recorded when character tables split eigenspaces over rounds of
         # random combinations, finding roots by a scan of F_p for p <= 4096
         "chartable sym:3"
@@ -354,13 +356,14 @@ class TestPinnedOutput:
 
     def test_mackey_on_moved_s4(self, capsys, tmp_path, s4_moved_json):
         # S4 numbered in another element order; recorded with the double
-        # cosets of each L found by a scan of L.group()
+        # cosets of each L found by a scan of L.group(), re-recorded with
+        # the Mc row and M4 at class representatives
         path = tmp_path / "s4_moved.json"
         path.write_text(json.dumps(s4_moved_json))
         code, out, _ = run(capsys, "verify", "mackey", "--family", f"char:{path}")
         assert code == 0
         assert _sha256(out) == (
-            "6a378d2ac56758a07579c63843d1fcc3f163da76b2197fc07c6b7f8863d84020"
+            "e3a0258df89de6ce536bfbf9e757936371a005da190637ea5852fed76579e345"
         )
 
     def test_fuse_on_action_file(self, capsys, tmp_path):

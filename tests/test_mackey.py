@@ -145,6 +145,89 @@ def reference_double_coset_side(fam, L, H, K):
     return out
 
 
+def reference_m4_failures(fam):
+    """The all-triples loop the class reduction replaced: M4 at every
+    (L, H, K) with H, K <= L, one double-coset cache per (L, H).  The
+    failing triples, in loop order."""
+    failed = []
+    for L in fam.lattice:
+        inside = [S for S in fam.lattice if L.contains(S)]
+        for H in inside:
+            cache = {}
+            for K in inside:
+                lhs = fam.restriction(L, H) @ fam.induction(K, L)
+                if not np.array_equal(lhs, mk._double_coset_side(fam, L, H, K, cache)):
+                    failed.append((L, H, K))
+    return failed
+
+
+def class_representatives(fam):
+    """The (L, H, K) the reduced M4 check visits, found with Perm
+    arithmetic: L the first of its G-conjugacy class in lattice order, and
+    H, K each the first of its L-conjugacy class among the subgroups of L."""
+    G = fam.ambient
+    sets = [frozenset(G.perm(int(i)) for i in S.members) for S in fam.lattice]
+    position = {s: i for i, s in enumerate(sets)}
+
+    def first_conjugate(i, by):
+        return min(position[frozenset(g * p * g.inverse() for p in sets[i])] for g in by)
+
+    triples = []
+    for li, L in enumerate(fam.lattice):
+        if first_conjugate(li, G.elements) != li:
+            continue
+        inside = [
+            si for si, S in enumerate(sets)
+            if S <= sets[li] and first_conjugate(si, sets[li]) == si
+        ]
+        triples += [(L, fam.lattice[h], fam.lattice[k]) for h in inside for k in inside]
+    return triples
+
+
+def _keys(triples):
+    return {tuple(S.key for S in t) for t in triples}
+
+
+@pytest.fixture(scope="module")
+def d4_on_c4_family(tmp_path_factory):
+    path = tmp_path_factory.mktemp("action") / "d4_on_c4.json"
+    path.write_text(json.dumps(D4_ON_C4))
+    datum = load_action(str(path))
+    return mk.equivariant_k0_family(datum, ct.make_context([datum.F, datum.G]))
+
+
+class TestClassReduction:
+    """M4 checked at class representatives against the all-triples
+    reference: both pass on intact families, and the verifier visits exactly
+    the representatives found with Perm arithmetic."""
+
+    @pytest.mark.parametrize("name", ["sym:3", "sym:4", "dihedral:4", "ds3", "d4_on_c4"])
+    def test_intact_family_passes_both(self, request, monkeypatch, name, equiv_ds3):
+        from equifuse.presets import group_preset
+
+        if name == "ds3":
+            fam = equiv_ds3
+        elif name == "d4_on_c4":
+            fam = request.getfixturevalue("d4_on_c4_family")
+        else:
+            G = group_preset(name)
+            fam = mk.char_ring_family(G, ct.make_context([G]))
+        assert reference_m4_failures(fam) == []
+        visited = []
+        side = mk._double_coset_side
+
+        def recording(fam, L, H, K, cache=None):
+            visited.append((L, H, K))
+            return side(fam, L, H, K, cache)
+
+        monkeypatch.setattr(mk, "_double_coset_side", recording)
+        report = mk.verify_mackey_axioms(fam)
+        assert report.ok, report.summary()
+        triples = class_representatives(fam)
+        assert report.counts["M4"][0] + report.counts["M4rel"][0] == len(visited)
+        assert len(visited) == len(triples) and _keys(visited) == _keys(triples)
+
+
 class TestDoubleCosetSide:
     """`_double_coset_side` against the per-coset loop on every nested
     (L, H, K), with one cache shared by every K of an (L, H), as the
@@ -166,7 +249,7 @@ class TestVerifiers:
     def test_char_s3_mackey(self, char_s3):
         report = mk.verify_mackey_axioms(char_s3)
         assert report.ok
-        assert set(report.counts) == {"M0", "M1", "M2", "M3", "M4", "M4rel"}
+        assert set(report.counts) == {"M0", "M1", "M2", "M3", "M4", "M4rel", "Mc"}
 
     def test_char_s3_green(self, char_s3):
         report = mk.verify_green_axioms(char_s3)
@@ -179,9 +262,21 @@ class TestVerifiers:
 
     def test_m4_relativized_counted_separately(self, char_s3):
         report = mk.verify_mackey_axioms(char_s3)
-        checked_m4, failed_m4 = report.counts["M4"]
-        assert checked_m4 == len(char_s3.lattice) ** 2 and failed_m4 == 0
-        assert report.counts["M4rel"][0] > 0
+        triples = class_representatives(char_s3)
+        top = sum(L.key == char_s3.lattice[-1].key for L, _, _ in triples)
+        assert report.counts["M4"] == (top, 0)
+        assert report.counts["M4rel"] == (len(triples) - top, 0)
+        # S3: 4 classes of subgroups; inside C1, C2, C3: 1, 2, 2
+        assert (top, len(triples) - top) == (4**2, 1 + 2**2 + 2**2)
+
+    def test_each_row_names_its_mode(self, char_s3):
+        rows = mk.verify_mackey_axioms(char_s3).axiom_rows()
+        assert {row["id"]: row["mode"] for row in rows} == {
+            "M0": "exhaustive", "M1": "exhaustive", "M2": "exhaustive",
+            "M3": "exhaustive", "Mc": "exhaustive",
+            "M4": "classes", "M4rel": "classes",
+        }
+        assert all("mode" not in row for row in mk.verify_green_axioms(char_s3).axiom_rows())
 
     def test_failure_reporting_carries_witness(self, s3):
         ctx = ct.make_context([s3])
@@ -335,34 +430,81 @@ class TestGreenMutations:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# map tampered, which calls, change, failed count per axiom, first witness
-# context, sha256 of the whole report JSON as `verify mackey` prints it; all
-# recorded from the one-pair-at-a-time M3 loop.  H = <(2 3)> = [0, 1] and
-# x = 2 = (1 2), which does not normalize H; x = 23 = (0 3)(1 2) outside H
-# breaks every c_{H,23} at once and gives more than 100 M3 witnesses.
+def _bumped(when):
+    return lambda fn: _tamper(fn, when, _bump)
+
+
+def _regauged(members, perm):
+    """A change of basis of a(S), S the subgroup with these members, by the
+    permutation matrix P of `perm`, made on the conjugations only: every c
+    into S becomes P c and every c out of S becomes c P^-1.  M0 and M3 still
+    hold (P c_{S,s} P^-1 = id, and the P cancel in c_y c_x), and R and I are
+    left alone, so of M0-M3 and Mc only Mc can tell."""
+
+    def wrap(fn):
+        def wrapped(H, x):
+            mat, tgt = fn(H, x)
+            p = np.eye(len(perm), dtype=np.int64)[perm]
+            if tgt.members.tolist() == members:
+                mat = p @ mat
+            if H.members.tolist() == members:
+                mat = mat @ p.T
+            return mat, tgt
+
+        return wrapped
+
+    return wrap
+
+
+# map tampered, tamper, failed count per axiom, first witness context, sha256
+# of the whole report JSON as `verify mackey` prints it, recorded with M4 at
+# class representatives.  H = <(2 3)> = [0, 1] and x = 2 = (1 2), which does
+# not normalize H; x = 23 = (0 3)(1 2) outside H breaks every c_{H,23} at once
+# and gives more than 100 M3 witnesses.  [0, 2, 7, 10, 13, 16, 21, 23] is a
+# D8 and [0, 8, 12] = <(0 1 2)> a C3, neither the first of its class.
 MACKEY_TAMPERS = {
-    "R": ("r", lambda H, K: H.order == 24 and K.order == 4, _bump,
-          {"M1": 32, "M4": 203},
+    "R": ("r", _bumped(lambda H, K: H.order == 24 and K.order == 4),
+          {"M1": 32, "M4": 30},
           ["H[o2:[0, 16]]", "H[o4:[0, 7, 16, 23]]", "H[o24:[0, 1, 2, 3]]"],
-          "163a9d4dba94b28aa67cc3d94cadee539be770aac4480c98ac5d23cad2a80dcd"),
-    "I": ("i", lambda K, H: K.order == 3 and H.order == 12, _bump,
-          {"M2": 8, "M4": 8, "M4rel": 36},
+          "3a765679aace589195c42a08a10dd169086c56d1bb7bc92632b93d914198a441"),
+    "I": ("i", _bumped(lambda K, H: K.order == 3 and H.order == 12),
+          {"M2": 8, "M4": 2, "M4rel": 4},
           ["H[o3:[0, 15, 20]]", "H[o12:[0, 3, 4, 7]]", "H[o24:[0, 1, 2, 3]]"],
-          "d8d1e10ea7296654bae4a0eb2a59e4d37cec29c2fe4172fe5cac4f19fd546bcd"),
-    "c": ("c", lambda H, x: H.members.tolist() == [0, 1] and x == 2, _bump,
-          {"M3": 68, "M4": 22, "M4rel": 3},
+          "cae5cd11e1e7368337095005aa000a3b7caf827000d4bff4de055bafaed0e16f"),
+    "c": ("c", _bumped(lambda H, x: H.members.tolist() == [0, 1] and x == 2),
+          {"M3": 68, "M4": 7, "M4rel": 2, "Mc": 12},
           ["H[o2:[0, 1]]", "1", "2"],
-          "000531d12dd7f0a8f5a20ceac8255ca1c9f5e24974773471975bac99b6133098"),
-    "c-many": ("c", lambda H, x: x == 23 and not H.mask[23], _bump,
-               {"M3": 1407, "M4": 1, "M4rel": 8},
+          "d0f2c2d1cbbadaa70c666a0abf4b8b7d17f97fbf7cdfd96241881aa770c6015f"),
+    "c-many": ("c", _bumped(lambda H, x: x == 23 and not H.mask[23]),
+               {"M3": 1407, "M4": 1, "M4rel": 3, "Mc": 198},
                ["H[o1:[0]]", "1", "22"],
-               "3d14c67e530aac23ecc6a6290ce30ca1eb52df3d9ee520a9c0f95b466a579736"),
+               "2535452de08587a3e82095cbe31778d928f8806fb35726a0366c098294513982"),
+    # M4 fails at 29 triples, none of them a class representative
+    "R-off-class": ("r", _bumped(
+        lambda H, K: H.order == 24 and K.members.tolist() == [0, 2, 7, 10, 13, 16, 21, 23]),
+        {"M1": 9, "Mc": 32},
+        ["H[o2:[0, 16]]", "H[o8:[0, 2, 7, 10]]", "H[o24:[0, 1, 2, 3]]"],
+        "728bf10797043737550a343774fba5eb176580bef6fbd59942bd457906511263"),
+    # M4 fails at 8 triples, none of them a class representative
+    "c-regauged": ("c", _regauged([0, 8, 12], [0, 2, 1]),
+                   {"Mc": 72},
+                   ["H[o12:[0, 3, 4, 7]]", "H[o3:[0, 3, 4]]", "18"],
+                   "ae070ce09239bba25bae69d2854aa1e5f494077b8b8b12a6acfd52be555b3fb9"),
 }
 
 
 @pytest.fixture(scope="module")
 def mackey_s4(char_s4):
     return mk.verify_mackey_axioms(char_s4)
+
+
+def _tampered_s4(char_s4, which, wrap):
+    fns = {k: getattr(char_s4, f"_{k}_fn") for k in ("r", "i", "c")}
+    fns[which] = wrap(fns[which])
+    return mk.MackeyFamily(
+        char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
+        fns["r"], fns["i"], fns["c"],
+    )
 
 
 class TestMackeyMutations:
@@ -373,14 +515,8 @@ class TestMackeyMutations:
 
     @pytest.mark.parametrize("name", sorted(MACKEY_TAMPERS))
     def test_tampered_map_is_caught(self, name, char_s4, mackey_s4):
-        which, when, change, failed, context, digest = MACKEY_TAMPERS[name]
-        fns = {k: getattr(char_s4, f"_{k}_fn") for k in ("r", "i", "c")}
-        fns[which] = _tamper(fns[which], when, change)
-        broken = mk.MackeyFamily(
-            char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
-            fns["r"], fns["i"], fns["c"],
-        )
-        report = mk.verify_mackey_axioms(broken)
+        which, wrap, failed, context, digest = MACKEY_TAMPERS[name]
+        report = mk.verify_mackey_axioms(_tampered_s4(char_s4, which, wrap))
         assert {a: f for a, (_, f) in report.counts.items() if f} == failed
         assert {a: c for a, (c, _) in report.counts.items()} == {
             a: c for a, (c, _) in mackey_s4.counts.items()
@@ -390,8 +526,46 @@ class TestMackeyMutations:
         text = json.dumps(data, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", sorted(MACKEY_TAMPERS))
+    def test_reference_m4_failure_fails_the_report(self, name, char_s4):
+        which, wrap, *_ = MACKEY_TAMPERS[name]
+        broken = _tampered_s4(char_s4, which, wrap)
+        if reference_m4_failures(broken):
+            assert not mk.verify_mackey_axioms(broken).ok
+
+    @pytest.mark.parametrize("name, m4_failures", [("R-off-class", 29), ("c-regauged", 8)])
+    def test_m4_broken_off_the_representatives(self, name, m4_failures, char_s4):
+        which, wrap, failed, *_ = MACKEY_TAMPERS[name]
+        broken = _tampered_s4(char_s4, which, wrap)
+        bad = reference_m4_failures(broken)
+        assert len(bad) == m4_failures
+        assert not _keys(bad) & _keys(class_representatives(char_s4))
+        assert "M4" not in failed and "M4rel" not in failed and "Mc" in failed
+
     def test_m3_is_exhaustive(self, s4, char_s4, mackey_s4):
         assert mackey_s4.counts["M3"] == (len(char_s4.lattice) * s4.order**2, 0)
+
+    def test_mc_is_exhaustive(self, s4, char_s4, mackey_s4):
+        nested = sum(H.contains(K) for H in char_s4.lattice for K in char_s4.lattice)
+        assert mackey_s4.counts["Mc"] == (2 * nested * s4.order, 0)
+
+    def test_wrong_conjugation_target_fails_mc(self, char_s4, mackey_s4):
+        # c_{H,2} for H = <(2 3)> names H itself as its target, not <(1 3)>
+        H = next(S for S in char_s4.lattice if S.members.tolist() == [0, 1])
+
+        def misnamed(S, x):
+            mat, tgt = char_s4._c_fn(S, x)
+            return (mat, S) if S.key == H.key and x == 2 else (mat, tgt)
+
+        broken = mk.MackeyFamily(
+            char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
+            char_s4._r_fn, char_s4._i_fn, misnamed,
+        )
+        report = mk.verify_mackey_axioms(broken)
+        pairs = sum(S.contains(H) or H.contains(S) for S in char_s4.lattice)
+        assert report.counts["Mc"] == (mackey_s4.counts["Mc"][0], 2 * pairs)
+        witnesses = [w for w in report.witnesses if w.axiom == "Mc"]
+        assert {w.context[2] for w in witnesses} == {2}
 
 
 class TestConjugationByClassMap:
