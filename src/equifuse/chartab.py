@@ -1,15 +1,14 @@
 """Exact character theory over a prime field.
 
-Character tables are computed by diagonalizing the class multiplication
-matrices over F_p at once (Dixon's class-matrix method): one
-deterministic-seeded random combination z of them with k distinct
-eigenvalues has the common eigenvectors as its eigenvectors, its
-eigenvalues are the roots of its characteristic polynomial (gcd with
-x^p - x, then equal-degree splitting), and each eigenvector, normalized so
-the value at the identity is the (integer) degree, is one row.  Row
-orthogonality is checked as one Gram product.  The prime is chosen large
-enough that every multiplicity and structure constant occurring downstream
-lifts uniquely from F_p to the integers.
+Character tables are computed by Dixon's class-matrix method: the class
+multiplication matrices over F_p span a split semisimple algebra whose
+primitive idempotents, one per irreducible, are split apart by matrix
+powers of seeded random elements of it (`_common_eigenbasis`).  The first
+nonzero column of each idempotent, normalized so the value at the identity
+is the (integer) degree, is one row.  Row orthogonality is checked as one
+Gram product.  The prime is chosen large enough that every multiplicity and
+structure constant occurring downstream lifts uniquely from F_p to the
+integers.
 
 Every multiplicity the rest of the package needs, of a restriction, an
 induction, a product of characters or a local product, is a
@@ -121,8 +120,8 @@ class CharacterTable:
     """All irreducible characters of a group mod p.
 
     Rows are sorted by (degree, value vector); the first row is always the
-    trivial character.  Row and column orthogonality are verified before an
-    instance is handed out.
+    trivial character.  Row orthogonality, which for a square table implies
+    column orthogonality, is verified before an instance is handed out.
     """
 
     __slots__ = ("group", "p", "rows", "degrees", "_row_index")
@@ -220,168 +219,74 @@ def make_context(groups, prime_override: int | None = None) -> ModularContext:
     return ModularContext(p=p, primitive_root=_primitive_root(p), exponent_lcm=lcm, bound=bound)
 
 
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p (coefficient lists, ascending degree)
-
-
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmulmod(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _prem(out, f, p)
-
-
-def _prem(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % p
-        if c == 0:
-            continue
-        for j in range(df + 1):
-            a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-        a[i] = 0
-    return _ptrim(a[:df])
-
-
-def _ppowmod(base, e, f, p):
-    result = [1]
-    b = _prem(base, f, p)
-    while e > 0:
+def _matpow(a, e, p):
+    """a**e mod p by square-and-multiply over `_kernels.matmul_mod`."""
+    result = np.eye(a.shape[0], dtype=a.dtype)
+    while e:
         if e & 1:
-            result = _pmulmod(result, b, f, p)
-        b = _pmulmod(b, b, f, p)
+            result = _kernels.matmul_mod(result, a, p)
         e >>= 1
+        if e:
+            a = _kernels.matmul_mod(a, a, p)
     return result
-
-
-def _pmonic(f, p):
-    f = _ptrim(list(f))
-    if not f:
-        return f
-    inv = pow(f[-1], p - 2, p)
-    return [(c * inv) % p for c in f]
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _prem(_pmonic(a, p), _pmonic(b, p), p)
-        b = _ptrim(b)
-    return _pmonic(a, p)
-
-
-def _distinct_roots(f, p, rng):
-    """The distinct roots in F_p of f, sorted: g = gcd(f, x^p - x) is the
-    product of the distinct linear factors of f, and g is split by
-    equal-degree splitting (Cantor-Zassenhaus) with draws from `rng`."""
-    f = _pmonic(f, p)
-    if len(f) <= 1:
-        return []
-    xp = _ppowmod([0, 1], p, f, p)
-    sub = list(xp)
-    if len(sub) < 2:
-        sub += [0] * (2 - len(sub))
-    sub[1] = (sub[1] - 1) % p
-    g = _pgcd(sub, f, p)
-
-    roots = []
-
-    def split(h):
-        h = _pmonic(h, p)
-        if len(h) <= 1:
-            return
-        if len(h) == 2:
-            roots.append((-h[0]) % p)
-            return
-        while True:
-            a = int(rng.integers(0, p))
-            t = _ppowmod([a, 1], (p - 1) // 2, h, p)
-            t = list(t)
-            if not t:
-                t = [0]
-            t[0] = (t[0] - 1) % p
-            d = _pgcd(t, h, p)
-            if 0 < len(d) - 1 < len(h) - 1:
-                q = _pquo(h, d, p)
-                split(d)
-                split(q)
-                return
-
-    split(g)
-    return sorted(roots)
-
-
-def _pquo(a, b, p):
-    a = list(a)
-    b = _pmonic(b, p)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _ptrim(q)
-
-
-def _char_poly(m, p):
-    """Monic characteristic polynomial of m over F_p (Faddeev-LeVerrier)."""
-    k = m.shape[0]
-    big = m.dtype == object
-    ident = np.eye(k, dtype=object if big else np.int64)
-    coeffs = [0] * (k + 1)
-    coeffs[k] = 1
-    mk = m.copy()
-    for i in range(1, k + 1):
-        tr = int(np.trace(mk)) % p
-        c = (-tr * pow(i, p - 2, p)) % p
-        coeffs[k - i] = c
-        if i < k:
-            mk = _kernels.matmul_mod(m, (mk + c * ident) % p, p)
-    return coeffs
 
 
 def _common_eigenbasis(mats, k, p, rng):
     """The common eigenvectors of the commuting class matrices `mats` (all
-    classes but the identity's), read off one random element
-    z = sum_c r_c C_c of the class algebra whose spectrum is simple
-    (Dixon, Numer. Math. 10, 1967).
+    classes but the identity's), one per irreducible: the first nonzero
+    columns of the primitive idempotents E_chi of the class algebra A
+    (Dixon, Numer. Math. 10, 1967), split apart by matrix products alone.
 
-    Lemma: one draw of r from (F_p^*)^(k-1) fails with probability at most
-    C(k, 2)/(p - 1) < 1/(2k).  Proof: as p does not divide |G| and F_p holds
-    the e-th roots of unity, the class algebra is split semisimple, so the
-    C_c have a common eigenbasis, one vector per irreducible chi, on which
-    C_c acts by the central character omega_chi(C_c).  Distinct characters
-    have distinct central characters, so for chi != psi the linear form
-    sum_c r_c (omega_chi - omega_psi)(C_c) has a nonzero coefficient (never
-    at the identity class, where both are 1); given the other r's, at most
-    one value of that coefficient's r_c makes z's eigenvalues at chi and
-    psi collide.  A union bound over the C(k, 2) pairs, with
-    p > |G|^3 >= k^3 (`make_context`), gives the bound (Schwartz-Zippel,
-    J. ACM 27, 1980).  Once z has k distinct eigenvalues in F_p, each
-    eigenspace is a line, so its vector is the common eigenvector of one
-    character.  64 draws in a row without a simple spectrum raise
-    EigenbasisFailure."""
+    As p does not divide |G| and F_p holds the e-th roots of unity, A is
+    split semisimple and E_chi is the rank-1 projection onto the common
+    eigenvector on which C_c acts by omega_chi(C_c).  From the parts [I],
+    each round draws z = r_0 I + sum_c r_c C_c, every r uniform in F_p; z
+    acts on E_chi by lambda_chi = r_0 + sum_c r_c omega_chi(C_c), so
+    b = z^((p-1)/2) acts by its Legendre symbol.  A round with b^2 != I
+    (some lambda_chi is 0) is skipped; otherwise, with plus = (I + b)/2,
+    every part e of trace > 1 becomes e plus and e - e plus, all in one
+    product of the stacked parts with plus (Cantor-Zassenhaus splitting,
+    Math. Comp. 36, 1981, done in A itself).  A part is a sum of E_chi, so
+    its trace is its rank, exactly, as p > k: a part of trace 0 is dropped,
+    and one of trace 1 is an E_chi, whose first nonzero column is its
+    eigenvector.
+
+    Lemma: 64 + 4k rounds leave a part of trace > 1 with probability at most
+    C(k, 2) (1/2 + (k + 1)/p)^(64 + 4k), below 10^-8 as p > |G|^3 >= k^3
+    (`make_context`; worst at k = 2, p = 11).  Proof: for chi != psi,
+    lambda_chi and lambda_psi are linear forms in r that agree at r_0, and
+    central characters separate characters, so the forms are independent
+    and (lambda_chi, lambda_psi) is uniform on F_p^2.  Their Legendre
+    symbols are both nonzero and differ with probability
+    (p - 1)^2/(2 p^2) >= 1/2 - 1/p, and a round is skipped with probability
+    at most k/p, so each round parts chi from psi with probability at least
+    1/2 - (k + 1)/p; a union bound over the C(k, 2) pairs ends the proof.
+    Running out of rounds, or more than k parts (only matrices outside a
+    class algebra give that), raises EigenbasisFailure; the draws come from
+    the seeded `rng`, so runs are reproducible."""
     dtype = object if p >= _kernels.INT64_SAFE_P else np.int64
     ident = np.eye(k, dtype=dtype)
-    for _ in range(64):
-        z = sum(int(rng.integers(1, p)) * m.astype(dtype) for m in mats) % p
-        roots = _distinct_roots(_char_poly(z, p), p, rng)
-        if len(roots) == k:
-            return [_kernels.nullspace_mod((z - lam * ident) % p, p)[:, 0] for lam in roots]
-    raise EigenbasisFailure("no random class-algebra element had a simple spectrum")
+    half = (p + 1) // 2
+    vectors, parts, rounds = [], ident[None], 64 + 4 * k
+    while True:
+        ranks = np.trace(parts, axis1=1, axis2=2) % p
+        vectors += [e[:, np.flatnonzero((e != 0).any(axis=0))[0]] for e in parts[ranks == 1]]
+        parts = parts[ranks > 1]
+        if not len(parts) or not rounds or len(vectors) + len(parts) > k:
+            break
+        rounds -= 1
+        z = int(rng.integers(0, p)) * ident
+        for m in mats:
+            z = z + int(rng.integers(0, p)) * m.astype(dtype)
+        b = _matpow(z % p, (p - 1) // 2, p)
+        if not (_kernels.matmul_mod(b, b, p) == ident).all():
+            continue
+        plus = (ident + b) * half % p
+        ep = _kernels.matmul_mod(parts.reshape(-1, k), plus, p).reshape(parts.shape)
+        parts = np.concatenate([ep, (parts - ep) % p])
+    if len(parts) or len(vectors) != k:
+        raise EigenbasisFailure("random class-algebra elements did not split the characters")
+    return vectors
 
 
 def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
@@ -401,7 +306,7 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
         for i in range(1, k)
     ]
     rng = np.random.default_rng((_SPLIT_SEED, G.order, k))
-    vectors = _common_eigenbasis(mats, k, p, rng) if k > 1 else [np.array([1])]
+    vectors = _common_eigenbasis(mats, k, p, rng)
 
     order_inv = pow(G.order, p - 2, p)
     size_inv = [pow(int(c), p - 2, p) for c in sizes]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equifuse import _kernels
 from equifuse import chartab as ct
 from equifuse.errors import (
     EigenbasisFailure,
@@ -99,61 +100,26 @@ class TestCharacterTable:
             for j, b in enumerate(tab.rows):
                 assert ct.inner_product(a, b, ctx_s4.p) == (1 if i == j else 0)
 
-    def test_column_orthogonality(self, s4, ctx_s4):
-        # sum_i chi_i(g) chi_i(h^-1) = delta * |C_G(g)| in F_p
-        p = ctx_s4.p
-        tab = ct.character_table(s4, ctx_s4)
-        k = s4.num_classes
-        for a in range(k):
-            for b in range(k):
-                b_inv = int(s4.inverse_class[b])
-                acc = sum(
-                    r.values[a] * r.values[b_inv] for r in tab.rows
-                ) % p
-                if a == b:
-                    assert acc == s4.order // int(s4.class_sizes[a])
-                else:
-                    assert acc == 0
-
-
-def _pmul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _roots_by_scan(f, p):
-    """Every r in F_p with f(r) = 0, by Horner evaluation at each point."""
-    def at(r):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * r + c) % p
-        return acc
-    return [r for r in range(p) if at(r) == 0]
-
-
-class TestDistinctRoots:
-    """`_distinct_roots` (gcd with x^p - x, then equal-degree splitting)
-    against a scan of the whole field."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_matches_a_scan_of_the_field(self, data):
-        p = data.draw(st.sampled_from([11, 223, 1741]))
-        roots = data.draw(st.lists(st.integers(0, p - 1), max_size=7, unique=True))
-        f = [data.draw(st.integers(1, p - 1))]  # a unit leading factor
-        for r in roots:
-            f = _pmul(f, [(-r) % p, 1], p)
-        if data.draw(st.booleans()):
-            # x^2 + b x + c is irreducible when its discriminant n is a non-square
-            n = data.draw(st.integers(1, p - 1).filter(lambda n: pow(n, (p - 1) // 2, p) == p - 1))
-            b = data.draw(st.integers(0, p - 1))
-            f = _pmul(f, [(b * b - n) * pow(4, p - 2, p) % p, b, 1], p)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-        found = ct._distinct_roots(f, p, rng)
-        assert found == _roots_by_scan(f, p) == sorted(roots)
+    @pytest.mark.parametrize("spec,prime,lattice", [
+        pytest.param("sym:4", None, False, id="sym:4"),
+        pytest.param("sym:5", None, True, id="sym:5-lattice"),
+        pytest.param("cyclic:60", None, False, id="cyclic:60"),
+        pytest.param("dihedral:100", None, False, id="dihedral:100"),
+        pytest.param("sym:4", 2147484061, False, id="sym:4-p2147484061"),
+    ])
+    def test_column_orthogonality(self, spec, prime, lattice):
+        # sum_i chi_i(g) chi_i(h^-1) = delta * |C_G(g)| in F_p; the table
+        # checks only its rows, so this is a check from the other side
+        G = group_preset(spec)
+        ctx = ct.make_context([G], prime_override=prime)
+        p = ctx.p
+        for H in subgroup_lattice(G) if lattice else [G.full_subgroup()]:
+            g = H.group()
+            tab = ct.character_table(g, ctx)
+            x = np.array([r.values for r in tab.rows], dtype=object)
+            cols = x.T @ x[:, g.inverse_class] % p
+            expected = np.diag([g.order // int(c) for c in g.class_sizes])
+            assert (cols == expected).all()
 
 
 class TestCommonEigenbasis:
@@ -170,9 +136,79 @@ class TestCommonEigenbasis:
             axes.append(nonzero[0])
         assert sorted(axes) == [0, 1, 2, 3]
 
+    def test_a_singular_draw_is_skipped(self):
+        # the first round's three draws are 0, so z = 0 and b = 0; splitting
+        # with that b would halve every part instead of separating axes
+        class FirstRoundZero:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(7), 0
+
+            def integers(self, low, high):
+                self.calls += 1
+                return 0 if self.calls <= 3 else self.rng.integers(low, high)
+
+        mats = [np.diag([1, 1, 2, 2]), np.diag([3, 4, 3, 4])]
+        vectors = ct._common_eigenbasis(mats, 4, 1741, FirstRoundZero())
+        axes = [[i for i, x in enumerate(v) if int(x)] for v in vectors]
+        assert sorted(axes) == [[0], [1], [2], [3]]
+
     def test_no_simple_spectrum_raises(self):
         with pytest.raises(EigenbasisFailure):
             ct._common_eigenbasis([np.diag([1, 1, 2])], 3, 1741, np.random.default_rng(7))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_finds_the_columns_of_a_common_eigenbasis(self, data):
+        # mats[c] = P D_c P^-1 with the diagonals' entry tuples pairwise
+        # distinct: each returned vector must be a unit times a column of P,
+        # i.e. P^-1 v has exactly one nonzero entry, and every column appears
+        p = data.draw(st.sampled_from([1741, 2147484061]))
+        k = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, 3))
+        entry = st.integers(0, p - 1)
+        diags = data.draw(st.lists(
+            st.tuples(*[entry] * m), min_size=k, max_size=k, unique=True
+        ))
+        lower = np.eye(k, dtype=object)
+        upper = np.eye(k, dtype=object)
+        for i in range(k):
+            for j in range(i):
+                lower[i, j] = data.draw(entry)
+                upper[j, i] = data.draw(entry)
+        P = _kernels.matmul_mod(lower, upper, p)
+        work, _ = _kernels.rref_mod(np.hstack([P, np.eye(k, dtype=object)]), p)
+        P_inv = work[:, k:]
+        mats = [
+            _kernels.matmul_mod(
+                _kernels.matmul_mod(P, np.diag([d[c] for d in diags]).astype(object), p), P_inv, p
+            )
+            for c in range(m)
+        ]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        vectors = ct._common_eigenbasis(mats, k, p, rng)
+        axes = []
+        for v in vectors:
+            coords = _kernels.matmul_mod(P_inv, np.array(v, dtype=object)[:, None], p)[:, 0]
+            nonzero = [i for i, x in enumerate(coords) if int(x)]
+            assert len(nonzero) == 1
+            axes.append(nonzero[0])
+        assert sorted(axes) == list(range(k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matpow_is_repeated_products(self, data):
+        p = data.draw(st.sampled_from([1741, 2147484061]))
+        k = data.draw(st.integers(1, 4))
+        dtype = object if p >= _kernels.INT64_SAFE_P else np.int64
+        a = np.array(
+            data.draw(st.lists(st.integers(0, p - 1), min_size=k * k, max_size=k * k)),
+            dtype=dtype,
+        ).reshape(k, k)
+        e = data.draw(st.integers(0, 40))
+        expected = np.eye(k, dtype=dtype)
+        for _ in range(e):
+            expected = _kernels.matmul_mod(expected, a, p)
+        assert (ct._matpow(a, e, p) == expected).all()
 
 
 class TestKnownDegreeSequences:
