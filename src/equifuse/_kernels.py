@@ -14,16 +14,31 @@ INT64_SAFE_P = 1 << 31  # products of two residues stay below 2**62
 
 
 def mult_table(images: np.ndarray) -> np.ndarray:
-    """n x n index table for row-composition of lex-sorted permutations."""
+    """n x n index table for row-composition of lex-sorted permutations.
+
+    Prefix lemma: let consecutive rows first differ at columns c_i, each
+    row larger there, and b = max c_i + 1.  The rows cut to their first b
+    images are still strictly increasing, so lex order of whole rows is lex
+    order of those prefixes, and row a of the table is the inverse of the
+    lexsort of a's products on the first b points.  Raises ValueError if
+    the rows are not strictly increasing, or if a's sorted product prefixes
+    are not the rows' own.  A product outside the list that shares a row's
+    prefix passes here; `permgrp.Group` checks its generators in full."""
     images = np.ascontiguousarray(images, dtype=np.int32)
     n, _ = images.shape
-    lookup = {images[i].tobytes(): i for i in range(n)}
+    rows = np.arange(n - 1)
+    first = (images[1:] != images[:-1]).argmax(1)
+    if not (images[1:][rows, first] > images[:-1][rows, first]).all():
+        raise ValueError("rows are not strictly increasing in lex order")
+    prefix = images[:, : first.max(initial=0) + 1]
+    keys = prefix.T[::-1]
     out = np.empty((n, n), dtype=np.int32)
     for a in range(n):
-        comp = np.ascontiguousarray(images[a][images])
-        row = out[a]
-        for b in range(n):
-            row[b] = lookup[comp[b].tobytes()]
+        products = images[a][keys]
+        order = np.lexsort(products)
+        if (products[:, order] != keys).any():
+            raise ValueError("element list is not closed under composition")
+        out[a, order] = np.arange(n, dtype=np.int32)
     return out
 
 

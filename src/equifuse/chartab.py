@@ -321,12 +321,9 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
         for j in range(k):
             s = (s + omega[j] * omega[int(inv_class[j])] * size_inv[j]) % p
         d_sq = (G.order * pow(s, p - 2, p)) % p
-        degree = None
-        for d in range(1, G.order + 1):
-            if G.order % d == 0 and (d * d) % p == d_sq:
-                degree = d
-                break
-        if degree is None:
+        # exact: a degree squared is at most |G|**2 < p, so d_sq is its square
+        degree = math.isqrt(d_sq)
+        if not (degree and degree * degree == d_sq and G.order % degree == 0):
             raise EigenbasisFailure("no divisor of |G| squares to the degree value")
         rows.append(tuple((degree * omega[j] * size_inv[j]) % p for j in range(k)))
     rows.sort(key=lambda v: (v[0], v))

@@ -56,7 +56,7 @@ from .errors import (
     NotASubgroup,
     SubgroupMismatch,
 )
-from .permgrp import Group, GroupAction, Subgroup, double_coset_reps, transporter
+from .permgrp import Group, GroupAction, Subgroup, double_coset_reps
 from .reports import AxiomReport
 
 
@@ -181,13 +181,14 @@ class _Basis:
 
 class _Engine:
     """Caches for one (datum, prime) pair, only of the pieces that are
-    reused: stabilizers, orbit data, bases, conjugation bijections of
-    irreducibles, transport slots, reciprocity blocks (by subgroups, and
-    indexed by pairs of grading points) and the double-coset
-    representatives of each pair of grading points.  Transporters,
-    factorizations and the whole restriction, induction and conjugation
-    matrices are built on every call; `mackey.MackeyFamily` caches the
-    matrices."""
+    reused: stabilizers, orbit data (representatives, and the least
+    transporter of every point to its representative, each a column
+    minimum of one gather), bases, conjugation bijections of irreducibles,
+    transport slots, reciprocity blocks (by subgroups, and indexed by pairs
+    of grading points) and the double-coset representatives of each pair
+    of grading points.  Factorizations and the whole restriction, induction
+    and conjugation matrices are built on every call; `mackey.MackeyFamily`
+    caches the matrices."""
 
     def __init__(self, d: CoherentDatum, ctx: ModularContext):
         self.d = d
@@ -218,27 +219,17 @@ class _Engine:
         return character_table(sub.group(), self.ctx)
 
     def orbit_data(self, H: Subgroup):
+        """(reps, rep_of, to_rep) of the H-orbits on G: rep_of[q] is the
+        least point of q's orbit, reps the points that are their own, and
+        to_rep[q] the least x in H with map(x, q) == rep_of[q]."""
         od = self._orbit.get(H.key)
         if od is None:
             rows = self.A[H.members]
-            m = self.G.order
-            rep_of = np.full(m, -1, dtype=np.int32)
-            reps = []
-            for pt in range(m):
-                if rep_of[pt] >= 0:
-                    continue
-                orb = np.unique(rows[:, pt])
-                rep_of[orb] = pt
-                reps.append(pt)
-            od = (reps, rep_of)
-            self._orbit[H.key] = od
+            rep_of = rows.min(0)
+            to_rep = H.members[(rows == rep_of).argmax(0)]
+            reps = np.flatnonzero(rep_of == np.arange(len(rep_of))).tolist()
+            od = self._orbit[H.key] = (reps, rep_of, to_rep)
         return od
-
-    def to_rep(self, H: Subgroup, q: int) -> int:
-        """Lex-minimal x in H with map(x, q) == canonical rep of q.  Not
-        cached: its one caller, `slots`, is."""
-        _, rep_of = self.orbit_data(H)
-        return transporter(self.d.action, q, int(rep_of[q]), within=H)
 
     def conj_perm(self, src: Subgroup, x: int):
         """Bijection of irreducibles Irr(src) -> Irr(x src x^-1) induced by
@@ -254,10 +245,8 @@ class _Engine:
     def basis(self, H: Subgroup) -> _Basis:
         b = self._bases.get(H.key)
         if b is None:
-            reps, _ = self.orbit_data(H)
-            rows = self.A[H.members]
             labels = []
-            for g in reps:
+            for g in self.orbit_data(H)[0]:
                 stab = self.stab(H, g)
                 orbit_size = H.order // stab.order
                 tab = self.table(stab)
@@ -279,17 +268,18 @@ class _Engine:
     def slots(self, H: Subgroup, q: int) -> np.ndarray:
         """The transport map at grading point q: [t] = position in basis(H)
         of irreducible t of H_q once moved to the canonical representative
-        q0 of q (along `to_rep`, so by `conj_perm` unless q = q0)."""
+        q0 of q (along the orbit data's to_rep[q], so by `conj_perm` unless
+        q = q0)."""
         key = (H.key, q)
         s = self._slots.get(key)
         if s is None:
-            _, rep_of = self.orbit_data(H)
+            _, rep_of, to_rep = self.orbit_data(H)
             q0 = int(rep_of[q])
             base = self.basis(H).pos[(q0, 0)]
             if q0 == q:
                 s = base + np.arange(self.table(self.stab(H, q)).size)
             else:
-                perm, _ = self.conj_perm(self.stab(H, q), self.to_rep(H, q))
+                perm, _ = self.conj_perm(self.stab(H, q), int(to_rep[q]))
                 s = base + perm
             self._slots[key] = s
         return s
@@ -430,14 +420,12 @@ class _Engine:
         orbit minima.  Not cached."""
         if choice not in ("min", "max"):
             raise ValueError(f"representative choice must be 'min' or 'max', got {choice!r}")
-        m = self.G.order
         out = []
         for g in self.orbit_data(H)[0]:
-            reps, rep_of = self.orbit_data(self.stab(H, g))
+            stab = self.stab(H, g)
+            reps = self.orbit_data(stab)[0]
             if choice == "max":
-                last = np.zeros(m, dtype=np.int64)
-                np.maximum.at(last, rep_of, np.arange(m))
-                reps = last[reps].tolist()
+                reps = self.A[stab.members][:, reps].max(0).tolist()
             for h in reps:
                 out.append((g, h, int(self.G.mult[int(self.G.inv[h]), g])))
         return out
@@ -447,9 +435,10 @@ class _Engine:
         vectors a and b: the block m_block(H, h, k) of each factorization
         (g, h, k), with its rows and columns at the labels whose components
         they read and its last axis at the labels of g.  The component of a
-        basis vector at h is its canonical component moved along
-        to_rep(H, h)^-1, and moving along to_rep(H, h) and back is the
-        identity, so that component's entry t is label slots(H, h)[t]."""
+        basis vector at h is its canonical component moved along the
+        inverse of to_rep[h] (of `orbit_data(H)`), and moving along to_rep[h]
+        and back is the identity, so that component's entry t is label
+        slots(H, h)[t]."""
         n = len(self.basis(H).labels)
         t = np.zeros((n, n, n), dtype=np.int64)
         for g, h, k in self.factorizations(H, choice):
@@ -466,7 +455,7 @@ class _Engine:
         not dropped or broadcast."""
         if alpha.subgroup != H or beta.subgroup != H:
             raise SubgroupMismatch("invariant vectors live over a different subgroup")
-        reps, rep_of = self.orbit_data(H)
+        reps, rep_of, _ = self.orbit_data(H)
         a, b = np.zeros((2, len(self.basis(H).labels)), dtype=np.int64)
         for vec, v in ((a, alpha), (b, beta)):
             for g, comp in v.components.items():

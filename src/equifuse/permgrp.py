@@ -6,6 +6,10 @@ Everything is index-based: a group's elements are sorted lexicographically by
 image tuple (so the identity is always index 0) and all derived structure
 (multiplication table, classes, cosets) refers to elements by their position
 in that canonical order.
+
+One rule picks every representative: it is the least element of its orbit
+(conjugacy class, coset, double coset, orbit of an action), read off as a
+column minimum of one gathered table, with no loop over elements.
 """
 
 from __future__ import annotations
@@ -128,22 +132,35 @@ class Group:
     index of elements[a] * elements[b], and `inv[a]` the index of the inverse.
     Instances are immutable after construction (internal caches only ever add
     derived data).
+
+    Without `mult`, the list is checked to be the group its generators
+    generate (ValueError otherwise): strictly increasing and closed on the
+    first points (`_kernels.mult_table`), the products by each generator
+    equal in full to the elements the table names, and every element
+    reached from the identity along them.  A given `mult` is trusted.
     """
 
     def __init__(self, elements, generators, mult=None):
         self.elements = tuple(elements)
         self.generators = tuple(generators)
         self.degree = self.elements[0].degree
-        n = len(self.elements)
         self.images = np.array([e.images for e in self.elements], dtype=np.int32)
         self.index = {e.images: i for i, e in enumerate(self.elements)}
         if self.elements[0].images != tuple(range(self.degree)):
             raise ValueError("element list must be lex-sorted (identity first)")
-        self.mult = (
-            np.ascontiguousarray(mult, dtype=np.int32)
-            if mult is not None
-            else _kernels.mult_table(self.images)
-        )
+        if mult is None:
+            self.mult = _kernels.mult_table(self.images)
+            gens = [self.index.get(g.images, -1) for g in self.generators]
+            if -1 in gens:
+                raise ValueError("a generator is not in the element list")
+            if not (
+                all((self.images[self.mult[:, g]] == self.images[:, self.images[g]]).all()
+                    for g in gens)
+                and _close(self, None, gens).all()
+            ):
+                raise ValueError("element list is not the group its generators generate")
+        else:
+            self.mult = np.ascontiguousarray(mult, dtype=np.int32)
         self.inv = np.argmax(self.mult == 0, axis=1).astype(np.int32)
         self._char_tables: dict[int, object] = {}
         self._lattice = None
@@ -169,19 +186,14 @@ class Group:
 
     @cached_property
     def _class_data(self):
-        n = self.order
-        class_of = np.full(n, -1, dtype=np.int32)
-        classes = []
-        for i in range(n):
-            if class_of[i] >= 0:
-                continue
-            t = self.mult[:, i]
-            conj = np.unique(self.mult[t, self.inv])
-            class_of[conj] = len(classes)
-            classes.append(conj.astype(np.int32))
-        reps = np.array([c[0] for c in classes], dtype=np.int32)
+        """Each class is represented by its least member: the column minima
+        of the conjugates x g x^-1."""
+        rep_of = self.mult[self.mult, self.inv[:, None]].min(0)
+        reps = np.flatnonzero(rep_of == np.arange(len(rep_of))).astype(np.int32)
+        class_of = np.searchsorted(reps, rep_of).astype(np.int32)
+        classes = [np.flatnonzero(rep_of == r).astype(np.int32) for r in reps]
         sizes = np.array([len(c) for c in classes], dtype=np.int64)
-        inverse_class = class_of[self.inv[reps]].astype(np.int32)
+        inverse_class = class_of[self.inv[reps]]
         return class_of, reps, classes, sizes, inverse_class
 
     @property
@@ -436,15 +448,7 @@ def centralizer(G: Group, g) -> Subgroup:
 
 def left_coset_reps(G: Group, H: Subgroup) -> np.ndarray:
     """Lex-minimal representatives of the left cosets gH, identity first."""
-    if H.parent is not G:
-        raise NotASubgroup("subgroup belongs to a different group")
-    assigned = np.zeros(G.order, dtype=bool)
-    reps = []
-    for g in range(G.order):
-        if not assigned[g]:
-            reps.append(g)
-            assigned[G.mult[g, H.members]] = True
-    return np.array(reps, dtype=np.int32)
+    return double_coset_reps(G, G.trivial_subgroup(), H)
 
 
 def double_coset_reps(G: Group, K: Subgroup, H: Subgroup) -> np.ndarray:
@@ -524,10 +528,7 @@ class GroupAction:
 
     @classmethod
     def conjugation(cls, G: Group) -> "GroupAction":
-        pm = np.empty((G.order, G.order), dtype=np.int32)
-        for x in range(G.order):
-            pm[x] = G.mult[G.mult[x, :], G.inv[x]]
-        return cls(G, G, pm)
+        return cls(G, G, G.mult[G.mult, G.inv[:, None]])
 
     def apply(self, x: int, p: int) -> int:
         return int(self.point_maps[x, p])
@@ -545,17 +546,13 @@ def orbits(action: GroupAction, within: Subgroup | None = None):
     if within is not None and within.parent is not action.actor:
         raise NotASubgroup("subgroup belongs to a different group")
     rows = action.point_maps[members]
-    m = action.target.order
-    seen = np.zeros(m, dtype=bool)
+    rep_of = rows.min(0)
     out = []
-    for p in range(m):
-        if seen[p]:
-            continue
-        orb = np.unique(rows[:, p])
-        seen[orb] = True
+    for p in np.flatnonzero(rep_of == np.arange(len(rep_of))).tolist():
         stab_mask = np.zeros(action.actor.order, dtype=bool)
         stab_mask[members[rows[:, p] == p]] = True
-        out.append((p, orb.astype(np.int32), Subgroup(action.actor, stab_mask, None, _verified=True)))
+        orb = np.flatnonzero(rep_of == p).astype(np.int32)
+        out.append((p, orb, Subgroup(action.actor, stab_mask, None, _verified=True)))
     return out
 
 
@@ -594,11 +591,7 @@ def subgroup_lattice(G: Group, cap=None):
             worklist.append(sub)
     while worklist:
         S = worklist.pop()
-        assigned = S.mask.copy()
-        for g in range(G.order):
-            if assigned[g]:
-                continue
-            assigned[G.mult[g, S.members]] = True
+        for g in left_coset_reps(G, S)[1:].tolist():
             sub = record(_close(G, S.mask, [g]), S.generators + (g,))
             if sub is not None:
                 worklist.append(sub)

@@ -15,7 +15,7 @@ from equifuse import _kernels
 from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse.errors import InvalidInput, InvariantViolation, SubgroupMismatch
-from equifuse.permgrp import GroupAction, subgroup_lattice
+from equifuse.permgrp import GroupAction, orbits, subgroup_lattice, transporter
 from equifuse.presets import classical_scenario, drinfeld_double_scenario, group_preset
 
 
@@ -183,6 +183,28 @@ def block_data(ds3, dz2, s3, d4):
     }
 
 
+class TestOrbitData:
+    """`_Engine.orbit_data` against `permgrp.orbits` and `transporter` on
+    every subgroup of the lattice."""
+
+    @pytest.mark.parametrize("name", ["ds4", "d4_on_c4"])
+    def test_matches_orbits_and_transporter(self, name, s4):
+        if name == "ds4":
+            scen = drinfeld_double_scenario(s4)
+            d, ctx = scen.datum, scen.ctx
+        else:
+            d, ctx = _d4_on_c4()
+        eng = fu._engine(d, ctx)
+        for H in subgroup_lattice(d.F):
+            reps, rep_of, to_rep = eng.orbit_data(H)
+            expect = orbits(d.action, within=H)
+            assert reps == [p for p, _, _ in expect]
+            for p, orb, _ in expect:
+                assert (rep_of[orb] == p).all()
+            for q in range(d.G.order):
+                assert to_rep[q] == transporter(d.action, q, int(rep_of[q]), within=H)
+
+
 class TestMBlock:
     """The reciprocity block against induce + decompose, entry by entry."""
 
@@ -266,12 +288,14 @@ class TestFuse:
 def _component_at(eng, H, v, h):
     """Reference: the implied component of an invariant vector at any
     grading point, the stored component at the orbit representative h0
-    moved along the inverse of to_rep(H, h), which carries h0 to h."""
+    moved along the inverse of the least x in H carrying h to h0, found by
+    `permgrp.transporter` and not by the engine."""
     h0 = int(eng.orbit_data(H)[1][h])
     base = v.components.get(h0)
     if base is None or h == h0:
         return base
-    perm, _ = eng.conj_perm(eng.stab(H, h0), int(eng.F.inv[eng.to_rep(H, h)]))
+    x = transporter(eng.d.action, h, h0, within=H)
+    perm, _ = eng.conj_perm(eng.stab(H, h0), int(eng.F.inv[x]))
     out = np.zeros_like(base)
     out[perm] = base
     return out

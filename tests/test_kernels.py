@@ -66,9 +66,13 @@ def ref_rref(rows, p):
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("spec", ["sym:4", "dihedral:6", "quaternion8"])
-    def test_mult_table(self, spec):
-        g = group_preset(spec)
+    @pytest.mark.parametrize(
+        "spec", ["sym:4", "dihedral:6", "quaternion8", "sym:6", "dihedral:100", "cyclic:1", "moved"]
+    )
+    def test_mult_table(self, spec, s4_moved):
+        # the prefix that orders the rows is every point but the last on
+        # sym:n, 2 of 100 points on dihedral:100 and 3 of 6 on the moved S4
+        g = s4_moved if spec == "moved" else group_preset(spec)
         assert k.mult_table(g.images).tolist() == ref_mult_table(g.images)
 
     def test_class_matrix(self, s4):

@@ -21,6 +21,7 @@ from equifuse.errors import (
     OrderCapExceeded,
 )
 from equifuse.permgrp import (
+    Group,
     GroupAction,
     Perm,
     Subgroup,
@@ -125,6 +126,37 @@ class TestBuildGroup:
             assert s4.mult[s4.mult[a, b], c] == s4.mult[a, s4.mult[b, c]]
 
 
+class TestGroupElementList:
+    """`Group` refuses an element list that is not the sorted group its
+    generators generate, with ValueError."""
+
+    def test_swapped_elements(self, s3):
+        elems = list(s3.elements)
+        elems[1], elems[2] = elems[2], elems[1]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Group(elems, s3.generators)
+
+    def test_repeated_element(self, s3):
+        elems = list(s3.elements)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Group(elems[:2] + elems[1:], s3.generators)
+
+    def test_not_closed(self, s3):
+        with pytest.raises(ValueError, match="not closed"):
+            Group(s3.elements[:-1], s3.generators[:1])
+
+    def test_product_sharing_a_prefix_with_an_element(self):
+        # x * x = (2 4 3) is not in the list, but it fixes 0 like the
+        # identity, and point 0 alone orders the two rows
+        x = Perm([1, 0, 3, 4, 2])
+        with pytest.raises(ValueError, match="not the group its generators generate"):
+            Group([Perm.identity(5), x], [x])
+
+    def test_generators_short_of_the_list(self, s3):
+        with pytest.raises(ValueError, match="not the group its generators generate"):
+            Group(s3.elements, s3.generators[:1])
+
+
 def brute_classes(G):
     """Conjugation orbit closure, element by element."""
     unseen = set(range(G.order))
@@ -152,6 +184,26 @@ class TestConjugacyClasses:
 
     def test_z4_abelian(self, z4):
         assert [len(c) for _, c in conjugacy_classes(z4)] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("name", ["moved", "dihedral:12"])
+    def test_class_data_against_perm_scan(self, name, s4_moved):
+        """Every field of the class data against conjugation of `Perm`s,
+        which does not read the multiplication table."""
+        G = s4_moved if name == "moved" else group_preset(name)
+        rep_of = [
+            min(G.element_index(y * g * y.inverse()) for y in G.elements)
+            for g in G.elements
+        ]
+        reps = sorted(set(rep_of))
+        assert G.class_reps.tolist() == reps
+        assert G.class_of.tolist() == [reps.index(r) for r in rep_of]
+        assert [c.tolist() for c in G.classes] == [
+            [i for i in range(G.order) if rep_of[i] == r] for r in reps
+        ]
+        assert G.class_sizes.tolist() == [rep_of.count(r) for r in reps]
+        assert G.inverse_class.tolist() == [
+            reps.index(rep_of[G.element_index(G.elements[r].inverse())]) for r in reps
+        ]
 
     def test_reps_lex_minimal_partition(self, s4):
         seen = set()
@@ -266,6 +318,18 @@ def reference_double_coset_reps(G, K, H):
     return np.array(reps, dtype=np.int32)
 
 
+def reference_left_coset_reps(G, H):
+    """The scan `left_coset_reps` replaced: walk G in index order, keep
+    each g not yet assigned and assign its coset gH."""
+    assigned = np.zeros(G.order, dtype=bool)
+    reps = []
+    for g in range(G.order):
+        if not assigned[g]:
+            reps.append(g)
+            assigned[G.mult[g, H.members]] = True
+    return np.array(reps, dtype=np.int32)
+
+
 class TestDoubleCosetsAgainstScan:
     """The two min-gathers against the scan, on every pair of lattice
     subgroups; the moved S4 numbers its elements in another order."""
@@ -279,6 +343,14 @@ class TestDoubleCosetsAgainstScan:
                 reps = double_coset_reps(G, K, H)
                 assert reps.dtype == np.int32
                 assert np.array_equal(reps, reference_double_coset_reps(G, K, H))
+
+    @pytest.mark.parametrize("name", ["sym:4", "alt:5", "moved"])
+    def test_left_cosets_every_lattice_subgroup(self, name, s4_moved):
+        G = s4_moved if name == "moved" else group_preset(name)
+        for H in subgroup_lattice(G):
+            reps = left_coset_reps(G, H)
+            assert reps.dtype == np.int32
+            assert np.array_equal(reps, reference_left_coset_reps(G, H))
 
     def test_moved_s4_has_another_element_order(self, s4, s4_moved):
         # same order, but index i -> i is no isomorphism onto sym:4
