@@ -1,16 +1,18 @@
 """Hot numeric kernels, in numpy, with exact integer arithmetic throughout.
 
-Modular kernels work in int64 while the modulus fits in 31 bits, so that a
-product of two residues stays below 2**62.  A larger modulus, or an
-object-dtype input, is routed to exact Python-int arithmetic on object
-arrays; the input picks the route, no setting does.
+Every modular kernel takes residues in [0, p) for a prime p < 2**62 and
+works in int64, with one path for every such p; an object array of
+in-range ints (as tests build) is read as int64.  Two lemmas keep the
+arithmetic exact.  A matrix product splits both operands into w-bit limbs
+whose float64 BLAS products are exact (`matmul_mod`), and an elementwise
+product runs Horner over limbs of one factor so that no intermediate
+reaches 2**63 (`mul_mod`).  A sum of residues is a product with a column of
+ones, so it is exact by the first lemma.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-INT64_SAFE_P = 1 << 31  # products of two residues stay below 2**62
 
 
 def mult_table(images: np.ndarray) -> np.ndarray:
@@ -57,25 +59,19 @@ def class_matrix(mult, inv, class_of, members, reps):
 def induced_sums(mult, inv, reps, values, in_sub, p):
     """For each class rep h, the sum mod p of values[x^-1 h x] over every x
     in the big group whose conjugate x^-1 h x lies in the subgroup."""
-    big = values.dtype == object or p >= INT64_SAFE_P
-    vals = values.astype(object if big else np.int64, copy=False)
+    values = np.asarray(values, dtype=np.int64)
     ar = np.arange(mult.shape[0])
-    out = np.zeros(len(reps), dtype=object if big else np.int64)
+    ones = np.ones((len(ar), 1), dtype=np.int64)
+    out = np.zeros(len(reps), dtype=np.int64)
     for c, h in enumerate(reps):
         y = mult[mult[inv, int(h)], ar]
-        sel = y[in_sub[y]]
-        out[c] = int(vals[sel].sum() % p) if sel.size else 0
+        out[c] = matmul_mod(np.where(in_sub[y], values[y], 0)[None], ones, p)[0, 0]
     return out
 
 
 def rref_mod(a: np.ndarray, p: int):
     """Row-reduce a copy of `a` mod p; returns (rref matrix, pivot columns)."""
-    if a.dtype == object or p >= INT64_SAFE_P:
-        work = np.array(
-            [[int(v) % p for v in row] for row in a], dtype=object
-        ).reshape(a.shape)
-    else:
-        work = np.ascontiguousarray(a, dtype=np.int64) % p
+    work = np.asarray(a, dtype=np.int64) % p
     m, n = work.shape
     pivots = []
     r = 0
@@ -86,11 +82,10 @@ def rref_mod(a: np.ndarray, p: int):
         i = r + int(nz[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
-        inv = pow(int(work[r, c]), p - 2, p)
-        work[r] = (work[r] * inv) % p
+        work[r] = mul_mod(work[r], pow(int(work[r, c]), p - 2, p), p)
         f = work[:, c].copy()
         f[r] = 0
-        work -= np.outer(f, work[r])
+        work -= mul_mod(f[:, None], work[r], p)
         work %= p
         pivots.append(c)
         r += 1
@@ -101,29 +96,69 @@ def rref_mod(a: np.ndarray, p: int):
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right nullspace of `a` mod p, as columns."""
-    m, n = a.shape
+    n = a.shape[1]
     r, piv = rref_mod(a, p)
-    piv = [int(c) for c in piv]
-    free = [c for c in range(n) if c not in piv]
-    big = r.dtype == object
-    basis = np.zeros((n, len(free)), dtype=object if big else np.int64)
-    for t, fc in enumerate(free):
-        basis[fc, t] = 1
-        for row, pc in enumerate(piv):
-            basis[pc, t] = (-int(r[row, fc])) % p
+    is_pivot = np.zeros(n, dtype=bool)
+    is_pivot[piv] = True
+    free = np.flatnonzero(~is_pivot)
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[piv] = -r[: len(piv), free] % p
     return basis
 
 
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p; falls back to object arithmetic when int64 could
-    overflow the accumulated inner products."""
-    inner = a.shape[1]
-    if (
-        a.dtype != object
-        and b.dtype != object
-        and inner * (p - 1) * (p - 1) < (1 << 63)
-    ):
-        return (a.astype(np.int64) @ b.astype(np.int64)) % p
-    ao = np.array([[int(v) % p for v in row] for row in a], dtype=object)
-    bo = np.array([[int(v) % p for v in row] for row in b], dtype=object)
-    return (ao @ bo) % p
+def mul_mod(a, b, p: int) -> np.ndarray:
+    """Exact elementwise a * b mod p, broadcast, for residues a and b.
+
+    Lemma: with t = 63 - bitlen(p), Horner over the t-bit limbs of b stays
+    below 2**63.  The accumulator x < p shifts to x 2^t < 2^(bitlen(p) + t)
+    = 2^63, a limb product a l is below the same bound, and each is reduced
+    before the two are added, so the sum is below 2p < 2^63.  For
+    p < 2**31 there is one limb: the plain product a b < 2^62.  Otherwise
+    the steps run over the limbs of max(b) only, so pass the factor with
+    the smaller entries as b."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    bits = p.bit_length()
+    t = 63 - bits
+    if bits <= t:
+        return a * b % p
+    mask = (1 << t) - 1
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    for shift in range((int(b.max(initial=0)).bit_length() - 1) // t * t, -1, -t):
+        out = ((out << t) % p + a * ((b >> shift) & mask) % p) % p
+    return out
+
+
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p for matrices of residues, in int64.
+
+    Lemma: let w be the largest width with inner * (2^w - 1)^2 < 2^53.
+    Split both operands into w-bit limbs, a = sum_i a_i 2^(wi) and
+    b = sum_j b_j 2^(wj).  Each a_i @ b_j is a sum of `inner` products
+    below (2^w - 1)^2, so every partial sum is an integer below 2^53 and
+    the float64 BLAS product is exact in any summation order.  Each limb
+    product is reduced mod p, the ones of equal weight i + j are added as
+    residues, and the weights are recombined by Horner: x 2^w mod p is
+    taken in shifts of at most 63 - bitlen(p) bits, each below 2^63 by the
+    lemma of `mul_mod`.  A modulus with p - 1 < 2^w, as the default prime
+    of a small group has, takes a single product."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    w = 26
+    while a.shape[1] * ((1 << w) - 1) ** 2 >= 1 << 53:
+        w -= 1
+    n = -(-(p - 1).bit_length() // w)
+    if n == 1:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    t = 63 - p.bit_length()
+    mask = (1 << w) - 1
+    al = [((a >> (w * i)) & mask).astype(np.float64) for i in range(n)]
+    bl = [((b >> (w * j)) & mask).astype(np.float64) for j in range(n)]
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(2 * n - 2, -1, -1):
+        for i in range(max(0, s - n + 1), min(s, n - 1) + 1):
+            out = (out + (al[i] @ bl[s - i]).astype(np.int64) % p) % p
+        for u in range(w if s else 0, 0, -t):  # times 2^w, t bits a shift
+            out = (out << min(u, t)) % p
+    return out

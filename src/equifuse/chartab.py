@@ -196,7 +196,11 @@ def _primitive_root(p: int) -> int:
 
 
 def make_context(groups, prime_override: int | None = None) -> ModularContext:
-    """Smallest prime p > max(order)**3 with p = 1 (mod lcm of exponents)."""
+    """Smallest prime p > max(order)**3 with p = 1 (mod lcm of exponents).
+
+    Every prime, searched or given as `prime_override`, is below 2**62, the
+    bound under which the `_kernels` residue arithmetic is exact in int64;
+    an override at or past it raises InvalidPrime."""
     groups = list(groups)
     lcm = 1
     bound = 1
@@ -205,10 +209,10 @@ def make_context(groups, prime_override: int | None = None) -> ModularContext:
         bound = max(bound, g.order**3)
     if prime_override is not None:
         p = int(prime_override)
-        if not (_is_prime(p) and p > bound and (p - 1) % lcm == 0):
+        if not (_is_prime(p) and bound < p < _SEARCH_CAP and (p - 1) % lcm == 0):
             raise InvalidPrime(
                 f"prime override {p} must be prime, exceed {bound}, "
-                f"and be 1 mod {lcm}"
+                f"be below 2**62 and be 1 mod {lcm}"
             )
     else:
         p = bound + 1 + ((-bound) % lcm)  # first candidate = 1 mod lcm above bound
@@ -221,7 +225,7 @@ def make_context(groups, prime_override: int | None = None) -> ModularContext:
 
 def _matpow(a, e, p):
     """a**e mod p by square-and-multiply over `_kernels.matmul_mod`."""
-    result = np.eye(a.shape[0], dtype=a.dtype)
+    result = np.eye(a.shape[0], dtype=np.int64)
     while e:
         if e & 1:
             result = _kernels.matmul_mod(result, a, p)
@@ -264,12 +268,12 @@ def _common_eigenbasis(mats, k, p, rng):
     Running out of rounds, or more than k parts (only matrices outside a
     class algebra give that), raises EigenbasisFailure; the draws come from
     the seeded `rng`, so runs are reproducible."""
-    dtype = object if p >= _kernels.INT64_SAFE_P else np.int64
-    ident = np.eye(k, dtype=dtype)
+    ident = np.eye(k, dtype=np.int64)
+    ones = np.ones((k, 1), dtype=np.int64)
     half = (p + 1) // 2
     vectors, parts, rounds = [], ident[None], 64 + 4 * k
     while True:
-        ranks = np.trace(parts, axis1=1, axis2=2) % p
+        ranks = _kernels.matmul_mod(np.diagonal(parts, axis1=1, axis2=2), ones, p)[:, 0]
         vectors += [e[:, np.flatnonzero((e != 0).any(axis=0))[0]] for e in parts[ranks == 1]]
         parts = parts[ranks > 1]
         if not len(parts) or not rounds or len(vectors) + len(parts) > k:
@@ -277,11 +281,11 @@ def _common_eigenbasis(mats, k, p, rng):
         rounds -= 1
         z = int(rng.integers(0, p)) * ident
         for m in mats:
-            z = z + int(rng.integers(0, p)) * m.astype(dtype)
-        b = _matpow(z % p, (p - 1) // 2, p)
+            z = (z + _kernels.mul_mod(int(rng.integers(0, p)), m, p)) % p
+        b = _matpow(z, (p - 1) // 2, p)
         if not (_kernels.matmul_mod(b, b, p) == ident).all():
             continue
-        plus = (ident + b) * half % p
+        plus = _kernels.mul_mod((ident + b) % p, half, p)
         ep = _kernels.matmul_mod(parts.reshape(-1, k), plus, p).reshape(parts.shape)
         parts = np.concatenate([ep, (parts - ep) % p])
     if len(parts) or len(vectors) != k:
@@ -312,7 +316,7 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
     size_inv = [pow(int(c), p - 2, p) for c in sizes]
     rows = []
     for u in vectors:
-        u0 = int(u[0]) % p
+        u0 = int(u[0])
         if u0 == 0:
             raise EigenbasisFailure("eigenvector vanishes at the identity class")
         scale = pow(u0, p - 2, p)
@@ -332,9 +336,9 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
     if sum(v[0] ** 2 for v in rows) != G.order:
         raise EigenbasisFailure("degree squares do not sum to the group order")
     # row orthogonality as one Gram product: [a, b] = (1/|G|) sum_c |c| a(c) b(c^-1)
-    v = np.array(rows, dtype=object if p >= _kernels.INT64_SAFE_P else np.int64)
-    weights = np.array([int(c) * order_inv % p for c in sizes], dtype=v.dtype)
-    gram = _kernels.matmul_mod(v, (v[:, inv_class] * weights % p).T, p)
+    v = np.array(rows, dtype=np.int64)
+    weights = np.array([int(c) * order_inv % p for c in sizes], dtype=np.int64)
+    gram = _kernels.matmul_mod(v, _kernels.mul_mod(v[:, inv_class], weights, p).T, p)
     if not (gram == np.eye(k, dtype=np.int64)).all():
         raise EigenbasisFailure("row orthogonality failed")
     if rows[0] != tuple([1] * k):
@@ -384,7 +388,7 @@ def induce(chi: ClassFunction, H: Group, p: int) -> ClassFunction:
     emb = _embed_indices(Kgrp, H)
     in_sub = np.zeros(H.order, dtype=bool)
     in_sub[emb] = True
-    values = np.zeros(H.order, dtype=np.int64 if p < _kernels.INT64_SAFE_P else object)
+    values = np.zeros(H.order, dtype=np.int64)
     for i, e in enumerate(emb):
         values[e] = chi.values[int(Kgrp.class_of[i])]
     sums = _kernels.induced_sums(H.mult, H.inv, H.class_reps, values, in_sub, p)
@@ -455,20 +459,20 @@ def reciprocity_block(inner: Subgroup, factors, target: Subgroup, ctx: ModularCo
     p = ctx.p
     parent, igrp = inner.parent, inner.group()
     reps = inner.members[igrp.class_reps]
-    dtype = np.int64 if p < _kernels.INT64_SAFE_P else object
     tables = [character_table(s.group(), ctx) for s in (*factors, target)]
 
     def at(sub, table, elems):
         # the table of sub, one column per element of elems
         cols = sub.group().class_of[np.searchsorted(sub.members, elems)]
-        return np.array([r.values for r in table.rows], dtype=dtype)[:, cols]
+        return np.array([r.values for r in table.rows], dtype=np.int64)[:, cols]
 
-    prod = (igrp.class_sizes.astype(dtype) * pow(inner.order, p - 2, p) % p)[None, :]
+    prod = _kernels.mul_mod(pow(inner.order, p - 2, p), igrp.class_sizes, p)[None, :]
     for sub, table in zip(factors, tables):
-        prod = (prod[:, None, :] * at(sub, table, reps)[None, :, :] % p).reshape(-1, len(reps))
+        prod = _kernels.mul_mod(prod[:, None, :], at(sub, table, reps)[None, :, :], p)
+        prod = prod.reshape(-1, len(reps))
     rho_inv = at(target, tables[-1], parent.inv[reps])
     flat = _kernels.matmul_mod(prod, rho_inv.T, p)
-    block = np.where(flat > p // 2, flat - p, flat).astype(np.int64)
+    block = np.where(flat > p // 2, flat - p, flat)
     degs = [np.array(t.degrees, dtype=np.int64) for t in tables]
     block = block.reshape([len(d) for d in degs])
     if (block < 0).any():

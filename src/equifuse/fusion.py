@@ -712,8 +712,9 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     return report
 
 
-# A prime with n * p^2 < 2**63 for any table that fits in memory, so the span
-# products stay in int64 (`_kernels.matmul_mod`).
+# Like every prime below 2**62 this one keeps the span in int64; below 2**20
+# it also makes each `matmul_mod` over fewer than 8,192 labels (every table
+# that fits in memory) a single float64 product.
 _SPAN_PRIME = 1_000_003
 
 

@@ -382,12 +382,16 @@ def _close(G: Group, base, extra) -> np.ndarray:
     mask = np.zeros(G.order, dtype=bool) if base is None else base.copy()
     mask[0] = True
     extra = np.asarray(extra, dtype=np.int64)
-    gens = np.union1d(np.flatnonzero(mask), extra)
-    frontier = np.unique(extra[~mask[extra]])
-    while frontier.size:
-        mask[frontier] = True
-        products = G.mult[frontier][:, gens].ravel()
-        frontier = np.unique(products[~mask[products]])
+    new = np.zeros(G.order, dtype=bool)
+    new[extra] = True
+    gens = np.flatnonzero(mask | new)
+    new &= ~mask
+    while new.any():
+        mask |= new
+        products = G.mult[np.flatnonzero(new)][:, gens].ravel()
+        new = np.zeros(G.order, dtype=bool)
+        new[products] = True
+        new &= ~mask
     return mask
 
 

@@ -197,18 +197,19 @@ class TestCommonEigenbasis:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_matpow_is_repeated_products(self, data):
-        p = data.draw(st.sampled_from([1741, 2147484061]))
+        # against repeated products of Python ints, for one limb and several
+        p = data.draw(st.sampled_from([1741, 2147484061, (1 << 62) - 57]))
         k = data.draw(st.integers(1, 4))
-        dtype = object if p >= _kernels.INT64_SAFE_P else np.int64
-        a = np.array(
-            data.draw(st.lists(st.integers(0, p - 1), min_size=k * k, max_size=k * k)),
-            dtype=dtype,
-        ).reshape(k, k)
+        rows = [data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+                for _ in range(k)]
         e = data.draw(st.integers(0, 40))
-        expected = np.eye(k, dtype=dtype)
+        expected = [[int(i == j) for j in range(k)] for i in range(k)]
         for _ in range(e):
-            expected = _kernels.matmul_mod(expected, a, p)
-        assert (ct._matpow(a, e, p) == expected).all()
+            expected = [[sum(x * rows[t][j] for t, x in enumerate(row)) % p for j in range(k)]
+                        for row in expected]
+        got = ct._matpow(np.array(rows, dtype=np.int64), e, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
 
 
 class TestKnownDegreeSequences:

@@ -228,6 +228,15 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert json.loads(err.strip())["error"] == "InvalidPrime"
 
+    def test_prime_override_past_2_62(self, capsys):
+        # 4611686018427388073 is prime, = 1 mod 4 and at least 2**62: the
+        # residue kernels are exact in int64 only below 2**62
+        code, _, err = run(
+            capsys, "chartable", "cyclic:4", "--prime-override", "4611686018427388073"
+        )
+        assert code == 2
+        assert json.loads(err.strip())["error"] == "InvalidPrime"
+
     def test_good_prime_override(self, capsys):
         code, out, _ = run(capsys, "chartable", "cyclic:4", "--prime-override", "89")
         assert code == 0
@@ -279,6 +288,24 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv", [
+        ["double", "dihedral:10"],
+        ["verify", "mackey", "--family", "char:alt:5"],
+        ["verify", "green", "--family", "equiv:dihedral:6:dihedral:6:conjugation"],
+    ], ids=["double-d10", "mackey-a5", "green-d6"])
+    def test_benchmark_workloads_do_not_import_numpy_ma(self, argv):
+        # np.unique and np.union1d import numpy.ma on first use, over a MiB
+        # of resident memory for masked arrays that nothing here uses
+        code = (
+            "import sys; from equifuse.cli import main; rc = main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(rc)"
+        )
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stderr.splitlines()[-1] == "False"
 
 
 # D4 acting on C4 through D4 -> Aut(C4) = Z2 (rotations fix C4, reflections
@@ -377,9 +404,14 @@ class TestPinnedOutput:
 
 
 class TestLargePrimes:
-    """Past the int64-safe range (p >= 2**31) a product of residues can
-    overflow int64, so local products run on Python ints there; the digests
-    come from the per-irreducible path, like those of TestPinnedOutput."""
+    """Primes whose residues span several limbs: past 2**31 a product of two
+    residues passes 2**62 (`_kernels.mul_mod` takes it in limbs), and k (p -
+    1)**2 >= 2**53 splits a matrix product (`_kernels.matmul_mod`), as on
+    `dihedral:120` (k = 63, p = 13,824,121) at its own prime.  The first
+    seven digests come from the per-irreducible path, like those of
+    TestPinnedOutput; those from `dihedral:120` on were recorded when
+    residue products past those bounds ran on Python ints in object
+    arrays."""
 
     @_pinned(
         "double alt:4 --prime-override 2147484061"
@@ -397,6 +429,12 @@ class TestLargePrimes:
         " | 180fae1681b753a88c8348b18d5db2568dc3e5043012308b1a5568d3cec8de73",
         "chartable sym:4 --prime-override 2147484061"
         " | 5a8bd2ad253b1c2e440506bb52ba0c31c8ab1a2fb2e1caa71c0f0992138a9421",
+        "chartable dihedral:120"
+        " | ed02e3667a0b8b7a2eb7b02de2b2cd7aa03e3d3f29e0b2e36c04e45a32577d16",
+        "chartable cyclic:40 --prime-override 2147484041"
+        " | 1b35bf2fe19f97af525d1da6f28427509ab9afcf799353a67e182575120a6642",
+        "chartable cyclic:40 --prime-override 2305843009213695001"
+        " | 0b9f921f11f3ecae260615bd8ce8f6822f80f2e016fdbb698ab36b0289e69432",
     )
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

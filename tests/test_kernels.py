@@ -1,14 +1,21 @@
-"""Each public kernel must agree with a plain-Python loop reference, and
-moduli past the int64-safe range must route to exact object arithmetic."""
+"""Each public kernel must agree with a plain-Python loop reference, in
+int64, for every prime below 2**62: one limb and several, up to the largest
+prime below 2**62, where every limb and Horner bound is tight."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equifuse import _kernels as k
 from equifuse.presets import group_preset
 
 P_SMALL = 13873
-P_HUGE = (1 << 31) + 11  # prime 2147483659, past the int64-safe guard
+P_HUGE = (1 << 31) + 11  # prime 2147483659: residue products pass 2**62
+P_MAX = (1 << 62) - 57  # the largest prime below 2**62
+# one limb and several, across the width changes of both lemmas
+PRIMES = [2, 3, 7, 1741, 13824121, 2097152641, P_HUGE, 1099511628781,
+          2305843009213695001, P_MAX]
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +47,14 @@ def ref_induced_sums(mult, inv, reps, values, in_sub, p):
                 acc = (acc + int(values[y])) % p
         out.append(acc)
     return out
+
+
+def ref_matmul(a, b, p):
+    cols = list(zip(*b.tolist()))
+    return np.array(
+        [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in cols] for row in a.tolist()],
+        dtype=np.int64,
+    ).reshape(a.shape[0], b.shape[1])
 
 
 def ref_rref(rows, p):
@@ -84,22 +99,24 @@ class TestAgainstReference:
             assert got.tolist() == expect
 
     @pytest.mark.parametrize(
-        "p, dtype", [(P_SMALL, np.int64), (P_HUGE, np.int64), (P_SMALL, object)]
+        "p, dtype",
+        [(P_SMALL, np.int64), (P_HUGE, np.int64), (P_SMALL, object),
+         (P_MAX, np.int64), (P_MAX, object)],
     )
     def test_induced_sums(self, s4, p, dtype):
+        # at P_MAX the class sums pass 2**63 unless reduced as they accumulate
         rng = np.random.default_rng(1)
         vals = rng.integers(0, p, size=s4.order).astype(dtype)
         mask = np.zeros(s4.order, dtype=bool)
         mask[s4.classes[0]] = True
         mask[s4.classes[2]] = True
         got = k.induced_sums(s4.mult, s4.inv, s4.class_reps, vals, mask, p)
-        big = dtype is object or p >= k.INT64_SAFE_P
-        assert got.dtype == (object if big else np.int64)
+        assert got.dtype == np.int64
         assert [int(v) for v in got] == ref_induced_sums(
             s4.mult, s4.inv, s4.class_reps, vals, mask, p
         )
 
-    @pytest.mark.parametrize("p", [P_SMALL, P_HUGE])
+    @pytest.mark.parametrize("p", [P_SMALL, P_HUGE, P_MAX])
     def test_rref(self, p):
         rng = np.random.default_rng(2)
         for shape in [(4, 7), (9, 5), (6, 6)]:
@@ -107,6 +124,7 @@ class TestAgainstReference:
             m[-1] = (2 * m[0] + m[1]) % p  # force a rank drop
             work, piv = k.rref_mod(m, p)
             expect, expect_piv = ref_rref(m.tolist(), p)
+            assert work.dtype == np.int64
             assert [[int(v) for v in row] for row in work] == expect
             assert piv.tolist() == expect_piv
 
@@ -135,16 +153,64 @@ class TestModularAlgebra:
         )
         assert np.array_equal(k.matmul_mod(a, b, P_SMALL), expect)
 
-    def test_huge_modulus_routes_to_exact_path(self):
+    @pytest.mark.parametrize("p", [P_HUGE, P_MAX])
+    def test_huge_modulus_stays_int64_and_exact(self, p):
         rng = np.random.default_rng(5)
-        a = rng.integers(0, P_HUGE, size=(4, 6)).astype(np.int64)
-        r, piv = k.rref_mod(a, P_HUGE)
-        assert r.dtype == object
+        a = rng.integers(0, p, size=(4, 6)).astype(np.int64)
+        r, piv = k.rref_mod(a, p)
+        assert r.dtype == np.int64
         for row, col in enumerate(piv):
             assert r[row, col] == 1
-        ns = k.nullspace_mod(a, P_HUGE)
-        prod = k.matmul_mod(a, ns, P_HUGE) if ns.shape[1] else ns
-        assert not np.asarray(prod % P_HUGE, dtype=object).any()
+        ns = k.nullspace_mod(a, p)
+        assert ns.dtype == np.int64 and ns.shape[1] == 6 - len(piv)
+        assert not ref_matmul(a, ns, p).any()
+        assert not k.matmul_mod(a, ns, p).any()
+
+    @pytest.mark.parametrize("inner, p", [
+        (1, P_MAX),
+        (323, 2097152641),  # a fixed 16-bit limb is wrong here
+        (2000, 2305843009213695001),
+    ])
+    def test_matmul_at_the_limb_bound(self, inner, p):
+        # every entry p - 1: every limb is all ones, every sum is largest
+        a = np.full((2, inner), p - 1, dtype=np.int64)
+        b = np.full((inner, 3), p - 1, dtype=np.int64)
+        out = k.matmul_mod(a, b, p)
+        assert out.dtype == np.int64
+        assert (out == inner * (p - 1) ** 2 % p).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matmul_matches_python_ints(self, data):
+        p = data.draw(st.sampled_from(PRIMES))
+        m, inner, n = (data.draw(st.integers(1, hi)) for hi in (4, 70, 4))
+        entry = st.integers(0, p - 1)
+        a = np.array(data.draw(st.lists(entry, min_size=m * inner, max_size=m * inner)),
+                     dtype=np.int64).reshape(m, inner)
+        b = np.array(data.draw(st.lists(entry, min_size=inner * n, max_size=inner * n)),
+                     dtype=np.int64).reshape(inner, n)
+        out = k.matmul_mod(a, b, p)
+        assert out.dtype == np.int64
+        assert out.tolist() == ref_matmul(a, b, p).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mul_mod_matches_python_ints(self, data):
+        p = data.draw(st.sampled_from(PRIMES))
+        size = data.draw(st.integers(1, 8))
+        entry = st.integers(0, p - 1)
+        a = data.draw(st.lists(entry, min_size=size, max_size=size))
+        b = data.draw(st.lists(entry, min_size=size, max_size=size))
+        out = k.mul_mod(np.array(a)[:, None], np.array(b)[None, :], p)
+        assert out.dtype == np.int64
+        assert out.tolist() == [[x * y % p for y in b] for x in a]
+
+    def test_object_operands_read_as_int64(self):
+        a = np.array([[P_MAX - 1, 2]], dtype=object)
+        b = np.array([[P_MAX - 1], [3]], dtype=object)
+        out = k.matmul_mod(a, b, P_MAX)
+        assert out.dtype == np.int64
+        assert out.tolist() == [[(1 + 6) % P_MAX]]
 
     def test_matmul_overflow_guard(self):
         # inner dimension * p^2 past int64: result must still be exact
