@@ -114,18 +114,15 @@ def mul_mod(a, b, p: int) -> np.ndarray:
     below 2**63.  The accumulator x < p shifts to x 2^t < 2^(bitlen(p) + t)
     = 2^63, a limb product a l is below the same bound, and each is reduced
     before the two are added, so the sum is below 2p < 2^63.  For
-    p < 2**31 there is one limb: the plain product a b < 2^62.  Otherwise
-    the steps run over the limbs of max(b) only, so pass the factor with
-    the smaller entries as b."""
+    p < 2**31 the residue b is a single limb.  The steps run over the limbs
+    of max(b) only, so pass the factor with the smaller entries as b."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    bits = p.bit_length()
-    t = 63 - bits
-    if bits <= t:
-        return a * b % p
+    t = 63 - p.bit_length()
     mask = (1 << t) - 1
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-    for shift in range((int(b.max(initial=0)).bit_length() - 1) // t * t, -1, -t):
+    top = max(int(b.max(initial=0)).bit_length() - 1, 0) // t * t
+    out = a * ((b >> top) & mask) % p
+    for shift in range(top - t, -1, -t):
         out = ((out << t) % p + a * ((b >> shift) & mask) % p) % p
     return out
 
@@ -137,28 +134,24 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     Split both operands into w-bit limbs, a = sum_i a_i 2^(wi) and
     b = sum_j b_j 2^(wj).  Each a_i @ b_j is a sum of `inner` products
     below (2^w - 1)^2, so every partial sum is an integer below 2^53 and
-    the float64 BLAS product is exact in any summation order.  Each limb
-    product is reduced mod p, the ones of equal weight i + j are added as
-    residues, and the weights are recombined by Horner: x 2^w mod p is
-    taken in shifts of at most 63 - bitlen(p) bits, each below 2^63 by the
-    lemma of `mul_mod`.  A modulus with p - 1 < 2^w, as the default prime
-    of a small group has, takes a single product."""
+    the float64 BLAS product is exact in any summation order.  Added to a
+    residue it stays below 2^62 + 2^53 < 2^63, so the limb products of
+    equal weight i + j accumulate as residues, and the weights recombine
+    by Horner, times 2^w mod p by `mul_mod`.  A modulus with p - 1 < 2^w,
+    as the default prime of a small group has, takes a single product."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     w = 26
     while a.shape[1] * ((1 << w) - 1) ** 2 >= 1 << 53:
         w -= 1
     n = -(-(p - 1).bit_length() // w)
-    if n == 1:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-    t = 63 - p.bit_length()
     mask = (1 << w) - 1
     al = [((a >> (w * i)) & mask).astype(np.float64) for i in range(n)]
     bl = [((b >> (w * j)) & mask).astype(np.float64) for j in range(n)]
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    out = 0
     for s in range(2 * n - 2, -1, -1):
         for i in range(max(0, s - n + 1), min(s, n - 1) + 1):
-            out = (out + (al[i] @ bl[s - i]).astype(np.int64) % p) % p
-        for u in range(w if s else 0, 0, -t):  # times 2^w, t bits a shift
-            out = (out << min(u, t)) % p
+            out = (out + (al[i] @ bl[s - i]).astype(np.int64)) % p
+        if s:
+            out = mul_mod(out, 1 << w, p)
     return out

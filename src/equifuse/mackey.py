@@ -347,9 +347,8 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
             good = is_conjugate[hi] & is_conjugate[ki]
             # where a target is wrong, compare against (H, K) itself: that x fails
             code = np.where(good, target[hi] * count + target[ki], hi * count + ki)
-            seen = np.zeros(count * count, dtype=bool)
-            seen[code] = True
-            pairs = np.flatnonzero(seen)
+            code_sorted = np.sort(code)
+            pairs = code_sorted[np.diff(code_sorted, prepend=-1) != 0]
             at = np.searchsorted(pairs, code)
             moved = [(lattice[p // count], lattice[p % count]) for p in pairs.tolist()]
             ok = good & (
