@@ -114,11 +114,16 @@ def mul_mod(a, b, p: int) -> np.ndarray:
     below 2**63.  The accumulator x < p shifts to x 2^t < 2^(bitlen(p) + t)
     = 2^63, a limb product a l is below the same bound, and each is reduced
     before the two are added, so the sum is below 2p < 2^63.  For
-    p < 2**31 the residue b is a single limb.  The steps run over the limbs
+    p < 2**31 the residue b is a single limb, and the one step is the plain
+    product a b < 2^62, taken directly: a loop of one step costs about
+    three times as much per call.  Otherwise the steps run over the limbs
     of max(b) only, so pass the factor with the smaller entries as b."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    t = 63 - p.bit_length()
+    bits = p.bit_length()
+    t = 63 - bits
+    if bits <= t:
+        return a * b % p
     mask = (1 << t) - 1
     top = max(int(b.max(initial=0)).bit_length() - 1, 0) // t * t
     out = a * ((b >> top) & mask) % p
@@ -138,13 +143,17 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     residue it stays below 2^62 + 2^53 < 2^63, so the limb products of
     equal weight i + j accumulate as residues, and the weights recombine
     by Horner, times 2^w mod p by `mul_mod`.  A modulus with p - 1 < 2^w,
-    as the default prime of a small group has, takes a single product."""
+    as the default prime of a small group has, is one limb, and its single
+    product is taken directly: on the 2 x 2 to 5 x 5 class-algebra
+    matrices of small groups the loop costs more than the product."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     w = 26
     while a.shape[1] * ((1 << w) - 1) ** 2 >= 1 << 53:
         w -= 1
     n = -(-(p - 1).bit_length() // w)
+    if n == 1:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
     mask = (1 << w) - 1
     al = [((a >> (w * i)) & mask).astype(np.float64) for i in range(n)]
     bl = [((b >> (w * j)) & mask).astype(np.float64) for j in range(n)]
