@@ -48,13 +48,15 @@ class ModularContext:
     p = 1 (mod e) for the lcm e of the groups' exponents, so F_p contains all
     needed roots of unity, and p exceeds max(order)**3 so every nonnegative
     integer produced by the calculus lifts uniquely.  `primitive_root`
-    generates F_p* and is only used for the human-readable cyclotomic lift.
+    generates F_p*; it is found on first use, since that factors p - 1, and
+    only the human-readable cyclotomic lift uses it.
     """
 
     p: int
-    primitive_root: int
-    exponent_lcm: int
-    bound: int
+
+    @functools.cached_property
+    def primitive_root(self) -> int:
+        return _primitive_root(self.p)
 
     def root_of_unity(self, e: int) -> int:
         if (self.p - 1) % e != 0:
@@ -220,7 +222,7 @@ def make_context(groups, prime_override: int | None = None) -> ModularContext:
             p += lcm
             if p > _SEARCH_CAP:
                 raise EigenbasisFailure("prime search exceeded 2**62")
-    return ModularContext(p=p, primitive_root=_primitive_root(p), exponent_lcm=lcm, bound=bound)
+    return ModularContext(p=p)
 
 
 def _matpow(a, e, p):

@@ -66,15 +66,19 @@ def _ring_json_dict(ring: fusion.FusionRing) -> dict:
     }
 
 
-def _chartable_json_dict(G: Group, ctx) -> dict:
-    table = chartab.character_table(G, ctx)
-    classes = [
+def _classes(G: Group) -> list:
+    """Each conjugacy class as its representative's images and its size."""
+    return [
         {"rep": list(G.elements[int(r)].images), "size": int(s)}
         for r, s in zip(G.class_reps, G.class_sizes)
     ]
+
+
+def _chartable_json_dict(G: Group, ctx) -> dict:
+    table = chartab.character_table(G, ctx)
     return {
         "order": G.order,
-        "classes": classes,
+        "classes": _classes(G),
         "prime": ctx.p,
         "degrees": list(table.degrees),
         "rows_mod_p": [list(row.values) for row in table.rows],
@@ -125,10 +129,7 @@ def _cmd_group(args, out) -> int:
     G = presets.parse_group_spec(args.spec)
     data = presets.group_to_json_dict(G)
     data["order"] = G.order
-    data["classes"] = [
-        {"rep": list(G.elements[int(r)].images), "size": int(s)}
-        for r, s in zip(G.class_reps, G.class_sizes)
-    ]
+    data["classes"] = _classes(G)
     _emit_json(data, out)
     return 0
 

@@ -31,7 +31,8 @@ are assembled from those blocks and slots, one orbit representative at a
 time (`_Engine.restriction`, `induction`, `conjugation`); the engine does
 not keep them, `mackey.MackeyFamily` does, and the public per-label
 functions build one and read one column of it.  The structure-constant
-tensor is assembled in one place, `_Engine.product_tensor`.  Associativity of an
+tensor is assembled in one place, `_Engine.product_tensor`; a `FusionRing`
+keeps only its nonzero [i, j, k, N] rows.  Associativity of an
 assembled table is decided on the slices of a generating set of basis
 elements (the generator lemma of `associativity_failure`), and every slice
 is scanned only to name the first failure.  The slices are float64 BLAS
@@ -41,6 +42,7 @@ check refuses to answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -130,19 +132,21 @@ class InvariantVector:
 
 
 class FusionRing:
-    """Sparse nonnegative-integer structure constants over the simple basis.
+    """Structure constants over the simple basis, kept once as `rows`: the
+    int64 [i, j, k, N] of every nonzero N_ij^k in ascending (i, j, k).
+    `tensor()` densifies them, and `constants[(i, j)]`, the (k, N) pairs of
+    each label pair, is built on first access.
 
     All invariants (unit row/column, dimension homomorphism, associativity,
     agreement of the two product forms) are verified at construction.
     """
 
-    def __init__(self, datum, subgroup, labels, unit, constants, tensor, checks):
+    def __init__(self, datum, subgroup, labels, unit, rows, checks):
         self.datum = datum
         self.subgroup = subgroup
         self.labels = tuple(labels)
         self.unit = unit
-        self.constants = constants
-        self._tensor = tensor
+        self.rows = rows
         self.dims = tuple(l.dim for l in self.labels)
         self.checks = dict(checks)
 
@@ -150,16 +154,21 @@ class FusionRing:
     def size(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def constants(self) -> dict:
+        out = dict.fromkeys(itertools.product(range(self.size), repeat=2), ())
+        for (i, j), entries in itertools.groupby(self.rows.tolist(), lambda r: (r[0], r[1])):
+            out[i, j] = tuple((k, coeff) for _, _, k, coeff in entries)
+        return out
+
     def tensor(self) -> np.ndarray:
-        return self._tensor.copy()
+        t = np.zeros((self.size,) * 3, dtype=np.int64)
+        t[tuple(self.rows[:, :3].T)] = self.rows[:, 3]
+        return t
 
     def constant_rows(self):
         """Flat [i, j, k, N] rows in ascending (i, j, k)."""
-        out = []
-        for (i, j) in sorted(self.constants):
-            for k, coeff in self.constants[(i, j)]:
-                out.append([i, j, k, int(coeff)])
-        return out
+        return self.rows.tolist()
 
 
 def _engine(d: CoherentDatum, ctx: ModularContext) -> "_Engine":
@@ -835,15 +844,6 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
     labels = basis.labels
     n = len(labels)
     tensor = eng.product_tensor(H)
-    # one np.nonzero per row, in ascending (j, k): each pair (i, j) takes its
-    # count of (k, N) entries off the row's stream.  Row by row, not over the
-    # whole tensor, to keep every temporary small
-    constants = {}
-    for i, row in enumerate(tensor):
-        js, ks = np.nonzero(row)
-        entries = zip(ks.tolist(), row[js, ks].tolist())
-        for j, count in enumerate(np.bincount(js, minlength=n).tolist()):
-            constants[(i, j)] = tuple(itertools.islice(entries, count))
     unit = basis.pos[(0, 0)]
     checks = {"associative": True, "dim_hom": True, "matches_M_form": True}
 
@@ -866,4 +866,7 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
     if bad is not None:
         raise InvariantViolation(f"associativity fails at {bad}")
 
-    return FusionRing(d, H, labels, unit, constants, tensor, checks)
+    # np.argwhere lists the nonzero entries in ascending (i, j, k)
+    at = np.argwhere(tensor)
+    rows = np.column_stack([at, tensor[tuple(at.T)]])
+    return FusionRing(d, H, labels, unit, rows, checks)

@@ -31,8 +31,9 @@ from .reports import AxiomReport
 class MackeyFamily:
     """Based family {a(H)} over a lattice with I/R/c maps as integer matrices.
 
-    Each callback returns a whole matrix (or product tensor).  The R, I and
-    c matrices are cached by subgroup membership key (and x), since the
+    Each callback returns a whole matrix (or product tensor).  The R and I
+    matrices are cached by subgroup membership keys, and the c matrices of
+    each subgroup as one stack over all x (`conjugations`), since the
     verifiers read each one many times; sizes and product tensors are not,
     since each is read once per subgroup (the Green verifier keeps its own
     tensors).
@@ -43,7 +44,7 @@ class MackeyFamily:
         self.ambient = ambient
         self.lattice = list(lattice)
         self.title = title
-        self.by_key = {s.key: s for s in self.lattice}
+        self.index = {s.key: i for i, s in enumerate(self.lattice)}
         self._size_fn = size_fn
         self._r_fn = r_fn
         self._i_fn = i_fn
@@ -55,10 +56,9 @@ class MackeyFamily:
         self._C = {}
 
     def lattice_member(self, sub: Subgroup) -> Subgroup:
-        member = self.by_key.get(sub.key)
-        if member is None:
+        if sub.key not in self.index:
             raise NotASubgroup("subgroup is not in the verified lattice")
-        return member
+        return self.lattice[self.index[sub.key]]
 
     def size(self, H: Subgroup) -> int:
         return self._size_fn(H)
@@ -85,14 +85,21 @@ class MackeyFamily:
             self._I[key] = m
         return m
 
+    def conjugations(self, H: Subgroup):
+        """(stack, target): stack[x] is the matrix of c_{H,x} and target[x]
+        the lattice index of the subgroup it names, for every x in G, from
+        one callback per x on first use."""
+        hit = self._C.get(H.key)
+        if hit is None:
+            mats, targets = zip(*(self._c_fn(H, x) for x in range(self.ambient.order)))
+            target = np.array([self.index[self.lattice_member(t).key] for t in targets])
+            hit = self._C[H.key] = np.stack(mats).astype(np.int64, copy=False), target
+        return hit
+
     def conjugation(self, H: Subgroup, x: int):
         """(matrix of c_{H,x} : a(H) -> a(xHx^-1), target subgroup)."""
-        key = (H.key, x)
-        hit = self._C.get(key)
-        if hit is None:
-            hit = self._c_fn(H, x)
-            self._C[key] = hit
-        return hit
+        stack, target = self.conjugations(H)
+        return stack[x], self.lattice[target[x]]
 
     def product_tensor(self, H: Subgroup) -> np.ndarray:
         if self._mul_fn is None:
@@ -173,24 +180,25 @@ def _double_coset_side(fam: MackeyFamily, L: Subgroup, H: Subgroup, K: Subgroup,
     `double_coset_reps(L.group(), ...)` would give, moved into G.
 
     P_S = I_{S n H}^H R_{S n H}^S depends on x only through S = xKx^-1, so
-    it is computed once per S and kept in `cache` (keyed by S alone, so a
-    cache passed in must serve one H only; the verifier keeps one per
-    (L, H) of class representatives, so it calls this, and
-    `double_coset_reps`, once per representative triple).  The terms are
-    summed as one stacked product, exactly in int64."""
+    it is computed once per S and kept in `cache` (keyed by the lattice
+    index of S alone, so a cache passed in must serve one H only; the
+    verifier keeps one per (L, H) of class representatives, so it calls
+    this, and `double_coset_reps`, once per representative triple).  The
+    terms are summed as one stacked product of the cached P_S with the
+    c_{K,x} read off `fam.conjugations(K)`, exactly in int64."""
     cache = {} if cache is None else cache
+    stack, target = fam.conjugations(K)
     reps = double_coset_reps(fam.ambient, H, K)
-    Ps, cs = [], []
-    for x in reps[L.mask[reps]].tolist():
-        c_mat, xk = fam.conjugation(K, x)
-        P = cache.get(xk.key)
+    xs = reps[L.mask[reps]]
+    Ps = []
+    for t in target[xs].tolist():
+        P = cache.get(t)
         if P is None:
-            xk = fam.lattice_member(xk)
+            xk = fam.lattice[t]
             meet = fam.lattice_member(xk.intersect(H))
-            P = cache[xk.key] = fam.induction(meet, H) @ fam.restriction(xk, meet)
+            P = cache[t] = fam.induction(meet, H) @ fam.restriction(xk, meet)
         Ps.append(P)
-        cs.append(c_mat)
-    return (np.stack(Ps) @ np.stack(cs)).sum(axis=0)
+    return (np.stack(Ps) @ stack[xs]).sum(axis=0)
 
 
 def mackey_rhs(fam: MackeyFamily, H: Subgroup, K: Subgroup, v: np.ndarray,
@@ -275,17 +283,20 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
     report = AxiomReport(title=fam.title)
     G = fam.ambient
 
-    for H in lattice:
-        n = fam.size(H)
-        ident = np.eye(n, dtype=np.int64)
+    # stacks[i][x] = matrix of c_{lattice[i], x} and target[i, x] = lattice
+    # index of its target, for every x in G
+    stacks, target = zip(*(fam.conjugations(H) for H in lattice))
+    target = np.array(target)
+
+    for hi, H in enumerate(lattice):
+        ident = np.eye(fam.size(H), dtype=np.int64)
         report.record("M0", np.array_equal(fam.restriction(H, H), ident),
                       (H, "R"), "R_H^H = id")
         report.record("M0", np.array_equal(fam.induction(H, H), ident),
                       (H, "I"), "I_H^H = id")
-        for h in H.members:
-            mat, tgt = fam.conjugation(H, int(h))
-            ok = tgt.key == H.key and np.array_equal(mat, ident)
-            report.record("M0", ok, (H, f"c_{int(h)}"), "c_{H,h} = id for h in H")
+        ok = (target[hi, H.members] == hi) & (stacks[hi][H.members] == ident).all(axis=(1, 2))
+        report.record_all("M0", ok, lambda i: (H, f"c_{int(H.members[i])}"),
+                          "c_{H,h} = id for h in H")
 
     contained = {
         (i, j)
@@ -310,28 +321,13 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
                           (J, K, H), "I transitivity",
                           lhs_i, rhs_i)
 
-    count = len(lattice)
-    index = {S.key: i for i, S in enumerate(lattice)}
-    stacks = [None] * count
-    # [i, x] = lattice index of the target of c_{lattice[i], x}
-    target = np.zeros((count, G.order), dtype=np.int64)
-
-    def c_stack(i):
-        """[x] = matrix of c_{H,x} for H = lattice[i], for every x in G;
-        the first call also fills target[i]."""
-        if stacks[i] is None:
-            hits = [fam.conjugation(lattice[i], x) for x in range(G.order)]
-            target[i] = [index[fam.lattice_member(t).key] for _, t in hits]
-            stacks[i] = np.stack([m for m, _ in hits])
-        return stacks[i]
-
-    for hi, H in enumerate(lattice):
-        c_h = c_stack(hi)
+    for hi, (H, c_h) in enumerate(zip(lattice, stacks)):
         for x in range(G.order):
             # [y] = (c_y c_x == c_yx) for every y in G at once
-            ok = (c_stack(target[hi, x]) @ c_h[x] == c_h[G.mult[:, x]]).all(axis=(1, 2))
+            ok = (stacks[target[hi, x]] @ c_h[x] == c_h[G.mult[:, x]]).all(axis=(1, 2))
             report.record_all("M3", ok, lambda y: (H, x, y), "c_y c_x = c_yx")
 
+    count = len(lattice)
     # [i, x] = (the target of c_{lattice[i], x} is x lattice[i] x^-1)
     masks = np.array([S.mask for S in lattice])
     orders = np.array([S.order for S in lattice])
@@ -352,13 +348,13 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
             at = np.searchsorted(pairs, code)
             moved = [(lattice[p // count], lattice[p % count]) for p in pairs.tolist()]
             ok = good & (
-                c_stack(ki) @ fam.restriction(H, K)
-                == np.stack([fam.restriction(xh, xk) for xh, xk in moved])[at] @ c_stack(hi)
+                stacks[ki] @ fam.restriction(H, K)
+                == np.stack([fam.restriction(xh, xk) for xh, xk in moved])[at] @ stacks[hi]
             ).all(axis=(1, 2))
             report.record_all("Mc", ok, lambda x: (H, K, x), "c R = R c")
             ok = good & (
-                c_stack(hi) @ fam.induction(K, H)
-                == np.stack([fam.induction(xk, xh) for xh, xk in moved])[at] @ c_stack(ki)
+                stacks[hi] @ fam.induction(K, H)
+                == np.stack([fam.induction(xk, xh) for xh, xk in moved])[at] @ stacks[ki]
             ).all(axis=(1, 2))
             report.record_all("Mc", ok, lambda x: (H, K, x), "c I = I c")
 
@@ -395,44 +391,35 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     raises `NoRingStructure` at its first `product_tensor`."""
     lattice = fam.lattice
     report = AxiomReport(title=fam.title)
-    G = fam.ambient
 
-    tensors = {}
-    units = {}
-    for H in lattice:
-        t = fam.product_tensor(H)
-        tensors[H.key] = t
-        u = fam.unit_index(H)
-        units[H.key] = u
+    # [i] = product tensor and unit index of lattice[i]
+    tensors = [fam.product_tensor(H) for H in lattice]
+    units = [fam.unit_index(H) for H in lattice]
+    for H, t, u in zip(lattice, tensors, units):
         ident = np.eye(fam.size(H), dtype=np.int64)
         report.record("ring", fusion.associativity_failure(t) is None, (H,),
                       "associativity on basis triples")
         report.record("ring", np.array_equal(t[u], ident) and np.array_equal(t[:, u], ident),
                       (H,), "two-sided unit")
 
-    for H in lattice:
-        th = tensors[H.key]
-        uh = units[H.key]
-        for K in lattice:
-            if not H.contains(K) or K.key == H.key:
+    for hi, H in enumerate(lattice):
+        th, uh = tensors[hi], units[hi]
+        for ki, K in enumerate(lattice):
+            if not H.contains(K) or ki == hi:
                 continue
-            ok = _is_unitary_ring_map(fam.restriction(H, K), th, uh,
-                                      tensors[K.key], units[K.key])
+            ok = _is_unitary_ring_map(fam.restriction(H, K), th, uh, tensors[ki], units[ki])
             report.record("G1", ok, (H, K), "R is a unitary ring map")
-        for x in range(G.order):
-            c, xh = fam.conjugation(H, x)
-            xh = fam.lattice_member(xh)
-            ok = _is_unitary_ring_map(c, th, uh, tensors[xh.key], units[xh.key])
+        stack, target = fam.conjugations(H)
+        for x, t in enumerate(target.tolist()):
+            ok = _is_unitary_ring_map(stack[x], th, uh, tensors[t], units[t])
             report.record("G1", ok, (H, f"x={x}"), "c is a unitary ring map")
 
-    for H in lattice:
-        th = tensors[H.key]
-        for K in lattice:
+    for H, th in zip(lattice, tensors):
+        for K, tk in zip(lattice, tensors):
             if not H.contains(K):
                 continue
             r = fam.restriction(H, K)
             ind = fam.induction(K, H)
-            tk = tensors[K.key]
             lhs2, rhs2 = _projection_sides(r, ind, tk, th)
             report.record("G2", np.array_equal(lhs2, rhs2),
                           (H, K), "I(a R(b)) = I(a) b", lhs2, rhs2)

@@ -61,6 +61,23 @@ class TestMakeContext:
         assert pow(w, 6, ctx.p) == 1
         assert all(pow(w, k, ctx.p) != 1 for k in range(1, 6))
 
+    def test_p_minus_1_is_factored_only_for_a_root(self, s3, s4, monkeypatch):
+        # only the display lift needs a primitive root, so making a context,
+        # searched or overridden, never factors p - 1
+        def refuse(n):
+            raise AssertionError(f"make_context factored {n}")
+
+        monkeypatch.setattr(ct, "_factorize", refuse)
+        ctxs = [
+            ct.make_context([s3]),
+            ct.make_context([s3, s4]),
+            ct.make_context([s4], prime_override=2147484061),
+        ]
+        monkeypatch.undo()
+        for ctx in ctxs:
+            w = ctx.root_of_unity(2)
+            assert w == ctx.p - 1
+
 
 class TestCharacterTable:
     def test_trivial(self, trivial):

@@ -47,6 +47,18 @@ class TestChartable:
         assert code == 0
         assert "z3" in err
 
+    @pytest.mark.parametrize("argv, digest", [
+        ("chartable sym:4 -v",
+         "57093e237b7b02c295e5ce9ed90daca1a86e8d29d14fe755dba594b1b942cd3e"),
+        ("chartable dihedral:6 --prime-override 2147484061 -v",
+         "8e13bcf96e75f51b23ff995a30a0281323281efc7cb143b8192582e98a5a2b1e"),
+    ])
+    def test_pinned_lift(self, capsys, argv, digest):
+        # recorded when make_context found the primitive root eagerly
+        code, _, err = run(capsys, *argv.split())
+        assert code == 0
+        assert _sha256(err) == digest
+
     def test_file_output(self, capsys, tmp_path):
         path = tmp_path / "table.json"
         code, out, _ = run(capsys, "chartable", "cyclic:4", "--table", str(path))
@@ -375,6 +387,12 @@ class TestPinnedOutput:
         " | 0ed290e4cf1994cf280b6bda2d46ff6e1ba9de5bb2f861d7a69d6d5e44bf94ed",
         "chartable cyclic:60"
         " | 04f9fbdb7d6d4f716be6fa2933348ce2159fa8a64c6e3f31fd266f0e38be644f",
+        # the benchmark's double-d10 workload at seed 0; the JSON digest is
+        # the one in perfbench/references.json
+        "double dihedral:10"
+        " | 48ecdeac75a86dec1ffa09cbc32b21d7625db9eeddb76afaa6adfcaff33e1738",
+        "double dihedral:10 --format csv"
+        " | 16a8a6e8eb0861c05d86519c286d83c45bc87e1543c6aab69e8076035f1772d8",
     )
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -618,6 +618,29 @@ class TestFusionRing:
         assert str(exc.value) == "double-coset and orbit-sum products disagree at pair (2, 3)"
 
 
+class TestRingStore:
+    """A ring keeps its constants once, as the nonzero [i, j, k, N] rows:
+    the dense tensor and the per-pair mapping are both read off them."""
+
+    @pytest.mark.parametrize("name", ["ds3", "dd4", "d4_on_c4"])
+    def test_views_of_one_store(self, block_data, name):
+        d, ctx = block_data[name]
+        H = d.F.full_subgroup()
+        ring = fu.fusion_ring(d, H, ctx)
+        n = ring.size
+        t = fu._engine(d, ctx).product_tensor(H)
+        assert np.array_equal(ring.tensor(), t)
+        assert ring.constant_rows() == [
+            [i, j, k, int(t[i, j, k])] for i, j, k in zip(*np.nonzero(t))
+        ]
+        assert sorted(ring.constants) == [(i, j) for i in range(n) for j in range(n)]
+        for (i, j), entries in ring.constants.items():
+            (ks,) = np.nonzero(t[i, j])
+            assert entries == tuple((int(k), int(t[i, j, k])) for k in ks)
+        arrays = [v for v in vars(ring).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.ndim == 2 and a.size != n**3 for a in arrays)
+
+
 def _dense_associativity_failure(t):
     """Reference: both sides of (e_i e_j) e_k = e_i (e_j e_k) as dense n^4
     arrays, first mismatch in index order."""
