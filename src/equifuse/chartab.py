@@ -121,29 +121,31 @@ class VirtualCharacter:
 class CharacterTable:
     """All irreducible characters of a group mod p.
 
-    Rows are sorted by (degree, value vector); the first row is always the
-    trivial character.  Row orthogonality, which for a square table implies
-    column orthogonality, is verified before an instance is handed out.
+    Rows are sorted by (degree, value vector), which is lex order of the
+    value vectors; the first row is always the trivial character.  Row
+    orthogonality, which for a square table implies column orthogonality,
+    is verified before an instance is handed out.  `values` holds the rows
+    as one int64 array.
     """
 
-    __slots__ = ("group", "p", "rows", "degrees", "_row_index")
+    __slots__ = ("group", "p", "rows", "degrees", "values")
 
     def __init__(self, group: Group, p: int, rows):
         self.group = group
         self.p = p
         self.rows = tuple(rows)
         self.degrees = tuple(r.values[0] for r in self.rows)
-        self._row_index = {r.values: i for i, r in enumerate(self.rows)}
+        self.values = np.array([r.values for r in self.rows], dtype=np.int64)
 
     @property
     def size(self) -> int:
         return len(self.rows)
 
     def row_index(self, cf: ClassFunction) -> int:
-        try:
-            return self._row_index[cf.values]
-        except KeyError:
-            raise NotInSpan("values do not match any irreducible row") from None
+        for i, row in enumerate(self.rows):
+            if row.values == cf.values:
+                return i
+        raise NotInSpan("values do not match any irreducible row")
 
 
 def _same_group(a: Group, b: Group) -> bool:
@@ -398,32 +400,58 @@ def induce(chi: ClassFunction, H: Group, p: int) -> ClassFunction:
     return ClassFunction(H, [(int(s) * scale) % p for s in sums])
 
 
-def conjugation_class_map(H: Subgroup, x: int):
-    """Conjugation by x on classes: (T, m) with T = xHx^-1 (from
-    `Subgroup.conjugate`) and m[j] the class of H holding x^-1 r x, for r the
-    j-th class representative of T, so a class function chi of H moves to
-    the values chi.values[m[j]] on T."""
-    T = H.conjugate(x)
+def _by_target(targets):
+    """(the distinct subgroups among targets, [a] = position of targets[a]
+    among them)."""
+    slot = {}
+    at = [slot.setdefault(T.key, (len(slot), T))[0] for T in targets]
+    return [T for _, T in slot.values()], np.array(at, dtype=np.intp)
+
+
+def conjugation_class_maps(H: Subgroup, xs, targets) -> np.ndarray:
+    """m[a, j] = the class of H holding x^-1 r x, for x = xs[a] and r the
+    j-th class representative of targets[a], which must be xHx^-1; so a
+    class function chi of H moves along x to the values chi.values[m[a]]
+    on targets[a].  One gather cg[x^-1, r] of `Group.conjugation_table`,
+    read through H's class map in parent coordinates."""
     G = H.parent
-    pre = G.mult[G.mult[G.inv[x], T.members[T.group().class_reps]], x]
-    return T, H.group().class_of[np.searchsorted(H.members, pre)].tolist()
+    distinct, at = _by_target(targets)
+    reps = np.stack([T.members[T.group().class_reps] for T in distinct])[at]
+    pre = G.conjugation_table[G.inv[np.asarray(xs)][:, None], reps]
+    return H.group().class_of[np.searchsorted(H.members, pre)]
+
+
+def conjugation_perms(H: Subgroup, xs, targets, ctx: ModularContext) -> np.ndarray:
+    """perm[a, i] = the row of the character table of targets[a] = xHx^-1
+    (x = xs[a]) that the i-th irreducible of H becomes when moved along
+    conjugation by x, for every a at once.
+
+    The moved rows, moved[a, i] = table_H[i, m[a]] for the class maps m of
+    `conjugation_class_maps`, are ranked within each a by one lexsort keyed
+    by (a, row).  Table rows are distinct and lex-sorted, so if the moved
+    rows of a are the target table's rows in some order, the rank of a row
+    is its position in the target table.  The check that the target rows at
+    those ranks equal the moved rows is exact: a moved row that is not a
+    target row, or two equal moved rows, fails it and raises NotInSpan."""
+    table = character_table(H.group(), ctx).values
+    moved = table[:, conjugation_class_maps(H, xs, targets)].transpose(1, 0, 2)
+    m, n, _ = moved.shape
+    order = np.lexsort([*moved.reshape(m * n, -1).T[::-1], np.repeat(np.arange(m), n)])
+    perm = np.empty(m * n, dtype=np.intp)
+    perm[order] = np.arange(m * n) % n
+    perm = perm.reshape(m, n)
+    distinct, at = _by_target(targets)
+    tabs = np.stack([character_table(T.group(), ctx).values for T in distinct])
+    if not (tabs[at[:, None], perm] == moved).all():
+        raise NotInSpan("values do not match any irreducible row")
+    return perm
 
 
 def conjugation_perm(H: Subgroup, x: int, ctx: ModularContext):
-    """(perm, xHx^-1): perm[i] = the row of the character table of xHx^-1
-    that the i-th irreducible of H becomes when moved along conjugation by x.
-    Each moved row is looked up by its value tuple in the target table's
-    row index; a row that is not there raises NotInSpan."""
-    T, class_map = conjugation_class_map(H, x)
-    index = character_table(T.group(), ctx)._row_index
-    try:
-        perm = [
-            index[tuple(chi.values[c] for c in class_map)]
-            for chi in character_table(H.group(), ctx).rows
-        ]
-    except KeyError:
-        raise NotInSpan("values do not match any irreducible row") from None
-    return np.array(perm, dtype=np.int32), T
+    """(perm, xHx^-1): the one-x call of `conjugation_perms`, with the target
+    from `Subgroup.conjugate`."""
+    T = H.conjugate(x)
+    return conjugation_perms(H, [x], [T], ctx)[0], T
 
 
 def conjugate_cf(chi: ClassFunction, ambient: Group, x: int) -> ClassFunction:
@@ -435,7 +463,8 @@ def conjugate_cf(chi: ClassFunction, ambient: Group, x: int) -> ClassFunction:
     mask[_embed_indices(chi.group, ambient)] = True
     gens = [ambient.element_index(g) for g in chi.group.generators]
     H = Subgroup(ambient, mask, gens, _verified=True)
-    T, class_map = conjugation_class_map(H, x)
+    T = H.conjugate(x)
+    class_map = conjugation_class_maps(H, [x], [T])[0].tolist()
     return ClassFunction(T.group(), [chi.values[c] for c in class_map])
 
 
@@ -465,8 +494,7 @@ def reciprocity_block(inner: Subgroup, factors, target: Subgroup, ctx: ModularCo
 
     def at(sub, table, elems):
         # the table of sub, one column per element of elems
-        cols = sub.group().class_of[np.searchsorted(sub.members, elems)]
-        return np.array([r.values for r in table.rows], dtype=np.int64)[:, cols]
+        return table.values[:, sub.group().class_of[np.searchsorted(sub.members, elems)]]
 
     prod = _kernels.mul_mod(pow(inner.order, p - 2, p), igrp.class_sizes, p)[None, :]
     for sub, table in zip(factors, tables):
@@ -522,37 +550,46 @@ def _embed_indices(sub: Group, sup: Group) -> np.ndarray:
 def cyclotomic_lift(table: CharacterTable, ctx: ModularContext):
     """Human-readable rows: each value rendered as a nonnegative-integer
     combination of e-th roots of unity z{e}, extracted from power-map values.
-    Display only; all computation stays in F_p."""
+    Display only; all computation stays in F_p.
+
+    For a class of element order e with representative r, the multiplicity
+    of z{e}^c in chi(r) is (1/e) sum_t chi(r^t) omega^(-ct), omega the e-th
+    root of unity of `ctx`.  W[t, c] = omega^(-ct) is built once per e, and
+    one `_kernels.matmul_mod` of the columns chi(r^t) with W takes it for
+    every row of the class at once."""
     G = table.group
     p = ctx.p
-    out = []
-    for chi in table.rows:
-        row = []
-        for j, rep in enumerate(G.class_reps):
-            e = G.element_order(int(rep))
-            if e == 1:
-                row.append(str(chi.values[j]))
-                continue
+    weights = {}
+    columns = []
+    for j, rep in enumerate(G.class_reps.tolist()):
+        e = G.element_order(rep)
+        if e == 1:
+            columns.append([str(v) for v in table.values[:, j].tolist()])
+            continue
+        if e not in weights:
             omega = ctx.root_of_unity(e)
-            # chi(rep^t) for t = 0..e-1 via the power map
-            powers = []
-            cur = 0
-            for _ in range(e):
-                powers.append(chi.values[int(G.class_of[cur])])
-                cur = int(G.mult[cur, int(rep)])
-            einv = pow(e, p - 2, p)
+            powers = [1]
+            for _ in range(e - 1):
+                powers.append(powers[-1] * omega % p)
+            exponents = -np.outer(np.arange(e), np.arange(e)) % e
+            weights[e] = np.array(powers, dtype=np.int64)[exponents]
+        # the class of rep^t for t = 0..e-1, by the power map
+        classes, cur = [], 0
+        for _ in range(e):
+            classes.append(int(G.class_of[cur]))
+            cur = int(G.mult[cur, rep])
+        mults = _kernels.matmul_mod(table.values[:, classes], weights[e], p)
+        mults = _kernels.mul_mod(mults, pow(e, p - 2, p), p)
+        column = []
+        for row in mults.tolist():
             terms = []
-            for c in range(e):
-                acc = 0
-                for t in range(e):
-                    acc = (acc + powers[t] * pow(omega, (-c * t) % (p - 1), p)) % p
-                mult = (acc * einv) % p
+            for c, mult in enumerate(row):
                 if mult:
                     if c == 0:
                         terms.append(str(mult))
                     else:
                         pw = f"z{e}" + (f"^{c}" if c > 1 else "")
                         terms.append(pw if mult == 1 else f"{mult}*{pw}")
-            row.append(" + ".join(terms) if terms else "0")
-        out.append(row)
-    return out
+            column.append(" + ".join(terms) if terms else "0")
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]

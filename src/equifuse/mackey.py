@@ -24,19 +24,21 @@ import numpy as np
 from . import chartab, fusion
 from .chartab import ModularContext, character_table, reciprocity_block
 from .errors import NoRingStructure, NotASubgroup
-from .permgrp import Group, Subgroup, double_coset_reps, subgroup_lattice
+from .permgrp import Group, Subgroup, conjugation_index, double_coset_reps, subgroup_lattice
 from .reports import AxiomReport
 
 
 class MackeyFamily:
     """Based family {a(H)} over a lattice with I/R/c maps as integer matrices.
 
-    Each callback returns a whole matrix (or product tensor).  The R and I
-    matrices are cached by subgroup membership keys, and the c matrices of
-    each subgroup as one stack over all x (`conjugations`), since the
-    verifiers read each one many times; sizes and product tensors are not,
-    since each is read once per subgroup (the Green verifier keeps its own
-    tensors).
+    `lattice` is `subgroup_lattice(ambient)`, in its order.  The R and I
+    callbacks return one matrix per pair of subgroups; the c callback
+    returns, for one subgroup H, (stack, target) with stack[x] the matrix
+    of c_{H,x} and target[x] the lattice index of the subgroup it names,
+    for every x in G.  R and I are cached by subgroup membership keys and
+    each c stack by H's key (`conjugations`), since the verifiers read each
+    one many times; sizes and product tensors are not, since each is read
+    once per subgroup (the Green verifier keeps its own tensors).
     """
 
     def __init__(self, ambient, lattice, title, size_fn, r_fn, i_fn, c_fn,
@@ -88,12 +90,12 @@ class MackeyFamily:
     def conjugations(self, H: Subgroup):
         """(stack, target): stack[x] is the matrix of c_{H,x} and target[x]
         the lattice index of the subgroup it names, for every x in G, from
-        one callback per x on first use."""
+        one callback on first use."""
         hit = self._C.get(H.key)
         if hit is None:
-            mats, targets = zip(*(self._c_fn(H, x) for x in range(self.ambient.order)))
-            target = np.array([self.index[self.lattice_member(t).key] for t in targets])
-            hit = self._C[H.key] = np.stack(mats).astype(np.int64, copy=False), target
+            stack, target = self._c_fn(H)
+            hit = self._C[H.key] = (np.asarray(stack, dtype=np.int64),
+                                    np.asarray(target, dtype=np.intp))
         return hit
 
     def conjugation(self, H: Subgroup, x: int):
@@ -114,8 +116,13 @@ class MackeyFamily:
 
 def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
     """The family H |-> (virtual characters of H), with restriction,
-    Frobenius induction, conjugation of characters, and pointwise product."""
+    Frobenius induction, conjugation of characters, and pointwise product.
+    Every c_{H,x} of one H comes from one `chartab.conjugation_perms` over
+    all x, with the targets read off `conjugation_index`."""
     lattice = subgroup_lattice(G)
+    conj = conjugation_index(G)
+    index = {s.key: i for i, s in enumerate(lattice)}
+    xs = np.arange(G.order)
 
     def size_fn(H):
         return character_table(H.group(), ctx).size
@@ -126,11 +133,13 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
     def i_fn(K, H):
         return reciprocity_block(K, (K,), H, ctx).T
 
-    def c_fn(H, x):
-        perm, xh = chartab.conjugation_perm(H, x, ctx)
-        mat = np.zeros((len(perm), len(perm)), dtype=np.int64)
-        mat[perm, np.arange(len(perm))] = 1
-        return mat, xh
+    def c_fn(H):
+        target = conj[index[H.key]]
+        perm = chartab.conjugation_perms(H, xs, [lattice[t] for t in target], ctx)
+        n = perm.shape[1]
+        stack = np.zeros((G.order, n, n), dtype=np.int64)
+        stack[xs[:, None], perm, np.arange(n)] = 1
+        return stack, target
 
     def mul_fn(H):
         return reciprocity_block(H, (H, H), H, ctx)
@@ -155,14 +164,21 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
     reciprocity blocks, and the double-coset product tensor."""
     F = datum.F
     eng = fusion._engine(datum, ctx)
+    lattice = subgroup_lattice(F)
+    index = {s.key: i for i, s in enumerate(lattice)}
+
+    def c_fn(H):
+        mats, targets = zip(*(eng.conjugation(H, x) for x in range(F.order)))
+        return np.stack(mats), [index[t.key] for t in targets]
+
     return MackeyFamily(
         F,
-        subgroup_lattice(F),
+        lattice,
         f"equivariant K0 family (|F|={F.order}, |G|={datum.G.order}, p={ctx.p})",
         lambda H: len(eng.basis(H).labels),
         eng.restriction,
         eng.induction,
-        eng.conjugation,
+        c_fn,
         mul_fn=eng.product_tensor,
         unit_fn=lambda H: eng.basis(H).pos[(0, 0)],
     )
@@ -230,8 +246,9 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
     Mc is checked on every nested pair K <= H and every x in G, stacked over
     x the same way: c_{K,x} R^H_K = R^{xH}_{xK} c_{H,x} and
     c_{H,x} I^H_K = I^{xH}_{xK} c_{K,x}.  A check at (H, K, x) also fails
-    when c_{H,x} or c_{K,x} names a target other than the conjugate, so
-    where Mc holds the family's targets are the conjugates.
+    when c_{H,x} or c_{K,x} names a target other than the conjugate (read
+    off `conjugation_index`), so where Mc holds the family's targets are
+    the conjugates.
 
     M4 at (L, H, K), for H, K <= L, is R^L_H I^L_K = D(L, H, K), where
     D(L, H, K) is the sum over x in H\\L/K of
@@ -329,14 +346,7 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
 
     count = len(lattice)
     # [i, x] = (the target of c_{lattice[i], x} is x lattice[i] x^-1)
-    masks = np.array([S.mask for S in lattice])
-    orders = np.array([S.order for S in lattice])
-    rows = np.arange(G.order)[:, None]
-    is_conjugate = np.array([
-        masks[target[i]][rows, G.mult[G.mult[:, H.members], G.inv[:, None]]].all(axis=1)
-        & (orders[target[i]] == H.order)
-        for i, H in enumerate(lattice)
-    ])
+    is_conjugate = target == conjugation_index(G)
     for ki, K in enumerate(lattice):
         for hi in above[ki]:
             H = lattice[hi]

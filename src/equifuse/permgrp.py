@@ -46,6 +46,13 @@ class Perm:
             raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs}")
         self.images = imgs
 
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Perm":
+        """A Perm from a tuple of ints already known to be a permutation."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -137,16 +144,20 @@ class Group:
     generate (ValueError otherwise): strictly increasing and closed on the
     first points (`_kernels.mult_table`), the products by each generator
     equal in full to the elements the table names, and every element
-    reached from the identity along them.  A given `mult` is trusted.
+    reached from the identity along them.  A given `mult` is trusted, and so
+    are `images`, the element images as rows, from callers that hold them
+    already; with both, `elements` may be None, and the Perms are then made
+    on first use.
     """
 
-    def __init__(self, elements, generators, mult=None):
-        self.elements = tuple(elements)
+    def __init__(self, elements, generators, mult=None, images=None):
+        self._elements = None if elements is None else tuple(elements)
         self.generators = tuple(generators)
-        self.degree = self.elements[0].degree
-        self.images = np.array([e.images for e in self.elements], dtype=np.int32)
-        self.index = {e.images: i for i, e in enumerate(self.elements)}
-        if self.elements[0].images != tuple(range(self.degree)):
+        if images is None:
+            images = np.array([e.images for e in self._elements], dtype=np.int32)
+        self.images = np.ascontiguousarray(images, dtype=np.int32)
+        self.degree = self.images.shape[1]
+        if not (self.images[0] == np.arange(self.degree)).all():
             raise ValueError("element list must be lex-sorted (identity first)")
         if mult is None:
             self.mult = _kernels.mult_table(self.images)
@@ -164,10 +175,23 @@ class Group:
         self.inv = np.argmax(self.mult == 0, axis=1).astype(np.int32)
         self._char_tables: dict[int, object] = {}
         self._lattice = None
+        self._conj_index = None
+
+    @property
+    def elements(self) -> tuple:
+        """The elements as Perms, in index order."""
+        if self._elements is None:
+            self._elements = tuple(Perm._trusted(row) for row in map(tuple, self.images.tolist()))
+        return self._elements
+
+    @cached_property
+    def index(self) -> dict:
+        """Element index by image tuple."""
+        return {e.images: i for i, e in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def perm(self, i: int) -> Perm:
         return self.elements[i]
@@ -188,13 +212,18 @@ class Group:
     def _class_data(self):
         """Each class is represented by its least member: the column minima
         of the conjugates x g x^-1."""
-        rep_of = self.mult[self.mult, self.inv[:, None]].min(0)
+        rep_of = self.conjugation_table.min(0)
         reps = np.flatnonzero(rep_of == np.arange(len(rep_of))).astype(np.int32)
         class_of = np.searchsorted(reps, rep_of).astype(np.int32)
         classes = [np.flatnonzero(rep_of == r).astype(np.int32) for r in reps]
         sizes = np.array([len(c) for c in classes], dtype=np.int64)
         inverse_class = class_of[self.inv[reps]]
         return class_of, reps, classes, sizes, inverse_class
+
+    @cached_property
+    def conjugation_table(self) -> np.ndarray:
+        """cg[x, g] = the index of x g x^-1."""
+        return self.mult[self.mult, self.inv[:, None]]
 
     @property
     def class_of(self) -> np.ndarray:
@@ -315,9 +344,8 @@ class Subgroup:
             pos = np.full(self.parent.order, -1, dtype=np.int32)
             pos[members] = np.arange(len(members), dtype=np.int32)
             sub_mult = pos[self.parent.mult[np.ix_(members, members)]]
-            elems = [self.parent.elements[int(i)] for i in members]
             gens = [self.parent.elements[int(g)] for g in self.generators]
-            grp = Group(elems, gens, mult=sub_mult)
+            grp = Group(None, gens, mult=sub_mult, images=images)
             _canonical_groups[gkey] = grp
         self._group = grp
         return grp
@@ -396,8 +424,17 @@ def _close(G: Group, base, extra) -> np.ndarray:
 
 
 def build_group(generators, degree=None, cap=None) -> Group:
-    """Enumerate the group generated by `generators`.
+    """Enumerate the group generated by `generators`, with its
+    multiplication table.
 
+    Breadth first on int32 image rows: each round multiplies every
+    generator by the whole frontier at once (g * x has the images g[x]) and
+    looks each product up by its bytes, so left[g][x] = g * x is known
+    exactly for every element x.  The table follows from those maps along
+    the search tree: e * a = a, and (g x) a = g (x a), so the row of a
+    child g x is left[g] applied to its parent's row, one gather per round
+    and generator.  The elements become `Perm`s only on first use
+    (`Group.elements`).
     Raises OrderCapExceeded as soon as the closure passes the configured cap
     (EQUIFUSE_CAP_ORDER, default 2000).
     """
@@ -412,26 +449,55 @@ def build_group(generators, degree=None, cap=None) -> Group:
         degree = gens[0].degree
     elif degree is None:
         raise ValueError("degree is required when there are no generators")
-    ident = Perm.identity(degree)
-    seen = {ident.images: ident}
-    queue = [ident]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = x * g
-            if y.images not in seen:
-                if len(seen) >= cap:
-                    raise OrderCapExceeded(
-                        f"group order exceeds cap {cap}"
-                    )
-                seen[y.images] = y
-                queue.append(y)
-    elements = sorted(seen.values())
+    gen_images = np.array([g.images for g in gens], dtype=np.int32).reshape(len(gens), degree)
+    found = [np.arange(degree, dtype=np.int32)]
+    index = {found[0].tobytes(): 0}
+    # per generator: (x, g * x) for every x; per round and generator: the
+    # (child, parent) pairs of the search tree; all in discovery numbers
+    left = [[] for _ in gens]
+    tree = []
+    frontier = [0]
+    while frontier:
+        products = gen_images[:, np.stack([found[x] for x in frontier])]
+        edges = [[] for _ in gens]
+        new = []
+        for j, rows in enumerate(products):
+            for x, row in zip(frontier, rows):
+                key = row.tobytes()
+                y = index.get(key)
+                if y is None:
+                    if len(index) >= cap:
+                        raise OrderCapExceeded(f"group order exceeds cap {cap}")
+                    y = index[key] = len(found)
+                    found.append(row)
+                    new.append(y)
+                    edges[j].append((y, x))
+                left[j].append((x, y))
+        tree.append(edges)
+        frontier = new
+    images = np.stack(found)
+    n = len(found)
+    order = np.lexsort(images.T[::-1])
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    maps = []
+    for pairs in left:
+        x, y = rank[np.array(pairs, dtype=np.int64).reshape(-1, 2).T]
+        m = np.empty(n, dtype=np.int32)
+        m[x] = y
+        maps.append(m)
+    mult = np.empty((n, n), dtype=np.int32)
+    mult[0] = np.arange(n, dtype=np.int32)
+    for edges in tree:
+        for m, pairs in zip(maps, edges):
+            if pairs:
+                child, parent = rank[np.array(pairs, dtype=np.int64).T]
+                mult[child] = m[mult[parent]]
     uniq_gens = []
     for g in gens:
         if g not in uniq_gens:
             uniq_gens.append(g)
-    return Group(elements, uniq_gens)
+    return Group(None, uniq_gens, mult=mult, images=images[order])
 
 
 def conjugacy_classes(G: Group):
@@ -532,7 +598,7 @@ class GroupAction:
 
     @classmethod
     def conjugation(cls, G: Group) -> "GroupAction":
-        return cls(G, G, G.mult[G.mult, G.inv[:, None]])
+        return cls(G, G, G.conjugation_table)
 
     def apply(self, x: int, p: int) -> int:
         return int(self.point_maps[x, p])
@@ -572,33 +638,105 @@ def transporter(action: GroupAction, p: int, q: int, within: Subgroup | None = N
 
 
 def subgroup_lattice(G: Group, cap=None):
-    """All subgroups of G, by cyclic-generation plus single-element extension,
-    ordered by (order, member tuple).  Cached on the group."""
+    """All subgroups of G, ordered by (order, member tuple), built one
+    conjugacy class at a time.  Cached on the group, with the lattice index
+    of every conjugate (`conjugation_index`).
+
+    Cyclic extension (Neubuser, Numer. Math. 2, 1960; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005): every subgroup
+    is reached from the trivial one by adding one element at a time, and
+    <S, g> depends only on the coset gS and on the cyclic group <g>.
+    Lemma: x<S, g>x^-1 = <xSx^-1, xgx^-1>.  So if the recorded set is closed
+    under conjugation, extending one subgroup S of each class by every g
+    finds every extension of every conjugate xSx^-1: <xSx^-1, g> is the
+    conjugate by x of <S, x^-1 g x>.  Each new subgroup therefore enters with
+    its whole class, read off one gather cg[:, S.members] of
+    cg[x, g] = x g x^-1 (`Group.conjugation_table`), each conjugate with
+    the generators cg[x, gens]; a normal S (S.mask[cg[:, S.members]] all
+    true) is its own class.  The seeds are the cyclic subgroups of the class
+    representatives, since <xrx^-1> = x<r>x^-1: the elements are walked in
+    index order, skipping every r whose cyclic group is already recorded
+    with its class, and the first element of a class met that way is its
+    least, the representative.  An extension tries one g per coset gS and
+    per cyclic group <g>."""
     cap = lattice_cap() if cap is None else cap
     if G.order > cap:
         raise OrderCapExceeded(f"order {G.order} exceeds lattice cap {cap}")
     if G._lattice is not None:
         return G._lattice
+    cg = G.conjugation_table
     found: dict[bytes, Subgroup] = {}
+    # one (conjugates, [x] = which conjugate x S x^-1 is, first x of each) per class
+    classes = []
+    # [g] = number of the recorded cyclic subgroup <g>, -1 until recorded
+    cyclic = np.full(G.order, -1, dtype=np.int64)
 
-    def record(mask, gens) -> Subgroup | None:
-        sub = Subgroup(G, mask, gens, _verified=True)
-        if sub.key in found:
-            return None
-        found[sub.key] = sub
-        return sub
+    def record(mask, gens) -> Subgroup:
+        conj = cg[:, np.flatnonzero(mask)]
+        gens = np.asarray(gens, dtype=np.int64)
+        if mask[conj].all():
+            subs = [Subgroup(G, mask, gens.tolist(), _verified=True)]
+            which, firsts = np.zeros(G.order, dtype=np.int64), [0]
+        else:
+            masks = np.zeros((G.order, G.order), dtype=bool)
+            masks[np.arange(G.order)[:, None], conj] = True
+            seen, subs, firsts = {}, [], []
+            which = np.empty(G.order, dtype=np.int64)
+            for x, key in enumerate(np.packbits(masks, axis=1)):
+                key = key.tobytes()
+                if key not in seen:
+                    seen[key] = len(subs)
+                    subs.append(Subgroup(G, masks[x], cg[x, gens].tolist(), _verified=True))
+                    firsts.append(x)
+                which[x] = seen[key]
+        for sub in subs:
+            found[sub.key] = sub
+        classes.append((subs, which, firsts))
+        return subs[0]
 
-    worklist = [record(_close(G, None, []), ())]
-    for i in range(1, G.order):
-        sub = record(_close(G, None, [i]), (i,))
-        if sub is not None:
-            worklist.append(sub)
+    record(np.arange(G.order) == 0, ())
+    worklist = []
+    for r in range(1, G.order):
+        if cyclic[r] >= 0:
+            continue
+        powers = [0, r]
+        while powers[-1]:
+            powers.append(int(G.mult[powers[-1], r]))
+        powers.pop()
+        mask = np.zeros(G.order, dtype=bool)
+        mask[powers] = True
+        base = len(found)
+        worklist.append(record(mask, (r,)))
+        # the generators r^k (k prime to |<r>|) of <r>, then of each conjugate
+        gens = [g for k, g in enumerate(powers) if math.gcd(k, len(powers)) == 1]
+        cyclic[cg[:, gens]] = (base + classes[-1][1])[:, None]
+    cyclic = cyclic.tolist()
     while worklist:
         S = worklist.pop()
+        if S.order == G.order:
+            continue
+        tried = set()
         for g in left_coset_reps(G, S)[1:].tolist():
-            sub = record(_close(G, S.mask, [g]), S.generators + (g,))
-            if sub is not None:
-                worklist.append(sub)
+            if cyclic[g] in tried:
+                continue
+            tried.add(cyclic[g])
+            mask = _close(G, S.mask, [g])
+            if np.packbits(mask).tobytes() not in found:
+                worklist.append(record(mask, S.generators + (g,)))
     lattice = sorted(found.values(), key=lambda s: (s.order, tuple(s.members)))
-    G._lattice = lattice
+    position = {s.key: i for i, s in enumerate(lattice)}
+    conj_index = np.empty((len(lattice), G.order), dtype=np.int32)
+    for subs, which, firsts in classes:
+        at = np.array([position[s.key] for s in subs], dtype=np.int32)
+        for sub, y in zip(subs, firsts):
+            # x (y S y^-1) x^-1 = (xy) S (xy)^-1
+            conj_index[position[sub.key]] = at[which[G.mult[:, y]]]
+    G._lattice, G._conj_index = lattice, conj_index
     return lattice
+
+
+def conjugation_index(G: Group) -> np.ndarray:
+    """conj_index[i, x] = the position in `subgroup_lattice(G)` of
+    x lattice[i] x^-1, as an int32 array of shape |L| x |G|."""
+    subgroup_lattice(G)
+    return G._conj_index

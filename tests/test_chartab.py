@@ -430,12 +430,11 @@ class TestConjugate:
         perm, _ = ct.conjugation_perm(H, 1, ctx_s3)
         assert sorted(perm.tolist()) == [0, 1, 2]
 
-        def collapse(sub, x):
-            T, class_map = original(sub, x)
-            return T, [0] * len(class_map)
+        def collapse(sub, xs, targets):
+            return np.zeros_like(original(sub, xs, targets))
 
-        original = ct.conjugation_class_map
-        monkeypatch.setattr(ct, "conjugation_class_map", collapse)
+        original = ct.conjugation_class_maps
+        monkeypatch.setattr(ct, "conjugation_class_maps", collapse)
         with pytest.raises(NotInSpan):
             ct.conjugation_perm(H, 1, ctx_s3)
 
@@ -532,7 +531,46 @@ class TestDegreeHomomorphism:
                 assert prod.degree == a.degree * b.degree
 
 
+def reference_cyclotomic_lift(table, ctx):
+    """The per-cell loop `cyclotomic_lift` replaced: e modular powers of
+    omega for every (class, row, c)."""
+    G, p = table.group, ctx.p
+    out = []
+    for chi in table.rows:
+        row = []
+        for j, rep in enumerate(G.class_reps):
+            e = G.element_order(int(rep))
+            if e == 1:
+                row.append(str(chi.values[j]))
+                continue
+            omega = ctx.root_of_unity(e)
+            powers, cur = [], 0
+            for _ in range(e):
+                powers.append(chi.values[int(G.class_of[cur])])
+                cur = int(G.mult[cur, int(rep)])
+            terms = []
+            for c in range(e):
+                acc = sum(powers[t] * pow(omega, (-c * t) % (p - 1), p) for t in range(e))
+                mult = acc * pow(e, p - 2, p) % p
+                if mult:
+                    pw = f"z{e}" + (f"^{c}" if c > 1 else "")
+                    terms.append(str(mult) if c == 0 else pw if mult == 1 else f"{mult}*{pw}")
+            row.append(" + ".join(terms) if terms else "0")
+        out.append(row)
+    return out
+
+
 class TestCyclotomicLift:
+    @pytest.mark.parametrize("spec,prime", [
+        ("cyclic:5", None), ("alt:4", None), ("cyclic:12", None), ("quaternion8", None),
+        ("dihedral:6", None), ("cyclic:8", 2305843009213693921),
+    ])
+    def test_matches_the_per_cell_loop(self, spec, prime):
+        G = group_preset(spec)
+        ctx = ct.make_context([G], prime_override=prime)
+        table = ct.character_table(G, ctx)
+        assert ct.cyclotomic_lift(table, ctx) == reference_cyclotomic_lift(table, ctx)
+
     def test_s3_display(self, s3, ctx_s3):
         tab = ct.character_table(s3, ctx_s3)
         rows = ct.cyclotomic_lift(tab, ctx_s3)

@@ -18,7 +18,7 @@ from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse import mackey as mk
 from equifuse.errors import NoRingStructure
-from equifuse.permgrp import GroupAction
+from equifuse.permgrp import GroupAction, conjugation_index, subgroup_lattice
 from equifuse.presets import load_action
 from test_cli import D4_ON_C4
 from test_permgrp import reference_double_coset_reps
@@ -322,9 +322,9 @@ class TestFamilyCaches:
         calls = {name: collections.Counter() for name in "ric"}
 
         def counting(name, fn):
-            def wrapped(a, b):
-                calls[name][a.key, getattr(b, "key", b)] += 1
-                return fn(a, b)
+            def wrapped(*args):
+                calls[name][tuple(a.key for a in args)] += 1
+                return fn(*args)
 
             return wrapped
 
@@ -344,7 +344,7 @@ class TestFamilyCaches:
         assert mk.verify_mackey_axioms(fam).ok
         nested = sum(H.contains(K) for H in fam.lattice for K in fam.lattice)
         assert len(calls["r"]) == len(calls["i"]) == nested
-        assert len(calls["c"]) == len(fam.lattice) * fam.ambient.order
+        assert len(calls["c"]) == len(fam.lattice)
         for name in "ric":
             assert set(calls[name].values()) == {1}, name
 
@@ -360,11 +360,11 @@ class TestFamilyCaches:
         for H in fam.lattice:
             stack, target = fam.conjugations(H)
             assert stack.dtype == np.int64 and len(stack) == len(target) == fam.ambient.order
+            raw, named = fam._c_fn(H)
+            assert np.array_equal(stack, raw) and np.array_equal(target, named)
             for x in range(fam.ambient.order):
                 mat, tgt = fam.conjugation(H, x)
-                raw, named = fam._c_fn(H, x)
-                assert np.array_equal(mat, stack[x]) and np.array_equal(mat, raw)
-                assert tgt is fam.lattice[target[x]] and tgt.key == named.key
+                assert np.array_equal(mat, stack[x]) and tgt is fam.lattice[target[x]]
 
     def test_verifier_heap_on_a5(self):
         # traced peak of one Mackey verifier run over char:alt:5 in a fresh
@@ -393,15 +393,18 @@ def _bump(m):
 
 def _tamper(fn, when, change):
     """fn with `change` applied to the matrix (or tensor) of every call that
-    matches `when`; the conjugation callback's target is left alone."""
+    matches `when`; for the conjugation callback of a subgroup H, to every
+    stack[x] with when(H, x), leaving the targets alone."""
 
     def wrapped(*args):
         out = fn(*args)
-        if not when(*args):
-            return out
         if isinstance(out, tuple):
-            return change(out[0]), out[1]
-        return change(out)
+            stack = out[0].copy()
+            for x in range(len(stack)):
+                if when(*args, x):
+                    stack[x] = change(stack[x])
+            return stack, out[1]
+        return change(out) if when(*args) else out
 
     return wrapped
 
@@ -480,14 +483,17 @@ def _regauged(members, perm):
     left alone, so of M0-M3 and Mc only Mc can tell."""
 
     def wrap(fn):
-        def wrapped(H, x):
-            mat, tgt = fn(H, x)
+        def wrapped(H):
+            stack, target = fn(H)
+            lattice = subgroup_lattice(H.parent)
             p = np.eye(len(perm), dtype=np.int64)[perm]
-            if tgt.members.tolist() == members:
-                mat = p @ mat
+            into = np.array([lattice[t].members.tolist() == members for t in target])
+            if into.any():
+                stack = stack.copy()
+                stack[into] = p @ stack[into]
             if H.members.tolist() == members:
-                mat = mat @ p.T
-            return mat, tgt
+                stack = stack @ p.T
+            return stack, target
 
         return wrapped
 
@@ -596,9 +602,12 @@ class TestMackeyMutations:
         # c_{H,2} for H = <(2 3)> names H itself as its target, not <(1 3)>
         H = next(S for S in char_s4.lattice if S.members.tolist() == [0, 1])
 
-        def misnamed(S, x):
-            mat, tgt = char_s4._c_fn(S, x)
-            return (mat, S) if S.key == H.key and x == 2 else (mat, tgt)
+        def misnamed(S):
+            stack, target = char_s4._c_fn(S)
+            if S.key == H.key:
+                target = target.copy()
+                target[2] = char_s4.index[H.key]
+            return stack, target
 
         broken = mk.MackeyFamily(
             char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
@@ -609,6 +618,32 @@ class TestMackeyMutations:
         assert report.counts["Mc"] == (mackey_s4.counts["Mc"][0], 2 * pairs)
         witnesses = [w for w in report.witnesses if w.axiom == "Mc"]
         assert {w.context[2] for w in witnesses} == {2}
+
+    def test_swapped_irreducibles_in_a_gathered_stack_fail_m3_and_mc(self):
+        # c_{H,x} of a C3 in A5, read off the one gather of H's stack, with the
+        # trivial character and one of order 3 swapped, at an x outside N(H)
+        from equifuse.presets import group_preset
+
+        G = group_preset("alt:5")
+        fam = mk.char_ring_family(G, ct.make_context([G]))
+        hi, H = next((i, S) for i, S in enumerate(fam.lattice) if S.order == 3)
+        x = next(x for x in range(G.order) if conjugation_index(G)[hi, x] != hi)
+
+        def swapped(S):
+            stack, target = fam._c_fn(S)
+            if S.key == H.key:
+                stack = stack.copy()
+                stack[x] = stack[x][:, [1, 0, 2]]
+            return stack, target
+
+        broken = mk.MackeyFamily(G, fam.lattice, "tampered", fam._size_fn,
+                                 fam._r_fn, fam._i_fn, swapped)
+        report = mk.verify_mackey_axioms(broken)
+        failed = {a for a, (_, f) in report.counts.items() if f}
+        assert {"M3", "Mc"} <= failed and "M0" not in failed
+        assert {a: c for a, (c, _) in report.counts.items()} == {
+            a: c for a, (c, _) in mk.verify_mackey_axioms(fam).counts.items()
+        }
 
 
 class TestConjugationByClassMap:

@@ -25,15 +25,18 @@ from equifuse.permgrp import (
     GroupAction,
     Perm,
     Subgroup,
+    _close,
     build_group,
     centralizer,
     conjugacy_classes,
+    conjugation_index,
     double_coset_reps,
     left_coset_reps,
     orbits,
     subgroup_lattice,
     transporter,
 )
+from equifuse._kernels import mult_table
 from equifuse.presets import group_preset
 
 perm_strategy = st.integers(min_value=1, max_value=6).flatmap(
@@ -79,6 +82,22 @@ class TestPerm:
         assert Perm.identity(3).cycle_string() == "()"
 
 
+def reference_build_group(gens, degree):
+    """The search `build_group` replaced: depth first over Perm objects,
+    sorted at the end."""
+    ident = Perm.identity(degree)
+    seen = {ident.images: ident}
+    queue = [ident]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = x * g
+            if y.images not in seen:
+                seen[y.images] = y
+                queue.append(y)
+    return sorted(seen.values())
+
+
 class TestBuildGroup:
     def test_trivial(self):
         g = build_group([], degree=1)
@@ -104,6 +123,28 @@ class TestBuildGroup:
         monkeypatch.setenv("EQUIFUSE_CAP_ORDER", "4")
         with pytest.raises(OrderCapExceeded):
             build_group([cyc([(0, 1)], 3), cyc([(0, 1, 2)], 3)])
+
+    def test_order_equal_to_the_cap(self):
+        assert build_group([cyc([(0, 1)], 3), cyc([(0, 1, 2)], 3)], cap=6).order == 6
+
+    @pytest.mark.parametrize("name", [
+        "sym:5", "alt:5", "dihedral:12", "quaternion8", "cyclic:1", "klein4", "moved", "repeated",
+    ])
+    def test_matches_the_perm_search(self, name, s4_moved):
+        # same sorted elements as the Perm search, and the table of the
+        # independent prefix-sort kernel
+        if name == "moved":
+            gens = list(s4_moved.generators)
+        elif name == "repeated":
+            gens = [cyc([(0, 1, 2)], 4), cyc([(0, 1, 2)], 4), cyc([(1, 2, 3)], 4)]
+        else:
+            gens = list(group_preset(name).generators)
+        degree = gens[0].degree if gens else 1
+        G = build_group(gens, degree=degree)
+        expected = reference_build_group(gens, degree)
+        assert [e.images for e in G.elements] == [e.images for e in expected]
+        assert G.generators == tuple(dict.fromkeys(gens))
+        assert np.array_equal(G.mult, mult_table(G.images))
 
     def test_canonical_order(self, s3):
         images = [e.images for e in s3.elements]
@@ -509,15 +550,79 @@ class TestSubgroupLattice:
             subgroup_lattice(g)
 
 
-# sha256 of repr([(s.key, s.generators) for s in subgroup_lattice(G)]),
-# recorded from the element-at-a-time stack closure
-LATTICE_DIGESTS = {
-    "alt:5": "0a4c67a3462387f4ab652a79a58044bd99bd9bb046b1ba77d46d656cb4877946",
-    "sym:4": "520636062c1967ea9bb76249d12a2033be435b206b66e5f29fcbe487ce6e96ce",
-    "dihedral:12": "4e6268a39870b329f437916f960c4b60e1265f83ebf4dd2a2816047be84e94ff",
-    "quaternion8": "a7b0bde9691a53eb25a869204bc2f8f7855d4b9454fc05cd981d4618e4539413",
-    "sym:5": "bb390a66003eb0921aebe431c34de77a5ce608320d21b38c765b6527a198289e",
+# sha256 of repr([s.key for s in subgroup_lattice(G)]), recorded from the
+# full scan that closed every extension of every subgroup; the class-built
+# lattice must give the same subgroups in the same order
+LATTICE_KEY_DIGESTS = {
+    "alt:5": "79da94d2e7b8d231060f6ee50e26a4978df43e318ab73e8395e0cf38743bbb47",
+    "sym:4": "e7b70efe0be979e13e14c365ee3fb1fdef864e5459c3775305f250685ac31915",
+    "dihedral:12": "e5a2bbf11b0b01d6b20cd344588d5a8bcb99818046acea9e705462a6645e06de",
+    "quaternion8": "d3a8fe32a270f1e1b45778422789204234f02cf2d2746c225536d1bf39944715",
+    "sym:5": "6017a3587ef65304e5340bae756ae156e31965b792e00b2197e38359d613cf7f",
 }
+
+# sha256 of repr([(s.key, s.generators) for s in subgroup_lattice(G)]),
+# recorded from the class-built lattice: each conjugate carries the
+# generators of its class representative, conjugated
+LATTICE_DIGESTS = {
+    "alt:5": "af6430f4425db9fd8fdf4cfacde750a23b5e51274da3aa00e4c850a07464394d",
+    "sym:4": "fbba8cc349cc33aa50337d3106ebba47b76c7a069a85a12a438c125bdf46cda4",
+    "dihedral:12": "fe5e49240b3cf1ac82e9391ba6734348a0ee1504a67e64aff1c9c85cb8ebfcbc",
+    "quaternion8": "a7b0bde9691a53eb25a869204bc2f8f7855d4b9454fc05cd981d4618e4539413",
+    "sym:5": "eec160b76cf488cba59eabe22ccf55781e1716e8c7e8986ce13688819370ba82",
+}
+
+
+def reference_subgroup_lattice(G):
+    """The full scan the class-built lattice replaced: every cyclic
+    subgroup, then every extension of every subgroup found, sorted by
+    (order, member tuple)."""
+    found = {}
+
+    def record(mask, gens):
+        sub = Subgroup(G, mask, gens, _verified=True)
+        if sub.key in found:
+            return None
+        found[sub.key] = sub
+        return sub
+
+    worklist = [record(_close(G, None, []), ())]
+    for i in range(1, G.order):
+        sub = record(_close(G, None, [i]), (i,))
+        if sub is not None:
+            worklist.append(sub)
+    while worklist:
+        S = worklist.pop()
+        for g in left_coset_reps(G, S)[1:].tolist():
+            sub = record(_close(G, S.mask, [g]), S.generators + (g,))
+            if sub is not None:
+                worklist.append(sub)
+    return sorted(found.values(), key=lambda s: (s.order, tuple(s.members)))
+
+
+class TestLatticeByClasses:
+    @pytest.mark.parametrize("name", [
+        "alt:5", "sym:4", "sym:5", "dihedral:12", "dihedral:30", "quaternion8", "cyclic:30",
+    ])
+    def test_matches_the_full_scan(self, name):
+        G = group_preset(name)
+        got = [s.key for s in subgroup_lattice(G)]
+        assert got == [s.key for s in reference_subgroup_lattice(G)]
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_KEY_DIGESTS))
+    def test_keys_pinned(self, name):
+        text = repr([s.key for s in subgroup_lattice(group_preset(name))])
+        assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_KEY_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["sym:4", "alt:5"])
+    def test_conjugation_index(self, name):
+        G = group_preset(name)
+        lattice = subgroup_lattice(G)
+        conj = conjugation_index(G)
+        assert conj.dtype == np.int32 and conj.shape == (len(lattice), G.order)
+        for i, S in enumerate(lattice):
+            for x in range(G.order):
+                assert lattice[conj[i, x]] == S.conjugate(x)
 
 
 def brute_closure(G, seeds):
