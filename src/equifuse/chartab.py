@@ -400,14 +400,6 @@ def induce(chi: ClassFunction, H: Group, p: int) -> ClassFunction:
     return ClassFunction(H, [(int(s) * scale) % p for s in sums])
 
 
-def _by_target(targets):
-    """(the distinct subgroups among targets, [a] = position of targets[a]
-    among them)."""
-    slot = {}
-    at = [slot.setdefault(T.key, (len(slot), T))[0] for T in targets]
-    return [T for _, T in slot.values()], np.array(at, dtype=np.intp)
-
-
 def conjugation_class_maps(H: Subgroup, xs, targets) -> np.ndarray:
     """m[a, j] = the class of H holding x^-1 r x, for x = xs[a] and r the
     j-th class representative of targets[a], which must be xHx^-1; so a
@@ -415,43 +407,45 @@ def conjugation_class_maps(H: Subgroup, xs, targets) -> np.ndarray:
     on targets[a].  One gather cg[x^-1, r] of `Group.conjugation_table`,
     read through H's class map in parent coordinates."""
     G = H.parent
-    distinct, at = _by_target(targets)
-    reps = np.stack([T.members[T.group().class_reps] for T in distinct])[at]
+    reps = np.stack([T.members[T.group().class_reps] for T in targets])
     pre = G.conjugation_table[G.inv[np.asarray(xs)][:, None], reps]
     return H.group().class_of[np.searchsorted(H.members, pre)]
 
 
-def conjugation_perms(H: Subgroup, xs, targets, ctx: ModularContext) -> np.ndarray:
-    """perm[a, i] = the row of the character table of targets[a] = xHx^-1
-    (x = xs[a]) that the i-th irreducible of H becomes when moved along
-    conjugation by x, for every a at once.
+def conjugation_perms(H: Subgroup, targets, which, ctx: ModularContext) -> np.ndarray:
+    """perm[x, i] = the row of the character table of xHx^-1 =
+    targets[which[x]] that the i-th irreducible of H becomes when moved
+    along conjugation by x, for every x in the parent.
+
+    Lemma: perm(xs) = perm(x) for s in H.  (xs)H(xs)^-1 = xHx^-1, and
+    moving chi along xs is moving s.chi along x, where s.chi = chi as chi
+    is a class function of H.  So perm is computed on the least element of
+    each left coset xH only (one column minimum of a gather) and read off
+    for the rest of the coset: |G|/|H| moved tables, one when H = G.
 
     The moved rows, moved[a, i] = table_H[i, m[a]] for the class maps m of
-    `conjugation_class_maps`, are ranked within each a by one lexsort keyed
-    by (a, row).  Table rows are distinct and lex-sorted, so if the moved
-    rows of a are the target table's rows in some order, the rank of a row
-    is its position in the target table.  The check that the target rows at
-    those ranks equal the moved rows is exact: a moved row that is not a
-    target row, or two equal moved rows, fails it and raises NotInSpan."""
+    `conjugation_class_maps`, are ranked within each coset a by one lexsort
+    keyed by (a, row).  Table rows are distinct and lex-sorted, so if the
+    moved rows of a are the target table's rows in some order, the rank of
+    a row is its position in the target table.  The check that the target
+    rows at those ranks equal the moved rows is exact: a moved row that is
+    not a target row, or two equal moved rows, fails it and raises
+    NotInSpan."""
+    G = H.parent
+    coset_min = G.mult[:, H.members].min(axis=1)  # the least element of xH
+    reps = np.flatnonzero(coset_min == np.arange(G.order))
+    tgts = [targets[w] for w in np.asarray(which)[reps].tolist()]
     table = character_table(H.group(), ctx).values
-    moved = table[:, conjugation_class_maps(H, xs, targets)].transpose(1, 0, 2)
+    moved = table[:, conjugation_class_maps(H, reps, tgts)].transpose(1, 0, 2)
     m, n, _ = moved.shape
     order = np.lexsort([*moved.reshape(m * n, -1).T[::-1], np.repeat(np.arange(m), n)])
     perm = np.empty(m * n, dtype=np.intp)
     perm[order] = np.arange(m * n) % n
     perm = perm.reshape(m, n)
-    distinct, at = _by_target(targets)
-    tabs = np.stack([character_table(T.group(), ctx).values for T in distinct])
-    if not (tabs[at[:, None], perm] == moved).all():
+    tabs = np.stack([character_table(T.group(), ctx).values for T in tgts])
+    if not (tabs[np.arange(m)[:, None], perm] == moved).all():
         raise NotInSpan("values do not match any irreducible row")
-    return perm
-
-
-def conjugation_perm(H: Subgroup, x: int, ctx: ModularContext):
-    """(perm, xHx^-1): the one-x call of `conjugation_perms`, with the target
-    from `Subgroup.conjugate`."""
-    T = H.conjugate(x)
-    return conjugation_perms(H, [x], [T], ctx)[0], T
+    return perm[np.searchsorted(reps, coset_min)]
 
 
 def conjugate_cf(chi: ClassFunction, ambient: Group, x: int) -> ClassFunction:

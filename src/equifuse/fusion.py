@@ -25,11 +25,11 @@ inner products over the classes of I = H_g n H_h, so a block is one
 `chartab.reciprocity_block`, with no induction sums and no per-irreducible
 decomposition.  Every block comes from one cache, `_Engine.block`, keyed by
 its subgroups, and every move of a result to the canonical orbit
-representative goes through one transport map, `_Engine.slots`.  The
-restriction, induction and conjugation matrices of the equivariant simples
-are assembled from those blocks and slots, one orbit representative at a
-time (`_Engine.restriction`, `induction`, `conjugation`); the engine does
-not keep them, `mackey.MackeyFamily` does, and the public per-label
+representative goes through one transport map, `_Engine.slots`, and every
+conjugation through one stack per subgroup, `_Engine.conj_stack`.  The
+restriction and induction matrices and conjugation stacks of the simples
+are assembled from those, one orbit representative at a time; the engine
+does not keep them, `mackey.MackeyFamily` does, and the public per-label
 functions build one and read one column of it.  The structure-constant
 tensor is assembled in one place, `_Engine.product_tensor`; a `FusionRing`
 keeps only its nonzero [i, j, k, N] rows.  Associativity of an
@@ -58,7 +58,7 @@ from .errors import (
     NotASubgroup,
     SubgroupMismatch,
 )
-from .permgrp import Group, GroupAction, Subgroup, double_coset_reps
+from .permgrp import Group, GroupAction, Subgroup, conjugates, double_coset_reps
 from .reports import AxiomReport
 
 
@@ -192,12 +192,12 @@ class _Engine:
     """Caches for one (datum, prime) pair, only of the pieces that are
     reused: stabilizers, orbit data (representatives, and the least
     transporter of every point to its representative, each a column
-    minimum of one gather), bases, conjugation bijections of irreducibles,
-    transport slots, reciprocity blocks (by subgroups, and indexed by pairs
-    of grading points) and the double-coset representatives of each pair
-    of grading points.  Factorizations and the whole restriction, induction
-    and conjugation matrices are built on every call; `mackey.MackeyFamily`
-    caches the matrices."""
+    minimum of one gather), bases, one conjugation stack per subgroup (over
+    every x in F), transport slots, reciprocity blocks (by subgroups, and
+    indexed by pairs of grading points) and the double-coset
+    representatives of each pair of grading points.  Factorizations and
+    the whole restriction, induction and conjugation matrices are built on
+    every call; `mackey.MackeyFamily` caches the matrices."""
 
     def __init__(self, d: CoherentDatum, ctx: ModularContext):
         self.d = d
@@ -240,13 +240,16 @@ class _Engine:
             od = self._orbit[H.key] = (reps, rep_of, to_rep)
         return od
 
-    def conj_perm(self, src: Subgroup, x: int):
-        """Bijection of irreducibles Irr(src) -> Irr(x src x^-1) induced by
-        transport along x, as (index permutation, target Subgroup)."""
-        key = (src.key, x)
-        hit = self._conj.get(key)
+    def conj_stack(self, S: Subgroup):
+        """(perm, targets, which): perm[x] is the bijection of irreducibles
+        Irr(S) -> Irr(xSx^-1) induced by transport along x, and
+        targets[which[x]] is xSx^-1, for every x in F; one
+        `permgrp.conjugates` and one `chartab.conjugation_perms` per S."""
+        hit = self._conj.get(S.key)
         if hit is None:
-            hit = self._conj[key] = chartab.conjugation_perm(src, x, self.ctx)
+            targets, which = conjugates(S)
+            perm = chartab.conjugation_perms(S, targets, which, self.ctx)
+            hit = self._conj[S.key] = (perm, targets, which)
         return hit
 
     # -- simples and normalization -------------------------------------------
@@ -277,20 +280,14 @@ class _Engine:
     def slots(self, H: Subgroup, q: int) -> np.ndarray:
         """The transport map at grading point q: [t] = position in basis(H)
         of irreducible t of H_q once moved to the canonical representative
-        q0 of q (along the orbit data's to_rep[q], so by `conj_perm` unless
-        q = q0)."""
+        q0 of q, along the orbit data's to_rep[q] (the identity if q = q0,
+        whose row of the conjugation stack is the identity)."""
         key = (H.key, q)
         s = self._slots.get(key)
         if s is None:
             _, rep_of, to_rep = self.orbit_data(H)
-            q0 = int(rep_of[q])
-            base = self.basis(H).pos[(q0, 0)]
-            if q0 == q:
-                s = base + np.arange(self.table(self.stab(H, q)).size)
-            else:
-                perm, _ = self.conj_perm(self.stab(H, q), int(to_rep[q]))
-                s = base + perm
-            self._slots[key] = s
+            base = self.basis(H).pos[(int(rep_of[q]), 0)]
+            s = self._slots[key] = base + self.conj_stack(self.stab(H, q))[0][to_rep[q]]
         return s
 
     # -- reciprocity blocks ----------------------------------------------------
@@ -344,10 +341,10 @@ class _Engine:
         h, j = b.orbit_rep, b.char_index
         basis = self.basis(H)
         out = np.zeros(len(basis.labels), dtype=np.int64)
+        perm = self.conj_stack(self.stab(H, g))[0]
         for x in self.coset_reps(H, g, h):
             g2 = int(self.A[x, g])
-            perm, _ = self.conj_perm(self.stab(H, g), x)
-            q, vec = self.m_irr(H, g2, h, int(perm[i]), j)
+            q, vec = self.m_irr(H, g2, h, int(perm[x, i]), j)
             out[self.slots(H, q)] += vec
         total = int(out @ basis.dims)
         if total != a.dim * b.dim:
@@ -373,22 +370,22 @@ class _Engine:
         """Matrix of restriction from the simples over H to those over
         K <= H.  The simple (g, chi) over H underlies Ind_{H_g}^H, so by
         Mackey it restricts to the sum over double cosets K x H_g of the
-        restriction of x.chi from x H_g x^-1 to K_xg: a column of the block
-        (K_xg, (x H_g x^-1,), K_xg), moved to the canonical representative.
-        Not cached."""
+        restriction of x.chi from x H_g x^-1 = H_xg (x is in H) to K_xg: a
+        column of the block (K_xg, (H_xg,), K_xg), moved to the canonical
+        representative.  Not cached."""
         if not H.contains(K):
             raise NotASubgroup("restriction target is not contained")
         bh, bk = self.basis(H), self.basis(K)
         r = np.zeros((len(bk.labels), len(bh.labels)), dtype=np.int64)
         for g in self.orbit_data(H)[0]:
             Sg = self.stab(H, g)
+            perm = self.conj_stack(Sg)[0]
             xs = double_coset_reps(self.F, K, Sg)
             for x in xs[H.mask[xs]].tolist():
                 g2 = int(self.A[x, g])
-                perm, tgt = self.conj_perm(Sg, x)
                 Kg2 = self.stab(K, g2)
                 rows = np.ix_(self.slots(K, g2), self.slots(H, g))
-                r[rows] += self.block(Kg2, (tgt,), Kg2)[perm].T
+                r[rows] += self.block(Kg2, (self.stab(H, g2),), Kg2)[perm[x]].T
         if not np.array_equal(bk.dims @ r, bh.dims):
             raise InvariantViolation("restriction changed the total dimension")
         return r
@@ -408,19 +405,23 @@ class _Engine:
             raise InvariantViolation("induction changed the dimension bookkeeping")
         return m
 
-    def conjugation(self, H: Subgroup, x: int):
-        """(matrix of transport along x from the simples over H to those
-        over xHx^-1, xHx^-1): (g, chi) goes to (xg, x.chi), moved to the
-        canonical representative.  Checked to be a bijection of bases.
-        Not cached."""
-        tgt = H.conjugate(x)
-        m = np.zeros((len(self.basis(tgt).labels), len(self.basis(H).labels)), dtype=np.int64)
+    def conjugations(self, H: Subgroup):
+        """(stack, targets, which): stack[x] is the matrix of transport along
+        x from the simples over H to those over xHx^-1 = targets[which[x]]
+        (of `conj_stack(H)`), for every x in F: (g, chi) goes to (xg, x.chi),
+        moved to the canonical representative.  Checked to be a bijection
+        of bases.  Not cached."""
+        _, targets, which = self.conj_stack(H)
+        n = len(self.basis(H).labels)
+        stack = np.zeros((self.F.order, n, n), dtype=np.int64)
         for g in self.orbit_data(H)[0]:
-            perm, _ = self.conj_perm(self.stab(H, g), x)
-            m[self.slots(tgt, int(self.A[x, g]))[perm], self.slots(H, g)] = 1
-        if not ((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()):
+            perm = self.conj_stack(self.stab(H, g))[0]
+            cols = self.slots(H, g)
+            for x, w in enumerate(which.tolist()):
+                stack[x, self.slots(targets[w], int(self.A[x, g]))[perm[x]], cols] = 1
+        if not ((stack.sum(axis=1) == 1).all() and (stack.sum(axis=2) == 1).all()):
             raise InvariantViolation("conjugation did not map a simple to a simple")
-        return m, tgt
+        return stack, targets, which
 
     def factorizations(self, H: Subgroup, choice: str) -> list:
         """For each canonical g, one factorization h*k = g per orbit of H_g
@@ -600,16 +601,16 @@ def eq_induce(d: CoherentDatum, K: Subgroup, H: Subgroup, a: SimpleLabel, ctx: M
 
 def eq_conjugate(d: CoherentDatum, H: Subgroup, x: int, a: SimpleLabel, ctx: ModularContext):
     """Transport of a simple over H to one over xHx^-1; a bijection of bases.
-    Each call builds the whole matrix `_Engine.conjugation(H, x)` and reads
-    one column."""
+    Each call builds the whole stack `_Engine.conjugations(H)` and reads
+    one column of its matrix at x."""
     if a.subgroup != H:
         raise SubgroupMismatch("label lives over a different subgroup")
     if not 0 <= x < d.F.order:
         raise ElementNotInGroup(f"index {x}")
     eng = _engine(d, ctx)
-    mat, tgt = eng.conjugation(H, x)
-    col = mat[:, eng.basis(H).pos[(a.orbit_rep, a.char_index)]]
-    (label,) = _labels(eng.basis(tgt), col)
+    stack, targets, which = eng.conjugations(H)
+    col = stack[x][:, eng.basis(H).pos[(a.orbit_rep, a.char_index)]]
+    (label,) = _labels(eng.basis(targets[which[x]]), col)
     return label
 
 
@@ -625,7 +626,10 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     as c_1 = id and c_s c_y = c_sy for every s and every y in H; if
     c_x c_y = c_xy for all y, then for sx, c_sx c_y = c_s c_x c_y =
     c_s c_xy = c_sxy.  C3 for s and for x gives it for sx through C1:
-    c_sx m(a, b) = c_s m(c_x a, c_x b) = m(c_sx a, c_sx b).
+    c_sx m(a, b) = c_s m(c_x a, c_x b) = m(c_sx a, c_sx b).  Every
+    conjugation is read off the engine's stacks: C1 is one array check per
+    (s, y) over every basis element (g, i), and C2 one per g over the
+    stabilizer H_g.
 
     C5 is `associativity_failure` on the orbit-sum tensor: one check per H,
     exhaustive by the generator lemma, whose witness is the first failing
@@ -635,55 +639,42 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     eng = _engine(d, ctx)
     report = AxiomReport(title=f"coherent axioms over subgroup of order {H.order}")
     nG = d.G.order
-    F = d.F
 
-    # basis elements of the graded system: (grading point, irreducible index)
-    graded = []
-    for g in range(nG):
-        graded.extend((g, i) for i in range(eng.table(eng.stab(H, g)).size))
+    # perms[g][x] = the bijection Irr(H_g) -> Irr(H_xg) of conjugation by x
+    perms = [eng.conj_stack(eng.stab(H, g))[0] for g in range(nG)]
+    # the basis elements (g, i) of the graded system, (g, i) at position
+    # t = start[g] + i, and flat[x, t] = perms[g][x, i]
+    graded = [(g, i) for g, perm in enumerate(perms) for i in range(perm.shape[1])]
+    at_g, at_i = np.array(graded).T
+    start = np.searchsorted(at_g, np.arange(nG))
+    flat = np.concatenate(perms, axis=1)
 
     # C1: conjugation by the identity is trivial and composes along H
-    for g, i in graded:
-        perm, _ = eng.conj_perm(eng.stab(H, g), 0)
-        report.record("C1", int(perm[i]) == i, (H.order, g, i), "c_1 = id")
+    report.record_all("C1", flat[0] == at_i, lambda t: (H.order, *graded[t]), "c_1 = id")
     for s in H.generators:
         for y in H.members.tolist():
-            sy = int(F.mult[s, y])
-            for g, i in graded:
-                py, _ = eng.conj_perm(eng.stab(H, g), y)
-                gy = int(eng.A[y, g])
-                ps, _ = eng.conj_perm(eng.stab(H, gy), s)
-                psy, _ = eng.conj_perm(eng.stab(H, g), sy)
-                lhs = (int(eng.A[s, gy]), int(ps[int(py[i])]))
-                rhs = (int(eng.A[sy, g]), int(psy[i]))
-                report.record(
-                    "C1", lhs == rhs, (s, y, g, i), "c_s c_y = c_sy", list(lhs), list(rhs)
-                )
+            sy = int(d.F.mult[s, y])
+            gy = eng.A[y, at_g]
+            ok = (eng.A[s, gy] == eng.A[sy, at_g]) & (flat[s, start[gy] + flat[y]] == flat[sy])
+            report.record_all("C1", ok, lambda t: (s, y, *graded[t]), "c_s c_y = c_sy")
 
     # C2: stabilizer elements act trivially on their component
     for g in range(nG):
-        stab = eng.stab(H, g)
-        size = eng.table(stab).size
-        for x in stab.members:
-            perm, _ = eng.conj_perm(stab, int(x))
-            report.record(
-                "C2",
-                bool(np.array_equal(perm, np.arange(size))),
-                (g, int(x)),
-                "c_x = id on A(g) for x in H_g",
-            )
+        members = eng.stab(H, g).members
+        ok = (perms[g][members] == np.arange(perms[g].shape[1])).all(axis=1)
+        report.record_all("C2", ok, lambda a: (g, int(members[a])), "c_x = id on A(g) for x in H_g")
 
     # C3: conjugation is multiplicative for the local products, one block
     # per (x, g, h) with (i, j) in increasing order
     for x in H.generators:
         for g in range(nG):
-            pg, _ = eng.conj_perm(eng.stab(H, g), x)
+            pg = perms[g][x]
             for h in range(nG):
-                ph, _ = eng.conj_perm(eng.stab(H, h), x)
+                ph = perms[h][x]
                 q, block = eng.m_block(H, g, h)
                 q2, moved = eng.m_block(H, int(eng.A[x, g]), int(eng.A[x, h]))
                 if q2 == int(eng.A[x, q]):
-                    pq, _ = eng.conj_perm(eng.stab(H, q), x)
+                    pq = perms[q][x]
                     lhs = np.zeros_like(block)
                     lhs[:, :, pq] = block
                     ok = (lhs == moved[np.ix_(pg, ph)]).all(axis=2)

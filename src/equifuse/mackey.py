@@ -23,7 +23,7 @@ import numpy as np
 
 from . import chartab, fusion
 from .chartab import ModularContext, character_table, reciprocity_block
-from .errors import NoRingStructure, NotASubgroup
+from .errors import ElementNotInGroup, NoRingStructure, NotASubgroup
 from .permgrp import Group, Subgroup, conjugation_index, double_coset_reps, subgroup_lattice
 from .reports import AxiomReport
 
@@ -100,7 +100,9 @@ class MackeyFamily:
 
     def conjugation(self, H: Subgroup, x: int):
         """(matrix of c_{H,x} : a(H) -> a(xHx^-1), target subgroup)."""
-        stack, target = self.conjugations(H)
+        if not 0 <= x < self.ambient.order:
+            raise ElementNotInGroup(f"index {x}")
+        stack, target = self.conjugations(self.lattice_member(H))
         return stack[x], self.lattice[target[x]]
 
     def product_tensor(self, H: Subgroup) -> np.ndarray:
@@ -135,7 +137,7 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
 
     def c_fn(H):
         target = conj[index[H.key]]
-        perm = chartab.conjugation_perms(H, xs, [lattice[t] for t in target], ctx)
+        perm = chartab.conjugation_perms(H, lattice, target, ctx)
         n = perm.shape[1]
         stack = np.zeros((G.order, n, n), dtype=np.int64)
         stack[xs[:, None], perm, np.arange(n)] = 1
@@ -168,8 +170,8 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
     index = {s.key: i for i, s in enumerate(lattice)}
 
     def c_fn(H):
-        mats, targets = zip(*(eng.conjugation(H, x) for x in range(F.order)))
-        return np.stack(mats), [index[t.key] for t in targets]
+        stack, targets, which = eng.conjugations(H)
+        return stack, np.array([index[T.key] for T in targets])[which]
 
     return MackeyFamily(
         F,

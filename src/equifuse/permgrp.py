@@ -637,6 +637,35 @@ def transporter(action: GroupAction, p: int, q: int, within: Subgroup | None = N
     return int(hits[0])
 
 
+def conjugates(S: Subgroup):
+    """(subs, which): the distinct conjugates xSx^-1 of S in order of their
+    least x (subs[0] is S), and which[x] = the position of xSx^-1 in subs.
+
+    The class of S as an orbit under conjugation (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005): one gather
+    cg[:, S.members] of cg[x, g] = x g x^-1 (`Group.conjugation_table`)
+    gives the members of every conjugate, with generators cg[x, gens], told
+    apart by packed masks.  A normal S (S.mask[cg[:, S.members]] all true)
+    is its own class, found without the |G| x |G| mask."""
+    G = S.parent
+    cg = G.conjugation_table
+    conj = cg[:, S.members]
+    if S.mask[conj].all():
+        return [S], np.zeros(G.order, dtype=np.int64)
+    gens = np.asarray(S.generators, dtype=np.int64)
+    masks = np.zeros((G.order, G.order), dtype=bool)
+    masks[np.arange(G.order)[:, None], conj] = True
+    seen, subs = {}, []
+    which = np.empty(G.order, dtype=np.int64)
+    for x, key in enumerate(np.packbits(masks, axis=1)):
+        key = key.tobytes()
+        if key not in seen:
+            seen[key] = len(subs)
+            subs.append(S if x == 0 else Subgroup(G, masks[x], cg[x, gens].tolist(), _verified=True))
+        which[x] = seen[key]
+    return subs, which
+
+
 def subgroup_lattice(G: Group, cap=None):
     """All subgroups of G, ordered by (order, member tuple), built one
     conjugacy class at a time.  Cached on the group, with the lattice index
@@ -650,15 +679,12 @@ def subgroup_lattice(G: Group, cap=None):
     under conjugation, extending one subgroup S of each class by every g
     finds every extension of every conjugate xSx^-1: <xSx^-1, g> is the
     conjugate by x of <S, x^-1 g x>.  Each new subgroup therefore enters with
-    its whole class, read off one gather cg[:, S.members] of
-    cg[x, g] = x g x^-1 (`Group.conjugation_table`), each conjugate with
-    the generators cg[x, gens]; a normal S (S.mask[cg[:, S.members]] all
-    true) is its own class.  The seeds are the cyclic subgroups of the class
-    representatives, since <xrx^-1> = x<r>x^-1: the elements are walked in
-    index order, skipping every r whose cyclic group is already recorded
-    with its class, and the first element of a class met that way is its
-    least, the representative.  An extension tries one g per coset gS and
-    per cyclic group <g>."""
+    its whole class (`conjugates`).  The seeds are the cyclic subgroups of
+    the class representatives, since <xrx^-1> = x<r>x^-1: the elements are
+    walked in index order, skipping every r whose cyclic group is already
+    recorded with its class, and the first element of a class met that way
+    is its least, the representative.  An extension tries one g per coset
+    gS and per cyclic group <g>."""
     cap = lattice_cap() if cap is None else cap
     if G.order > cap:
         raise OrderCapExceeded(f"order {G.order} exceeds lattice cap {cap}")
@@ -666,33 +692,16 @@ def subgroup_lattice(G: Group, cap=None):
         return G._lattice
     cg = G.conjugation_table
     found: dict[bytes, Subgroup] = {}
-    # one (conjugates, [x] = which conjugate x S x^-1 is, first x of each) per class
     classes = []
     # [g] = number of the recorded cyclic subgroup <g>, -1 until recorded
     cyclic = np.full(G.order, -1, dtype=np.int64)
 
     def record(mask, gens) -> Subgroup:
-        conj = cg[:, np.flatnonzero(mask)]
-        gens = np.asarray(gens, dtype=np.int64)
-        if mask[conj].all():
-            subs = [Subgroup(G, mask, gens.tolist(), _verified=True)]
-            which, firsts = np.zeros(G.order, dtype=np.int64), [0]
-        else:
-            masks = np.zeros((G.order, G.order), dtype=bool)
-            masks[np.arange(G.order)[:, None], conj] = True
-            seen, subs, firsts = {}, [], []
-            which = np.empty(G.order, dtype=np.int64)
-            for x, key in enumerate(np.packbits(masks, axis=1)):
-                key = key.tobytes()
-                if key not in seen:
-                    seen[key] = len(subs)
-                    subs.append(Subgroup(G, masks[x], cg[x, gens].tolist(), _verified=True))
-                    firsts.append(x)
-                which[x] = seen[key]
-        for sub in subs:
+        S = Subgroup(G, mask, gens, _verified=True)
+        classes.append(conjugates(S))
+        for sub in classes[-1][0]:
             found[sub.key] = sub
-        classes.append((subs, which, firsts))
-        return subs[0]
+        return S
 
     record(np.arange(G.order) == 0, ())
     worklist = []
@@ -726,9 +735,10 @@ def subgroup_lattice(G: Group, cap=None):
     lattice = sorted(found.values(), key=lambda s: (s.order, tuple(s.members)))
     position = {s.key: i for i, s in enumerate(lattice)}
     conj_index = np.empty((len(lattice), G.order), dtype=np.int32)
-    for subs, which, firsts in classes:
+    for subs, which in classes:
         at = np.array([position[s.key] for s in subs], dtype=np.int32)
-        for sub, y in zip(subs, firsts):
+        for k, sub in enumerate(subs):
+            y = int(np.argmax(which == k))
             # x (y S y^-1) x^-1 = (xy) S (xy)^-1
             conj_index[position[sub.key]] = at[which[G.mult[:, y]]]
     G._lattice, G._conj_index = lattice, conj_index

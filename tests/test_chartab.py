@@ -21,7 +21,7 @@ from equifuse.errors import (
     NotASubgroup,
     NotInSpan,
 )
-from equifuse.permgrp import Perm, subgroup_lattice
+from equifuse.permgrp import Perm, conjugates, left_coset_reps, subgroup_lattice
 from equifuse.presets import group_preset
 
 
@@ -423,12 +423,13 @@ class TestConjugate:
                 target_tab = ct.character_table(moved.group, ctx_s4)
                 target_tab.row_index(moved)  # raises if not an irreducible row
 
-    def test_conjugation_perm_rejects_a_wrong_class_map(self, s3, ctx_s3, monkeypatch):
+    def test_conjugation_perms_rejects_a_wrong_class_map(self, s3, ctx_s3, monkeypatch):
         # every class sent to the identity class moves the degree-2
         # irreducible of S3 to (2, 2, 2), which is no row of the table
         H = s3.full_subgroup()
-        perm, _ = ct.conjugation_perm(H, 1, ctx_s3)
-        assert sorted(perm.tolist()) == [0, 1, 2]
+        targets, which = conjugates(H)
+        perm = ct.conjugation_perms(H, targets, which, ctx_s3)
+        assert sorted(perm[1].tolist()) == [0, 1, 2]
 
         def collapse(sub, xs, targets):
             return np.zeros_like(original(sub, xs, targets))
@@ -436,7 +437,37 @@ class TestConjugate:
         original = ct.conjugation_class_maps
         monkeypatch.setattr(ct, "conjugation_class_maps", collapse)
         with pytest.raises(NotInSpan):
-            ct.conjugation_perm(H, 1, ctx_s3)
+            ct.conjugation_perms(H, targets, which, ctx_s3)
+
+    @pytest.mark.parametrize("name, evaluated", [
+        ("sym:4", 234), ("alt:5", 1019), ("dihedral:12", 266),
+    ])
+    def test_conjugation_perms_on_coset_representatives(self, name, evaluated, monkeypatch):
+        """The coset lemma of `conjugation_perms`, perm(xs) = perm(x) for s
+        in H, on every subgroup H: the class maps are taken at the least
+        element of each left coset xH only (sum of |G|/|H| over the
+        lattice, against |L| |G| x in all), and every row of the result
+        is the row at its coset's representative."""
+        G = group_preset(name)
+        ctx = ct.make_context([G])
+        seen = []
+        original = ct.conjugation_class_maps
+
+        def spy(sub, xs, targets):
+            seen.append(np.asarray(xs).tolist())
+            return original(sub, xs, targets)
+
+        monkeypatch.setattr(ct, "conjugation_class_maps", spy)
+        lattice = subgroup_lattice(G)
+        for H in lattice:
+            targets, which = conjugates(H)
+            perm = ct.conjugation_perms(H, targets, which, ctx)
+            assert seen[-1] == left_coset_reps(G, H).tolist()
+            assert perm.shape == (G.order, ct.character_table(H.group(), ctx).size)
+            for s in H.members:
+                assert (perm[G.mult[:, s]] == perm).all()
+        assert sum(map(len, seen)) == evaluated
+        assert len(lattice) * G.order > evaluated
 
 
 class TestDecompose:

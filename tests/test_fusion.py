@@ -205,6 +205,58 @@ class TestOrbitData:
                 assert to_rep[q] == transporter(d.action, q, int(rep_of[q]), within=H)
 
 
+class TestConjStack:
+    """`_Engine.conj_stack` against the per-x route it replaced:
+    `Subgroup.conjugate(x)`, then `conjugate_cf` of each irreducible and
+    `row_index` in the target's table, for every stabilizer S and every x."""
+
+    @pytest.mark.parametrize("name", ["ds4", "d4_on_c4"])
+    def test_matches_the_per_x_route(self, name, s4):
+        if name == "ds4":
+            scen = drinfeld_double_scenario(s4)
+            d, ctx = scen.datum, scen.ctx
+        else:
+            d, ctx = _d4_on_c4()
+        eng = fu._engine(d, ctx)
+        F = d.F
+        sources = {}
+        for H in subgroup_lattice(F):
+            for g in range(d.G.order):
+                S = eng.stab(H, g)
+                sources.setdefault(S.key, S)
+        for S in sources.values():
+            perm, targets, which = eng.conj_stack(S)
+            rows = eng.table(S).rows
+            for x in range(F.order):
+                T = S.conjugate(x)
+                assert targets[which[x]] == T
+                tab = eng.table(T)
+                assert perm[x].tolist() == [tab.row_index(ct.conjugate_cf(chi, F, x)) for chi in rows]
+            # the coset lemma: perm(xs) = perm(x) for s in S
+            for s in S.members:
+                assert (perm[F.mult[:, s]] == perm).all()
+
+    def test_whole_group_from_one_coset_representative(self, monkeypatch):
+        """The stack of S = F holds |F| rows but takes the class maps of
+        the identity alone, the one left coset representative."""
+        F = group_preset("dihedral:100")
+        scen = drinfeld_double_scenario(F)
+        eng = fu._engine(scen.datum, scen.ctx)
+        seen = []
+        original = ct.conjugation_class_maps
+
+        def spy(sub, xs, targets):
+            seen.append(np.asarray(xs).tolist())
+            return original(sub, xs, targets)
+
+        monkeypatch.setattr(ct, "conjugation_class_maps", spy)
+        perm, targets, which = eng.conj_stack(F.full_subgroup())
+        assert seen == [[0]]
+        assert targets == [F.full_subgroup()] and (which == 0).all()
+        assert perm.shape == (F.order, F.num_classes)
+        assert (perm == np.arange(F.num_classes)).all()
+
+
 class TestMBlock:
     """The reciprocity block against induce + decompose, entry by entry."""
 
@@ -295,7 +347,7 @@ def _component_at(eng, H, v, h):
     if base is None or h == h0:
         return base
     x = transporter(eng.d.action, h, h0, within=H)
-    perm, _ = eng.conj_perm(eng.stab(H, h0), int(eng.F.inv[x]))
+    perm = eng.conj_stack(eng.stab(H, h0))[0][int(eng.F.inv[x])]
     out = np.zeros_like(base)
     out[perm] = base
     return out
@@ -504,8 +556,8 @@ class TestCoherentAxioms:
                  if s3.element_order(x) == 3 and x not in H.generators)
         g = next(g for g in range(s3.order) if s3.element_order(g) == 2)
         src = eng.stab(H, g)  # the transpositions' centralizer: x is not in it
-        perm, tgt = eng.conj_perm(src, x)
-        eng._conj[(src.key, x)] = (perm[::-1].copy(), tgt)
+        perm = eng.conj_stack(src)[0]
+        perm[x] = perm[x][::-1].copy()
         report = fu.verify_coherent_axioms(d, H, ctx)
         assert report.counts["C1"][1] > 0
         assert all(report.counts[a][1] == 0 for a in ("C2", "C3", "C4"))
@@ -960,10 +1012,10 @@ class TestEqConjugate:
 class TestMapChecks:
     """Each whole-matrix check of the restriction, induction and
     conjugation maps catches a tampered cache entry of a fresh D(S3), as
-    TestCoherentAxioms catches a tampered conj_perm.  With H = S3 and
-    K = A3, the simples at g = e read the block (A3, (S3,), A3) for
+    TestCoherentAxioms catches a tampered conjugation stack.  With H = S3
+    and K = A3, the simples at g = e read the block (A3, (S3,), A3) for
     restriction, the block (A3, (A3,), S3) for induction, and the
-    conj_perm of H_e = S3 for conjugation."""
+    conjugation stack of H_e = S3 for conjugation."""
 
     @pytest.fixture
     def fresh(self, s3):
@@ -992,7 +1044,6 @@ class TestMapChecks:
     def test_conjugation_maps_simples_to_simples(self, fresh):
         d, ctx, H, _, eng = fresh
         x = 1  # a transposition
-        perm, tgt = eng.conj_perm(H, x)
-        eng._conj[(H.key, x)] = (np.zeros_like(perm), tgt)
+        eng.conj_stack(H)[0][x] = 0
         with pytest.raises(InvariantViolation, match="conjugation did not map a simple to a simple"):
             fu.eq_conjugate(d, H, x, fu.simples(d, H, ctx)[0], ctx)

@@ -17,7 +17,7 @@ import pytest
 from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse import mackey as mk
-from equifuse.errors import NoRingStructure
+from equifuse.errors import ElementNotInGroup, NoRingStructure, NotASubgroup
 from equifuse.permgrp import GroupAction, conjugation_index, subgroup_lattice
 from equifuse.presets import load_action
 from test_cli import D4_ON_C4
@@ -310,6 +310,20 @@ class TestVerifiers:
         )
         with pytest.raises(NoRingStructure):
             mk.verify_green_axioms(stripped)
+
+
+class TestConjugationArguments:
+    """`MackeyFamily.conjugation(H, x)` refuses an x outside 0..|G|-1 (-1
+    would read c_{H,|G|-1} off the stack) and an H outside the lattice."""
+
+    @pytest.mark.parametrize("x", [-1, 6, 7])
+    def test_element_out_of_range(self, char_s3, x):
+        with pytest.raises(ElementNotInGroup):
+            char_s3.conjugation(char_s3.lattice[1], x)
+
+    def test_subgroup_outside_the_lattice(self, char_s3, s4):
+        with pytest.raises(NotASubgroup):
+            char_s3.conjugation(s4.full_subgroup(), 0)
 
 
 class TestFamilyCaches:

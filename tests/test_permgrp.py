@@ -29,6 +29,7 @@ from equifuse.permgrp import (
     build_group,
     centralizer,
     conjugacy_classes,
+    conjugates,
     conjugation_index,
     double_coset_reps,
     left_coset_reps,
@@ -623,6 +624,24 @@ class TestLatticeByClasses:
         for i, S in enumerate(lattice):
             for x in range(G.order):
                 assert lattice[conj[i, x]] == S.conjugate(x)
+
+
+class TestConjugates:
+    """`conjugates(S)` against `S.conjugate(x)` for every x and every S of
+    a lattice: the same keys, each conjugate met first at its least x."""
+
+    @pytest.mark.parametrize("name", ["sym:4", "alt:5", "moved"])
+    def test_matches_conjugate(self, name, s4_moved):
+        G = s4_moved if name == "moved" else group_preset(name)
+        for S in subgroup_lattice(G):
+            subs, which = conjugates(S)
+            assert subs[0] is S
+            assert len({T.key for T in subs}) == len(subs)
+            assert list(dict.fromkeys(which.tolist())) == list(range(len(subs)))
+            for x in range(G.order):
+                assert subs[which[x]].key == S.conjugate(x).key
+            for T in subs:
+                assert (_close(G, None, T.generators) == T.mask).all()
 
 
 def brute_closure(G, seeds):
