@@ -3,16 +3,20 @@
 Every modular kernel takes residues in [0, p) for a prime p < 2**62 and
 works in int64, with one path for every such p; an object array of
 in-range ints (as tests build) is read as int64.  Two lemmas keep the
-arithmetic exact.  A matrix product splits both operands into w-bit limbs
-whose float64 BLAS products are exact (`matmul_mod`), and an elementwise
-product runs Horner over limbs of one factor so that no intermediate
-reaches 2**63 (`mul_mod`).  A sum of residues is a product with a column of
-ones, so it is exact by the first lemma.
+arithmetic exact.  An integer product in float64 BLAS is exact while the
+absolute values of each sum's terms add up to less than 2**53
+(`require_exact`, which the fusion and Green checks share); `matmul_mod`
+splits both operands into w-bit limbs so that each limb product meets that
+bound.  An elementwise product runs Horner over limbs of one factor so that
+no intermediate reaches 2**63 (`mul_mod`).  A sum of residues is a product
+with a column of ones, so it is exact by the first lemma.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ExactnessBoundExceeded
 
 
 def mult_table(images: np.ndarray) -> np.ndarray:
@@ -107,6 +111,24 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
+def require_exact(bound: int, message: str) -> None:
+    """Raise `ExactnessBoundExceeded` with `message` unless bound < 2**53.
+
+    Lemma (exact integer products in float64; Dumas, Giorgi and Pernet,
+    ACM TOMS 35(3), 2008).  Let s = sum_k a_k b_k with integer a_k, b_k and
+    sum_k |a_k b_k| < 2**53.  Every product and every partial sum, over any
+    subset of the terms in any order, is an integer of absolute value below
+    2**53, which float64 represents exactly, so a BLAS product returns s
+    exactly whatever its summation order, blocking or vector width.  A
+    chained product (A @ B) @ C is exact when the bound holds for the outer
+    sums with the inner ones' absolute bound in place of their entries.
+    Callers pass, as `bound`, such a bound on the sum of absolute values
+    over every entry they compute: n * max|a| * max|b| for one product of
+    inner dimension n."""
+    if bound >= 1 << 53:
+        raise ExactnessBoundExceeded(message)
+
+
 def mul_mod(a, b, p: int) -> np.ndarray:
     """Exact elementwise a * b mod p, broadcast, for residues a and b.
 
@@ -138,8 +160,8 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     Lemma: let w be the largest width with inner * (2^w - 1)^2 < 2^53.
     Split both operands into w-bit limbs, a = sum_i a_i 2^(wi) and
     b = sum_j b_j 2^(wj).  Each a_i @ b_j is a sum of `inner` products
-    below (2^w - 1)^2, so every partial sum is an integer below 2^53 and
-    the float64 BLAS product is exact in any summation order.  Added to a
+    below (2^w - 1)^2, so the float64 BLAS product is exact in any
+    summation order (the lemma of `require_exact`).  Added to a
     residue it stays below 2^62 + 2^53 < 2^63, so the limb products of
     equal weight i + j accumulate as residues, and the weights recombine
     by Horner, times 2^w mod p by `mul_mod`.  A modulus with p - 1 < 2^w,

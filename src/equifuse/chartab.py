@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,7 +272,10 @@ def _common_eigenbasis(mats, k, p, rng):
     1/2 - (k + 1)/p; a union bound over the C(k, 2) pairs ends the proof.
     Running out of rounds, or more than k parts (only matrices outside a
     class algebra give that), raises EigenbasisFailure; the draws come from
-    the seeded `rng`, so runs are reproducible."""
+    the seeded `random.Random` `rng`, so runs are reproducible.  (The
+    table does not depend on the draws: each E_chi is unique.  The standard
+    library's generator is used because `numpy.random` would load OpenSSL's
+    libcrypto, 3.4 MiB resident, and five MiB in all.)"""
     ident = np.eye(k, dtype=np.int64)
     ones = np.ones((k, 1), dtype=np.int64)
     half = (p + 1) // 2
@@ -283,9 +287,9 @@ def _common_eigenbasis(mats, k, p, rng):
         if not len(parts) or not rounds or len(vectors) + len(parts) > k:
             break
         rounds -= 1
-        z = int(rng.integers(0, p)) * ident
+        z = rng.randrange(p) * ident
         for m in mats:
-            z = (z + _kernels.mul_mod(int(rng.integers(0, p)), m, p)) % p
+            z = (z + _kernels.mul_mod(rng.randrange(p), m, p)) % p
         b = _matpow(z, (p - 1) // 2, p)
         if not (_kernels.matmul_mod(b, b, p) == ident).all():
             continue
@@ -313,7 +317,7 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
         _kernels.class_matrix(G.mult, G.inv, G.class_of, G.classes[i], reps)
         for i in range(1, k)
     ]
-    rng = np.random.default_rng((_SPLIT_SEED, G.order, k))
+    rng = random.Random(f"{_SPLIT_SEED}:{G.order}:{k}")
     vectors = _common_eigenbasis(mats, k, p, rng)
 
     order_inv = pow(G.order, p - 2, p)

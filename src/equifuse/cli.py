@@ -2,9 +2,10 @@
 
 Exit codes: 0 = success with all internal checks passing, 1 = verification
 failure (witness JSON on stdout) or internal invariant failure, 2 = input
-error.  All numeric output is exact integers plus the prime where modular
-values appear; reruns are byte-identical.  --jobs is accepted for old scripts
-and ignored.  --table is opened before any work, so a bad path exits 2 at once.
+error, including integers too large for a check's exact float64 products.
+All numeric output is exact integers plus the prime where modular values
+appear; reruns are byte-identical.  --jobs is accepted for old scripts and
+ignored.  --table is opened before any work, so a bad path exits 2 at once.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import chartab, fusion, mackey, presets
 from .errors import (
     EigenbasisFailure,
     EquifuseError,
+    ExactnessBoundExceeded,
     InvalidInput,
     InvariantViolation,
 )
@@ -263,18 +265,13 @@ def main(argv=None) -> int:
     try:
         with _open_table(args.table) as out:
             return args.fn(args, out)
-    except _INTERNAL_ERRORS as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
     except (EquifuseError, ValueError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
-        return 2
+        internal = isinstance(exc, _INTERNAL_ERRORS) and not isinstance(exc, ExactnessBoundExceeded)
+        return 1 if internal else 2
 
 
 if __name__ == "__main__":

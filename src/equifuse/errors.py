@@ -53,6 +53,12 @@ class InvariantViolation(EquifuseError):
     """Internal error: a structural invariant failed on computed data."""
 
 
+class ExactnessBoundExceeded(InvariantViolation):
+    """Integers too large for a check's exact float64 products: the check
+    refuses to answer rather than compare inexactly.  The input is beyond
+    what the check can decide, so the command line exits 2, as for a cap."""
+
+
 class UnknownPreset(EquifuseError):
     """The preset string names no known group."""
 

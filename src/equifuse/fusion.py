@@ -804,17 +804,17 @@ def associativity_failure(t: np.ndarray):
 
     Both sides are float64 BLAS products over a block of j for one i at a
     time (`_slice_failure`), so besides t the check holds one float64 copy
-    of t and two blocks of n^3 / 4 entries.  If n * max|t|^2 < 2**53, every
-    product of two entries and every partial sum of n of them is an integer
-    of absolute value below 2**53, so float64 represents each one exactly
-    and the sums are exact in any order; above that bound the check raises
-    instead of comparing inexactly."""
+    of t and two blocks of n^3 / 4 entries.  Each entry is a sum of n
+    products of two entries of t, so by the lemma of
+    `_kernels.require_exact` the products are exact while
+    n * max|t|^2 < 2**53; above that bound the check raises
+    `ExactnessBoundExceeded` instead of comparing inexactly."""
     n = t.shape[0]
     top = int(np.abs(t).max(initial=0))
-    if n * top * top >= 1 << 53:
-        raise InvariantViolation(
-            f"associativity check needs n * max|t|^2 < 2**53, got n={n}, max|t|={top}"
-        )
+    _kernels.require_exact(
+        n * top * top,
+        f"associativity check needs n * max|t|^2 < 2**53, got n={n}, max|t|={top}",
+    )
     gens = _generators(t)  # before the float64 copy, so its temporaries are gone
     f = t.astype(np.float64)
     if gens is not None and all(_slice_failure(f, i) is None for i in gens):

@@ -10,6 +10,11 @@ shortcut of the family.  Identity maps, transitivity, composition of
 conjugations and conjugation compatibility are checked on every instance;
 the double-coset relation once per conjugacy class of triples (L, H, K),
 which a lemma in `verify_mackey_axioms` proves is enough once those pass.
+The Green axioms (unitary ring maps G1, projection formulas G2 and G3) are
+checked exhaustively, as float64 BLAS products that are exact below a bound
+each check states (`_kernels.require_exact`): the conjugations of one
+subgroup with one target as one stack, and the projection formulas in
+blocks of basis elements; see `verify_green_axioms`.
 
 Two families ship: the character rings of all subgroups, and the
 equivariantization family built on the fusion engine.  The first realizes
@@ -19,9 +24,11 @@ categorical actions.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from . import chartab, fusion
+from . import _kernels, chartab, fusion
 from .chartab import ModularContext, character_table, reciprocity_block
 from .errors import ElementNotInGroup, NoRingStructure, NotASubgroup
 from .permgrp import Group, Subgroup, conjugation_index, double_coset_reps, subgroup_lattice
@@ -398,63 +405,148 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
 
     Associativity is `fusion.associativity_failure` (O(n^3) memory), which
     checks the slices of a generating set of basis elements and proves the
-    rest by its generator lemma; both G1 loops are `_is_unitary_ring_map`,
-    and G2/G3 are `_projection_sides`.  A family without a multiplication
-    raises `NoRingStructure` at its first `product_tensor`."""
+    rest by its generator lemma.  G1, G2 and G3 are exhaustive: every basis
+    pair of every map and every nested pair.  They are float64 BLAS
+    products on float64 copies of the product tensors, exact by the lemma
+    of `_kernels.require_exact`; each check states its bound and raises
+    `ExactnessBoundExceeded` above it.  G1 for conjugation stacks the
+    c_{H,x} with one target and checks them together (`_ring_maps_hold`),
+    recorded in increasing x; G1 for restriction is the same check on a
+    stack of one map.  G2 and G3 compare both sides in blocks of basis
+    elements of a(K) (`_projection_holds`), and build the integer sides
+    only for a witness.  A family without a multiplication raises
+    `NoRingStructure` at its first `product_tensor`."""
     lattice = fam.lattice
     report = AxiomReport(title=fam.title)
 
-    # [i] = product tensor and unit index of lattice[i]
-    tensors = [fam.product_tensor(H) for H in lattice]
-    units = [fam.unit_index(H) for H in lattice]
-    for H, t, u in zip(lattice, tensors, units):
-        ident = np.eye(fam.size(H), dtype=np.int64)
+    # [i] = the ring of lattice[i], its int64 tensor dropped once the ring
+    # checks are done
+    rings = []
+    for H in lattice:
+        t, u = fam.product_tensor(H), fam.unit_index(H)
+        ident = np.eye(len(t), dtype=np.int64)
         report.record("ring", fusion.associativity_failure(t) is None, (H,),
                       "associativity on basis triples")
         report.record("ring", np.array_equal(t[u], ident) and np.array_equal(t[:, u], ident),
                       (H,), "two-sided unit")
+        rings.append(_Ring(t.astype(np.float64), u, _top(t)))
 
     for hi, H in enumerate(lattice):
-        th, uh = tensors[hi], units[hi]
         for ki, K in enumerate(lattice):
             if not H.contains(K) or ki == hi:
                 continue
-            ok = _is_unitary_ring_map(fam.restriction(H, K), th, uh, tensors[ki], units[ki])
+            r = fam.restriction(H, K).astype(np.float64)
+            ok = _ring_maps_hold(r[None], rings[hi], rings[ki])[0]
             report.record("G1", ok, (H, K), "R is a unitary ring map")
         stack, target = fam.conjugations(H)
-        for x, t in enumerate(target.tolist()):
-            ok = _is_unitary_ring_map(stack[x], th, uh, tensors[t], units[t])
-            report.record("G1", ok, (H, f"x={x}"), "c is a unitary ring map")
+        ok = np.empty(len(target), dtype=bool)
+        for t in sorted(set(target.tolist())):
+            xs = np.flatnonzero(target == t)
+            ok[xs] = _ring_maps_hold(stack[xs].astype(np.float64), rings[hi], rings[t])
+        report.record_all("G1", ok, lambda x: (H, f"x={x}"), "c is a unitary ring map")
 
-    for H, th in zip(lattice, tensors):
-        for K, tk in zip(lattice, tensors):
+    for H, rh in zip(lattice, rings):
+        for K, rk in zip(lattice, rings):
             if not H.contains(K):
                 continue
-            r = fam.restriction(H, K)
-            ind = fam.induction(K, H)
-            lhs2, rhs2 = _projection_sides(r, ind, tk, th)
-            report.record("G2", np.array_equal(lhs2, rhs2),
-                          (H, K), "I(a R(b)) = I(a) b", lhs2, rhs2)
-            lhs3, rhs3 = _projection_sides(r, ind, tk.transpose(1, 0, 2),
-                                           th.transpose(1, 0, 2))
-            report.record("G3", np.array_equal(lhs3, rhs3),
-                          (H, K), "I(R(b) a) = b I(a)", lhs3, rhs3)
+            r = fam.restriction(H, K).astype(np.float64)
+            ind = fam.induction(K, H).astype(np.float64)
+            for axiom, tk, th, detail in (
+                ("G2", rk.t, rh.t, "I(a R(b)) = I(a) b"),
+                ("G3", rk.t.transpose(1, 0, 2), rh.t.transpose(1, 0, 2), "I(R(b) a) = b I(a)"),
+            ):
+                if _projection_holds(r, ind, tk, th, rk.top, rh.top):
+                    report.record(axiom, True, (H, K), detail)
+                else:
+                    lhs, rhs = _projection_block(r, ind, tk, th, 0, len(r))
+                    report.record(axiom, False, (H, K), detail,
+                                  lhs.astype(np.int64), rhs.astype(np.int64))
     return report
 
 
-def _is_unitary_ring_map(f, t_src, u_src, t_dst, u_dst) -> bool:
-    """f(e_{u_src}) = e_{u_dst} and f(e_i e_j) = f(e_i) f(e_j) on all basis pairs."""
-    unit_ok = np.array_equal(f[:, u_src], np.eye(len(t_dst), dtype=np.int64)[u_dst])
-    # [i, b, m] = (f(e_i) e_b)_m, then [i, j, m] = (f(e_i) f(e_j))_m
-    left = np.einsum("ai,abm->ibm", f, t_dst)
-    product = np.einsum("bj,ibm->ijm", f, left)
-    return unit_ok and np.array_equal(np.einsum("ijm,am->ija", t_src, f), product)
+# Entries of the largest float64 temporary one step of a G1-G3 check holds
+# (128 KiB); one product over the whole stack of 12 maps at n = 40 would
+# hold 12 * 40 rows of 40^2 entries, 6 MiB, in each of its temporaries.
+_CHUNK = 1 << 14
 
 
-def _projection_sides(r, ind, tk, th):
-    """[a, b, :] of I(a R(b)) and of I(a) b, for r = R_K^H, ind = I_K^H; with
-    both tensors transposed in their first two axes, I(R(b) a) and b I(a)."""
-    # [a, c, l] = I(e_a e_c)_l, then [a, b, l] = I(e_a R(e_b))_l
-    induced = np.einsum("acm,lm->acl", tk, ind)
-    lhs = np.einsum("cb,acl->abl", r, induced)
-    return lhs, np.einsum("ma,mbl->abl", ind, th)
+def _top(a) -> int:
+    """max|a| as a Python int, without an |a| temporary."""
+    return int(max(a.max(initial=0), -a.min(initial=0)))
+
+
+class _Ring(NamedTuple):
+    """A based ring for the G1-G3 checks: its product tensor in float64,
+    t[i, j, k] = N_ij^k, the index of its unit and max|t|."""
+
+    t: np.ndarray
+    unit: int
+    top: int
+
+
+def _ring_maps_hold(maps, src: _Ring, dst: _Ring) -> np.ndarray:
+    """[x] = (f = maps[x] is a unitary ring map): f(e_{src.unit}) =
+    e_{dst.unit} and f(e_i e_j) = f(e_i) f(e_j) on all basis pairs, for a
+    stack of float64 maps (k, nd, ns) from src to dst.
+
+    The k * ns rows (x, i), f_x(e_i) in row form, are taken in chunks of
+    about _CHUNK / max(nd, ns)^2 rows, which may split one map's rows; a
+    chunk's three products are
+      left[(x, i), b, m] = (f_x(e_i) e_b)_m     rows @ dst.t as nd x nd^2
+      [(x, i), j, m] = (f_x(e_i) f_x(e_j))_m    f_x^T @ left, batched
+      [(x, i), j, a] = f_x(e_i e_j)_a           src.t[i] @ f_x^T, batched
+    The right side is a sum over b and a of nd^2 terms of absolute value at
+    most max|f|^2 max|t_dst|, the image one of ns terms at most
+    max|f| max|t_src|, so both are exact by `_kernels.require_exact` below
+    those bounds."""
+    k, nd, ns = maps.shape
+    top = _top(maps)
+    _kernels.require_exact(
+        max(nd * nd * top * top * dst.top, ns * top * src.top),
+        f"ring-map check needs nd^2 max|f|^2 max|t_dst| and ns max|f| max|t_src| "
+        f"below 2**53, got nd={nd}, ns={ns}, max|f|={top}",
+    )
+    ok = (maps[:, :, src.unit] == np.eye(nd)[dst.unit]).all(axis=1)
+    images = maps.transpose(0, 2, 1)  # [x, i, a] = f_x(e_i)_a
+    rows = images.reshape(k * ns, nd)
+    by_dst = dst.t.reshape(nd, nd * nd)
+    row_ok = np.empty(k * ns, dtype=bool)
+    step = max(1, _CHUNK // max(nd, ns) ** 2)
+    for r0 in range(0, k * ns, step):
+        r1 = min(r0 + step, k * ns)
+        x, i = np.divmod(np.arange(r0, r1), ns)
+        f = images[x]
+        left = (rows[r0:r1] @ by_dst).reshape(-1, nd, nd)
+        row_ok[r0:r1] = (f @ left == src.t[i] @ f).all(axis=(1, 2))
+    return ok & row_ok.reshape(k, ns).all(axis=1)
+
+
+def _projection_block(r, ind, tk, th, a0, a1):
+    """[a - a0, b, :] of I(e_a R(e_b)) and of I(e_a) e_b for a in [a0, a1),
+    r = R_K^H and ind = I_K^H, all float64; with both tensors transposed in
+    their first two axes, of I(R(e_b) e_a) and e_b I(e_a)."""
+    induced = tk[a0:a1] @ ind.T  # [a, c, l] = I(e_a e_c)_l
+    lhs = r.T @ induced  # [a, b, l] = I(e_a R(e_b))_l
+    rhs = ind[:, a0:a1].T @ th.transpose(1, 0, 2)  # [b, a, l] = (I(e_a) e_b)_l
+    return lhs, rhs.transpose(1, 0, 2)
+
+
+def _projection_holds(r, ind, tk, th, top_k: int, top_h: int) -> bool:
+    """Whether `_projection_block`'s two sides agree for every a, over
+    blocks of about _CHUNK / (nh max(nh, nk)) basis elements a of a(K), for
+    top_k = max|tk| and top_h = max|th|.  The left side is a sum over c and
+    m of nk^2 terms of absolute value at most max|r| top_k max|ind|, the
+    right one of nh terms at most max|ind| top_h, so both are exact by
+    `_kernels.require_exact` below those bounds."""
+    nk, nh = r.shape
+    top_ind = _top(ind)
+    _kernels.require_exact(
+        max(nk * nk * _top(r) * top_k * top_ind, nh * top_ind * top_h),
+        f"projection check needs nk^2 max|R| max|t_K| max|I| and nh max|I| max|t_H| "
+        f"below 2**53, got nk={nk}, nh={nh}",
+    )
+    step = max(1, _CHUNK // (nh * max(nh, nk)))
+    return all(
+        np.array_equal(*_projection_block(r, ind, tk, th, a0, a0 + step))
+        for a0 in range(0, nk, step)
+    )

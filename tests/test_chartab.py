@@ -6,6 +6,8 @@ character pins multiplicities, and the Frobenius formula evaluated by hand
 pins the induction examples.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,7 +147,7 @@ class TestCommonEigenbasis:
         # each matrix has a repeated eigenvalue, so neither splits F_p^4 into
         # lines alone; together they tell every axis apart
         mats = [np.diag([1, 1, 2, 2]), np.diag([3, 4, 3, 4])]
-        vectors = ct._common_eigenbasis(mats, 4, p, np.random.default_rng(7))
+        vectors = ct._common_eigenbasis(mats, 4, p, random.Random(7))
         axes = []
         for v in vectors:
             nonzero = [i for i, x in enumerate(v) if int(x) % p]
@@ -158,11 +160,11 @@ class TestCommonEigenbasis:
         # with that b would halve every part instead of separating axes
         class FirstRoundZero:
             def __init__(self):
-                self.rng, self.calls = np.random.default_rng(7), 0
+                self.rng, self.calls = random.Random(7), 0
 
-            def integers(self, low, high):
+            def randrange(self, high):
                 self.calls += 1
-                return 0 if self.calls <= 3 else self.rng.integers(low, high)
+                return 0 if self.calls <= 3 else self.rng.randrange(high)
 
         mats = [np.diag([1, 1, 2, 2]), np.diag([3, 4, 3, 4])]
         vectors = ct._common_eigenbasis(mats, 4, 1741, FirstRoundZero())
@@ -171,7 +173,7 @@ class TestCommonEigenbasis:
 
     def test_no_simple_spectrum_raises(self):
         with pytest.raises(EigenbasisFailure):
-            ct._common_eigenbasis([np.diag([1, 1, 2])], 3, 1741, np.random.default_rng(7))
+            ct._common_eigenbasis([np.diag([1, 1, 2])], 3, 1741, random.Random(7))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -201,7 +203,7 @@ class TestCommonEigenbasis:
             )
             for c in range(m)
         ]
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
         vectors = ct._common_eigenbasis(mats, k, p, rng)
         axes = []
         for v in vectors:

@@ -10,6 +10,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,17 @@ import pytest
 from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse import mackey as mk
-from equifuse.errors import ElementNotInGroup, NoRingStructure, NotASubgroup
+from equifuse.errors import (
+    ElementNotInGroup,
+    ExactnessBoundExceeded,
+    InvariantViolation,
+    NoRingStructure,
+    NotASubgroup,
+)
 from equifuse.permgrp import GroupAction, conjugation_index, subgroup_lattice
-from equifuse.presets import load_action
-from test_cli import D4_ON_C4
+from equifuse.presets import group_preset, load_action
+from test_cli import D4_ON_C4, run
+from test_fusion import _cyclic_group_ring
 from test_permgrp import reference_double_coset_reps
 
 
@@ -449,6 +457,16 @@ GREEN_TAMPERS = {
 }
 
 
+def _green_tampered(fam, which, when, change):
+    """fam, with `change` made to the maps of one callback as `_tamper` says."""
+    fns = {k: getattr(fam, f"_{k}_fn") for k in ("r", "i", "c", "mul")}
+    fns[which] = _tamper(fns[which], when, change)
+    return mk.MackeyFamily(
+        fam.ambient, fam.lattice, "tampered", fam._size_fn,
+        fns["r"], fns["i"], fns["c"], mul_fn=fns["mul"], unit_fn=fam._unit_fn,
+    )
+
+
 @pytest.fixture(scope="module")
 def char_s4(s4, ctx_s4):
     return mk.char_ring_family(s4, ctx_s4)
@@ -467,14 +485,7 @@ class TestGreenMutations:
     @pytest.mark.parametrize("name", sorted(GREEN_TAMPERS))
     def test_tampered_map_is_caught(self, name, char_s4, green_s4):
         which, when, change, failed, context, digest = GREEN_TAMPERS[name]
-        fns = {k: getattr(char_s4, f"_{k}_fn") for k in ("r", "i", "c", "mul")}
-        fns[which] = _tamper(fns[which], when, change)
-        broken = mk.MackeyFamily(
-            char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
-            fns["r"], fns["i"], fns["c"], mul_fn=fns["mul"],
-            unit_fn=char_s4._unit_fn,
-        )
-        report = mk.verify_green_axioms(broken)
+        report = mk.verify_green_axioms(_green_tampered(char_s4, which, when, change))
         assert {a: f for a, (_, f) in report.counts.items() if f} == failed
         assert {a: c for a, (c, _) in report.counts.items()} == {
             a: c for a, (c, _) in green_s4.counts.items()
@@ -483,6 +494,233 @@ class TestGreenMutations:
         assert data["witnesses"][0]["context"] == context
         text = json.dumps(data, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def reference_is_unitary_ring_map(f, t_src, u_src, t_dst, u_dst) -> bool:
+    """G1 for one integer map as the int64 einsums that the stacked float64
+    check replaced: f(e_{u_src}) = e_{u_dst} and f(e_i e_j) = f(e_i) f(e_j)
+    on all basis pairs."""
+    unit_ok = np.array_equal(f[:, u_src], np.eye(len(t_dst), dtype=np.int64)[u_dst])
+    # [i, b, m] = (f(e_i) e_b)_m, then [i, j, m] = (f(e_i) f(e_j))_m
+    left = np.einsum("ai,abm->ibm", f, t_dst)
+    product = np.einsum("bj,ibm->ijm", f, left)
+    return unit_ok and np.array_equal(np.einsum("ijm,am->ija", t_src, f), product)
+
+
+def reference_projection_sides(r, ind, tk, th):
+    """[a, b, :] of I(a R(b)) and of I(a) b as int64 einsums, for r = R_K^H,
+    ind = I_K^H; with both tensors transposed in their first two axes,
+    I(R(b) a) and b I(a)."""
+    # [a, c, l] = I(e_a e_c)_l, then [a, b, l] = I(e_a R(e_b))_l
+    induced = np.einsum("acm,lm->acl", tk, ind)
+    lhs = np.einsum("cb,acl->abl", r, induced)
+    return lhs, np.einsum("ma,mbl->abl", ind, th)
+
+
+def _ring(t, unit):
+    return mk._Ring(t.astype(np.float64), unit, mk._top(t))
+
+
+def _float(*arrays):
+    return [a.astype(np.float64) for a in arrays]
+
+
+def _group_ring_map(n, m):
+    """Z[C_n] -> Z[C_m], e_i -> e_{i mod m}: a unitary ring map for m | n."""
+    f = np.zeros((m, n), dtype=np.int64)
+    f[np.arange(n) % m, np.arange(n)] = 1
+    return f
+
+
+@pytest.fixture(scope="module")
+def equiv_d6():
+    d6 = group_preset("dihedral:6")
+    datum = fu.CoherentDatum(d6, d6, GroupAction.conjugation(d6))
+    return mk.equivariant_k0_family(datum, ct.make_context([d6, d6]))
+
+
+def _assert_g1_to_g3_agree(fam):
+    """Every (H, K) and every (H, x) of fam, as given and with maps bumped,
+    checked by the stacked float64 helpers and by the einsum references."""
+    lattice = fam.lattice
+    tensors = [fam.product_tensor(H) for H in lattice]
+    units = [fam.unit_index(H) for H in lattice]
+    rings = [_ring(t, u) for t, u in zip(tensors, units)]
+
+    def agree(maps, hi, ki):
+        want = [reference_is_unitary_ring_map(f, tensors[hi], units[hi], tensors[ki], units[ki])
+                for f in maps]
+        got = mk._ring_maps_hold(np.stack(maps).astype(np.float64), rings[hi], rings[ki])
+        assert got.tolist() == want
+        return want
+
+    for hi, H in enumerate(lattice):
+        stack, target = fam.conjugations(H)
+        for t in sorted(set(target.tolist())):
+            xs = np.flatnonzero(target == t)
+            assert all(agree(list(stack[xs]), hi, t))
+            # every other map of the stack broken: those fail, the rest pass
+            mixed = [_bump(f) if i % 2 else f for i, f in enumerate(stack[xs])]
+            assert agree(mixed, hi, t) == [i % 2 == 0 for i in range(len(xs))]
+        for ki, K in enumerate(lattice):
+            if not H.contains(K):
+                continue
+            r, ind = fam.restriction(H, K), fam.induction(K, H)
+            if ki != hi:
+                assert agree([r], hi, ki) == [True]
+                assert agree([_bump(r)], hi, ki) == [False]
+            for tk, th in ((tensors[ki], tensors[hi]),
+                           (tensors[ki].transpose(1, 0, 2), tensors[hi].transpose(1, 0, 2))):
+                # R broken, and the products e_a e_c of the last a only
+                last = tk.copy()
+                last[-1, 0, 0] += 1
+                for rr, tt, intact in ((r, tk, True), (_bump(r), tk, False), (r, last, False)):
+                    lhs, rhs = reference_projection_sides(rr, ind, tt, th)
+                    f_r, f_ind, f_tk, f_th = _float(rr, ind, tt, th)
+                    got = mk._projection_block(f_r, f_ind, f_tk, f_th, 0, len(rr))
+                    assert np.array_equal(got[0], lhs) and np.array_equal(got[1], rhs)
+                    holds = mk._projection_holds(f_r, f_ind, f_tk, f_th, mk._top(tt), mk._top(th))
+                    assert holds == np.array_equal(lhs, rhs)
+                    assert holds or not intact
+
+
+class TestStackedGreenChecks:
+    """G1 on stacks of maps with one target and G2/G3 in blocks, as float64
+    BLAS products, against the int64 einsum forms they replaced."""
+
+    @pytest.mark.parametrize("name", ["char_s4", "equiv_d6"])
+    def test_every_pair_and_element_agrees_with_the_einsums(self, request, name):
+        _assert_g1_to_g3_agree(request.getfixturevalue(name))
+
+    def test_rows_of_one_map_split_across_chunks(self, monkeypatch, char_s4):
+        # 3 rows per chunk of 4-dimensional maps: a chunk ends inside a map,
+        # and projection blocks hold one basis element each
+        monkeypatch.setattr(mk, "_CHUNK", 3 * 16)
+        _assert_g1_to_g3_agree(char_s4)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_integer_maps(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = [(6, 3), (4, 2), (6, 6), (8, 4), (6, 2), (9, 3), (4, 1), (10, 5)][seed]
+        t_src, t_dst = _cyclic_group_ring(n), _cyclic_group_ring(m)
+        f = _group_ring_map(n, m)
+        maps = [f, f + rng.integers(-1, 2, size=f.shape), rng.integers(-2, 3, size=f.shape)]
+        moved = f.copy()
+        moved[:, -1] = np.roll(moved[:, -1], 1)
+        maps.append(moved)
+        want = [reference_is_unitary_ring_map(g, t_src, 0, t_dst, 0) for g in maps]
+        assert want[0]
+        got = mk._ring_maps_hold(np.stack(maps).astype(np.float64), _ring(t_src, 0), _ring(t_dst, 0))
+        assert got.tolist() == want
+        # random tensors, not rings, and a non-square map between them
+        nd, ns = 2 + seed % 3, 3 + seed % 4
+        a, b = rng.integers(-2, 3, size=(ns, ns, ns)), rng.integers(-2, 3, size=(nd, nd, nd))
+        g = rng.integers(-2, 3, size=(nd, ns))
+        got = mk._ring_maps_hold(g.astype(np.float64)[None], _ring(a, 0), _ring(b, 1))
+        assert got.tolist() == [reference_is_unitary_ring_map(g, a, 0, b, 1)]
+        # projection sides of random integer data with nk != nh
+        nk, nh = 2 + seed % 3, 3 + seed % 5
+        r, ind = rng.integers(-3, 4, size=(nk, nh)), rng.integers(-3, 4, size=(nh, nk))
+        tk, th = rng.integers(-3, 4, size=(nk, nk, nk)), rng.integers(-3, 4, size=(nh, nh, nh))
+        lhs, rhs = reference_projection_sides(r, ind, tk, th)
+        got = mk._projection_block(*_float(r, ind, tk, th), 0, nk)
+        assert np.array_equal(got[0], lhs) and np.array_equal(got[1], rhs)
+        assert mk._projection_holds(*_float(r, ind, tk, th), 3, 3) == np.array_equal(lhs, rhs)
+
+    def test_one_tampered_x_among_one_target(self, monkeypatch, char_s4, green_s4):
+        # A4 is normal in S4, so all 24 c_{A4,x} share one target
+        a4 = next(H for H in char_s4.lattice if H.order == 12)
+        ring = _ring(char_s4.product_tensor(a4), 0)
+        stack, target = char_s4.conjugations(a4)
+        assert len(set(target.tolist())) == 1
+        maps = stack.astype(np.float64)
+        maps[7] = _bump(maps[7])
+        for chunk in (mk._CHUNK, 3 * 16):
+            monkeypatch.setattr(mk, "_CHUNK", chunk)
+            assert np.flatnonzero(~mk._ring_maps_hold(maps, ring, ring)).tolist() == [7]
+        broken = _green_tampered(char_s4, "c", lambda H, x: H.order == 12 and x == 7, _bump)
+        report = mk.verify_green_axioms(broken)
+        assert report.counts["G1"] == (green_s4.counts["G1"][0], 1)
+        assert [w.context for w in report.witnesses] == [(a4, "x=7")]
+
+    @pytest.mark.parametrize("name", sorted(GREEN_TAMPERS))
+    def test_small_chunks_give_the_same_report(self, name, monkeypatch, char_s4):
+        broken = _green_tampered(char_s4, *GREEN_TAMPERS[name][:3])
+        whole = mk.verify_green_axioms(broken).to_json_dict()
+        monkeypatch.setattr(mk, "_CHUNK", 3 * 16)
+        assert mk.verify_green_axioms(broken).to_json_dict() == whole
+
+    def test_stack_heap_below_the_einsum_outputs(self, equiv_d6):
+        # the n = 40 subgroup of D(D6) is normal: its 12 maps share a target;
+        # the einsum form held three n^3 int64 arrays for each of them
+        H = next(H for H in equiv_d6.lattice if equiv_d6.size(H) == 40)
+        stack, target = equiv_d6.conjugations(H)
+        assert set(target.tolist()) == {equiv_d6.index[H.key]} and len(stack) == 12
+        ring = _ring(equiv_d6.product_tensor(H), equiv_d6.unit_index(H))
+        maps = stack.astype(np.float64)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert mk._ring_maps_hold(maps, ring, ring).all()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 40**3 * 8
+
+
+def _huge_restrictions(fam):
+    """fam with every restriction matrix times 2**26: R from S3 to a
+    subgroup of order 2 then needs 2^2 (2**26)^2 = 2**54 in G1."""
+    return _green_tampered(fam, "r", lambda H, K: True, lambda m: m << 26)
+
+
+class TestExactnessGuard:
+    def test_verifier_refuses_past_the_bound(self, char_s3):
+        with pytest.raises(InvariantViolation, match="2\\*\\*53") as exc:
+            mk.verify_green_axioms(_huge_restrictions(char_s3))
+        assert type(exc.value) is ExactnessBoundExceeded
+
+    def test_helpers_check_their_bounds(self):
+        t = _cyclic_group_ring(2)
+        f = np.eye(2) * 2**26  # 2^2 (2**26)^2 = 2**54
+        with pytest.raises(ExactnessBoundExceeded, match="ring-map"):
+            mk._ring_maps_hold(f[None], _ring(t, 0), _ring(t, 0))
+        assert not mk._ring_maps_hold(f[None] / 2, _ring(t, 0), _ring(t, 0))[0]
+        # not a ring map (f(e_1)^2 = e_0 - 2**64 e_1 + 2**126 e_0), but every
+        # int64 product wraps to agree with f(e_1 e_1) = e_0
+        wraps = np.array([[1, -2**63], [0, 1]], dtype=np.int64)
+        assert reference_is_unitary_ring_map(wraps, t, 0, t, 0)
+        with pytest.raises(ExactnessBoundExceeded):
+            mk._ring_maps_hold(wraps.astype(np.float64)[None], _ring(t, 0), _ring(t, 0))
+        r = np.eye(2) * 2**51  # 2^2 2**51 = 2**53 in I(a R(b))
+        with pytest.raises(ExactnessBoundExceeded, match="projection"):
+            mk._projection_holds(r, np.eye(2), *_float(t, t), 1, 1)
+        assert not mk._projection_holds(r / 2, np.eye(2), *_float(t, t), 1, 1)
+
+    def test_cli_exits_2(self, capsys, monkeypatch, char_s3):
+        from equifuse import cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.mackey, "char_ring_family",
+                            lambda G, ctx: _huge_restrictions(char_s3))
+        code, out, err = run(capsys, "verify", "green", "--family", "char:sym:3")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ExactnessBoundExceeded"
+
+
+def test_no_cli_workload_imports_numpy_ma_or_numpy_random():
+    # the first np.unique of a process imports numpy.ma, about 1 MiB of RSS;
+    # numpy.random loads OpenSSL's libcrypto, about 5 MiB with its generators
+    code = (
+        "import os, sys\n"
+        "from equifuse import cli\n"
+        "for argv in (['double', 'dihedral:10'], ['verify', 'mackey', '--family', 'char:alt:5'],\n"
+        "             ['verify', 'green', '--family', 'equiv:dihedral:6:dihedral:6:conjugation']):\n"
+        "    assert cli.main(argv + ['--table', os.devnull]) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
+        "    assert 'numpy.random' not in sys.modules, argv\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _bumped(when):
