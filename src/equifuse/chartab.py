@@ -21,6 +21,7 @@ they are the public calculus and the tests' reference for the block.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -150,7 +151,7 @@ class CharacterTable:
 
 
 def _same_group(a: Group, b: Group) -> bool:
-    return a is b or a.elements == b.elements
+    return a is b or np.array_equal(a.images, b.images)
 
 
 def _is_prime(n: int) -> bool:
@@ -176,16 +177,63 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _factorize(n: int):
+# trial division stops below this bound; `_rho` splits what is left
+_TRIAL_BOUND = 1 << 12
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below
+    _TRIAL_BOUND, by Brent's variant of Pollard's rho (BIT 20, 1980): the
+    walk y -> y^2 + c mod n from y = 2, for c = 1, 2, ... until one splits
+    n, with the gcd taken once per 128 steps and the steps of a block
+    retaken one at a time when the block's gcd is n.  A walk is expected
+    to split n within about sqrt(q) steps, q the least prime factor of n:
+    below 2**16 steps for the composite cofactors of p - 1 < 2**62, whose
+    least prime factor is below 2**31."""
+    for c in itertools.count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = math.gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factorize(n: int) -> dict:
+    """{prime q: exponent} of n >= 1: trial division by d < _TRIAL_BOUND,
+    then each cofactor that `_is_prime` (a deterministic Miller-Rabin test
+    below 3 * 10**23) proves prime is kept, and the others split by
+    `_rho`."""
     out = {}
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_BOUND and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            rest += [f, m // f]
     return out
 
 
@@ -381,11 +429,8 @@ def restrict(chi: ClassFunction, K: Subgroup) -> ClassFunction:
     if K.parent is not chi.group:
         raise NotASubgroup("K is not a subgroup of the character's group")
     Kgrp = K.group()
-    H = chi.group
-    vals = [
-        chi.values[int(H.class_of[int(K.members[int(r)])])] for r in Kgrp.class_reps
-    ]
-    return ClassFunction(Kgrp, vals)
+    values = np.array(chi.values)[chi.group.class_of[K.members[Kgrp.class_reps]]]
+    return ClassFunction(Kgrp, values)
 
 
 def induce(chi: ClassFunction, H: Group, p: int) -> ClassFunction:
@@ -397,8 +442,7 @@ def induce(chi: ClassFunction, H: Group, p: int) -> ClassFunction:
     in_sub = np.zeros(H.order, dtype=bool)
     in_sub[emb] = True
     values = np.zeros(H.order, dtype=np.int64)
-    for i, e in enumerate(emb):
-        values[e] = chi.values[int(Kgrp.class_of[i])]
+    values[emb] = np.array(chi.values)[Kgrp.class_of]
     sums = _kernels.induced_sums(H.mult, H.inv, H.class_reps, values, in_sub, p)
     scale = pow(Kgrp.order, p - 2, p)
     return ClassFunction(H, [(int(s) * scale) % p for s in sums])
@@ -536,12 +580,9 @@ def pointwise_product(a: ClassFunction, b: ClassFunction, p: int) -> ClassFuncti
 
 def _embed_indices(sub: Group, sup: Group) -> np.ndarray:
     """Index of each element of `sub` inside `sup`; NotASubgroup if absent."""
-    out = np.empty(sub.order, dtype=np.int32)
-    for i, e in enumerate(sub.elements):
-        j = sup.index.get(e.images)
-        if j is None:
-            raise NotASubgroup("element set does not embed")
-        out[i] = j
+    out = np.array([sup.index.get(row.tobytes(), -1) for row in sub.images], dtype=np.int32)
+    if (out < 0).any():
+        raise NotASubgroup("element set does not embed")
     return out
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success with all internal checks passing, 1 = verification
 failure (witness JSON on stdout) or internal invariant failure, 2 = input
-error, including integers too large for a check's exact float64 products.
+error, including integers too large for a check's exact float64 products
+and an input whose arrays do not fit in memory (MemoryError).
 All numeric output is exact integers plus the prime where modular values
 appear; reruns are byte-identical.  --jobs is accepted for old scripts and
 ignored.  --table is opened before any work, so a bad path exits 2 at once.
@@ -53,7 +54,7 @@ def _ring_json_dict(ring: fusion.FusionRing) -> dict:
         labels.append(
             {
                 "id": i,
-                "orbit_rep": list(G.elements[lab.orbit_rep].images),
+                "orbit_rep": G.images[lab.orbit_rep].tolist(),
                 "orbit_size": lab.orbit_size,
                 "stabilizer_order": lab.stabilizer.order,
                 "char_degree": lab.degree,
@@ -70,10 +71,8 @@ def _ring_json_dict(ring: fusion.FusionRing) -> dict:
 
 def _classes(G: Group) -> list:
     """Each conjugacy class as its representative's images and its size."""
-    return [
-        {"rep": list(G.elements[int(r)].images), "size": int(s)}
-        for r, s in zip(G.class_reps, G.class_sizes)
-    ]
+    reps = G.images[G.class_reps].tolist()
+    return [{"rep": r, "size": s} for r, s in zip(reps, G.class_sizes.tolist())]
 
 
 def _chartable_json_dict(G: Group, ctx) -> dict:
@@ -265,11 +264,10 @@ def main(argv=None) -> int:
     try:
         with _open_table(args.table) as out:
             return args.fn(args, out)
-    except (EquifuseError, ValueError, OSError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+    except (EquifuseError, ValueError, OSError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError; report the public name
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         internal = isinstance(exc, _INTERNAL_ERRORS) and not isinstance(exc, ExactnessBoundExceeded)
         return 1 if internal else 2
 

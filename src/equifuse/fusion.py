@@ -29,15 +29,16 @@ representative goes through one transport map, `_Engine.slots`, and every
 conjugation through one stack per subgroup, `_Engine.conj_stack`.  The
 restriction and induction matrices and conjugation stacks of the simples
 are assembled from those, one orbit representative at a time; the engine
-does not keep them, `mackey.MackeyFamily` does, and the public per-label
-functions build one and read one column of it.  The structure-constant
-tensor is assembled in one place, `_Engine.product_tensor`; a `FusionRing`
-keeps only its nonzero [i, j, k, N] rows.  Associativity of an
-assembled table is decided on the slices of a generating set of basis
-elements (the generator lemma of `associativity_failure`), and every slice
-is scanned only to name the first failure.  The slices are float64 BLAS
-products, which are exact while n * max|N|^2 < 2**53; past that bound the
-check refuses to answer.
+does not keep them, `mackey.MackeyFamily` does.  Of the public per-label
+functions, `eq_restrict` and `eq_induce` build one whole matrix and read
+one column of it, and `eq_conjugate` reads its one entry off the stacks.
+The structure-constant tensor is assembled in one place,
+`_Engine.product_tensor`; a `FusionRing` keeps only its nonzero
+[i, j, k, N] rows.  Associativity of an assembled table is decided on the
+slices of a generating set of basis elements (the generator lemma of
+`associativity_failure`), and every slice is scanned only to name the
+first failure.  The slices are float64 BLAS products, which are exact
+while n * max|N|^2 < 2**53; past that bound the check refuses to answer.
 """
 
 from __future__ import annotations
@@ -503,7 +504,7 @@ def normalize_label(d: CoherentDatum, H: Subgroup, g: int, chi: ClassFunction, c
         raise ElementNotInGroup(f"index {g}")
     eng = _engine(d, ctx)
     stab = eng.stab(H, g)
-    if chi.group is not stab.group() and chi.group.elements != stab.group().elements:
+    if not chartab._same_group(chi.group, stab.group()):
         raise NotAClassFunction("character does not live on the stabilizer of g")
     vec = np.array(chartab.decompose(chi, eng.table(stab)).coeffs, dtype=np.int64)
     if (vec < 0).any():
@@ -601,17 +602,18 @@ def eq_induce(d: CoherentDatum, K: Subgroup, H: Subgroup, a: SimpleLabel, ctx: M
 
 def eq_conjugate(d: CoherentDatum, H: Subgroup, x: int, a: SimpleLabel, ctx: ModularContext):
     """Transport of a simple over H to one over xHx^-1; a bijection of bases.
-    Each call builds the whole stack `_Engine.conjugations(H)` and reads
-    one column of its matrix at x."""
+    The one entry of `_Engine.conjugations(H)` at x and a, read directly:
+    (g, chi_i) goes to (xg, x.chi_i) over T = xHx^-1, the label
+    slots(T, xg)[perm[x, i]] for the conjugation stack perm of H_g."""
     if a.subgroup != H:
         raise SubgroupMismatch("label lives over a different subgroup")
     if not 0 <= x < d.F.order:
         raise ElementNotInGroup(f"index {x}")
     eng = _engine(d, ctx)
-    stack, targets, which = eng.conjugations(H)
-    col = stack[x][:, eng.basis(H).pos[(a.orbit_rep, a.char_index)]]
-    (label,) = _labels(eng.basis(targets[which[x]]), col)
-    return label
+    _, targets, which = eng.conj_stack(H)
+    T, g = targets[which[x]], a.orbit_rep
+    perm = eng.conj_stack(eng.stab(H, g))[0]
+    return eng.basis(T).labels[eng.slots(T, int(eng.A[x, g]))[perm[x, a.char_index]]]
 
 
 def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> AxiomReport:

@@ -10,6 +10,9 @@ shortcut of the family.  Identity maps, transitivity, composition of
 conjugations and conjugation compatibility are checked on every instance;
 the double-coset relation once per conjugacy class of triples (L, H, K),
 which a lemma in `verify_mackey_axioms` proves is enough once those pass.
+These checks are int64 products, exact while |G| n^2 t^3 < 2**53 (n the
+largest rank, t the largest |entry| of a map read); the verifier checks
+that bound before it returns a report.
 The Green axioms (unitary ring maps G1, projection formulas G2 and G3) are
 checked exhaustively, as float64 BLAS products that are exact below a bound
 each check states (`_kernels.require_exact`): the conjugations of one
@@ -304,7 +307,18 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
     When M0, M3 or Mc fails the report already fails, so a report that
     passes has checked M4 at every triple.  Every conjugate and every
     intersection of lattice subgroups is in the lattice, so every map the
-    proof names is one the family defines."""
+    proof names is one the family defines.
+
+    Every product is int64, which wraps silently past 2**63.  The deepest
+    chain is the double-coset side: a sum over at most |G| double cosets
+    of (I R) c, each entry a sum of n^2 products of three entries, for n
+    the largest a(H).  So with t the largest |entry| of every R, I and c
+    the report read (those of every nested pair and every subgroup), each
+    sum's terms add up to at most |G| n^2 t^3, which bounds every other
+    check too.  Before the report is returned that bound is checked to be
+    below 2**53 (`_kernels.require_exact`); above it the verifier raises
+    `ExactnessBoundExceeded` rather than return what a wrapped product may
+    have passed."""
     lattice = fam.lattice
     report = AxiomReport(title=fam.title)
     G = fam.ambient
@@ -393,6 +407,17 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
                 rhs = _double_coset_side(fam, L, H, K, cache)
                 report.record(axiom, np.array_equal(lhs, rhs), (L, H, K),
                               "double-coset relation", lhs, rhs)
+    n = max(s.shape[1] for s in stacks)
+    maps = [*stacks]
+    for ki, hi in contained:
+        H, K = lattice[hi], lattice[ki]
+        maps += [fam.restriction(H, K), fam.induction(K, H)]
+    top = max(_top(m) for m in maps)
+    _kernels.require_exact(
+        G.order * n * n * top ** 3,
+        f"Mackey checks need |G| n^2 max|R, I, c|^3 below 2**53, "
+        f"got |G|={G.order}, n={n}, max={top}",
+    )
     report.modes.update(dict.fromkeys(("M0", "M1", "M2", "M3", "Mc"), "exhaustive"),
                         M4="classes", M4rel="classes")
     return report

@@ -89,7 +89,7 @@ class Perm:
         return Perm(inv)
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its minimal point."""
@@ -146,24 +146,24 @@ class Group:
     equal in full to the elements the table names, and every element
     reached from the identity along them.  A given `mult` is trusted, and so
     are `images`, the element images as rows, from callers that hold them
-    already; with both, `elements` may be None, and the Perms are then made
-    on first use.
+    already; with both, `elements` may be None.  Every computation reads
+    the rows; Perms are made only for `elements`, `perm` and generators.
     """
 
     def __init__(self, elements, generators, mult=None, images=None):
-        self._elements = None if elements is None else tuple(elements)
         self.generators = tuple(generators)
         if images is None:
-            images = np.array([e.images for e in self._elements], dtype=np.int32)
+            images = np.array([e.images for e in elements], dtype=np.int32)
         self.images = np.ascontiguousarray(images, dtype=np.int32)
         self.degree = self.images.shape[1]
         if not (self.images[0] == np.arange(self.degree)).all():
             raise ValueError("element list must be lex-sorted (identity first)")
         if mult is None:
             self.mult = _kernels.mult_table(self.images)
-            gens = [self.index.get(g.images, -1) for g in self.generators]
-            if -1 in gens:
-                raise ValueError("a generator is not in the element list")
+            try:
+                gens = [self.element_index(g) for g in self.generators]
+            except ElementNotInGroup:
+                raise ValueError("a generator is not in the element list") from None
             if not (
                 all((self.images[self.mult[:, g]] == self.images[:, self.images[g]]).all()
                     for g in gens)
@@ -177,36 +177,44 @@ class Group:
         self._lattice = None
         self._conj_index = None
 
-    @property
+    @cached_property
     def elements(self) -> tuple:
-        """The elements as Perms, in index order."""
-        if self._elements is None:
-            self._elements = tuple(Perm._trusted(row) for row in map(tuple, self.images.tolist()))
-        return self._elements
+        """The elements as Perms, in index order, made on first read."""
+        return tuple(Perm._trusted(row) for row in map(tuple, self.images.tolist()))
 
     @cached_property
     def index(self) -> dict:
-        """Element index by image tuple."""
-        return {e.images: i for i, e in enumerate(self.elements)}
+        """Element index by the bytes of its int32 image row."""
+        return {row.tobytes(): i for i, row in enumerate(self.images)}
 
     @property
     def order(self) -> int:
         return len(self.images)
 
     def perm(self, i: int) -> Perm:
-        return self.elements[i]
+        return Perm._trusted(tuple(self.images[i].tolist()))
 
     def element_index(self, perm: Perm) -> int:
         try:
-            return self.index[perm.images]
+            return self.index[np.array(perm.images, np.int32).tobytes()]
         except KeyError:
             raise ElementNotInGroup(f"{perm!r} not in group") from None
 
     def element_order(self, i: int) -> int:
-        return self.elements[i].order()
+        return self._rep_orders[self.class_of[i]]
 
     def exponent(self) -> int:
-        return math.lcm(*(self.elements[r].order() for r in self.class_reps))
+        return math.lcm(*self._rep_orders)
+
+    @cached_property
+    def _rep_orders(self) -> list:
+        """[c] = the order of r = class_reps[c], the least t with r^t = e, for all c at once."""
+        reps = power = self.class_reps
+        orders, t = np.zeros(len(reps), dtype=np.int64), 1
+        while not orders.all():
+            orders[(power == 0) & (orders == 0)] = t
+            power, t = self.mult[power, reps], t + 1
+        return orders.tolist()
 
     @cached_property
     def _class_data(self):
@@ -344,7 +352,7 @@ class Subgroup:
             pos = np.full(self.parent.order, -1, dtype=np.int32)
             pos[members] = np.arange(len(members), dtype=np.int32)
             sub_mult = pos[self.parent.mult[np.ix_(members, members)]]
-            gens = [self.parent.elements[int(g)] for g in self.generators]
+            gens = [self.parent.perm(g) for g in self.generators]
             grp = Group(None, gens, mult=sub_mult, images=images)
             _canonical_groups[gkey] = grp
         self._group = grp
@@ -433,8 +441,7 @@ def build_group(generators, degree=None, cap=None) -> Group:
     exactly for every element x.  The table follows from those maps along
     the search tree: e * a = a, and (g x) a = g (x a), so the row of a
     child g x is left[g] applied to its parent's row, one gather per round
-    and generator.  The elements become `Perm`s only on first use
-    (`Group.elements`).
+    and generator.  No `Perm` is made for an element.
     Raises OrderCapExceeded as soon as the closure passes the configured cap
     (EQUIFUSE_CAP_ORDER, default 2000).
     """

@@ -163,7 +163,7 @@ def load_action(spec: str, F: Group | None = None, G: Group | None = None) -> Co
     if spec == "conjugation":
         if F is None:
             raise InvalidInput("conjugation needs a group")
-        if G is not None and G.elements != F.elements:
+        if G is not None and not np.array_equal(G.images, F.images):
             raise InvalidInput("conjugation requires actor = target")
         return CoherentDatum(F, F, GroupAction.conjugation(F))
     try:

@@ -63,6 +63,31 @@ class TestMakeContext:
         assert pow(w, 6, ctx.p) == 1
         assert all(pow(w, k, ctx.p) != 1 for k in range(1, 6))
 
+    def test_factorize_agrees_with_trial_division(self):
+        def reference(n):
+            out, d = {}, 2
+            while d * d <= n:
+                while n % d == 0:
+                    out[d] = out.get(d, 0) + 1
+                    n //= d
+                d += 1
+            return {**out, n: 1} if n > 1 else out
+
+        rng = random.Random(3)
+        for n in [*range(1, 3000), *(rng.randrange(1, 10**10) for _ in range(200))]:
+            assert ct._factorize(n) == reference(n)
+
+    def test_factorize_past_the_trial_bound(self):
+        # cofactors with no prime factor below the trial bound: a prime that
+        # _is_prime proves (p - 1 = 6 q for the 61-bit p below), and
+        # composites that Pollard-Brent rho splits
+        q, p1, p2 = 288230376151712227, 2147483647, 2147483629
+        assert ct._factorize(6 * q) == {2: 1, 3: 1, q: 1}
+        assert ct._factorize(p1 * p2) == {p2: 1, p1: 1}
+        assert ct._factorize(12 * p1 * p1) == {2: 2, 3: 1, p1: 2}
+        assert ct._factorize(4099**5) == {4099: 5}
+        assert ct._primitive_root(6 * q + 1) == 2
+
     def test_p_minus_1_is_factored_only_for_a_root(self, s3, s4, monkeypatch):
         # only the display lift needs a primitive root, so making a context,
         # searched or overridden, never factors p - 1
@@ -319,6 +344,27 @@ class TestRestrict:
         tab = ct.character_table(s3, ctx_s3)
         with pytest.raises(NotASubgroup):
             ct.restrict(tab.rows[0], z4.full_subgroup())
+
+    def test_restrict_and_induce_match_element_loops(self, s4, ctx_s4):
+        # restrict and induce move class values with one gather; the
+        # references read them element by element from the definitions
+        p = ctx_s4.p
+        for K in subgroup_lattice(s4):
+            kgrp = K.group()
+            for chi in ct.character_table(s4, ctx_s4).rows:
+                expected = [chi.value_at(int(K.members[int(r)])) for r in kgrp.class_reps]
+                assert ct.restrict(chi, K).values == tuple(expected)
+            for chi in ct.character_table(kgrp, ctx_s4).rows:
+                # (Ind chi)(h) = (1/|K|) sum of chi(x^-1 h x) over x with x^-1 h x in K
+                expected = []
+                for h in s4.class_reps.tolist():
+                    total = 0
+                    for x in range(s4.order):
+                        y = int(s4.mult[s4.mult[s4.inv[x], h], x])
+                        if K.mask[y]:
+                            total += chi.value_at(int(np.searchsorted(K.members, y)))
+                    expected.append(total * pow(K.order, p - 2, p) % p)
+                assert ct.induce(chi, s4, p).values == tuple(expected)
 
 
 class TestInduce:

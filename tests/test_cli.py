@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from equifuse import fusion
 from equifuse.cli import main
+from equifuse.permgrp import Group
 
 
 def run(capsys, *argv):
@@ -58,6 +60,15 @@ class TestChartable:
         code, _, err = run(capsys, *argv.split())
         assert code == 0
         assert _sha256(err) == digest
+
+    def test_verbose_with_a_61_bit_prime_override_finishes(self):
+        # p - 1 = 6 q with q a 58-bit prime: the lift's primitive root needs
+        # p - 1 factored, which trial division up to sqrt(p - 1) never did
+        cmd = [sys.executable, "-m", "equifuse", "chartable", "sym:3", "-v",
+               "--prime-override", "1729382256910273363"]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert "z3 + z3^2" in done.stderr
 
     def test_file_output(self, capsys, tmp_path):
         path = tmp_path / "table.json"
@@ -278,6 +289,48 @@ class TestErrorsAndExitCodes:
         code, out, err = run(capsys, "double", "sym:4", "--table", str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "FileNotFoundError"
+
+    def test_memory_error_exits_2(self):
+        # double cyclic:30 has 900 labels, and its (900, 900, 900) int64
+        # product tensor (5.43 GiB) cannot be allocated under a 2 GiB
+        # address-space limit, which only the child process gets
+        def lower_address_space():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        cmd = [sys.executable, "-m", "equifuse", "double", "cyclic:30"]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
+                              preexec_fn=lower_address_space)
+        assert done.returncode == 2 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert json.loads(line)["error"] == "MemoryError"
+
+
+class TestRowsOnly:
+    """Every verb keeps elements as int32 rows: with `Group.elements` (the
+    elements as Perms) patched to raise, each prints what it prints
+    unpatched."""
+
+    @pytest.mark.parametrize("argv", [
+        ["group", "sym:4"],
+        ["chartable", "dihedral:6", "-v"],
+        ["double", "sym:3"],
+        ["double", "sym:3", "--format", "csv"],
+        ["fuse", "--F", "sym:4", "--action", "conjugation", "--subgroup", "(0 1 2 3)"],
+        ["verify", "mackey", "--family", "char:sym:3"],
+        ["verify", "green", "--family", "equiv:sym:3:sym:3:conjugation"],
+        ["scenario", "list"],
+    ], ids=lambda argv: "_".join(argv))
+    def test_no_verb_reads_elements(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+
+        def refuse(group):
+            raise AssertionError("Group.elements was read")
+
+        monkeypatch.setattr(Group, "elements", property(refuse))
+        assert run(capsys, *argv) == expected
 
 
 class TestDeterminism:

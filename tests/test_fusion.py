@@ -1008,6 +1008,21 @@ class TestEqConjugate:
                 direct = fu.eq_conjugate(d, h, int(s3.mult[y, x]), a, ctx)
                 assert two == direct
 
+    def test_reads_the_column_of_the_stack(self, s4):
+        # every x and every label of several subgroups of D(S4): the entry
+        # read directly is the column of the whole conjugation stack
+        scen = drinfeld_double_scenario(s4)
+        d, ctx = scen.datum, scen.ctx
+        eng = fu._engine(d, ctx)
+        lattice = subgroup_lattice(s4)
+        for H in lattice[::6] + [lattice[-1]]:
+            stack, targets, which = eng.conjugations(H)
+            for a in fu.simples(d, H, ctx):
+                col = eng.basis(H).pos[(a.orbit_rep, a.char_index)]
+                for x in range(s4.order):
+                    expected = fu._labels(eng.basis(targets[which[x]]), stack[x][:, col])
+                    assert {fu.eq_conjugate(d, H, x, a, ctx): 1} == expected
+
 
 class TestMapChecks:
     """Each whole-matrix check of the restriction, induction and
@@ -1042,8 +1057,9 @@ class TestMapChecks:
             fu.eq_induce(d, a3, H, fu.simples(d, a3, ctx)[0], ctx)
 
     def test_conjugation_maps_simples_to_simples(self, fresh):
+        # eq_conjugate reads one entry, so the whole stack is built here
         d, ctx, H, _, eng = fresh
         x = 1  # a transposition
         eng.conj_stack(H)[0][x] = 0
         with pytest.raises(InvariantViolation, match="conjugation did not map a simple to a simple"):
-            fu.eq_conjugate(d, H, x, fu.simples(d, H, ctx)[0], ctx)
+            eng.conjugations(H)

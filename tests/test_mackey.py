@@ -674,7 +674,41 @@ def _huge_restrictions(fam):
     return _green_tampered(fam, "r", lambda H, K: True, lambda m: m << 26)
 
 
+def _rank_one_family(top):
+    """A family on cyclic:4 (lattice 1 < C2 < C4) with every a(H) of rank
+    1, every I and c the identity, R^{C4}_{C2} = R^{C2}_1 = [[top]] and
+    R^{C4}_1 = [[0]]: M1 at (1, C2, C4) compares top^2 with 0."""
+    G = group_preset("cyclic:4")
+    lattice = subgroup_lattice(G)
+    pos = {S.key: i for i, S in enumerate(lattice)}
+    steps = {(2, 1): top, (1, 0): top, (2, 0): 0}
+
+    def r_fn(H, K):
+        i, j = pos[H.key], pos[K.key]
+        return np.array([[1 if i == j else steps[i, j]]], dtype=np.int64)
+
+    def c_fn(H):
+        return np.ones((G.order, 1, 1), dtype=np.int64), conjugation_index(G)[pos[H.key]]
+
+    return mk.MackeyFamily(G, lattice, "rank one", lambda H: 1, r_fn,
+                           lambda K, H: np.eye(1, dtype=np.int64), c_fn)
+
+
 class TestExactnessGuard:
+    def test_mackey_refuses_a_wrapping_family(self):
+        # (2**32)^2 = 2**64 wraps to 0 in int64, so M1 at (1, C2, C4)
+        # would pass; the verifier raises instead of returning that report
+        with pytest.raises(ExactnessBoundExceeded, match="Mackey checks"):
+            mk.verify_mackey_axioms(_rank_one_family(2**32))
+
+    def test_mackey_below_the_bound_catches_the_same_family(self):
+        # |G| n^2 t^3 = 4 * 1 * (2**17)^3 = 2**53 is not below 2**53
+        with pytest.raises(ExactnessBoundExceeded):
+            mk.verify_mackey_axioms(_rank_one_family(2**17))
+        report = mk.verify_mackey_axioms(_rank_one_family(2**17 - 1))
+        (m1,) = [w for w in report.to_json_dict()["witnesses"] if w["axiom"] == "M1"]
+        assert m1["lhs"] == [[(2**17 - 1) ** 2]] and m1["rhs"] == [[0]]
+
     def test_verifier_refuses_past_the_bound(self, char_s3):
         with pytest.raises(InvariantViolation, match="2\\*\\*53") as exc:
             mk.verify_green_axioms(_huge_restrictions(char_s3))
