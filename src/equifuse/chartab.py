@@ -31,6 +31,7 @@ import numpy as np
 from . import _kernels
 from .errors import (
     EigenbasisFailure,
+    ElementNotInGroup,
     GroupMismatch,
     InvalidPrime,
     InvariantViolation,
@@ -580,10 +581,10 @@ def pointwise_product(a: ClassFunction, b: ClassFunction, p: int) -> ClassFuncti
 
 def _embed_indices(sub: Group, sup: Group) -> np.ndarray:
     """Index of each element of `sub` inside `sup`; NotASubgroup if absent."""
-    out = np.array([sup.index.get(row.tobytes(), -1) for row in sub.images], dtype=np.int32)
-    if (out < 0).any():
-        raise NotASubgroup("element set does not embed")
-    return out
+    try:
+        return np.array([sup.element_index(row) for row in sub.images], dtype=np.int32)
+    except ElementNotInGroup:
+        raise NotASubgroup("element set does not embed") from None
 
 
 def cyclotomic_lift(table: CharacterTable, ctx: ModularContext):

@@ -27,11 +27,12 @@ decomposition.  Every block comes from one cache, `_Engine.block`, keyed by
 its subgroups, and every move of a result to the canonical orbit
 representative goes through one transport map, `_Engine.slots`, and every
 conjugation through one stack per subgroup, `_Engine.conj_stack`.  The
-restriction and induction matrices and conjugation stacks of the simples
-are assembled from those, one orbit representative at a time; the engine
-does not keep them, `mackey.MackeyFamily` does.  Of the public per-label
-functions, `eq_restrict` and `eq_induce` build one whole matrix and read
-one column of it, and `eq_conjugate` reads its one entry off the stacks.
+restriction and induction matrices of the simples, and their conjugations
+as permutation rows (simple j goes to simple perm[x, j]), are assembled
+from those, one orbit representative at a time; the engine does not keep
+them, `mackey.MackeyFamily` does.  Of the public per-label functions,
+`eq_restrict` and `eq_induce` build one whole matrix and read one column
+of it, and `eq_conjugate` reads its one entry off the stacks.
 The structure-constant tensor is assembled in one place,
 `_Engine.product_tensor`; a `FusionRing` keeps only its nonzero
 [i, j, k, N] rows.  Associativity of an assembled table is decided on the
@@ -196,9 +197,9 @@ class _Engine:
     minimum of one gather), bases, one conjugation stack per subgroup (over
     every x in F), transport slots, reciprocity blocks (by subgroups, and
     indexed by pairs of grading points) and the double-coset
-    representatives of each pair of grading points.  Factorizations and
-    the whole restriction, induction and conjugation matrices are built on
-    every call; `mackey.MackeyFamily` caches the matrices."""
+    representatives of each pair of grading points.  Factorizations, the
+    whole restriction and induction matrices and the conjugation rows are
+    built on every call; `mackey.MackeyFamily` caches the maps."""
 
     def __init__(self, d: CoherentDatum, ctx: ModularContext):
         self.d = d
@@ -407,22 +408,22 @@ class _Engine:
         return m
 
     def conjugations(self, H: Subgroup):
-        """(stack, targets, which): stack[x] is the matrix of transport along
-        x from the simples over H to those over xHx^-1 = targets[which[x]]
-        (of `conj_stack(H)`), for every x in F: (g, chi) goes to (xg, x.chi),
-        moved to the canonical representative.  Checked to be a bijection
-        of bases.  Not cached."""
+        """(perm, targets, which): transport along x takes simple j over H
+        to simple perm[x, j] over xHx^-1 = targets[which[x]] (of
+        `conj_stack(H)`), for every x in F: (g, chi) goes to (xg, x.chi),
+        moved to the canonical representative.  Each row is checked to be
+        a bijection of bases.  Not cached."""
         _, targets, which = self.conj_stack(H)
         n = len(self.basis(H).labels)
-        stack = np.zeros((self.F.order, n, n), dtype=np.int64)
+        out = np.full((self.F.order, n), -1, dtype=np.intp)
         for g in self.orbit_data(H)[0]:
             perm = self.conj_stack(self.stab(H, g))[0]
             cols = self.slots(H, g)
             for x, w in enumerate(which.tolist()):
-                stack[x, self.slots(targets[w], int(self.A[x, g]))[perm[x]], cols] = 1
-        if not ((stack.sum(axis=1) == 1).all() and (stack.sum(axis=2) == 1).all()):
+                out[x, cols] = self.slots(targets[w], int(self.A[x, g]))[perm[x]]
+        if not (np.sort(out, axis=1) == np.arange(n)).all():
             raise InvariantViolation("conjugation did not map a simple to a simple")
-        return stack, targets, which
+        return out, targets, which
 
     def factorizations(self, H: Subgroup, choice: str) -> list:
         """For each canonical g, one factorization h*k = g per orbit of H_g

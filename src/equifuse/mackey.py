@@ -2,8 +2,11 @@
 machine verifier for their axioms.
 
 A family assigns to every lattice subgroup H a free Z-module with a fixed
-basis, together with single-step restriction, induction and conjugation
-matrices (and optionally a multiplication tensor).  The verifier composes
+basis, together with single-step restriction and induction matrices, the
+conjugations as permutations of the basis (and optionally a multiplication
+tensor).  Each c_{H,x} comes from an equivalence of categories, so it sends
+simples to simples: the family gives it as an int row, c_{H,x}(e_j) =
+e_{perm[x, j]}, and every check on it is a gather.  The verifier composes
 those single-step maps itself, so transitivity and the double-coset relation
 are checked against independent re-compositions rather than any internal
 shortcut of the family.  Identity maps, transitivity, composition of
@@ -11,13 +14,13 @@ conjugations and conjugation compatibility are checked on every instance;
 the double-coset relation once per conjugacy class of triples (L, H, K),
 which a lemma in `verify_mackey_axioms` proves is enough once those pass.
 These checks are int64 products, exact while |G| n^2 t^3 < 2**53 (n the
-largest rank, t the largest |entry| of a map read); the verifier checks
-that bound before it returns a report.
+largest rank, t the largest |entry| of an R or I read, at least 1); the
+verifier checks that bound before it returns a report.
 The Green axioms (unitary ring maps G1, projection formulas G2 and G3) are
-checked exhaustively, as float64 BLAS products that are exact below a bound
-each check states (`_kernels.require_exact`): the conjugations of one
-subgroup with one target as one stack, and the projection formulas in
-blocks of basis elements; see `verify_green_axioms`.
+checked exhaustively: G1 for a conjugation as a gather of the product
+tensor, G1 for a restriction and the projection formulas as float64 BLAS
+products that are exact below a bound each check states
+(`_kernels.require_exact`); see `verify_green_axioms`.
 
 Two families ship: the character rings of all subgroups, and the
 equivariantization family built on the fusion engine.  The first realizes
@@ -33,22 +36,24 @@ import numpy as np
 
 from . import _kernels, chartab, fusion
 from .chartab import ModularContext, character_table, reciprocity_block
-from .errors import ElementNotInGroup, NoRingStructure, NotASubgroup
+from .errors import ElementNotInGroup, InvariantViolation, NoRingStructure, NotASubgroup
 from .permgrp import Group, Subgroup, conjugation_index, double_coset_reps, subgroup_lattice
 from .reports import AxiomReport
 
 
 class MackeyFamily:
-    """Based family {a(H)} over a lattice with I/R/c maps as integer matrices.
+    """Based family {a(H)} over a lattice with R/I maps as integer matrices
+    and c maps as permutations of the basis.
 
     `lattice` is `subgroup_lattice(ambient)`, in its order.  The R and I
     callbacks return one matrix per pair of subgroups; the c callback
-    returns, for one subgroup H, (stack, target) with stack[x] the matrix
-    of c_{H,x} and target[x] the lattice index of the subgroup it names,
-    for every x in G.  R and I are cached by subgroup membership keys and
-    each c stack by H's key (`conjugations`), since the verifiers read each
-    one many times; sizes and product tensors are not, since each is read
-    once per subgroup (the Green verifier keeps its own tensors).
+    returns, for one subgroup H, (perm, target): perm of shape (|G|, n),
+    n = size(H), with c_{H,x}(e_j) = e_{perm[x, j]}, and target[x] the
+    lattice index of the subgroup c_{H,x} names, for every x in G.  R and
+    I are cached by subgroup membership keys and each (perm, target) by
+    H's key (`conjugations`), since the verifiers read each one many times;
+    sizes and product tensors are not, since each is read once per
+    subgroup (the Green verifier keeps its own tensors).
     """
 
     def __init__(self, ambient, lattice, title, size_fn, r_fn, i_fn, c_fn,
@@ -98,22 +103,34 @@ class MackeyFamily:
         return m
 
     def conjugations(self, H: Subgroup):
-        """(stack, target): stack[x] is the matrix of c_{H,x} and target[x]
+        """(perm, target): c_{H,x}(e_j) = e_{perm[x, j]} and target[x] is
         the lattice index of the subgroup it names, for every x in G, from
-        one callback on first use."""
+        one callback on first use.  Every row of perm is checked once to be
+        a permutation of range(size(H)), and every target to have rank
+        size(H); InvariantViolation otherwise."""
         hit = self._C.get(H.key)
         if hit is None:
-            stack, target = self._c_fn(H)
-            hit = self._C[H.key] = (np.asarray(stack, dtype=np.int64),
-                                    np.asarray(target, dtype=np.intp))
+            perm, target = self._c_fn(H)
+            perm, target = np.asarray(perm), np.asarray(target, dtype=np.intp)
+            n = self.size(H)
+            ranks = {self.size(self.lattice[t]) for t in set(target.tolist())}
+            if perm.shape != (self.ambient.order, n) or ranks != {n} or not (
+                np.sort(perm, axis=1) == np.arange(n)
+            ).all():
+                raise InvariantViolation(
+                    f"the conjugations of {H} are not {self.ambient.order} "
+                    f"permutations of its {n} basis elements onto targets of that rank"
+                )
+            hit = self._C[H.key] = (perm.astype(np.intp), target)
         return hit
 
     def conjugation(self, H: Subgroup, x: int):
-        """(matrix of c_{H,x} : a(H) -> a(xHx^-1), target subgroup)."""
+        """(matrix of c_{H,x} : a(H) -> a(xHx^-1), target subgroup), the
+        matrix built from one row of `conjugations(H)`."""
         if not 0 <= x < self.ambient.order:
             raise ElementNotInGroup(f"index {x}")
-        stack, target = self.conjugations(self.lattice_member(H))
-        return stack[x], self.lattice[target[x]]
+        perm, target = self.conjugations(self.lattice_member(H))
+        return np.eye(perm.shape[1], dtype=np.int64)[:, perm[x]], self.lattice[target[x]]
 
     def product_tensor(self, H: Subgroup) -> np.ndarray:
         if self._mul_fn is None:
@@ -129,12 +146,11 @@ class MackeyFamily:
 def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
     """The family H |-> (virtual characters of H), with restriction,
     Frobenius induction, conjugation of characters, and pointwise product.
-    Every c_{H,x} of one H comes from one `chartab.conjugation_perms` over
-    all x, with the targets read off `conjugation_index`."""
+    Every c_{H,x} of one H is a row of one `chartab.conjugation_perms`
+    over all x, with the targets read off `conjugation_index`."""
     lattice = subgroup_lattice(G)
     conj = conjugation_index(G)
     index = {s.key: i for i, s in enumerate(lattice)}
-    xs = np.arange(G.order)
 
     def size_fn(H):
         return character_table(H.group(), ctx).size
@@ -147,11 +163,7 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
 
     def c_fn(H):
         target = conj[index[H.key]]
-        perm = chartab.conjugation_perms(H, lattice, target, ctx)
-        n = perm.shape[1]
-        stack = np.zeros((G.order, n, n), dtype=np.int64)
-        stack[xs[:, None], perm, np.arange(n)] = 1
-        return stack, target
+        return chartab.conjugation_perms(H, lattice, target, ctx), target
 
     def mul_fn(H):
         return reciprocity_block(H, (H, H), H, ctx)
@@ -171,17 +183,18 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
 
 def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> MackeyFamily:
     """The family H |-> free Z-module on the equivariant simples over H.
-    Its maps are the fusion engine's whole matrices: restriction, induction
-    and conjugation assembled once per orbit representative from cached
-    reciprocity blocks, and the double-coset product tensor."""
+    Its maps are the fusion engine's: restriction and induction matrices
+    and conjugation rows, assembled once per orbit representative from
+    cached reciprocity blocks and conjugation stacks, and the double-coset
+    product tensor."""
     F = datum.F
     eng = fusion._engine(datum, ctx)
     lattice = subgroup_lattice(F)
     index = {s.key: i for i, s in enumerate(lattice)}
 
     def c_fn(H):
-        stack, targets, which = eng.conjugations(H)
-        return stack, np.array([index[T.key] for T in targets])[which]
+        perm, targets, which = eng.conjugations(H)
+        return perm, np.array([index[T.key] for T in targets])[which]
 
     return MackeyFamily(
         F,
@@ -211,22 +224,22 @@ def _double_coset_side(fam: MackeyFamily, L: Subgroup, H: Subgroup, K: Subgroup,
     it is computed once per S and kept in `cache` (keyed by the lattice
     index of S alone, so a cache passed in must serve one H only; the
     verifier keeps one per (L, H) of class representatives, so it calls
-    this, and `double_coset_reps`, once per representative triple).  The
-    terms are summed as one stacked product of the cached P_S with the
-    c_{K,x} read off `fam.conjugations(K)`, exactly in int64."""
+    this, and `double_coset_reps`, once per representative triple).  Each
+    term P_S c_{K,x} is the gather P_S[:, perm[x]] of the row of c_{K,x}
+    in `fam.conjugations(K)`, and the terms are summed exactly in int64."""
     cache = {} if cache is None else cache
-    stack, target = fam.conjugations(K)
+    perm, target = fam.conjugations(K)
     reps = double_coset_reps(fam.ambient, H, K)
     xs = reps[L.mask[reps]]
-    Ps = []
-    for t in target[xs].tolist():
+    out = 0
+    for x, t in zip(xs.tolist(), target[xs].tolist()):
         P = cache.get(t)
         if P is None:
             xk = fam.lattice[t]
             meet = fam.lattice_member(xk.intersect(H))
             P = cache[t] = fam.induction(meet, H) @ fam.restriction(xk, meet)
-        Ps.append(P)
-    return (np.stack(Ps) @ stack[xs]).sum(axis=0)
+        out = out + P[:, perm[x]]
+    return out
 
 
 def mackey_rhs(fam: MackeyFamily, H: Subgroup, K: Subgroup, v: np.ndarray,
@@ -250,14 +263,18 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
     proper subgroup (M4rel).  Each report row names its mode: "exhaustive"
     or "classes".
 
-    Write xS = xSx^-1.  M3 is checked on every triple (H, x, y), one stacked
-    product per (H, x): with C_H[x] = c_{H,x} stacked over all x in G, the
-    checks for every y are C_{xH} @ c_{H,x} == C_H[yx], one result per y,
-    recorded in increasing y (so witnesses come out in triple-loop order).
+    Write xS = xSx^-1, and P_S for the rows of `fam.conjugations(S)`:
+    c_{S,x}(e_j) = e_{P_S[x, j]}.  M0 for c is P_H[h] == arange(n) for h in
+    H.  M3 is checked on every triple (H, x, y), one gather per (H, x):
+    c_{xH,y} c_{H,x} = c_{H,yx} for every y is
+    P_{xH}[:, P_H[x]] == P_H[mult[:, x]], one result per y, recorded in
+    increasing y (so witnesses come out in triple-loop order).
 
-    Mc is checked on every nested pair K <= H and every x in G, stacked over
-    x the same way: c_{K,x} R^H_K = R^{xH}_{xK} c_{H,x} and
-    c_{H,x} I^H_K = I^{xH}_{xK} c_{K,x}.  A check at (H, K, x) also fails
+    Mc is checked on every nested pair K <= H and every x in G, one gather
+    over all x: c_{K,x} R^H_K = R^{xH}_{xK} c_{H,x} is
+    R^{xH}_{xK}[P_K[x, a], P_H[x, b]] == R^H_K[a, b] for all a, b, and
+    c_{H,x} I^H_K = I^{xH}_{xK} c_{K,x} is the same with the axes of I and
+    the roles of P_H and P_K swapped.  A check at (H, K, x) also fails
     when c_{H,x} or c_{K,x} names a target other than the conjugate (read
     off `conjugation_index`), so where Mc holds the family's targets are
     the conjugates.
@@ -312,29 +329,31 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
     Every product is int64, which wraps silently past 2**63.  The deepest
     chain is the double-coset side: a sum over at most |G| double cosets
     of (I R) c, each entry a sum of n^2 products of three entries, for n
-    the largest a(H).  So with t the largest |entry| of every R, I and c
-    the report read (those of every nested pair and every subgroup), each
-    sum's terms add up to at most |G| n^2 t^3, which bounds every other
-    check too.  Before the report is returned that bound is checked to be
-    below 2**53 (`_kernels.require_exact`); above it the verifier raises
+    the largest a(H).  So with t the largest |entry| of every R and I the
+    report read (those of every nested pair), and at least 1, the entry of
+    a permutation matrix c, each sum's terms add up to at most
+    |G| n^2 t^3, which bounds every other check too.  Before the report
+    is returned that bound is checked to be below 2**53
+    (`_kernels.require_exact`); above it the verifier raises
     `ExactnessBoundExceeded` rather than return what a wrapped product may
     have passed."""
     lattice = fam.lattice
     report = AxiomReport(title=fam.title)
     G = fam.ambient
 
-    # stacks[i][x] = matrix of c_{lattice[i], x} and target[i, x] = lattice
+    # c_{lattice[i], x}(e_j) = e_{perms[i][x, j]} and target[i, x] = lattice
     # index of its target, for every x in G
-    stacks, target = zip(*(fam.conjugations(H) for H in lattice))
+    perms, target = zip(*(fam.conjugations(H) for H in lattice))
     target = np.array(target)
 
     for hi, H in enumerate(lattice):
-        ident = np.eye(fam.size(H), dtype=np.int64)
+        n = fam.size(H)
+        ident = np.eye(n, dtype=np.int64)
         report.record("M0", np.array_equal(fam.restriction(H, H), ident),
                       (H, "R"), "R_H^H = id")
         report.record("M0", np.array_equal(fam.induction(H, H), ident),
                       (H, "I"), "I_H^H = id")
-        ok = (target[hi, H.members] == hi) & (stacks[hi][H.members] == ident).all(axis=(1, 2))
+        ok = (target[hi, H.members] == hi) & (perms[hi][H.members] == np.arange(n)).all(axis=1)
         report.record_all("M0", ok, lambda i: (H, f"c_{int(H.members[i])}"),
                           "c_{H,h} = id for h in H")
 
@@ -361,11 +380,14 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
                           (J, K, H), "I transitivity",
                           lhs_i, rhs_i)
 
-    for hi, (H, c_h) in enumerate(zip(lattice, stacks)):
-        for x in range(G.order):
-            # [y] = (c_y c_x == c_yx) for every y in G at once
-            ok = (stacks[target[hi, x]] @ c_h[x] == c_h[G.mult[:, x]]).all(axis=(1, 2))
-            report.record_all("M3", ok, lambda y: (H, x, y), "c_y c_x = c_yx")
+    order = G.order
+    for hi, (H, p_h) in enumerate(zip(lattice, perms)):
+        # [x, y] = (c_y c_x == c_yx), one gather per x for every y in G
+        ok = np.empty((order, order), dtype=bool)
+        for x, t in enumerate(target[hi].tolist()):
+            ok[x] = (perms[t][:, p_h[x]] == p_h[G.mult[:, x]]).all(axis=1)
+        report.record_all("M3", ok.ravel(), lambda i: (H, *divmod(i, order)),
+                          "c_y c_x = c_yx")
 
     count = len(lattice)
     # [i, x] = (the target of c_{lattice[i], x} is x lattice[i] x^-1)
@@ -378,17 +400,16 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
             code = np.where(good, target[hi] * count + target[ki], hi * count + ki)
             code_sorted = np.sort(code)
             pairs = code_sorted[np.diff(code_sorted, prepend=-1) != 0]
-            at = np.searchsorted(pairs, code)
+            at = np.searchsorted(pairs, code)[:, None, None]
             moved = [(lattice[p // count], lattice[p % count]) for p in pairs.tolist()]
-            ok = good & (
-                stacks[ki] @ fam.restriction(H, K)
-                == np.stack([fam.restriction(xh, xk) for xh, xk in moved])[at] @ stacks[hi]
-            ).all(axis=(1, 2))
+            p_h, p_k = perms[hi], perms[ki]
+            moved_r = np.stack([fam.restriction(xh, xk) for xh, xk in moved])
+            ok = good & (moved_r[at, p_k[:, :, None], p_h[:, None]]
+                         == fam.restriction(H, K)).all(axis=(1, 2))
             report.record_all("Mc", ok, lambda x: (H, K, x), "c R = R c")
-            ok = good & (
-                stacks[hi] @ fam.induction(K, H)
-                == np.stack([fam.induction(xk, xh) for xh, xk in moved])[at] @ stacks[ki]
-            ).all(axis=(1, 2))
+            moved_i = np.stack([fam.induction(xk, xh) for xh, xk in moved])
+            ok = good & (moved_i[at, p_h[:, :, None], p_k[:, None]]
+                         == fam.induction(K, H)).all(axis=(1, 2))
             report.record_all("Mc", ok, lambda x: (H, K, x), "c I = I c")
 
     full = lattice[-1]
@@ -407,12 +428,11 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
                 rhs = _double_coset_side(fam, L, H, K, cache)
                 report.record(axiom, np.array_equal(lhs, rhs), (L, H, K),
                               "double-coset relation", lhs, rhs)
-    n = max(s.shape[1] for s in stacks)
-    maps = [*stacks]
+    n = max(p.shape[1] for p in perms)
+    top = 1
     for ki, hi in contained:
         H, K = lattice[hi], lattice[ki]
-        maps += [fam.restriction(H, K), fam.induction(K, H)]
-    top = max(_top(m) for m in maps)
+        top = max(top, _top(fam.restriction(H, K)), _top(fam.induction(K, H)))
     _kernels.require_exact(
         G.order * n * n * top ** 3,
         f"Mackey checks need |G| n^2 max|R, I, c|^3 below 2**53, "
@@ -431,16 +451,17 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     Associativity is `fusion.associativity_failure` (O(n^3) memory), which
     checks the slices of a generating set of basis elements and proves the
     rest by its generator lemma.  G1, G2 and G3 are exhaustive: every basis
-    pair of every map and every nested pair.  They are float64 BLAS
-    products on float64 copies of the product tensors, exact by the lemma
-    of `_kernels.require_exact`; each check states its bound and raises
-    `ExactnessBoundExceeded` above it.  G1 for conjugation stacks the
-    c_{H,x} with one target and checks them together (`_ring_maps_hold`),
-    recorded in increasing x; G1 for restriction is the same check on a
-    stack of one map.  G2 and G3 compare both sides in blocks of basis
-    elements of a(K) (`_projection_holds`), and build the integer sides
-    only for a witness.  A family without a multiplication raises
-    `NoRingStructure` at its first `product_tensor`."""
+    pair of every map and every nested pair.  G1 for c_{H,x}, the
+    permutation e_j -> e_{p[j]} of the row p of `fam.conjugations(H)`, is
+    a gather (`_permutes_ring`), recorded in increasing x: it is a unitary
+    ring map iff p[u_H] = u_xH and N^{xH}_{p(i) p(j)}^{p(k)} = N^H_ij^k
+    for all i, j, k.  G1 for restriction (`_ring_map_holds`), G2 and G3
+    are float64 BLAS products on float64 copies of the product tensors,
+    exact by the lemma of `_kernels.require_exact`; each check states its
+    bound and raises `ExactnessBoundExceeded` above it.  G2 and G3 compare
+    both sides in blocks of basis elements of a(K) (`_projection_holds`),
+    and build the integer sides only for a witness.  A family without a
+    multiplication raises `NoRingStructure` at its first `product_tensor`."""
     lattice = fam.lattice
     report = AxiomReport(title=fam.title)
 
@@ -461,14 +482,11 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
             if not H.contains(K) or ki == hi:
                 continue
             r = fam.restriction(H, K).astype(np.float64)
-            ok = _ring_maps_hold(r[None], rings[hi], rings[ki])[0]
+            ok = _ring_map_holds(r, rings[hi], rings[ki])
             report.record("G1", ok, (H, K), "R is a unitary ring map")
-        stack, target = fam.conjugations(H)
-        ok = np.empty(len(target), dtype=bool)
-        for t in sorted(set(target.tolist())):
-            xs = np.flatnonzero(target == t)
-            ok[xs] = _ring_maps_hold(stack[xs].astype(np.float64), rings[hi], rings[t])
-        report.record_all("G1", ok, lambda x: (H, f"x={x}"), "c is a unitary ring map")
+        perm, target = fam.conjugations(H)
+        ok = [_permutes_ring(p, rings[hi], rings[t]) for p, t in zip(perm, target.tolist())]
+        report.record_all("G1", np.array(ok), lambda x: (H, f"x={x}"), "c is a unitary ring map")
 
     for H, rh in zip(lattice, rings):
         for K, rk in zip(lattice, rings):
@@ -490,8 +508,8 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
 
 
 # Entries of the largest float64 temporary one step of a G1-G3 check holds
-# (128 KiB); one product over the whole stack of 12 maps at n = 40 would
-# hold 12 * 40 rows of 40^2 entries, 6 MiB, in each of its temporaries.
+# (128 KiB); one product over all the rows of a map at n = 40 would hold
+# 40 rows of 40^2 entries, 512 KiB, in each of its temporaries.
 _CHUNK = 1 << 14
 
 
@@ -509,41 +527,46 @@ class _Ring(NamedTuple):
     top: int
 
 
-def _ring_maps_hold(maps, src: _Ring, dst: _Ring) -> np.ndarray:
-    """[x] = (f = maps[x] is a unitary ring map): f(e_{src.unit}) =
-    e_{dst.unit} and f(e_i e_j) = f(e_i) f(e_j) on all basis pairs, for a
-    stack of float64 maps (k, nd, ns) from src to dst.
+def _permutes_ring(p, src: _Ring, dst: _Ring) -> bool:
+    """Whether e_i -> e_{p[i]}, p a permutation, is a unitary ring map
+    from src to dst: p[src.unit] = dst.unit, and f(e_i e_j) = f(e_i) f(e_j)
+    is sum_k N^src_ij^k e_{p(k)} = sum_m N^dst_{p(i) p(j)}^m e_m, which
+    compares coefficients at m = p(k).  A gather, so exact."""
+    moved = dst.t[p[:, None, None], p[:, None], p]  # [i, j, k] = N^dst_{p(i) p(j)}^{p(k)}
+    return int(p[src.unit]) == dst.unit and bool((moved == src.t).all())
 
-    The k * ns rows (x, i), f_x(e_i) in row form, are taken in chunks of
-    about _CHUNK / max(nd, ns)^2 rows, which may split one map's rows; a
-    chunk's three products are
-      left[(x, i), b, m] = (f_x(e_i) e_b)_m     rows @ dst.t as nd x nd^2
-      [(x, i), j, m] = (f_x(e_i) f_x(e_j))_m    f_x^T @ left, batched
-      [(x, i), j, a] = f_x(e_i e_j)_a           src.t[i] @ f_x^T, batched
+
+def _ring_map_holds(f, src: _Ring, dst: _Ring) -> bool:
+    """Whether the float64 map f (nd, ns) from src to dst is a unitary ring
+    map: f(e_{src.unit}) = e_{dst.unit} and f(e_i e_j) = f(e_i) f(e_j) on
+    all basis pairs.
+
+    The ns rows i, f(e_i) in row form, are taken in chunks of about
+    _CHUNK / max(nd, ns)^2 rows; a chunk's three products are
+      left[i, b, m] = (f(e_i) e_b)_m     rows @ dst.t as nd x nd^2
+      [i, j, m] = (f(e_i) f(e_j))_m      f^T @ left, batched
+      [i, j, a] = f(e_i e_j)_a           src.t[i] @ f^T, batched
     The right side is a sum over b and a of nd^2 terms of absolute value at
     most max|f|^2 max|t_dst|, the image one of ns terms at most
     max|f| max|t_src|, so both are exact by `_kernels.require_exact` below
     those bounds."""
-    k, nd, ns = maps.shape
-    top = _top(maps)
+    nd, ns = f.shape
+    top = _top(f)
     _kernels.require_exact(
         max(nd * nd * top * top * dst.top, ns * top * src.top),
         f"ring-map check needs nd^2 max|f|^2 max|t_dst| and ns max|f| max|t_src| "
         f"below 2**53, got nd={nd}, ns={ns}, max|f|={top}",
     )
-    ok = (maps[:, :, src.unit] == np.eye(nd)[dst.unit]).all(axis=1)
-    images = maps.transpose(0, 2, 1)  # [x, i, a] = f_x(e_i)_a
-    rows = images.reshape(k * ns, nd)
+    if not (f[:, src.unit] == np.eye(nd)[dst.unit]).all():
+        return False
+    images = f.T  # [i, a] = f(e_i)_a
     by_dst = dst.t.reshape(nd, nd * nd)
-    row_ok = np.empty(k * ns, dtype=bool)
     step = max(1, _CHUNK // max(nd, ns) ** 2)
-    for r0 in range(0, k * ns, step):
-        r1 = min(r0 + step, k * ns)
-        x, i = np.divmod(np.arange(r0, r1), ns)
-        f = images[x]
-        left = (rows[r0:r1] @ by_dst).reshape(-1, nd, nd)
-        row_ok[r0:r1] = (f @ left == src.t[i] @ f).all(axis=(1, 2))
-    return ok & row_ok.reshape(k, ns).all(axis=1)
+    return all(
+        (images @ (images[i0:i0 + step] @ by_dst).reshape(-1, nd, nd)
+         == src.t[i0:i0 + step] @ images).all()
+        for i0 in range(0, ns, step)
+    )
 
 
 def _projection_block(r, ind, tk, th, a0, a1):

@@ -14,6 +14,7 @@ column minimum of one gathered table, with no loop over elements.
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import cached_property
 
@@ -182,11 +183,6 @@ class Group:
         """The elements as Perms, in index order, made on first read."""
         return tuple(Perm._trusted(row) for row in map(tuple, self.images.tolist()))
 
-    @cached_property
-    def index(self) -> dict:
-        """Element index by the bytes of its int32 image row."""
-        return {row.tobytes(): i for i, row in enumerate(self.images)}
-
     @property
     def order(self) -> int:
         return len(self.images)
@@ -194,11 +190,17 @@ class Group:
     def perm(self, i: int) -> Perm:
         return Perm._trusted(tuple(self.images[i].tolist()))
 
-    def element_index(self, perm: Perm) -> int:
-        try:
-            return self.index[np.array(perm.images, np.int32).tobytes()]
-        except KeyError:
-            raise ElementNotInGroup(f"{perm!r} not in group") from None
+    def element_index(self, perm) -> int:
+        """Index of a Perm, or of an image row, by binary search of the
+        lex-sorted rows; ElementNotInGroup if it is not one of them."""
+        images = tuple(perm.images if isinstance(perm, Perm) else np.asarray(perm).tolist())
+        i = bisect.bisect_left(range(self.order), images, key=self._row)
+        if i == self.order or self._row(i) != images:
+            raise ElementNotInGroup(f"{perm!r} not in group")
+        return i
+
+    def _row(self, i: int) -> tuple:
+        return tuple(self.images[i].tolist())
 
     def element_order(self, i: int) -> int:
         return self._rep_orders[self.class_of[i]]

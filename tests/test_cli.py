@@ -406,6 +406,12 @@ class TestPinnedOutput:
         " | 8f0907167aa952b088220e9af83a1ba18bd11f8b26dde0d734bf4b477f2cf450",
         "verify mackey --family char:alt:5"
         " | 565ce655a5a5f1f837799066bf82d9d992150f42fdb326b7ca3454eaa0f0c8a5",
+        # recorded when every c_{H,x} was a dense (n, n) int64 matrix, M3,
+        # Mc and M4 multiplied them and G1 checked them as float64 stacks
+        "verify mackey --family char:dihedral:30"
+        " | ebf0da7f031224a2375bed0e29e7b51f7cc0a63a359ca48c73625cab5041c8a7",
+        "verify green --family char:dihedral:30"
+        " | 5876e2fd6c45088cf9ed784dabf0cf80fb5f01100ca8b3f4868216f9baac2fe9",
         "verify mackey --family equiv:dihedral:6:dihedral:6:conjugation"
         " | cbcbd32a8c8b479d4ea650823b7f40ccf3a29472b1c4ae14c2791fae572b356f",
         # recorded when the equivariant family built R, I and c one simple

@@ -1010,18 +1010,18 @@ class TestEqConjugate:
 
     def test_reads_the_column_of_the_stack(self, s4):
         # every x and every label of several subgroups of D(S4): the entry
-        # read directly is the column of the whole conjugation stack
+        # read directly is the image in the whole conjugation rows
         scen = drinfeld_double_scenario(s4)
         d, ctx = scen.datum, scen.ctx
         eng = fu._engine(d, ctx)
         lattice = subgroup_lattice(s4)
         for H in lattice[::6] + [lattice[-1]]:
-            stack, targets, which = eng.conjugations(H)
+            perm, targets, which = eng.conjugations(H)
             for a in fu.simples(d, H, ctx):
                 col = eng.basis(H).pos[(a.orbit_rep, a.char_index)]
                 for x in range(s4.order):
-                    expected = fu._labels(eng.basis(targets[which[x]]), stack[x][:, col])
-                    assert {fu.eq_conjugate(d, H, x, a, ctx): 1} == expected
+                    expected = eng.basis(targets[which[x]]).labels[perm[x, col]]
+                    assert fu.eq_conjugate(d, H, x, a, ctx) == expected
 
 
 class TestMapChecks:
@@ -1057,7 +1057,7 @@ class TestMapChecks:
             fu.eq_induce(d, a3, H, fu.simples(d, a3, ctx)[0], ctx)
 
     def test_conjugation_maps_simples_to_simples(self, fresh):
-        # eq_conjugate reads one entry, so the whole stack is built here
+        # eq_conjugate reads one entry, so the whole rows are built here
         d, ctx, H, _, eng = fresh
         x = 1  # a transposition
         eng.conj_stack(H)[0][x] = 0

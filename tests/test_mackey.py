@@ -7,6 +7,7 @@ structural properties the verifier itself relies on.
 
 import collections
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -334,6 +335,84 @@ class TestConjugationArguments:
             char_s3.conjugation(s4.full_subgroup(), 0)
 
 
+def _dense_bumped(fam):
+    """fam's c callback in the dense form, c_{H,x} as an (n, n) matrix for
+    every x, with 1 added to entry (0, 0) of c_{H,0}."""
+
+    def c_fn(H):
+        perm, target = fam._c_fn(H)
+        stack = np.eye(perm.shape[1], dtype=np.int64)[:, perm].transpose(1, 0, 2)
+        stack[0, 0, 0] += 1
+        return stack, target
+
+    return c_fn
+
+
+def _repeated_image(fam):
+    """fam's c callback with c_{H,1}(e_1) = c_{H,1}(e_0)."""
+
+    def c_fn(H):
+        perm, target = fam._c_fn(H)
+        perm = perm.copy()
+        perm[1, 1:2] = perm[1, 0]
+        return perm, target
+
+    return c_fn
+
+
+def _one_column_more(fam):
+    """fam's c callback with one more column than a(H) has basis elements."""
+
+    def c_fn(H):
+        perm, target = fam._c_fn(H)
+        return np.hstack([perm, np.full((len(perm), 1), perm.shape[1])]), target
+
+    return c_fn
+
+
+def _target_of_another_rank(fam):
+    """fam's c callback with c_{H,1} naming the trivial subgroup, of rank 1."""
+
+    def c_fn(H):
+        perm, target = fam._c_fn(H)
+        target = target.copy()
+        target[1] = 0
+        return perm, target
+
+    return c_fn
+
+
+ROW_TAMPERS = [_dense_bumped, _repeated_image, _one_column_more, _target_of_another_rank]
+
+
+class TestConjugationRowCheck:
+    """`MackeyFamily.conjugations` takes a c callback's rows only if every
+    one is a permutation of the basis of a(H) onto a target of the same
+    rank: a dense matrix with an entry bumped, a row with a repeated image,
+    a row one too long and a target of rank 1 each raise InvariantViolation
+    naming H, and the command line exits 1 with a one-line JSON error."""
+
+    @pytest.mark.parametrize("broken", ROW_TAMPERS)
+    def test_refused(self, s3, char_s3, broken):
+        fam = mk.MackeyFamily(s3, char_s3.lattice, "tampered", char_s3._size_fn,
+                              char_s3._r_fn, char_s3._i_fn, broken(char_s3))
+        H = fam.lattice[-1]
+        with pytest.raises(InvariantViolation, match=r"H\[o6:\[0, 1, 2, 3\]\]"):
+            fam.conjugations(H)
+
+    @pytest.mark.parametrize("broken", ROW_TAMPERS)
+    def test_cli_exits_1(self, capsys, monkeypatch, char_s3, broken):
+        from equifuse import cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.mackey, "char_ring_family", lambda G, ctx: mk.MackeyFamily(
+            G, char_s3.lattice, "tampered", char_s3._size_fn,
+            char_s3._r_fn, char_s3._i_fn, broken(char_s3)))
+        code, out, err = run(capsys, "verify", "mackey", "--family", "char:sym:3")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "InvariantViolation"
+
+
 class TestFamilyCaches:
     """The family caches every R, I and c matrix, so one Mackey verifier
     run calls each callback exactly once per distinct argument pair, and
@@ -372,31 +451,35 @@ class TestFamilyCaches:
 
     @pytest.mark.parametrize("which", ["char:sym:4", "equiv:sym:3"])
     def test_conjugation_reads_the_stack(self, which, s3, s4, ctx_s4):
-        # c_{H,x} is kept once, in the stack of H: every single lookup is
-        # the stack's entry and the callback's matrix and target
+        # c_{H,x} is kept once, as row x of H's permutation rows: every
+        # single lookup is the permutation matrix of that row, sending e_j
+        # to e_{perm[x, j]}, and the callback's target
         if which == "char:sym:4":
             fam = mk.char_ring_family(s4, ctx_s4)
         else:
             datum = fu.CoherentDatum(s3, s3, GroupAction.conjugation(s3))
             fam = mk.equivariant_k0_family(datum, ct.make_context([s3, s3]))
         for H in fam.lattice:
-            stack, target = fam.conjugations(H)
-            assert stack.dtype == np.int64 and len(stack) == len(target) == fam.ambient.order
+            perm, target = fam.conjugations(H)
+            n = fam.size(H)
+            assert perm.shape == (fam.ambient.order, n) and len(target) == fam.ambient.order
             raw, named = fam._c_fn(H)
-            assert np.array_equal(stack, raw) and np.array_equal(target, named)
+            assert np.array_equal(perm, raw) and np.array_equal(target, named)
             for x in range(fam.ambient.order):
                 mat, tgt = fam.conjugation(H, x)
-                assert np.array_equal(mat, stack[x]) and tgt is fam.lattice[target[x]]
+                assert mat.dtype == np.int64 and tgt is fam.lattice[target[x]]
+                assert np.array_equal(mat[perm[x], np.arange(n)], np.ones(n))
+                assert mat.sum() == n
 
-    def test_verifier_heap_on_a5(self):
-        # traced peak of one Mackey verifier run over char:alt:5 in a fresh
-        # interpreter; 4.96 MiB when the family kept a matrix per (H, x) and
-        # the verifier stacked them again
+    @staticmethod
+    def _verifier_peak(name):
+        """Traced peak of one Mackey verifier run over char:<name> in a
+        fresh interpreter."""
         code = (
             "import tracemalloc\n"
             "from equifuse import chartab, mackey\n"
             "from equifuse.presets import group_preset\n"
-            "G = group_preset('alt:5')\n"
+            f"G = group_preset({name!r})\n"
             "fam = mackey.char_ring_family(G, chartab.make_context([G]))\n"
             "tracemalloc.start()\n"
             "assert mackey.verify_mackey_axioms(fam).ok\n"
@@ -404,7 +487,17 @@ class TestFamilyCaches:
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        assert int(done.stdout) < 3.5 * 2**20
+        return int(done.stdout)
+
+    def test_verifier_heap_on_a5(self):
+        # 4.96 MiB when the family kept a matrix per (H, x) and the verifier
+        # stacked them again
+        assert self._verifier_peak("alt:5") < 3.5 * 2**20
+
+    def test_verifier_heap_on_d30(self):
+        # 3.79 MiB when every c was an (n, n) int64 matrix and M3 and Mc
+        # were stacked matrix products
+        assert self._verifier_peak("dihedral:30") < 2.5 * 2**20
 
 
 def _bump(m):
@@ -413,26 +506,39 @@ def _bump(m):
     return m
 
 
+def _swap(row):
+    """A row of conjugation images with those of e_0 and e_1 swapped: the
+    matrix of c with its columns 0 and 1 swapped.  A rank-1 row is left
+    alone."""
+    row = row.copy()
+    if len(row) > 1:
+        row[[0, 1]] = row[[1, 0]]
+    return row
+
+
 def _tamper(fn, when, change):
     """fn with `change` applied to the matrix (or tensor) of every call that
     matches `when`; for the conjugation callback of a subgroup H, to every
-    stack[x] with when(H, x), leaving the targets alone."""
+    row perm[x] with when(H, x), leaving the targets alone."""
 
     def wrapped(*args):
         out = fn(*args)
         if isinstance(out, tuple):
-            stack = out[0].copy()
-            for x in range(len(stack)):
+            perm = out[0].copy()
+            for x in range(len(perm)):
                 if when(*args, x):
-                    stack[x] = change(stack[x])
-            return stack, out[1]
+                    perm[x] = change(perm[x])
+            return perm, out[1]
         return change(out) if when(*args) else out
 
     return wrapped
 
 
 # map tampered, which calls, change, failed count per axiom, first witness
-# context, sha256 of the whole report JSON as `verify green` prints it
+# context, sha256 of the whole report JSON as `verify green` prints it.  The
+# "c" row was recorded with the images of e_0 and e_1 swapped by a column
+# swap of the dense matrix of c_{H,5}; its report is the one a +1 on the
+# (0, 0) entry gave.
 GREEN_TAMPERS = {
     "R": ("r", lambda H, K: H.order == 24 and K.order == 4, _bump,
           {"G1": 7, "G2": 7, "G3": 7},
@@ -446,7 +552,7 @@ GREEN_TAMPERS = {
           {"G2": 4, "G3": 4},
           ["H[o12:[0, 3, 4, 7]]", "H[o3:[0, 3, 4]]"],
           "ca938620f037016d0420bae7528c16f585764e7e791ac6641eead07f274c3d8f"),
-    "c": ("c", lambda H, x: H.order == 8 and x == 5, _bump,
+    "c": ("c", lambda H, x: H.order == 8 and x == 5, _swap,
           {"G1": 3},
           ["H[o8:[0, 1, 6, 7]]", "x=5"],
           "f9a74737f5e6d0dc3356f51f305bb816dc7c143c72d2a1fab62445c4bf200fce"),
@@ -497,8 +603,8 @@ class TestGreenMutations:
 
 
 def reference_is_unitary_ring_map(f, t_src, u_src, t_dst, u_dst) -> bool:
-    """G1 for one integer map as the int64 einsums that the stacked float64
-    check replaced: f(e_{u_src}) = e_{u_dst} and f(e_i e_j) = f(e_i) f(e_j)
+    """G1 for one integer map as the int64 einsums that the float64 and the
+    gather checks replaced: f(e_{u_src}) = e_{u_dst} and f(e_i e_j) = f(e_i) f(e_j)
     on all basis pairs."""
     unit_ok = np.array_equal(f[:, u_src], np.eye(len(t_dst), dtype=np.int64)[u_dst])
     # [i, b, m] = (f(e_i) e_b)_m, then [i, j, m] = (f(e_i) f(e_j))_m
@@ -540,35 +646,39 @@ def equiv_d6():
 
 
 def _assert_g1_to_g3_agree(fam):
-    """Every (H, K) and every (H, x) of fam, as given and with maps bumped,
-    checked by the stacked float64 helpers and by the einsum references."""
+    """Every (H, K) and every (H, x) of fam, as given and with maps bumped
+    or swapped, checked by the float64 and gather helpers and by the einsum
+    references."""
     lattice = fam.lattice
     tensors = [fam.product_tensor(H) for H in lattice]
     units = [fam.unit_index(H) for H in lattice]
     rings = [_ring(t, u) for t, u in zip(tensors, units)]
 
-    def agree(maps, hi, ki):
-        want = [reference_is_unitary_ring_map(f, tensors[hi], units[hi], tensors[ki], units[ki])
-                for f in maps]
-        got = mk._ring_maps_hold(np.stack(maps).astype(np.float64), rings[hi], rings[ki])
-        assert got.tolist() == want
-        return want
+    def want(f, hi, ki):
+        return reference_is_unitary_ring_map(f, tensors[hi], units[hi], tensors[ki], units[ki])
+
+    def agree(f, hi, ki):
+        got = mk._ring_map_holds(f.astype(np.float64), rings[hi], rings[ki])
+        assert got == want(f, hi, ki)
+        return got
 
     for hi, H in enumerate(lattice):
-        stack, target = fam.conjugations(H)
-        for t in sorted(set(target.tolist())):
-            xs = np.flatnonzero(target == t)
-            assert all(agree(list(stack[xs]), hi, t))
-            # every other map of the stack broken: those fail, the rest pass
-            mixed = [_bump(f) if i % 2 else f for i, f in enumerate(stack[xs])]
-            assert agree(mixed, hi, t) == [i % 2 == 0 for i in range(len(xs))]
+        perm, target = fam.conjugations(H)
+        n = len(tensors[hi])
+        for p, t in zip(perm, target.tolist()):
+            assert mk._permutes_ring(p, rings[hi], rings[t])
+            assert want(np.eye(n, dtype=np.int64)[:, p], hi, t)
+            # with the images of e_0 and e_1 swapped the unit moves: fails
+            # unless a(H) has rank 1
+            got = mk._permutes_ring(_swap(p), rings[hi], rings[t])
+            assert got == want(np.eye(n, dtype=np.int64)[:, _swap(p)], hi, t) == (n == 1)
         for ki, K in enumerate(lattice):
             if not H.contains(K):
                 continue
             r, ind = fam.restriction(H, K), fam.induction(K, H)
             if ki != hi:
-                assert agree([r], hi, ki) == [True]
-                assert agree([_bump(r)], hi, ki) == [False]
+                assert agree(r, hi, ki)
+                assert not agree(_bump(r), hi, ki)
             for tk, th in ((tensors[ki], tensors[hi]),
                            (tensors[ki].transpose(1, 0, 2), tensors[hi].transpose(1, 0, 2))):
                 # R broken, and the products e_a e_c of the last a only
@@ -585,16 +695,17 @@ def _assert_g1_to_g3_agree(fam):
 
 
 class TestStackedGreenChecks:
-    """G1 on stacks of maps with one target and G2/G3 in blocks, as float64
-    BLAS products, against the int64 einsum forms they replaced."""
+    """G1 for conjugation as a gather, G1 for restriction and G2/G3 in
+    blocks as float64 BLAS products, against the int64 einsum forms they
+    replaced."""
 
     @pytest.mark.parametrize("name", ["char_s4", "equiv_d6"])
     def test_every_pair_and_element_agrees_with_the_einsums(self, request, name):
         _assert_g1_to_g3_agree(request.getfixturevalue(name))
 
     def test_rows_of_one_map_split_across_chunks(self, monkeypatch, char_s4):
-        # 3 rows per chunk of 4-dimensional maps: a chunk ends inside a map,
-        # and projection blocks hold one basis element each
+        # 3 rows per chunk of 4-dimensional maps: a chunk ends inside a map
+        # of rank 4, and projection blocks hold one basis element each
         monkeypatch.setattr(mk, "_CHUNK", 3 * 16)
         _assert_g1_to_g3_agree(char_s4)
 
@@ -610,14 +721,22 @@ class TestStackedGreenChecks:
         maps.append(moved)
         want = [reference_is_unitary_ring_map(g, t_src, 0, t_dst, 0) for g in maps]
         assert want[0]
-        got = mk._ring_maps_hold(np.stack(maps).astype(np.float64), _ring(t_src, 0), _ring(t_dst, 0))
-        assert got.tolist() == want
+        got = [mk._ring_map_holds(g.astype(np.float64), _ring(t_src, 0), _ring(t_dst, 0))
+               for g in maps]
+        assert got == want
         # random tensors, not rings, and a non-square map between them
         nd, ns = 2 + seed % 3, 3 + seed % 4
         a, b = rng.integers(-2, 3, size=(ns, ns, ns)), rng.integers(-2, 3, size=(nd, nd, nd))
         g = rng.integers(-2, 3, size=(nd, ns))
-        got = mk._ring_maps_hold(g.astype(np.float64)[None], _ring(a, 0), _ring(b, 1))
-        assert got.tolist() == [reference_is_unitary_ring_map(g, a, 0, b, 1)]
+        got = mk._ring_map_holds(g.astype(np.float64), _ring(a, 0), _ring(b, 1))
+        assert got == reference_is_unitary_ring_map(g, a, 0, b, 1)
+        # the gather form on every permutation of the basis of Z[C_n]: the
+        # ring automorphisms (i -> ki for k prime to n) fix the unit 0
+        for p in itertools.islice(itertools.permutations(range(n)), 200):
+            p = np.array(p)
+            got = mk._permutes_ring(p, _ring(t_src, 0), _ring(t_src, 0))
+            mat = np.eye(n, dtype=np.int64)[:, p]
+            assert got == reference_is_unitary_ring_map(mat, t_src, 0, t_src, 0)
         # projection sides of random integer data with nk != nh
         nk, nh = 2 + seed % 3, 3 + seed % 5
         r, ind = rng.integers(-3, 4, size=(nk, nh)), rng.integers(-3, 4, size=(nh, nk))
@@ -627,18 +746,19 @@ class TestStackedGreenChecks:
         assert np.array_equal(got[0], lhs) and np.array_equal(got[1], rhs)
         assert mk._projection_holds(*_float(r, ind, tk, th), 3, 3) == np.array_equal(lhs, rhs)
 
-    def test_one_tampered_x_among_one_target(self, monkeypatch, char_s4, green_s4):
-        # A4 is normal in S4, so all 24 c_{A4,x} share one target
+    def test_one_tampered_x_among_one_target(self, char_s4, green_s4):
+        # A4 is normal in S4, so all 24 c_{A4,x} share one target; the
+        # report is the one the dense matrices gave with columns 0 and 1 of
+        # c_{A4,7} swapped
         a4 = next(H for H in char_s4.lattice if H.order == 12)
         ring = _ring(char_s4.product_tensor(a4), 0)
-        stack, target = char_s4.conjugations(a4)
+        perm, target = char_s4.conjugations(a4)
         assert len(set(target.tolist())) == 1
-        maps = stack.astype(np.float64)
-        maps[7] = _bump(maps[7])
-        for chunk in (mk._CHUNK, 3 * 16):
-            monkeypatch.setattr(mk, "_CHUNK", chunk)
-            assert np.flatnonzero(~mk._ring_maps_hold(maps, ring, ring)).tolist() == [7]
-        broken = _green_tampered(char_s4, "c", lambda H, x: H.order == 12 and x == 7, _bump)
+        perm = perm.copy()
+        perm[7] = _swap(perm[7])
+        ok = [mk._permutes_ring(p, ring, ring) for p in perm]
+        assert np.flatnonzero(~np.array(ok)).tolist() == [7]
+        broken = _green_tampered(char_s4, "c", lambda H, x: H.order == 12 and x == 7, _swap)
         report = mk.verify_green_axioms(broken)
         assert report.counts["G1"] == (green_s4.counts["G1"][0], 1)
         assert [w.context for w in report.witnesses] == [(a4, "x=7")]
@@ -652,16 +772,16 @@ class TestStackedGreenChecks:
 
     def test_stack_heap_below_the_einsum_outputs(self, equiv_d6):
         # the n = 40 subgroup of D(D6) is normal: its 12 maps share a target;
-        # the einsum form held three n^3 int64 arrays for each of them
+        # the einsum form held three n^3 int64 arrays for each of them, the
+        # gather holds one n^3 float64 array for one map at a time
         H = next(H for H in equiv_d6.lattice if equiv_d6.size(H) == 40)
-        stack, target = equiv_d6.conjugations(H)
-        assert set(target.tolist()) == {equiv_d6.index[H.key]} and len(stack) == 12
+        perm, target = equiv_d6.conjugations(H)
+        assert set(target.tolist()) == {equiv_d6.index[H.key]} and len(perm) == 12
         ring = _ring(equiv_d6.product_tensor(H), equiv_d6.unit_index(H))
-        maps = stack.astype(np.float64)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            assert mk._ring_maps_hold(maps, ring, ring).all()
+            assert all(mk._permutes_ring(p, ring, ring) for p in perm)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -688,7 +808,7 @@ def _rank_one_family(top):
         return np.array([[1 if i == j else steps[i, j]]], dtype=np.int64)
 
     def c_fn(H):
-        return np.ones((G.order, 1, 1), dtype=np.int64), conjugation_index(G)[pos[H.key]]
+        return np.zeros((G.order, 1), dtype=np.intp), conjugation_index(G)[pos[H.key]]
 
     return mk.MackeyFamily(G, lattice, "rank one", lambda H: 1, r_fn,
                            lambda K, H: np.eye(1, dtype=np.int64), c_fn)
@@ -718,14 +838,14 @@ class TestExactnessGuard:
         t = _cyclic_group_ring(2)
         f = np.eye(2) * 2**26  # 2^2 (2**26)^2 = 2**54
         with pytest.raises(ExactnessBoundExceeded, match="ring-map"):
-            mk._ring_maps_hold(f[None], _ring(t, 0), _ring(t, 0))
-        assert not mk._ring_maps_hold(f[None] / 2, _ring(t, 0), _ring(t, 0))[0]
+            mk._ring_map_holds(f, _ring(t, 0), _ring(t, 0))
+        assert not mk._ring_map_holds(f / 2, _ring(t, 0), _ring(t, 0))
         # not a ring map (f(e_1)^2 = e_0 - 2**64 e_1 + 2**126 e_0), but every
         # int64 product wraps to agree with f(e_1 e_1) = e_0
         wraps = np.array([[1, -2**63], [0, 1]], dtype=np.int64)
         assert reference_is_unitary_ring_map(wraps, t, 0, t, 0)
         with pytest.raises(ExactnessBoundExceeded):
-            mk._ring_maps_hold(wraps.astype(np.float64)[None], _ring(t, 0), _ring(t, 0))
+            mk._ring_map_holds(wraps.astype(np.float64), _ring(t, 0), _ring(t, 0))
         r = np.eye(2) * 2**51  # 2^2 2**51 = 2**53 in I(a R(b))
         with pytest.raises(ExactnessBoundExceeded, match="projection"):
             mk._projection_holds(r, np.eye(2), *_float(t, t), 1, 1)
@@ -761,25 +881,31 @@ def _bumped(when):
     return lambda fn: _tamper(fn, when, _bump)
 
 
+def _swapped(when):
+    return lambda fn: _tamper(fn, when, _swap)
+
+
 def _regauged(members, perm):
     """A change of basis of a(S), S the subgroup with these members, by the
-    permutation matrix P of `perm`, made on the conjugations only: every c
-    into S becomes P c and every c out of S becomes c P^-1.  M0 and M3 still
-    hold (P c_{S,s} P^-1 = id, and the P cancel in c_y c_x), and R and I are
-    left alone, so of M0-M3 and Mc only Mc can tell."""
+    permutation matrix P of `perm` (P e_{perm[i]} = e_i), made on the
+    conjugations only: every c into S becomes P c and every c out of S
+    becomes c P^-1.  As rows, P c sends e_j to e_{inv[row[j]]}, inv the
+    inverse of perm, and c P^-1 sends it to e_{row[perm[j]]}.  M0 and M3
+    still hold (P c_{S,s} P^-1 = id, and the P cancel in c_y c_x), and R
+    and I are left alone, so of M0-M3 and Mc only Mc can tell."""
+    inv = np.argsort(perm)
 
     def wrap(fn):
         def wrapped(H):
-            stack, target = fn(H)
+            rows, target = fn(H)
             lattice = subgroup_lattice(H.parent)
-            p = np.eye(len(perm), dtype=np.int64)[perm]
             into = np.array([lattice[t].members.tolist() == members for t in target])
             if into.any():
-                stack = stack.copy()
-                stack[into] = p @ stack[into]
+                rows = rows.copy()
+                rows[into] = inv[rows[into]]
             if H.members.tolist() == members:
-                stack = stack @ p.T
-            return stack, target
+                rows = rows[:, perm]
+            return rows, target
 
         return wrapped
 
@@ -789,9 +915,12 @@ def _regauged(members, perm):
 # map tampered, tamper, failed count per axiom, first witness context, sha256
 # of the whole report JSON as `verify mackey` prints it, recorded with M4 at
 # class representatives.  H = <(2 3)> = [0, 1] and x = 2 = (1 2), which does
-# not normalize H; x = 23 = (0 3)(1 2) outside H breaks every c_{H,23} at once
-# and gives more than 100 M3 witnesses.  [0, 2, 7, 10, 13, 16, 21, 23] is a
-# D8 and [0, 8, 12] = <(0 1 2)> a C3, neither the first of its class.
+# not normalize H; x = 23 = (0 3)(1 2) outside H breaks every c_{H,23} of
+# rank above 1 at once and gives more than 100 M3 witnesses.  The three c
+# tampers swap the images of e_0 and e_1; their rows were recorded with the
+# same swap made as a column swap of the dense matrices of c.
+# [0, 2, 7, 10, 13, 16, 21, 23] is a D8 and [0, 8, 12] = <(0 1 2)> a C3,
+# neither the first of its class.
 MACKEY_TAMPERS = {
     "R": ("r", _bumped(lambda H, K: H.order == 24 and K.order == 4),
           {"M1": 32, "M4": 30},
@@ -801,19 +930,19 @@ MACKEY_TAMPERS = {
           {"M2": 8, "M4": 2, "M4rel": 4},
           ["H[o3:[0, 15, 20]]", "H[o12:[0, 3, 4, 7]]", "H[o24:[0, 1, 2, 3]]"],
           "cae5cd11e1e7368337095005aa000a3b7caf827000d4bff4de055bafaed0e16f"),
-    "c": ("c", _bumped(lambda H, x: H.members.tolist() == [0, 1] and x == 2),
-          {"M3": 68, "M4": 7, "M4rel": 2, "Mc": 12},
+    "c": ("c", _swapped(lambda H, x: H.members.tolist() == [0, 1] and x == 2),
+          {"M3": 68, "Mc": 10},
           ["H[o2:[0, 1]]", "1", "2"],
-          "d0f2c2d1cbbadaa70c666a0abf4b8b7d17f97fbf7cdfd96241881aa770c6015f"),
+          "77e9588990c4d738b520f39f208bf8ba89fde5107263f3076f13c37c526a5417"),
     # x = 1 = (2 3) lies in H = <(2 3)>, so c_{H,1} must be the identity
-    "c-M0": ("c", _bumped(lambda H, x: H.members.tolist() == [0, 1] and x == 1),
-             {"M0": 1, "M3": 67, "Mc": 12},
+    "c-M0": ("c", _swapped(lambda H, x: H.members.tolist() == [0, 1] and x == 1),
+             {"M0": 1, "M3": 66, "Mc": 10},
              ["H[o2:[0, 1]]", "c_1"],
-             "ae7d84c1a15de00b51fadef48aa474af37535f3ed49f4d669e3ec52698e92256"),
-    "c-many": ("c", _bumped(lambda H, x: x == 23 and not H.mask[23]),
-               {"M3": 1407, "M4": 1, "M4rel": 3, "Mc": 198},
-               ["H[o1:[0]]", "1", "22"],
-               "2535452de08587a3e82095cbe31778d928f8806fb35726a0366c098294513982"),
+             "78d4af90a03de06c200234640df1302f48959aed5668bc6ff864c01e60d42c4e"),
+    "c-many": ("c", _swapped(lambda H, x: x == 23 and not H.mask[23]),
+               {"M3": 1327, "Mc": 116},
+               ["H[o2:[0, 1]]", "1", "22"],
+               "cb837f6b5e90404be346776b1ac9191ed2855d8a2f227a015ca1efb2c66edcc7"),
     # M4 fails at 29 triples, none of them a class representative
     "R-off-class": ("r", _bumped(
         lambda H, K: H.order == 24 and K.members.tolist() == [0, 2, 7, 10, 13, 16, 21, 23]),
@@ -889,11 +1018,11 @@ class TestMackeyMutations:
         H = next(S for S in char_s4.lattice if S.members.tolist() == [0, 1])
 
         def misnamed(S):
-            stack, target = char_s4._c_fn(S)
+            perm, target = char_s4._c_fn(S)
             if S.key == H.key:
                 target = target.copy()
                 target[2] = char_s4.index[H.key]
-            return stack, target
+            return perm, target
 
         broken = mk.MackeyFamily(
             char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
@@ -906,8 +1035,9 @@ class TestMackeyMutations:
         assert {w.context[2] for w in witnesses} == {2}
 
     def test_swapped_irreducibles_in_a_gathered_stack_fail_m3_and_mc(self):
-        # c_{H,x} of a C3 in A5, read off the one gather of H's stack, with the
-        # trivial character and one of order 3 swapped, at an x outside N(H)
+        # c_{H,x} of a C3 in A5, read off the one gather of H's rows, with the
+        # images of the trivial character and one of order 3 swapped, at an
+        # x outside N(H)
         from equifuse.presets import group_preset
 
         G = group_preset("alt:5")
@@ -916,11 +1046,11 @@ class TestMackeyMutations:
         x = next(x for x in range(G.order) if conjugation_index(G)[hi, x] != hi)
 
         def swapped(S):
-            stack, target = fam._c_fn(S)
+            perm, target = fam._c_fn(S)
             if S.key == H.key:
-                stack = stack.copy()
-                stack[x] = stack[x][:, [1, 0, 2]]
-            return stack, target
+                perm = perm.copy()
+                perm[x] = perm[x][[1, 0, 2]]
+            return perm, target
 
         broken = mk.MackeyFamily(G, fam.lattice, "tampered", fam._size_fn,
                                  fam._r_fn, fam._i_fn, swapped)

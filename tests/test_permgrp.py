@@ -7,6 +7,7 @@ closure for the lattice).
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,51 @@ def brute_classes(G):
         classes.append(sorted(cls))
         unseen -= cls
     return classes
+
+
+class TestElementIndex:
+    """`Group.element_index` is a binary search of the lex-sorted image
+    rows, with no table keyed by element: every element of a relabelled
+    group is found at its own index, as a Perm and as an image row, and
+    every other permutation of its points raises ElementNotInGroup."""
+
+    def test_every_permutation_of_a_relabelled_group(self, s4_moved):
+        found = {}
+        for images in itertools.permutations(range(s4_moved.degree)):
+            try:
+                found[images] = s4_moved.element_index(Perm(images))
+            except ElementNotInGroup:
+                continue
+        assert found == {g.images: i for i, g in enumerate(s4_moved.elements)}
+        for i, row in enumerate(s4_moved.images):
+            assert s4_moved.element_index(row) == i
+
+    @pytest.mark.parametrize("images", [(0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5, 6), (5, 4, 3, 2, 1, 0, 6)])
+    def test_other_degrees(self, s4_moved, images):
+        with pytest.raises(ElementNotInGroup):
+            s4_moved.element_index(Perm(images))
+
+    def test_subgroups_embed_at_their_members(self, s4_moved):
+        from equifuse.chartab import _embed_indices
+
+        for H in subgroup_lattice(s4_moved):
+            assert _embed_indices(H.group(), s4_moved).tolist() == H.members.tolist()
+        with pytest.raises(NotASubgroup):
+            _embed_indices(group_preset("sym:4"), s4_moved)
+
+    def test_lookup_keeps_no_table(self):
+        # a dict of every row of dihedral:1000 took 7.8 MiB; a Group given
+        # its table looks nothing up while it is built
+        D = group_preset("dihedral:1000")
+        G = Group(None, D.generators, mult=D.mult, images=D.images)
+        tracemalloc.start()
+        try:
+            found = [G.element_index(g) for g in G.generators]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [G.perm(i) for i in found] == list(G.generators)
+        assert peak < 2**16
 
 
 class TestConjugacyClasses:
