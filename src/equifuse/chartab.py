@@ -8,12 +8,16 @@ nonzero column of each idempotent, normalized so the value at the identity
 is the (integer) degree, is one row.  Row orthogonality is checked as one
 Gram product.  The prime is chosen large enough that every multiplicity and
 structure constant occurring downstream lifts uniquely from F_p to the
-integers.
+integers.  Dixon's method runs once per conjugacy class of subgroups: the
+table of xHx^-1 is the table of H moved along conjugation, installed by
+`conjugation_perms` after the same checks (the lemma is in its docstring).
 
 Every multiplicity the rest of the package needs, of a restriction, an
 induction, a product of characters or a local product, is a
 `reciprocity_block`: one modular contraction of class-fused tables over the
-classes of a subgroup, for all irreducibles at once.  `restrict`, `induce`,
+classes of a subgroup, for all irreducibles at once.  `restriction_blocks`
+takes the restrictions to one subgroup from all its overgroups in one
+contraction.  `restrict`, `induce`,
 `pointwise_product` and `decompose` act on one class function at a time;
 they are the public calculus and the tests' reference for the block.
 """
@@ -369,7 +373,6 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
     rng = random.Random(f"{_SPLIT_SEED}:{G.order}:{k}")
     vectors = _common_eigenbasis(mats, k, p, rng)
 
-    order_inv = pow(G.order, p - 2, p)
     size_inv = [pow(int(c), p - 2, p) for c in sizes]
     rows = []
     for u in vectors:
@@ -388,20 +391,27 @@ def character_table(G: Group, ctx: ModularContext) -> CharacterTable:
             raise EigenbasisFailure("no divisor of |G| squares to the degree value")
         rows.append(tuple((degree * omega[j] * size_inv[j]) % p for j in range(k)))
     rows.sort(key=lambda v: (v[0], v))
-    cfs = [ClassFunction(G, v) for v in rows]
+    return _install_table(G, p, np.array(rows, dtype=np.int64), EigenbasisFailure)
 
-    if sum(v[0] ** 2 for v in rows) != G.order:
-        raise EigenbasisFailure("degree squares do not sum to the group order")
+
+def _install_table(G: Group, p: int, v: np.ndarray, error) -> CharacterTable:
+    """Cache the lex-sorted rows v as the character table of G over F_p,
+    once they pass the checks every table passes: the degree squares sum
+    to |G|, the rows are orthonormal (one Gram product), and the first row
+    is the trivial character; `error` is raised otherwise and nothing is
+    cached."""
+    k = len(v)
+    if sum(d * d for d in v[:, 0].tolist()) != G.order:
+        raise error("degree squares do not sum to the group order")
     # row orthogonality as one Gram product: [a, b] = (1/|G|) sum_c |c| a(c) b(c^-1)
-    v = np.array(rows, dtype=np.int64)
-    weights = np.array([int(c) * order_inv % p for c in sizes], dtype=np.int64)
-    gram = _kernels.matmul_mod(v, _kernels.mul_mod(v[:, inv_class], weights, p).T, p)
+    order_inv = pow(G.order, p - 2, p)
+    weights = np.array([int(c) * order_inv % p for c in G.class_sizes], dtype=np.int64)
+    gram = _kernels.matmul_mod(v, _kernels.mul_mod(v[:, G.inverse_class], weights, p).T, p)
     if not (gram == np.eye(k, dtype=np.int64)).all():
-        raise EigenbasisFailure("row orthogonality failed")
-    if rows[0] != tuple([1] * k):
-        raise EigenbasisFailure("first row is not the trivial character")
-
-    table = CharacterTable(G, p, cfs)
+        raise error("row orthogonality failed")
+    if not (v[0] == 1).all():
+        raise error("first row is not the trivial character")
+    table = CharacterTable(G, p, [ClassFunction(G, r) for r in v.tolist()])
     G._char_tables[p] = table
     return table
 
@@ -464,7 +474,8 @@ def conjugation_class_maps(H: Subgroup, xs, targets) -> np.ndarray:
 def conjugation_perms(H: Subgroup, targets, which, ctx: ModularContext) -> np.ndarray:
     """perm[x, i] = the row of the character table of xHx^-1 =
     targets[which[x]] that the i-th irreducible of H becomes when moved
-    along conjugation by x, for every x in the parent.
+    along conjugation by x, for every x in the parent.  A target with no
+    cached table gets the moved rows as its table, with no Dixon run.
 
     Lemma: perm(xs) = perm(x) for s in H.  (xs)H(xs)^-1 = xHx^-1, and
     moving chi along xs is moving s.chi along x, where s.chi = chi as chi
@@ -479,7 +490,22 @@ def conjugation_perms(H: Subgroup, targets, which, ctx: ModularContext) -> np.nd
     a row is its position in the target table.  The check that the target
     rows at those ranks equal the moved rows is exact: a moved row that is
     not a target row, or two equal moved rows, fails it and raises
-    NotInSpan."""
+    NotInSpan.
+
+    Lemma (tables moved along conjugation): for T = xHx^-1, the moved rows
+    of a, sorted lex, are the table `character_table(T)` would return.
+    Conjugation by x is an isomorphism H -> T that carries classes onto
+    classes, so m[a] is a bijection of class numberings and chi -> chi o
+    (conjugation by x^-1) a bijection Irr(H) -> Irr(T): the moved rows are
+    exactly the irreducible characters of T over F_p, on T's classes.
+    Those form a set that depends on T alone, so sorted lex they are T's
+    unique table, the one Dixon's method returns.  So a target whose table
+    is not cached yet gets the moved rows of its first coset, in lex order,
+    as its table (`_install_table`), after the checks `character_table`
+    makes of every table: degree squares, Gram product and trivial row.  A
+    map that is not a bijection fails them, raises NotInSpan and installs
+    nothing.  One Dixon run per conjugacy class of subgroups then builds
+    every table of the class."""
     G = H.parent
     coset_min = G.mult[:, H.members].min(axis=1)  # the least element of xH
     reps = np.flatnonzero(coset_min == np.arange(G.order))
@@ -487,10 +513,15 @@ def conjugation_perms(H: Subgroup, targets, which, ctx: ModularContext) -> np.nd
     table = character_table(H.group(), ctx).values
     moved = table[:, conjugation_class_maps(H, reps, tgts)].transpose(1, 0, 2)
     m, n, _ = moved.shape
-    order = np.lexsort([*moved.reshape(m * n, -1).T[::-1], np.repeat(np.arange(m), n)])
+    flat = moved.reshape(m * n, -1)
+    order = np.lexsort([*flat.T[::-1], np.repeat(np.arange(m), n)])
     perm = np.empty(m * n, dtype=np.intp)
     perm[order] = np.arange(m * n) % n
     perm = perm.reshape(m, n)
+    for a, T in enumerate(tgts):
+        if ctx.p not in T.group()._char_tables:
+            # order[a n:(a + 1) n] lists the moved rows of a in lex order
+            _install_table(T.group(), ctx.p, flat[order[a * n:(a + 1) * n]], NotInSpan)
     tabs = np.stack([character_table(T.group(), ctx).values for T in tgts])
     if not (tabs[np.arange(m)[:, None], perm] == moved).all():
         raise NotInSpan("values do not match any irreducible row")
@@ -548,12 +579,61 @@ def reciprocity_block(inner: Subgroup, factors, target: Subgroup, ctx: ModularCo
     block = np.where(flat > p // 2, flat - p, flat)
     degs = [np.array(t.degrees, dtype=np.int64) for t in tables]
     block = block.reshape([len(d) for d in degs])
+    _check_block(block, degs, target.order // inner.order)
+    return block
+
+
+def _check_block(block, degs, index: int) -> None:
+    """`reciprocity_block`'s checks of a block with axes of degrees degs
+    and inner subgroup of index `index` in the target: no negative entry,
+    and block @ degs[-1] = index * deg_1 x ... x deg_r."""
     if (block < 0).any():
         raise InvariantViolation("reciprocity block has a negative multiplicity")
-    expected = (target.order // inner.order) * functools.reduce(np.multiply.outer, degs[:-1])
+    expected = index * functools.reduce(np.multiply.outer, degs[:-1])
     if not np.array_equal(block @ degs[-1], expected):
         raise InvariantViolation("reciprocity block fails the degree identity")
-    return block
+
+
+def restriction_blocks(inner: Subgroup, overs, ctx: ModularContext) -> list:
+    """[N_H for H in overs], N_H[i, k] = <Res chi_i, rho_k>_K for chi_i the
+    irreducibles of H and rho_k those of K = `inner`, every H a Subgroup of
+    K's parent containing K: `reciprocity_block(K, (H,), K)` for every H,
+    from one contraction over the classes of K.
+
+    The tables of every H, read at K's class representatives through their
+    class fusions, are stacked into one (sum n_H) x k matrix, and one
+    `_kernels.matmul_mod` with K's table at the inverse classes gives every
+    N_H at once; each is split off as a contiguous copy, so no stacked array
+    outlives the call.  By Frobenius reciprocity N_H is also the induction
+    block: (1/|K|) sum_c |c| chi(c) rho(c^-1) is unchanged by c -> c^-1,
+    which permutes the classes of K and keeps their sizes, so
+    <Res chi, rho>_K = <rho, Res chi>_K = <Ind rho, chi>_H and N_H.T is
+    `reciprocity_block(K, (K,), H)`.  Each N_H gets the checks of both
+    blocks: no negative entry, N_H @ deg_K = deg_H and
+    N_H.T @ deg_H = [H : K] deg_K."""
+    p = ctx.p
+    igrp = inner.group()
+    reps = inner.members[igrp.class_reps]
+    own = character_table(igrp, ctx)
+    tables = [character_table(H.group(), ctx) for H in overs]
+    stacked = np.concatenate([
+        t.values[:, H.group().class_of[np.searchsorted(H.members, reps)]]
+        for H, t in zip(overs, tables)
+    ])
+    weights = _kernels.mul_mod(pow(inner.order, p - 2, p), igrp.class_sizes, p)
+    flat = _kernels.matmul_mod(_kernels.mul_mod(stacked, weights, p),
+                               own.values[:, igrp.inverse_class].T, p)
+    deg_k = np.array(own.degrees, dtype=np.int64)
+    blocks, start = [], 0
+    for H, t in zip(overs, tables):
+        block = flat[start:start + t.size]
+        block = np.where(block > p // 2, block - p, block)
+        deg_h = np.array(t.degrees, dtype=np.int64)
+        _check_block(block, [deg_h, deg_k], 1)
+        _check_block(block.T, [deg_k, deg_h], H.order // inner.order)
+        blocks.append(block)
+        start += t.size
+    return blocks
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> VirtualCharacter:

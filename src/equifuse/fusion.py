@@ -246,7 +246,9 @@ class _Engine:
         """(perm, targets, which): perm[x] is the bijection of irreducibles
         Irr(S) -> Irr(xSx^-1) induced by transport along x, and
         targets[which[x]] is xSx^-1, for every x in F; one
-        `permgrp.conjugates` and one `chartab.conjugation_perms` per S."""
+        `permgrp.conjugates` and one `chartab.conjugation_perms` per S,
+        which also gives every conjugate of S without a cached table the
+        table of S moved along conjugation."""
         hit = self._conj.get(S.key)
         if hit is None:
             targets, which = conjugates(S)

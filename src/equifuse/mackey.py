@@ -13,9 +13,9 @@ shortcut of the family.  Identity maps, transitivity, composition of
 conjugations and conjugation compatibility are checked on every instance;
 the double-coset relation once per conjugacy class of triples (L, H, K),
 which a lemma in `verify_mackey_axioms` proves is enough once those pass.
-These checks are int64 products, exact while |G| n^2 t^3 < 2**53 (n the
-largest rank, t the largest |entry| of an R or I read, at least 1); the
-verifier checks that bound before it returns a report.
+These checks are gathers and int64 products, exact while |G| n t^2 < 2**53
+(n the largest rank, t the largest |entry| of an R or I read, at least 1);
+the verifier checks that bound before it returns a report.
 The Green axioms (unitary ring maps G1, projection formulas G2 and G3) are
 checked exhaustively: G1 for a conjugation as a gather of the product
 tensor, G1 for a restriction and the projection formulas as float64 BLAS
@@ -147,19 +147,39 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
     """The family H |-> (virtual characters of H), with restriction,
     Frobenius induction, conjugation of characters, and pointwise product.
     Every c_{H,x} of one H is a row of one `chartab.conjugation_perms`
-    over all x, with the targets read off `conjugation_index`."""
+    over all x, with the targets read off `conjugation_index`.  R^H_K and
+    I^H_K come a lattice row at a time: the first request of a pair with
+    lower subgroup K builds them for every overgroup H of K with one
+    `chartab.restriction_blocks`, and each matrix is handed to the family
+    once (the callbacks still run once per pair) and then dropped here."""
     lattice = subgroup_lattice(G)
     conj = conjugation_index(G)
     index = {s.key: i for i, s in enumerate(lattice)}
+    nested = _nested(lattice)
+    # K's key -> {(H's key, "R" or "I"): matrix} of the maps built with one
+    # `chartab.restriction_blocks` and not yet handed to the family
+    pending = {}
+
+    def row_map(H, K, which):
+        row = pending.get(K.key)
+        if row is None or (H.key, which) not in row:
+            overs = [lattice[i] for i in np.flatnonzero(nested[:, index[K.key]]).tolist()]
+            row = pending[K.key] = {}
+            for S, block in zip(overs, chartab.restriction_blocks(K, overs, ctx)):
+                row[S.key, "R"], row[S.key, "I"] = np.ascontiguousarray(block.T), block
+        m = row.pop((H.key, which))
+        if not row:
+            del pending[K.key]
+        return m
 
     def size_fn(H):
         return character_table(H.group(), ctx).size
 
     def r_fn(H, K):
-        return reciprocity_block(K, (H,), K, ctx).T
+        return row_map(H, K, "R")
 
     def i_fn(K, H):
-        return reciprocity_block(K, (K,), H, ctx).T
+        return row_map(H, K, "I")
 
     def c_fn(H):
         target = conj[index[H.key]]
@@ -265,13 +285,18 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
 
     Write xS = xSx^-1, and P_S for the rows of `fam.conjugations(S)`:
     c_{S,x}(e_j) = e_{P_S[x, j]}.  M0 for c is P_H[h] == arange(n) for h in
-    H.  M3 is checked on every triple (H, x, y), one gather per (H, x):
-    c_{xH,y} c_{H,x} = c_{H,yx} for every y is
-    P_{xH}[:, P_H[x]] == P_H[mult[:, x]], one result per y, recorded in
-    increasing y (so witnesses come out in triple-loop order).
+    H.  M3 is checked on every triple (H, x, y): c_{xH,y} c_{H,x} = c_{H,yx}
+    is P_{xH}[y, P_H[x]] == P_H[yx].  The rows of H's distinct conjugates
+    are stacked once per H, and every (x, y) is read off gathers of that
+    stack over chunks of x, each chunk's temporaries at most 64 KiB (one
+    chunk for every H of A5); the results are recorded in increasing
+    (x, y), so witnesses come out in triple-loop order.
 
-    Mc is checked on every nested pair K <= H and every x in G, one gather
-    over all x: c_{K,x} R^H_K = R^{xH}_{xK} c_{H,x} is
+    The nested pairs come from one boolean product of the lattice's
+    membership masks (`_nested`).
+
+    Mc is checked on every nested pair K <= H and every x in G, by gathers
+    over chunks of x: c_{K,x} R^H_K = R^{xH}_{xK} c_{H,x} is
     R^{xH}_{xK}[P_K[x, a], P_H[x, b]] == R^H_K[a, b] for all a, b, and
     c_{H,x} I^H_K = I^{xH}_{xK} c_{K,x} is the same with the axes of I and
     the roles of P_H and P_K swapped.  A check at (H, K, x) also fails
@@ -326,15 +351,18 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
     intersection of lattice subgroups is in the lattice, so every map the
     proof names is one the family defines.
 
-    Every product is int64, which wraps silently past 2**63.  The deepest
-    chain is the double-coset side: a sum over at most |G| double cosets
-    of (I R) c, each entry a sum of n^2 products of three entries, for n
-    the largest a(H).  So with t the largest |entry| of every R and I the
-    report read (those of every nested pair), and at least 1, the entry of
-    a permutation matrix c, each sum's terms add up to at most
-    |G| n^2 t^3, which bounds every other check too.  Before the report
-    is returned that bound is checked to be below 2**53
-    (`_kernels.require_exact`); above it the verifier raises
+    Every product is int64, which wraps silently past 2**63.  Let n be the
+    largest rank of an a(H) and t the largest |entry| of every R and I the
+    report read (those of every nested pair), and at least 1.  M0, M3 and
+    Mc compare gathers and multiply nothing.  M1 and M2 form R R and I I,
+    and M4 forms R I on its left side and I R on its right: each entry is
+    a sum of at most n products of two entries, its terms adding up to at
+    most n t^2.  The right side of M4 then gathers columns of those
+    products (c is a permutation) and adds them over the double cosets,
+    at most |G| of them, so every sum any check forms has terms adding up
+    to at most |G| n t^2.  Before the report is returned that bound is
+    checked to be below 2**53 (`_kernels.require_exact`), so every product
+    and partial sum is exact; above it the verifier raises
     `ExactnessBoundExceeded` rather than return what a wrapped product may
     have passed."""
     lattice = fam.lattice
@@ -357,12 +385,10 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
         report.record_all("M0", ok, lambda i: (H, f"c_{int(H.members[i])}"),
                           "c_{H,h} = id for h in H")
 
-    contained = {
-        (i, j)
-        for i, a in enumerate(lattice)
-        for j, b in enumerate(lattice)
-        if b.contains(a)
-    }
+    # (i, j) for lattice[i] <= lattice[j], inserted in row-major order: the
+    # set's iteration order, which orders the M1, M2 and Mc records and so
+    # the pinned witnesses, depends on it
+    contained = set(map(tuple, np.argwhere(_nested(lattice).T).tolist()))
     above = {}
     for (ki, hi) in contained:
         above.setdefault(ki, []).append(hi)
@@ -382,10 +408,25 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
 
     order = G.order
     for hi, (H, p_h) in enumerate(zip(lattice, perms)):
-        # [x, y] = (c_y c_x == c_yx), one gather per x for every y in G
+        # rows[s n + j, y] = P_{conj[s]}[y, j] for the distinct conjugates of
+        # H, stacked once in the narrowest dtype that holds a basis index
+        # (every row is a permutation of range(n), checked by
+        # `conjugations`); xH is conj[at[x]]
+        n = p_h.shape[1]
+        narrow = np.min_scalar_type(n - 1)
+        conj = sorted(set(target[hi].tolist()))
+        at = np.searchsorted(conj, target[hi])
+        rows = np.stack([perms[t].T for t in conj], dtype=narrow, casting="unsafe")
+        rows = rows.reshape(-1, order)
+        p_h_narrow = p_h.astype(narrow)
+        # [x, y] = (c_y c_x == c_yx), one gather of rows per chunk of x for
+        # every y in G, each index a single array (numpy buffers an index
+        # of several arrays, 64 KiB per operand); a temporary holds at most
+        # |G| max(n, 8) bytes per x (8 for the intp copy of the int32 index)
         ok = np.empty((order, order), dtype=bool)
-        for x, t in enumerate(target[hi].tolist()):
-            ok[x] = (perms[t][:, p_h[x]] == p_h[G.mult[:, x]]).all(axis=1)
+        for xs in _chunks(order, order * max(n, 8)):
+            moved = rows[at[xs, None] * n + p_h[xs]]  # [x, j, y] = P_{xH}[y, P_H[x, j]]
+            ok[xs] = (moved == p_h_narrow[G.mult[:, xs].T].transpose(0, 2, 1)).all(axis=1)
         report.record_all("M3", ok.ravel(), lambda i: (H, *divmod(i, order)),
                           "c_y c_x = c_yx")
 
@@ -403,13 +444,18 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
             at = np.searchsorted(pairs, code)[:, None, None]
             moved = [(lattice[p // count], lattice[p % count]) for p in pairs.tolist()]
             p_h, p_k = perms[hi], perms[ki]
+            r, ind = fam.restriction(H, K), fam.induction(K, H)
             moved_r = np.stack([fam.restriction(xh, xk) for xh, xk in moved])
-            ok = good & (moved_r[at, p_k[:, :, None], p_h[:, None]]
-                         == fam.restriction(H, K)).all(axis=(1, 2))
+            ok = good.copy()
+            for xs in _chunks(order, 8 * r.size):
+                gathered = moved_r[at[xs], p_k[xs, :, None], p_h[xs, None]]
+                ok[xs] &= (gathered == r).all(axis=(1, 2))
             report.record_all("Mc", ok, lambda x: (H, K, x), "c R = R c")
             moved_i = np.stack([fam.induction(xk, xh) for xh, xk in moved])
-            ok = good & (moved_i[at, p_h[:, :, None], p_k[:, None]]
-                         == fam.induction(K, H)).all(axis=(1, 2))
+            ok = good.copy()
+            for xs in _chunks(order, 8 * ind.size):
+                gathered = moved_i[at[xs], p_h[xs, :, None], p_k[xs, None]]
+                ok[xs] &= (gathered == ind).all(axis=(1, 2))
             report.record_all("Mc", ok, lambda x: (H, K, x), "c I = I c")
 
     full = lattice[-1]
@@ -434,8 +480,8 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
         H, K = lattice[hi], lattice[ki]
         top = max(top, _top(fam.restriction(H, K)), _top(fam.induction(K, H)))
     _kernels.require_exact(
-        G.order * n * n * top ** 3,
-        f"Mackey checks need |G| n^2 max|R, I, c|^3 below 2**53, "
+        G.order * n * top * top,
+        f"Mackey checks need |G| n max|R, I|^2 below 2**53, "
         f"got |G|={G.order}, n={n}, max={top}",
     )
     report.modes.update(dict.fromkeys(("M0", "M1", "M2", "M3", "Mc"), "exhaustive"),
@@ -507,10 +553,34 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     return report
 
 
+# Bytes of the largest temporary of one chunk of an M3 or Mc gather: below
+# glibc's initial 128 KiB mmap threshold, since freeing a larger block raises
+# the threshold and later medium arrays then fragment the heap.  Unchunked,
+# the Mc gathers of `verify mackey --family char:dihedral:100` hold up to
+# 4 MiB each, and its peak RSS moved by 3 MiB with unrelated allocations.
+_GATHER_BYTES = 1 << 16
+
+
+def _chunks(count: int, width: int):
+    """Slices covering range(count), each of at most _GATHER_BYTES // width
+    items (and at least one), for a gather of `width` bytes per item."""
+    step = max(1, _GATHER_BYTES // width)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
 # Entries of the largest float64 temporary one step of a G1-G3 check holds
 # (128 KiB); one product over all the rows of a map at n = 40 would hold
 # 40 rows of 40^2 entries, 512 KiB, in each of its temporaries.
 _CHUNK = 1 << 14
+
+
+def _nested(lattice) -> np.ndarray:
+    """[i, j] = (lattice[j] <= lattice[i]), from one boolean product of the
+    membership masks: lattice[j] <= lattice[i] iff no member of lattice[j]
+    lies outside lattice[i].  A boolean product runs in numpy's own loop:
+    a float BLAS product of this size raised the peak RSS of
+    `verify mackey --family char:alt:5` by about 0.2 MiB."""
+    masks = np.stack([S.mask for S in lattice])
+    return ~(~masks @ masks.T)
 
 
 def _top(a) -> int:

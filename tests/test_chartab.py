@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from equifuse import _kernels
 from equifuse import chartab as ct
+from equifuse import mackey as mk
 from equifuse.errors import (
     EigenbasisFailure,
     GroupMismatch,
@@ -23,7 +24,14 @@ from equifuse.errors import (
     NotASubgroup,
     NotInSpan,
 )
-from equifuse.permgrp import Perm, conjugates, left_coset_reps, subgroup_lattice
+from equifuse.permgrp import (
+    Group,
+    Perm,
+    conjugates,
+    conjugation_index,
+    left_coset_reps,
+    subgroup_lattice,
+)
 from equifuse.presets import group_preset
 
 
@@ -518,6 +526,74 @@ class TestConjugate:
         assert len(lattice) * G.order > evaluated
 
 
+def _fresh_context(G, floor):
+    """A context for G whose prime, the least valid one above `floor`, no
+    other test uses, so no table of it is cached yet."""
+    e = G.exponent()
+    p = floor + 1 + (-(floor + 1) % e) + 1
+    while not ct._is_prime(p):
+        p += e
+    return ct.make_context([G], prime_override=p)
+
+
+class TestMovedTables:
+    """`conjugation_perms` gives every conjugate without a cached table
+    the moved table of its class representative, with no Dixon run."""
+
+    @pytest.mark.parametrize("name", ["alt:5", "sym:4", "dihedral:12"])
+    def test_moved_tables_are_the_dixon_tables(self, name, monkeypatch):
+        G = group_preset(name)
+        ctx = _fresh_context(G, 10**12)
+        runs = []
+        original = ct._common_eigenbasis
+
+        def spy(mats, k, p, rng):
+            runs.append(k)
+            return original(mats, k, p, rng)
+
+        monkeypatch.setattr(ct, "_common_eigenbasis", spy)
+        lattice = subgroup_lattice(G)
+        for H in lattice:
+            ct.conjugation_perms(H, *conjugates(H), ctx)
+        classes = {min(conjugation_index(G)[i].tolist()) for i in range(len(lattice))}
+        assert len(runs) == len(classes) < len(lattice)
+        for H in lattice:
+            grp = H.group()
+            fresh = Group(None, grp.generators, mult=grp.mult.copy(), images=grp.images.copy())
+            dixon = ct.character_table(fresh, ctx)
+            moved = grp._char_tables[ctx.p]
+            assert np.array_equal(moved.values, dixon.values)
+            assert moved.degrees == dixon.degrees
+        assert len(runs) == len(classes) + len(lattice)
+
+    def test_mackey_verifier_runs_dixon_once_per_class(self, monkeypatch):
+        G = group_preset("alt:5")
+        runs = []
+        original = ct._common_eigenbasis
+        monkeypatch.setattr(ct, "_common_eigenbasis",
+                            lambda *args: runs.append(1) or original(*args))
+        fam = mk.char_ring_family(G, _fresh_context(G, 2 * 10**12))
+        assert mk.verify_mackey_axioms(fam).ok
+        assert len(fam.lattice) == 59 and len(runs) == 9
+
+    def test_collapsed_map_into_an_uncached_target_installs_nothing(
+        self, s3, monkeypatch
+    ):
+        # H = <(0 1)> and its two conjugates; every class of H sent to the
+        # identity class moves sgn to the trivial row
+        ctx = _fresh_context(s3, 3 * 10**12)
+        H = s3.subgroup(indices=[s3.element_index(cyc([(0, 1)], 3))])
+        targets, which = conjugates(H)
+        ct.character_table(H.group(), ctx)
+        original = ct.conjugation_class_maps
+        monkeypatch.setattr(ct, "conjugation_class_maps",
+                            lambda sub, xs, tgts: np.zeros_like(original(sub, xs, tgts)))
+        with pytest.raises(NotInSpan):
+            ct.conjugation_perms(H, targets, which, ctx)
+        assert len(targets) == 3
+        assert all(ctx.p not in T.group()._char_tables for T in targets[1:])
+
+
 class TestDecompose:
     def test_trivial_unit_vector(self, s3, ctx_s3):
         tab = ct.character_table(s3, ctx_s3)
@@ -598,6 +674,30 @@ class TestReciprocityBlock:
         one = s3.trivial_subgroup()
         with pytest.raises(InvariantViolation, match="negative multiplicity"):
             ct.reciprocity_block(one, (H,), one, ctx_s3)
+
+    def test_restriction_blocks_are_the_blocks_of_every_pair(self, s4, ctx_s4):
+        # one contraction per K: the restriction block of every overgroup
+        # H, and its transpose the induction block
+        lattice = subgroup_lattice(s4)
+        for K in lattice:
+            overs = [H for H in lattice if H.contains(K)]
+            blocks = ct.restriction_blocks(K, overs, ctx_s4)
+            assert len(blocks) == len(overs)
+            for H, block in zip(overs, blocks):
+                assert block.flags.c_contiguous and block.base is None
+                assert np.array_equal(block, ct.reciprocity_block(K, (H,), K, ctx_s4))
+                assert np.array_equal(block.T, ct.reciprocity_block(K, (K,), H, ctx_s4))
+
+    @pytest.mark.parametrize("swap, match", [
+        (lambda r, p: [r[0], r[2], r[1]], "degree identity"),
+        (lambda r, p: [r[0], r[1], ct.ClassFunction(r[2].group, [-v % p for v in r[2].values])],
+         "negative multiplicity"),
+    ])
+    def test_restriction_blocks_fail_the_mutants(self, s3, ctx_s3, monkeypatch, swap, match):
+        H = self._mutant(s3, ctx_s3, monkeypatch, swap)
+        one = s3.trivial_subgroup()
+        with pytest.raises(InvariantViolation, match=match):
+            ct.restriction_blocks(one, [one, H], ctx_s3)
 
 
 class TestDegreeHomomorphism:

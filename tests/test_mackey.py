@@ -9,6 +9,7 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -491,8 +492,14 @@ class TestFamilyCaches:
 
     def test_verifier_heap_on_a5(self):
         # 4.96 MiB when the family kept a matrix per (H, x) and the verifier
-        # stacked them again
-        assert self._verifier_peak("alt:5") < 3.5 * 2**20
+        # stacked them again, 0.76 MiB with a gather per (H, x) in M3 and a
+        # reciprocity block per pair
+        assert self._verifier_peak("alt:5") < 1.0 * 2**20
+
+    def test_verifier_heap_on_s5(self):
+        # 3.27 MiB with a gather per (H, x) in M3 and a reciprocity block
+        # per pair
+        assert self._verifier_peak("sym:5") < 3.5 * 2**20
 
     def test_verifier_heap_on_d30(self):
         # 3.79 MiB when every c was an (n, n) int64 matrix and M3 and Mc
@@ -794,6 +801,29 @@ def _huge_restrictions(fam):
     return _green_tampered(fam, "r", lambda H, K: True, lambda m: m << 26)
 
 
+def _regauged_c2(t, bump=0):
+    """The character-ring family of cyclic:2 with a(C2) in the basis
+    B = [[1, t], [0, 1]]: R'^{C2}_K = R B^-1 and I'^{C2}_K = B I, so
+    R'^{C2}_1 = [[1, 1 - t]] and I'^{C2}_1 = [[1 + t], [1]], with `bump`
+    added to the top entry of I'^{C2}_1.  Conjugation is trivial, so the
+    Mackey axioms hold in any basis when bump = 0."""
+    G = group_preset("cyclic:2")
+    base = mk.char_ring_family(G, ct.make_context([G]))
+    gauge = {1: (np.eye(1, dtype=np.int64),) * 2,
+             2: (np.array([[1, t], [0, 1]]), np.array([[1, -t], [0, 1]]))}
+
+    def r_fn(H, K):
+        return gauge[K.order][0] @ base.restriction(H, K) @ gauge[H.order][1]
+
+    def i_fn(K, H):
+        m = gauge[H.order][0] @ base.induction(K, H) @ gauge[K.order][1]
+        if (K.order, H.order) == (1, 2):
+            m[0, 0] += bump
+        return m
+
+    return mk.MackeyFamily(G, base.lattice, "regauged", base.size, r_fn, i_fn, base._c_fn)
+
+
 def _rank_one_family(top):
     """A family on cyclic:4 (lattice 1 < C2 < C4) with every a(H) of rank
     1, every I and c the identity, R^{C4}_{C2} = R^{C2}_1 = [[top]] and
@@ -822,12 +852,29 @@ class TestExactnessGuard:
             mk.verify_mackey_axioms(_rank_one_family(2**32))
 
     def test_mackey_below_the_bound_catches_the_same_family(self):
-        # |G| n^2 t^3 = 4 * 1 * (2**17)^3 = 2**53 is not below 2**53
+        # |G| n t^2 = 4 * 1 * t^2 < 2**53 holds up to t = isqrt(2**51 - 1)
+        top = math.isqrt(2**51 - 1)
         with pytest.raises(ExactnessBoundExceeded):
-            mk.verify_mackey_axioms(_rank_one_family(2**17))
-        report = mk.verify_mackey_axioms(_rank_one_family(2**17 - 1))
+            mk.verify_mackey_axioms(_rank_one_family(top + 1))
+        report = mk.verify_mackey_axioms(_rank_one_family(top))
         (m1,) = [w for w in report.to_json_dict()["witnesses"] if w["axiom"] == "M1"]
-        assert m1["lhs"] == [[(2**17 - 1) ** 2]] and m1["rhs"] == [[0]]
+        assert m1["lhs"] == [[top**2]] and m1["rhs"] == [[0]]
+
+    def test_regauged_family_past_the_old_bound_is_verified_exactly(self):
+        # max|R, I| = 2**25 + 1: |G| n^2 t^3 = 2 * 2^2 * t^3 was refused,
+        # |G| n t^2 = 2 * 2 * t^2 < 2**53 is admitted
+        t = 2**25
+        fam = _regauged_c2(t)
+        assert 2 * 2**2 * (t + 1) ** 3 >= 2**53 > 2 * 2 * (t + 1) ** 2
+        report = mk.verify_mackey_axioms(fam)
+        assert report.ok
+        assert report.counts == mk.verify_mackey_axioms(_regauged_c2(0)).counts
+        # one induction off by one: M4 at (C2, 1, 1) reads
+        # (1 + t + 1) + (1 - t) = 3 against the two double cosets' 2
+        tampered = _regauged_c2(t, bump=1)
+        report = mk.verify_mackey_axioms(tampered)
+        m4 = [w for w in report.to_json_dict()["witnesses"] if w["axiom"] == "M4"]
+        assert {"lhs": [[3]], "rhs": [[2]]}.items() <= m4[0].items()
 
     def test_verifier_refuses_past_the_bound(self, char_s3):
         with pytest.raises(InvariantViolation, match="2\\*\\*53") as exc:
