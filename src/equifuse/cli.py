@@ -40,14 +40,30 @@ def _emit_json(obj, out) -> None:
     out.write(json.dumps(obj, indent=2) + "\n")
 
 
-def emit_csv(ring: fusion.FusionRing) -> str:
-    """Structure constants as `i,j,k,N` rows in ascending (i, j, k)."""
-    lines = ["i,j,k,N"]
-    lines.extend(",".join(str(v) for v in row) for row in ring.constant_rows())
-    return "\n".join(lines) + "\n"
+# Rows of structure constants formatted by one `%` of a row template: no
+# list of Python ints for the whole table is ever made.
+_ROWS_PER_WRITE = 1 << 12
 
 
-def _ring_json_dict(ring: fusion.FusionRing) -> dict:
+def _write_rows(rows, template: str, sep: str, out) -> None:
+    """Write the int rows through the one-row %d `template`, joined by
+    `sep`, a chunk of rows at a time."""
+    for r0 in range(0, len(rows), _ROWS_PER_WRITE):
+        chunk = rows[r0:r0 + _ROWS_PER_WRITE]
+        text = sep.join([template] * len(chunk)) % tuple(chunk.ravel().tolist())
+        out.write(sep + text if r0 else text)
+
+
+def emit_csv(ring: fusion.FusionRing, out) -> None:
+    """Write the structure constants as `i,j,k,N` rows in ascending (i, j, k)."""
+    out.write("i,j,k,N\n")
+    _write_rows(ring.rows, "%d,%d,%d,%d", "\n", out)
+    out.write("\n")
+
+
+def _emit_ring_json(ring: fusion.FusionRing, out) -> None:
+    """The ring as `json.dumps(..., indent=2)` would print it, with the
+    constants spliced in from a row template."""
     G = ring.datum.G
     labels = []
     for i, lab in enumerate(ring.labels):
@@ -61,12 +77,12 @@ def _ring_json_dict(ring: fusion.FusionRing) -> dict:
                 "dim": lab.dim,
             }
         )
-    return {
-        "labels": labels,
-        "unit": ring.unit,
-        "constants": ring.constant_rows(),
-        "checks": ring.checks,
-    }
+    head, tail = json.dumps(
+        {"labels": labels, "unit": ring.unit, "constants": 0, "checks": ring.checks}, indent=2
+    ).split('"constants": 0')
+    out.write(head + '"constants": [\n')
+    _write_rows(ring.rows, "    [\n      %d,\n      %d,\n      %d,\n      %d\n    ]", ",\n", out)
+    out.write("\n  ]" + tail + "\n")
 
 
 def _classes(G: Group) -> list:
@@ -149,9 +165,9 @@ def _cmd_chartable(args, out) -> int:
 
 def _emit_ring(ring, args, out) -> None:
     if args.format == "csv":
-        out.write(emit_csv(ring))
+        emit_csv(ring, out)
     else:
-        _emit_json(_ring_json_dict(ring), out)
+        _emit_ring_json(ring, out)
 
 
 def _cmd_double(args, out) -> int:

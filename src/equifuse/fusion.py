@@ -11,11 +11,11 @@ stabilizer H_g); products are computed two independent ways:
   normalization per double coset of H_h \\ H / H_g;
 * `fuse_via_M` runs the orbit-sum multiplication on F-invariant graded
   vectors, summing local products over stabilizer-orbit representatives of
-  factorizations.  Its table is one tensor, `_Engine.orbit_sum_tensor`,
-  with one block added per factorization.
+  factorizations.  Its table is one row array, `_Engine.orbit_sum_rows`,
+  with the nonzero entries of one block added per factorization.
 
 Their agreement on every basis pair is the package's strongest internal
-oracle: whenever a full FusionRing is assembled, the two tensors are
+oracle: whenever a full FusionRing is assembled, the two row arrays are
 compared once.
 
 Both forms take their local products from `_Engine.m_block`, which gives
@@ -33,13 +33,12 @@ from those, one orbit representative at a time; the engine does not keep
 them, `mackey.MackeyFamily` does.  Of the public per-label functions,
 `eq_restrict` and `eq_induce` build one whole matrix and read one column
 of it, and `eq_conjugate` reads its one entry off the stacks.
-The structure-constant tensor is assembled in one place,
-`_Engine.product_tensor`; a `FusionRing` keeps only its nonzero
-[i, j, k, N] rows.  Associativity of an assembled table is decided on the
-slices of a generating set of basis elements (the generator lemma of
-`associativity_failure`), and every slice is scanned only to name the
-first failure.  The slices are float64 BLAS products, which are exact
-while n * max|N|^2 < 2**53; past that bound the check refuses to answer.
+Structure constants travel as int64 [i, j, k, N] rows (module `_rows`),
+the nonzero N_ij^k in ascending (i, j, k), from `_Engine.product_rows` to
+the ring a `FusionRing` keeps: no (n, n, n) array is built on the way, and
+`dense` makes one only for a caller that asks.  Associativity is
+`_rows.associativity_failure`: the slices of a generating set of basis
+elements, each as joins of rows summed by `np.bincount`.
 """
 
 from __future__ import annotations
@@ -50,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, chartab
+from . import chartab
+from ._rows import associativity_failure, dense, differing_pairs, summed_rows
 from .chartab import ClassFunction, ModularContext, character_table
 from .errors import (
     ElementNotInGroup,
@@ -164,9 +164,7 @@ class FusionRing:
         return out
 
     def tensor(self) -> np.ndarray:
-        t = np.zeros((self.size,) * 3, dtype=np.int64)
-        t[tuple(self.rows[:, :3].T)] = self.rows[:, 3]
-        return t
+        return dense(self.rows, self.size)
 
     def constant_rows(self):
         """Flat [i, j, k, N] rows in ascending (i, j, k)."""
@@ -357,16 +355,19 @@ class _Engine:
             )
         return out
 
-    def product_tensor(self, H: Subgroup) -> np.ndarray:
-        """t[i, j, k] = N_ij^k over the basis of H, one `fuse_pair` per
-        label pair."""
+    def product_rows(self, H: Subgroup) -> np.ndarray:
+        """The nonzero N_ij^k over the basis of H as int64 [i, j, k, N]
+        rows in ascending (i, j, k), one `fuse_pair` per label pair in
+        label order; only the n products of one i are held densely."""
         labels = self.basis(H).labels
-        n = len(labels)
-        t = np.zeros((n, n, n), dtype=np.int64)
+        block = np.zeros((len(labels),) * 2, dtype=np.int64)  # [j, k] of one i
+        out = []
         for i, a in enumerate(labels):
             for j, b in enumerate(labels):
-                t[i, j] = self.fuse_pair(H, a, b)
-        return t
+                block[j] = self.fuse_pair(H, a, b)
+            js, ks = np.nonzero(block)
+            out.append(np.column_stack([np.full_like(js, i), js, ks, block[js, ks]]))
+        return np.concatenate(out)
 
     # -- restriction, induction and conjugation of simples --------------------
 
@@ -444,21 +445,24 @@ class _Engine:
                 out.append((g, h, int(self.G.mult[int(self.G.inv[h]), g])))
         return out
 
-    def orbit_sum_tensor(self, H: Subgroup, choice: str = "min") -> np.ndarray:
-        """t[a, b, c] = coordinate c of the orbit-sum product of basis
-        vectors a and b: the block m_block(H, h, k) of each factorization
-        (g, h, k), with its rows and columns at the labels whose components
-        they read and its last axis at the labels of g.  The component of a
-        basis vector at h is its canonical component moved along the
-        inverse of to_rep[h] (of `orbit_data(H)`), and moving along to_rep[h]
-        and back is the identity, so that component's entry t is label
+    def orbit_sum_rows(self, H: Subgroup, choice: str = "min") -> np.ndarray:
+        """Rows [a, b, c, N] of the orbit-sum product, as `product_rows`:
+        the nonzero entries of the block m_block(H, h, k) of each
+        factorization (g, h, k), with their first two indices at the labels
+        whose components they read and their last at the labels of g,
+        summed where two factorizations meet.  The component of a basis
+        vector at h is its canonical component moved along the inverse of
+        to_rep[h] (of `orbit_data(H)`), and moving along to_rep[h] and back
+        is the identity, so that component's entry t is label
         slots(H, h)[t]."""
         n = len(self.basis(H).labels)
-        t = np.zeros((n, n, n), dtype=np.int64)
+        keys, values = [], []
         for g, h, k in self.factorizations(H, choice):
             _, block = self.m_block(H, h, k)
-            t[np.ix_(self.slots(H, h), self.slots(H, k), self.slots(H, g))] += block
-        return t
+            a, b, c = np.nonzero(block)
+            keys.append((self.slots(H, h)[a] * n + self.slots(H, k)[b]) * n + self.slots(H, g)[c])
+            values.append(block[a, b, c])
+        return summed_rows(np.concatenate(keys), np.concatenate(values), n)
 
     def fuse_invariants(
         self, H: Subgroup, alpha: InvariantVector, beta: InvariantVector, choice="min"
@@ -481,7 +485,9 @@ class _Engine:
                         f"component at {g} has shape {comp.shape}, expected {slots.shape}"
                     )
                 vec[slots] = comp
-        out = np.einsum("i,j,ijk->k", a, b, self.orbit_sum_tensor(H, choice))
+        i, j, k, coeff = self.orbit_sum_rows(H, choice).T
+        out = np.zeros_like(a)
+        np.add.at(out, k, a[i] * b[j] * coeff)
         return InvariantVector(H, {g: out[self.slots(H, g)] for g in reps})
 
 
@@ -571,9 +577,10 @@ def fuse_via_M(
 ) -> InvariantVector:
     """Orbit-sum multiplication: component at each canonical g is the sum of
     local products over stabilizer-orbit representatives of factorizations.
-    Both vectors are contracted against `_Engine.orbit_sum_tensor`, whose
-    associativity on all basis triples is one `associativity_failure` check,
-    exhaustive by the generator lemma (C5 of `verify_coherent_axioms`)."""
+    Both vectors are contracted against the rows of
+    `_Engine.orbit_sum_rows`, whose associativity on all basis triples is
+    one `associativity_failure` check, exhaustive by the generator lemma
+    (C5 of `verify_coherent_axioms`)."""
     return _engine(d, ctx).fuse_invariants(H, alpha, beta, rep_choice)
 
 
@@ -636,11 +643,11 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     (s, y) over every basis element (g, i), and C2 one per g over the
     stabilizer H_g.
 
-    C5 is `associativity_failure` on the orbit-sum tensor: one check per H,
+    C5 is `associativity_failure` on the orbit-sum rows: one check per H,
     exhaustive by the generator lemma, whose witness is the first failing
     (i, j, k, l).
     Representative independence compares the "min" and "max" orbit-sum
-    tensors pair by pair."""
+    rows pair by pair."""
     eng = _engine(d, ctx)
     report = AxiomReport(title=f"coherent axioms over subgroup of order {H.order}")
     nG = d.G.order
@@ -703,13 +710,14 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
 
     # C5: associativity of the orbit-sum product on all basis triples,
     # exhaustive by the generator lemma
-    orbit = eng.orbit_sum_tensor(H)
-    bad = associativity_failure(orbit)
+    n = len(eng.basis(H).labels)
+    orbit = eng.orbit_sum_rows(H)
+    bad = associativity_failure(orbit, n)
     report.record("C5", bad is None, bad or (), "(ab)c = a(bc) on invariants")
 
     # independence of the factorization-representative choice
-    n = len(orbit)
-    same = (eng.orbit_sum_tensor(H, "max") == orbit).all(axis=2).ravel()
+    same = np.ones(n * n, dtype=bool)
+    same[differing_pairs(eng.orbit_sum_rows(H, "max"), orbit, n)] = False
     report.record_all(
         "Tg-independence", same, lambda t: (t // n, t % n),
         "orbit-sum product with reversed representative set",
@@ -717,152 +725,44 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     return report
 
 
-# Like every prime below 2**62 this one keeps the span in int64; below 2**20
-# it also makes each `matmul_mod` over fewer than 8,192 labels (every table
-# that fits in memory) a single float64 product.
-_SPAN_PRIME = 1_000_003
-
-
-def _generators(t: np.ndarray):
-    """Basis indices S for the generator lemma of `associativity_failure`,
-    in increasing order, or None if no basis element is a left unit.
-
-    With a left unit e_u (t[u] == I), S is grown greedily: each step adds
-    the smallest basis index b with e_b outside W, where W is the span mod
-    p of e_u and S under left multiplication by S.  W is kept as reduced
-    echelon rows; each round maps only the rows it just added (all of W for
-    a new generator) through every t[s] mod p, so a round is a few
-    `matmul_mod` products and one `rref_mod`, with no loop per vector."""
-    n = len(t)
-    eye = np.eye(n, dtype=np.int64)
-    unit = next((u for u in range(n) if np.array_equal(t[u], eye)), None)
-    if unit is None:
-        return None
-    p = _SPAN_PRIME
-    gens, left = [], []
-    span = np.zeros((0, n), dtype=np.int64)  # span[r] is 1 at piv[r], 0 at other pivots
-    piv = np.zeros(0, dtype=np.int64)
-    new = eye[[unit]]
-    while True:
-        new, add = _kernels.rref_mod((new - _kernels.matmul_mod(new[:, piv], span, p)) % p, p)
-        new = new[:len(add)]
-        if len(add):
-            span = np.vstack([(span - _kernels.matmul_mod(span[:, add], new, p)) % p, new])
-            piv = np.concatenate([piv, add])
-            if len(piv) == n:
-                return gens
-            if left:
-                new = np.vstack([_kernels.matmul_mod(new, m, p) for m in left])
-                continue
-        # e_b lies in W exactly when the row with pivot b is e_b itself
-        inside = piv[np.count_nonzero(span, axis=1) == 1]
-        b = int(np.flatnonzero(~np.isin(np.arange(n), inside))[0])
-        gens.append(b)
-        left.append(t[b] % p)
-        new = np.vstack([eye[[b]], _kernels.matmul_mod(span, left[-1], p)])
-
-
-def _slice_failure(f: np.ndarray, i: int):
-    """First (i, j, k, l) with ((e_i e_j) e_k)_l != (e_i (e_j e_k))_l for
-    the float64 table f, or None: both sides over a block of j at a time."""
-    n = len(f)
-    rows = f.reshape(n, n * n)  # [m, (k, l)]
-    pairs = f.reshape(n * n, n)  # [(j, k), m]
-    step = max(1, n // 4)
-    for j0 in range(0, n, step):
-        j1 = min(j0 + step, n)
-        left = (f[i, j0:j1] @ rows).reshape(-1, n, n)  # sum_m t[i, j, m] t[m, k, l]
-        right = (pairs[j0 * n:j1 * n] @ f[i]).reshape(-1, n, n)  # sum_m t[j, k, m] t[i, m, l]
-        if not np.array_equal(left, right):
-            j, k, l = (int(v) for v in np.argwhere(left != right)[0])
-            return (i, j0 + j, k, l)
-    return None
-
-
-def associativity_failure(t: np.ndarray):
-    """First (i, j, k, l) with ((e_i e_j) e_k)_l != (e_i (e_j e_k))_l for
-    t[i, j, k] = N_ij^k, or None.
-
-    The answer is decided on the i-slices of a generating set S
-    (`_generators`), by the generator lemma, a linear form of Light's
-    associativity test (Clifford and Preston, *The Algebraic Theory of
-    Semigroups* I, 1961, section 1.2).  Let the product be bilinear with a
-    left unit 1, and suppose (s y) z = s (y z) for every s in S and all y,
-    z.  The set T = {x : (x y) z = x (y z) for all y, z} is a subspace, the
-    kernel of a linear map.  It contains 1 and S, and it is closed under
-    x -> s x for s in S: for x in T, ((s x) y) z = (s (x y)) z =
-    s ((x y) z) = s (x (y z)) = (s x)(y z), using s, s, x and s in turn.  So T
-    contains the span W of 1 and S under left multiplication by S, and if
-    W is everything, the product is associative.  W is computed mod a
-    prime p; rank n mod p means an n x n minor of integer coordinates is
-    nonzero mod p, hence nonzero, so W has rank n over Q as well.  The
-    prime can only make S larger, never change the answer.
-
-    So the slices i in S are checked first, and if they all hold the table
-    is associative.  If one fails, or no basis element is a left unit, the
-    full scan over every i runs, and its first failure is the witness.  (By
-    the same lemma the first failing slice lies in S whenever membership
-    in W mod p and over Q agree; the scan keeps the witness exact where
-    the prime hides a basis element.)  The check thus costs |S| n^4
-    multiply-adds on an associative table with a left unit, and up to n^5
-    otherwise.
-
-    Both sides are float64 BLAS products over a block of j for one i at a
-    time (`_slice_failure`), so besides t the check holds one float64 copy
-    of t and two blocks of n^3 / 4 entries.  Each entry is a sum of n
-    products of two entries of t, so by the lemma of
-    `_kernels.require_exact` the products are exact while
-    n * max|t|^2 < 2**53; above that bound the check raises
-    `ExactnessBoundExceeded` instead of comparing inexactly."""
-    n = t.shape[0]
-    top = int(np.abs(t).max(initial=0))
-    _kernels.require_exact(
-        n * top * top,
-        f"associativity check needs n * max|t|^2 < 2**53, got n={n}, max|t|={top}",
-    )
-    gens = _generators(t)  # before the float64 copy, so its temporaries are gone
-    f = t.astype(np.float64)
-    if gens is not None and all(_slice_failure(f, i) is None for i in gens):
-        return None
-    for i in range(n):
-        bad = _slice_failure(f, i)
-        if bad is not None:
-            return bad
-    return None
-
-
 def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRing:
     """Full structure-constant table over simples(d, H), with every ring
-    invariant verified (and cross-checked against the orbit-sum form);
-    associativity is the Green verifier's `associativity_failure`."""
+    invariant verified on its rows (and cross-checked against the
+    orbit-sum form); associativity is the Green verifier's
+    `associativity_failure`."""
     eng = _engine(d, ctx)
     basis = eng.basis(H)
     labels = basis.labels
     n = len(labels)
-    tensor = eng.product_tensor(H)
+    rows = eng.product_rows(H)
     unit = basis.pos[(0, 0)]
     checks = {"associative": True, "dim_hom": True, "matches_M_form": True}
 
-    dims = basis.dims
+    ar = np.arange(n)
+    ident = np.column_stack([ar, ar, np.ones_like(ar)])
     if not (
-        np.array_equal(tensor[unit], np.eye(n, dtype=np.int64))
-        and np.array_equal(tensor[:, unit], np.eye(n, dtype=np.int64))
+        np.array_equal(rows[rows[:, 0] == unit][:, 1:], ident)
+        and np.array_equal(rows[rows[:, 1] == unit][:, [0, 2, 3]], ident)
     ):
         raise InvariantViolation("unit row/column is not the identity")
-    if not np.array_equal(tensor @ dims, np.outer(dims, dims)):
+    # sum_k N_ij^k dims[k] per pair, every pair having rows
+    pair = rows[:, 0] * n + rows[:, 1]
+    first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+    dims = basis.dims
+    if len(first) != n * n or not np.array_equal(
+        np.add.reduceat(rows[:, 3] * dims[rows[:, 2]], first), np.outer(dims, dims).ravel()
+    ):
         raise InvariantViolation("dimension map is not a ring homomorphism")
-    # the orbit-sum tensor is compared and dropped before the associativity
-    # check, so the two are never resident together
-    bad = np.argwhere((eng.orbit_sum_tensor(H) != tensor).any(axis=2))
-    if len(bad):
+    # the orbit-sum rows are dropped before the associativity check, whose
+    # temporaries then meet only the ring's own rows
+    orbit = eng.orbit_sum_rows(H)
+    if not np.array_equal(orbit, rows):
         raise InvariantViolation(
-            f"double-coset and orbit-sum products disagree at pair {tuple(int(v) for v in bad[0])}"
+            "double-coset and orbit-sum products disagree at pair "
+            f"{divmod(int(differing_pairs(orbit, rows, n)[0]), n)}"
         )
-    bad = associativity_failure(tensor)
+    del orbit
+    bad = associativity_failure(rows, n)
     if bad is not None:
         raise InvariantViolation(f"associativity fails at {bad}")
-
-    # np.argwhere lists the nonzero entries in ascending (i, j, k)
-    at = np.argwhere(tensor)
-    rows = np.column_stack([at, tensor[tuple(at.T)]])
     return FusionRing(d, H, labels, unit, rows, checks)

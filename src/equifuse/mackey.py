@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, chartab, fusion
+from ._rows import associativity_failure, dense, rows_of
 from .chartab import ModularContext, character_table, reciprocity_block
 from .errors import ElementNotInGroup, InvariantViolation, NoRingStructure, NotASubgroup
 from .permgrp import Group, Subgroup, conjugation_index, double_coset_reps, subgroup_lattice
@@ -206,7 +207,8 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
     Its maps are the fusion engine's: restriction and induction matrices
     and conjugation rows, assembled once per orbit representative from
     cached reciprocity blocks and conjugation stacks, and the double-coset
-    product tensor."""
+    product tensor, made dense from `_Engine.product_rows` for the G1-G3
+    checks."""
     F = datum.F
     eng = fusion._engine(datum, ctx)
     lattice = subgroup_lattice(F)
@@ -224,7 +226,7 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
         eng.restriction,
         eng.induction,
         c_fn,
-        mul_fn=eng.product_tensor,
+        mul_fn=lambda H: dense(eng.product_rows(H), len(eng.basis(H).labels)),
         unit_fn=lambda H: eng.basis(H).pos[(0, 0)],
     )
 
@@ -494,10 +496,12 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     and conjugation are unitary ring maps (G1), and both projection formulas
     (G2), (G3) on all basis pairs of every nested pair of subgroups.
 
-    Associativity is `fusion.associativity_failure` (O(n^3) memory), which
-    checks the slices of a generating set of basis elements and proves the
-    rest by its generator lemma.  G1, G2 and G3 are exhaustive: every basis
-    pair of every map and every nested pair.  G1 for c_{H,x}, the
+    Associativity is `_rows.associativity_failure` on the nonzero rows of
+    each product tensor (`_rows.rows_of`), the check `fusion.fusion_ring`
+    runs: it joins rows with rows on the slices of a generating set of
+    basis elements, sums them by `np.bincount` with no n^3 temporary, and
+    proves the rest by its generator lemma.  G1, G2 and G3 are exhaustive:
+    every basis pair of every map and every nested pair.  G1 for c_{H,x}, the
     permutation e_j -> e_{p[j]} of the row p of `fam.conjugations(H)`, is
     a gather (`_permutes_ring`), recorded in increasing x: it is a unitary
     ring map iff p[u_H] = u_xH and N^{xH}_{p(i) p(j)}^{p(k)} = N^H_ij^k
@@ -517,8 +521,8 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     for H in lattice:
         t, u = fam.product_tensor(H), fam.unit_index(H)
         ident = np.eye(len(t), dtype=np.int64)
-        report.record("ring", fusion.associativity_failure(t) is None, (H,),
-                      "associativity on basis triples")
+        bad = associativity_failure(rows_of(t), len(t))
+        report.record("ring", bad is None, (H,), "associativity on basis triples")
         report.record("ring", np.array_equal(t[u], ident) and np.array_equal(t[:, u], ident),
                       (H,), "two-sided unit")
         rings.append(_Ring(t.astype(np.float64), u, _top(t)))
@@ -601,9 +605,14 @@ def _permutes_ring(p, src: _Ring, dst: _Ring) -> bool:
     """Whether e_i -> e_{p[i]}, p a permutation, is a unitary ring map
     from src to dst: p[src.unit] = dst.unit, and f(e_i e_j) = f(e_i) f(e_j)
     is sum_k N^src_ij^k e_{p(k)} = sum_m N^dst_{p(i) p(j)}^m e_m, which
-    compares coefficients at m = p(k).  A gather, so exact."""
-    moved = dst.t[p[:, None, None], p[:, None], p]  # [i, j, k] = N^dst_{p(i) p(j)}^{p(k)}
-    return int(p[src.unit]) == dst.unit and bool((moved == src.t).all())
+    compares coefficients at m = p(k).  A gather, so exact, over blocks of
+    about _CHUNK / n^2 rows i, so that no n^3 temporary is made."""
+    step = max(1, _CHUNK // len(p) ** 2)
+    return int(p[src.unit]) == dst.unit and all(
+        # [i, j, k] = N^dst_{p(i) p(j)}^{p(k)} for a block of i
+        (dst.t[p[i0:i0 + step, None, None], p[:, None], p] == src.t[i0:i0 + step]).all()
+        for i0 in range(0, len(p), step)
+    )
 
 
 def _ring_map_holds(f, src: _Ring, dst: _Ring) -> bool:

@@ -291,15 +291,15 @@ class TestErrorsAndExitCodes:
         assert json.loads(err)["error"] == "FileNotFoundError"
 
     def test_memory_error_exits_2(self):
-        # double cyclic:30 has 900 labels, and its (900, 900, 900) int64
-        # product tensor (5.43 GiB) cannot be allocated under a 2 GiB
-        # address-space limit, which only the child process gets
+        # chartable cyclic:1291 keeps k - 1 dense k x k class matrices
+        # (k = 1291, 12.7 MiB each), which run out of a 2 GiB address-space
+        # limit, which only the child process gets, after about 1 s
         def lower_address_space():
             _, hard = resource.getrlimit(resource.RLIMIT_AS)
             soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
             resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
-        cmd = [sys.executable, "-m", "equifuse", "double", "cyclic:30"]
+        cmd = [sys.executable, "-m", "equifuse", "chartable", "cyclic:1291"]
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
                               preexec_fn=lower_address_space)
         assert done.returncode == 2 and done.stdout == ""
@@ -452,11 +452,26 @@ class TestPinnedOutput:
         " | 48ecdeac75a86dec1ffa09cbc32b21d7625db9eeddb76afaa6adfcaff33e1738",
         "double dihedral:10 --format csv"
         " | 16a8a6e8eb0861c05d86519c286d83c45bc87e1543c6aab69e8076035f1772d8",
+        # recorded when the ring writer printed a whole list of constant
+        # rows through json.dumps and one str per CSV row
+        "double dihedral:12"
+        " | c0ba5c5fb0f0b9af45376b03c1a9b875b3d7c9429bd55e9ef26f236f7227a1bc",
+        "double sym:4 --format csv"
+        " | e973c5c3da8876c054d59c0e4cc80a237743029c2fa6290d30f0aae5beebde14",
     )
     def test_stdout(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert _sha256(out) == digest
+
+    def test_fuse_csv_over_a_cyclic_subgroup(self, capsys):
+        # recorded with the writers of the pins above
+        code, out, _ = run(capsys, "fuse", "--F", "sym:4", "--action", "conjugation",
+                           "--subgroup", "(0 1 2 3)", "--format", "csv")
+        assert code == 0
+        assert _sha256(out) == (
+            "7c35f82d92971c3729a2e68ba5a60d5676ee9d3b43e670a517cc5010ba8e7c11"
+        )
 
     def test_mackey_on_moved_s4(self, capsys, tmp_path, s4_moved_json):
         # S4 numbered in another element order; recorded with the double

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equifuse import _kernels
+from equifuse import _kernels, _rows
 from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse.errors import InvalidInput, InvariantViolation, SubgroupMismatch
@@ -384,7 +384,7 @@ def _orbit_sum_reference(eng, H, alpha, beta, choice):
 
 
 class TestOrbitSumTensor:
-    """`_Engine.orbit_sum_tensor` against the per-factorization reference,
+    """`_Engine.orbit_sum_rows` against the per-factorization reference,
     for both representative choices."""
 
     @pytest.mark.parametrize("choice", ["min", "max"])
@@ -398,8 +398,11 @@ class TestOrbitSumTensor:
             H = d.F.full_subgroup()
         eng = fu._engine(d, ctx)
         assert eng.factorizations(H, choice) == _factorizations(eng, H, choice)
-        t = eng.orbit_sum_tensor(H, choice)
         inv = fu.invariant_basis(d, H, ctx)
+        rows = eng.orbit_sum_rows(H, choice)
+        assert rows.dtype == np.int64 and rows[:, 3].all()
+        t = fu.dense(rows, len(inv))
+        assert np.array_equal(_rows.rows_of(t), rows)
         for i, a in enumerate(inv):
             for j, b in enumerate(inv):
                 ref = _orbit_sum_reference(eng, H, a, b, choice)
@@ -655,15 +658,19 @@ class TestFusionRing:
         comparison."""
         d, ctx, H = ds3.datum, ds3.ctx, full(ds3)
         perturbed = [(2, 6), (2, 3), (5, 0)]
-        original = fu._Engine.orbit_sum_tensor
+        original = fu._Engine.orbit_sum_rows
 
-        def orbit_sum_tensor(self, H, choice="min"):
-            t = original(self, H, choice)
+        def orbit_sum_rows(self, H, choice="min"):
+            rows = original(self, H, choice)
             for i, j in perturbed:
-                t[i, j, 0] += 1
-            return t
+                at = np.flatnonzero((rows[:, 0] == i) & (rows[:, 1] == j) & (rows[:, 2] == 0))
+                if len(at):
+                    rows[at, 3] += 1
+                else:
+                    rows = np.vstack([rows, [i, j, 0, 1]])
+            return rows[np.lexsort(rows[:, 2::-1].T)]
 
-        monkeypatch.setattr(fu._Engine, "orbit_sum_tensor", orbit_sum_tensor)
+        monkeypatch.setattr(fu._Engine, "orbit_sum_rows", orbit_sum_rows)
         with pytest.raises(InvariantViolation) as exc:
             fu.fusion_ring(d, H, ctx)
         assert type(exc.value) is InvariantViolation
@@ -680,7 +687,7 @@ class TestRingStore:
         H = d.F.full_subgroup()
         ring = fu.fusion_ring(d, H, ctx)
         n = ring.size
-        t = fu._engine(d, ctx).product_tensor(H)
+        t = fu.dense(fu._engine(d, ctx).product_rows(H), n)
         assert np.array_equal(ring.tensor(), t)
         assert ring.constant_rows() == [
             [i, j, k, int(t[i, j, k])] for i, j, k in zip(*np.nonzero(t))
@@ -693,6 +700,20 @@ class TestRingStore:
         assert arrays and all(a.ndim == 2 and a.size != n**3 for a in arrays)
 
 
+    def test_traced_peak_below_one_dense_table(self):
+        # D(D10): n = 64, so one (n, n, n) int64 table is 2 MiB; the ring
+        # built through dense product and orbit-sum tables peaked at about
+        # 5.7 MiB traced
+        scen = drinfeld_double_scenario(group_preset("dihedral:10"))
+        tracemalloc.start()
+        try:
+            ring = fu.fusion_ring(scen.datum, full(scen), scen.ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ring.size == 64 and peak < ring.size**3 * 8
+
+
 def _dense_associativity_failure(t):
     """Reference: both sides of (e_i e_j) e_k = e_i (e_j e_k) as dense n^4
     arrays, first mismatch in index order."""
@@ -702,10 +723,47 @@ def _dense_associativity_failure(t):
     return tuple(int(v) for v in bad[0]) if len(bad) else None
 
 
+def _dense_failure_by_slices(t):
+    """Reference: the dense slice scan, one i at a time and a quarter of
+    the j at a time, both sides float64 BLAS products of a float64 copy of
+    t (exact while n * max|t|^2 < 2**53), so tables too large for two n^4
+    arrays can be compared; the engine's check before it read rows."""
+    n = len(t)
+    assert n * int(np.abs(t).max(initial=0)) ** 2 < 2**53
+    f = t.astype(np.float64)
+    rows = f.reshape(n, n * n)  # [m, (k, l)]
+    pairs = f.reshape(n * n, n)  # [(j, k), m]
+    step = max(1, n // 4)
+    for i in range(n):
+        for j0 in range(0, n, step):
+            j1 = min(j0 + step, n)
+            left = (f[i, j0:j1] @ rows).reshape(-1, n, n)  # sum_m t[i, j, m] t[m, k, l]
+            right = (pairs[j0 * n:j1 * n] @ f[i]).reshape(-1, n, n)  # sum_m t[j, k, m] t[i, m, l]
+            if not np.array_equal(left, right):
+                j, k, l = (int(v) for v in np.argwhere(left != right)[0])
+                return (i, j0 + j, k, l)
+    return None
+
+
+def _row_failure(t):
+    """`associativity_failure` on the rows of the dense table t."""
+    return _rows.associativity_failure(_rows.rows_of(t), len(t))
+
+
 def _cyclic_group_ring(n):
     t = np.zeros((n, n, n), dtype=np.int64)
     for i in range(n):
         t[i, np.arange(n), (i + np.arange(n)) % n] = 1
+    return t
+
+
+def _random_left_unital(seed, n):
+    """A random table with entries in -2..2 (so sums cancel and products
+    vanish) whose first basis element is a left unit but not a right one."""
+    rng = np.random.default_rng(seed)
+    t = rng.integers(-2, 3, size=(n, n, n))
+    t[0] = np.eye(n, dtype=np.int64)
+    t[1:, 0] = rng.integers(-2, 3, size=(n - 1, n))
     return t
 
 
@@ -715,7 +773,7 @@ class TestAssociativityFailure:
         rng = np.random.default_rng(seed)
         n = 1 + seed % 6
         t = rng.integers(0, 3, size=(n, n, n))
-        assert fu.associativity_failure(t) == _dense_associativity_failure(t)
+        assert _row_failure(t) == _dense_associativity_failure(t) == _dense_failure_by_slices(t)
 
     def test_associative_rings_pass(self, ds3, s3):
         tensors = [
@@ -725,7 +783,8 @@ class TestAssociativityFailure:
         ]
         for t in tensors:
             assert _dense_associativity_failure(t) is None
-            assert fu.associativity_failure(t) is None
+            assert _dense_failure_by_slices(t) is None
+            assert _row_failure(t) is None
 
     def test_matches_dense_on_perturbed_ring(self, ds3):
         t0 = fu.fusion_ring(ds3.datum, full(ds3), ds3.ctx).tensor()
@@ -733,9 +792,34 @@ class TestAssociativityFailure:
         for _ in range(10):
             t = t0.copy()
             t[tuple(rng.integers(0, len(t), size=3))] += 1
-            bad = fu.associativity_failure(t)
+            bad = _row_failure(t)
             assert bad is not None
-            assert bad == _dense_associativity_failure(t)
+            assert bad == _dense_associativity_failure(t) == _dense_failure_by_slices(t)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_negative_entries_and_a_left_unit(self, seed):
+        # cancelled sums and vanishing products: a bin that the joins reach
+        # can still sum to 0, and an entry that cancels leaves no row
+        t = _random_left_unital(seed, 2 + seed)
+        if seed % 2:
+            t[tuple(np.random.default_rng(seed).integers(1, len(t), size=3))] = 0
+        assert _rows._generators(_rows.rows_of(t), len(t)) is not None
+        assert _row_failure(t) == _dense_associativity_failure(t) == _dense_failure_by_slices(t)
+
+    def test_group_ring_in_a_signed_basis(self):
+        # Z[C5] in the basis 1, g - 1, g^2 - g, ...: associative, with
+        # negative constants, so terms of one bin cancel; a bumped entry
+        # must give the references' witness
+        n = 5
+        change = np.eye(n, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
+        back = np.rint(np.linalg.inv(change)).astype(np.int64)
+        t0 = np.einsum("ia,jb,abc,cd->ijd", change, change, _cyclic_group_ring(n), back)
+        assert (t0 < 0).any() and _row_failure(t0) is None
+        assert _dense_associativity_failure(t0) is None
+        for bump in [(1, 2, 3), (3, 1, 0), (4, 4, 4)]:
+            t = t0.copy()
+            t[bump] += 1
+            assert _row_failure(t) == _dense_associativity_failure(t) == _dense_failure_by_slices(t)
 
     def test_matches_dense_just_below_the_exactness_bound(self):
         # n * max|t|^2 just under 2**53: the sums need all 53 bits
@@ -745,49 +829,41 @@ class TestAssociativityFailure:
         for _ in range(5):
             t = rng.integers(top - 3, top + 1, size=(n, n, n))
             assert n * int(t.max()) ** 2 < 2**53
-            bad = fu.associativity_failure(t)
+            bad = _row_failure(t)
             assert bad is not None and bad == _dense_associativity_failure(t)
+            assert bad == _dense_failure_by_slices(t)
 
     def test_above_the_exactness_bound_raises(self):
         t = _cyclic_group_ring(4)
         t[1, 1, 2] = 2**26  # 4 * 2**52 = 2**54
         with pytest.raises(InvariantViolation, match="2\\*\\*53"):
-            fu.associativity_failure(t)
+            _row_failure(t)
 
     def test_memory_stays_below_one_dense_array(self):
         # the dense form holds two n^4 int64 arrays (2 x 42 MB at n = 48)
         n = 48
-        t = _cyclic_group_ring(n)
+        rows = _rows.rows_of(_cyclic_group_ring(n))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            assert fu.associativity_failure(t) is None
+            assert _rows.associativity_failure(rows, n) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n**4 * 8
+        assert peak < n**3 * 8
 
-
-def _dense_failure_by_slices(t):
-    """The dense reference one i at a time: both sides for a fixed i as
-    n^3 arrays, so tables too large for two n^4 arrays can be compared.
-    Exact in int32 while n * max|t|^2 < 2**31."""
-    assert len(t) * int(np.abs(t).max()) ** 2 < 2**31
-    t = t.astype(np.int32)
-    for i in range(len(t)):
-        lhs = np.einsum("jm,mkl->jkl", t[i], t)
-        rhs = np.einsum("jkm,ml->jkl", t, t[i])
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            return (i,) + tuple(int(v) for v in bad[0])
-    return None
+    def test_summed_rows_drop_cancelled_sums(self):
+        # keys (i n + j) n + k with n = 2; the two at key 5 cancel
+        keys = np.array([5, 0, 7, 5, 0], dtype=np.int64)
+        values = np.array([3, 1, 2, -3, 1], dtype=np.int64)
+        assert _rows.summed_rows(keys, values, 2).tolist() == [[0, 0, 0, 2], [1, 1, 1, 2]]
 
 
 def _word_span_rank(t, unit, gens):
     """Rank mod p of the right-nested words s1(s2(...(sk e_unit))), s in
     gens: every row found so far is multiplied on the left by every s until
     the rank stops growing."""
-    p = fu._SPAN_PRIME
+    p = _rows._SPAN_PRIME
     rows = np.eye(len(t), dtype=np.int64)[[unit]]
     rank = 1
     while True:
@@ -801,41 +877,46 @@ def _word_span_rank(t, unit, gens):
 
 @pytest.fixture(scope="module")
 def double_tensors(ds3, d4):
-    """Structure constants of D(S3), D(D4) and D(D10) (8, 22 and 64 simples)."""
+    """Structure constants of D(S3), D(D4), D(D10) and D(S5) (8, 22, 64 and
+    39 simples)."""
     out = {}
     for name, scen in [
         ("ds3", ds3),
         ("dd4", drinfeld_double_scenario(d4)),
         ("dd10", drinfeld_double_scenario(group_preset("dihedral:10"))),
+        ("ds5", drinfeld_double_scenario(group_preset("sym:5"))),
     ]:
         out[name] = fu.fusion_ring(scen.datum, full(scen), scen.ctx).tensor()
     return out
+
+
+def _generators(t):
+    return _rows._generators(_rows.rows_of(t), len(t))
 
 
 class TestGeneratorLemma:
     """`associativity_failure` decides on the i-slices of a generating set S
     and scans every slice only to name the witness."""
 
-    @pytest.mark.parametrize("name", ["ds3", "dd4", "dd10"])
+    @pytest.mark.parametrize("name", ["ds3", "dd4", "dd10", "ds5"])
     def test_bump_outside_the_generators_still_fails(self, double_tensors, name):
         # one entry of t[i] raised for every i outside S and the unit: only
         # the S-slices decide, so each failure must still be found, and the
         # witness must be the dense reference's
         t0 = double_tensors[name]
         n = len(t0)
-        gens = fu._generators(t0)
+        gens = _generators(t0)
         assert gens and 0 not in gens and np.array_equal(t0[0], np.eye(n))
         rng = np.random.default_rng(3)
         for i in sorted(set(range(1, n)) - set(gens)):
             t = t0.copy()
             j, k = (int(v) for v in rng.integers(0, n, size=2))
             t[i, j, k] += 1
-            bad = fu.associativity_failure(t)
+            bad = _row_failure(t)
             assert bad is not None
             if n <= 22:
                 assert bad == _dense_associativity_failure(t)
-            else:
-                assert bad == _dense_failure_by_slices(t)
+            assert bad == _dense_failure_by_slices(t)
 
     def test_sliced_reference_is_the_dense_reference(self, double_tensors):
         t0 = double_tensors["dd4"]
@@ -850,29 +931,41 @@ class TestGeneratorLemma:
         for j, k in [(1, 2), (3, 3), (7, 0)]:
             t = t0.copy()
             t[0, j, k] += 1
-            assert fu._generators(t) is None
-            bad = fu.associativity_failure(t)
+            assert _generators(t) is None
+            bad = _row_failure(t)
             assert bad is not None and bad == _dense_associativity_failure(t)
+            assert bad == _dense_failure_by_slices(t)
+
+    @staticmethod
+    def _slices_checked(t, monkeypatch):
+        seen = []
+        original = _rows._join_failure
+
+        def counted(rows, n, i, *per_row):
+            seen.append(i)
+            return original(rows, n, i, *per_row)
+
+        monkeypatch.setattr(_rows, "_join_failure", counted)
+        assert _row_failure(t) is None
+        return seen
 
     def test_associative_table_checks_only_the_generator_slices(
         self, double_tensors, monkeypatch
     ):
         t = double_tensors["dd10"]
-        gens = fu._generators(t)
-        seen = []
-        original = fu._slice_failure
+        gens = _generators(t)
+        assert self._slices_checked(t, monkeypatch) == gens and len(gens) == 7
 
-        def counted(f, i):
-            seen.append(i)
-            return original(f, i)
-
-        monkeypatch.setattr(fu, "_slice_failure", counted)
-        assert fu.associativity_failure(t) is None
-        assert seen == gens and len(gens) == 7
+    def test_dense_table_checks_only_the_generator_slices(self, double_tensors, monkeypatch):
+        # D(S5): 16,143 of 39^3 constants nonzero
+        t = double_tensors["ds5"]
+        assert np.count_nonzero(t) == 16143
+        gens = _generators(t)
+        assert self._slices_checked(t, monkeypatch) == gens and len(gens) == 10
 
     def test_generators_span(self, double_tensors):
         for t in [_cyclic_group_ring(12), double_tensors["ds3"]]:
-            gens = fu._generators(t)
+            gens = _generators(t)
             assert gens == sorted(set(gens)) and len(gens) < len(t)
             assert _word_span_rank(t, 0, gens) == len(t)
             assert _word_span_rank(t, 0, gens[:-1]) < len(t)
@@ -882,13 +975,14 @@ class TestGeneratorLemma:
         # other product of e1, e2, e3 zero.  Mod p, e1 e1 = e2, so S = [1, 3];
         # the first failing slice is 2, outside S, and only the full scan
         # names it
-        p = fu._SPAN_PRIME
+        p = _rows._SPAN_PRIME
         t = np.zeros((4, 4, 4), dtype=np.int64)
         t[0] = t[:, 0] = np.eye(4, dtype=np.int64)
         t[1, 1, 2], t[1, 1, 3] = 1, p
         t[3, 3, 2], t[2, 3, 2] = 1, -p
-        assert fu._generators(t) == [1, 3]
-        assert fu.associativity_failure(t) == _dense_associativity_failure(t) == (2, 1, 1, 2)
+        assert _generators(t) == [1, 3]
+        assert _row_failure(t) == _dense_associativity_failure(t) == (2, 1, 1, 2)
+        assert _dense_failure_by_slices(t) == (2, 1, 1, 2)
 
 
 class TestEqRestrict:
