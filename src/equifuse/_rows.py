@@ -3,12 +3,13 @@ N_ij^k of a based ring, in ascending (i, j, k), and the associativity check
 that reads them.
 
 `fusion` keeps its tables in this form from the products to the output,
-and the Green verifier in `mackey` converts each dense table once with
-`rows_of`.  Associativity is decided on the slices of a generating set of
-basis elements (the generator lemma of `associativity_failure`); a slice is
-two joins of rows with rows, summed by `np.bincount` in float64, exact while
-n * max|N|^2 < 2**53.  No (n, n, n) array is built here, except by `dense`
-for a caller that asks.
+and a Mackey family hands each ring to the Green verifier in `mackey` in
+this form (`MackeyFamily.ring`).  Both check the unit on the rows with
+`is_two_sided_unit` and associativity with `associativity_failure`: it is
+decided on the slices of a generating set of basis elements (its generator
+lemma); a slice is two joins of rows with rows, summed by `np.bincount` in
+float64, exact while n * max|N|^2 < 2**53.  No (n, n, n) array is built
+here, except by `dense` for a caller that asks.
 """
 
 from __future__ import annotations
@@ -24,11 +25,21 @@ def rows_of(t: np.ndarray) -> np.ndarray:
     return np.column_stack([at, t[tuple(at.T)]]).astype(np.int64, copy=False)
 
 
-def dense(rows: np.ndarray, n: int) -> np.ndarray:
-    """The (n, n, n) int64 table of [i, j, k, N] rows."""
-    t = np.zeros((n,) * 3, dtype=np.int64)
+def dense(rows: np.ndarray, n: int, dtype=np.int64) -> np.ndarray:
+    """The (n, n, n) table of [i, j, k, N] rows, int64 unless `dtype`."""
+    t = np.zeros((n,) * 3, dtype=dtype)
     t[tuple(rows[:, :3].T)] = rows[:, 3]
     return t
+
+
+def is_two_sided_unit(rows: np.ndarray, n: int, u: int) -> bool:
+    """Whether e_u is a two-sided unit of the n-element basis whose
+    nonzero N_ij^k are the ascending [i, j, k, N] rows: the rows with
+    i = u are [u, j, j, 1] and those with j = u are [i, u, i, 1], for every
+    i and j in range(n)."""
+    ident = np.column_stack([np.arange(n), np.arange(n), np.ones(n, dtype=np.int64)])
+    return (np.array_equal(rows[rows[:, 0] == u][:, 1:], ident)
+            and np.array_equal(rows[rows[:, 1] == u][:, [0, 2, 3]], ident))
 
 
 def summed_rows(keys, values, n: int) -> np.ndarray:

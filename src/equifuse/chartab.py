@@ -542,6 +542,17 @@ def conjugate_cf(chi: ClassFunction, ambient: Group, x: int) -> ClassFunction:
     return ClassFunction(T.group(), [chi.values[c] for c in class_map])
 
 
+def _class_columns(sub: Subgroup, table, elems) -> np.ndarray:
+    """The table of `sub`, one column per element of `elems` (members of
+    sub), through sub's class fusion."""
+    return table.values[:, sub.group().class_of[np.searchsorted(sub.members, elems)]]
+
+
+def _symmetric(a: np.ndarray, p: int) -> np.ndarray:
+    """Residues mod p lifted to (-p/2, p/2]."""
+    return np.where(a > p // 2, a - p, a)
+
+
 def reciprocity_block(inner: Subgroup, factors, target: Subgroup, ctx: ModularContext) -> np.ndarray:
     """N[i_1, ..., i_r, k] = <Res chi_{i_1} ... Res chi_{i_r}, Res rho_k>_I for
     I = `inner`, chi_{i_t} the irreducibles of factors[t] and rho_k those of
@@ -565,18 +576,12 @@ def reciprocity_block(inner: Subgroup, factors, target: Subgroup, ctx: ModularCo
     parent, igrp = inner.parent, inner.group()
     reps = inner.members[igrp.class_reps]
     tables = [character_table(s.group(), ctx) for s in (*factors, target)]
-
-    def at(sub, table, elems):
-        # the table of sub, one column per element of elems
-        return table.values[:, sub.group().class_of[np.searchsorted(sub.members, elems)]]
-
     prod = _kernels.mul_mod(pow(inner.order, p - 2, p), igrp.class_sizes, p)[None, :]
     for sub, table in zip(factors, tables):
-        prod = _kernels.mul_mod(prod[:, None, :], at(sub, table, reps)[None, :, :], p)
+        prod = _kernels.mul_mod(prod[:, None, :], _class_columns(sub, table, reps)[None, :, :], p)
         prod = prod.reshape(-1, len(reps))
-    rho_inv = at(target, tables[-1], parent.inv[reps])
-    flat = _kernels.matmul_mod(prod, rho_inv.T, p)
-    block = np.where(flat > p // 2, flat - p, flat)
+    rho_inv = _class_columns(target, tables[-1], parent.inv[reps])
+    block = _symmetric(_kernels.matmul_mod(prod, rho_inv.T, p), p)
     degs = [np.array(t.degrees, dtype=np.int64) for t in tables]
     block = block.reshape([len(d) for d in degs])
     _check_block(block, degs, target.order // inner.order)
@@ -616,18 +621,14 @@ def restriction_blocks(inner: Subgroup, overs, ctx: ModularContext) -> list:
     reps = inner.members[igrp.class_reps]
     own = character_table(igrp, ctx)
     tables = [character_table(H.group(), ctx) for H in overs]
-    stacked = np.concatenate([
-        t.values[:, H.group().class_of[np.searchsorted(H.members, reps)]]
-        for H, t in zip(overs, tables)
-    ])
+    stacked = np.concatenate([_class_columns(H, t, reps) for H, t in zip(overs, tables)])
     weights = _kernels.mul_mod(pow(inner.order, p - 2, p), igrp.class_sizes, p)
     flat = _kernels.matmul_mod(_kernels.mul_mod(stacked, weights, p),
                                own.values[:, igrp.inverse_class].T, p)
     deg_k = np.array(own.degrees, dtype=np.int64)
     blocks, start = [], 0
     for H, t in zip(overs, tables):
-        block = flat[start:start + t.size]
-        block = np.where(block > p // 2, block - p, block)
+        block = _symmetric(flat[start:start + t.size], p)
         deg_h = np.array(t.degrees, dtype=np.int64)
         _check_block(block, [deg_h, deg_k], 1)
         _check_block(block.T, [deg_k, deg_h], H.order // inner.order)

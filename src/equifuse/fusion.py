@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chartab
-from ._rows import associativity_failure, dense, differing_pairs, summed_rows
+from ._rows import associativity_failure, dense, differing_pairs, is_two_sided_unit, summed_rows
 from .chartab import ClassFunction, ModularContext, character_table
 from .errors import (
     ElementNotInGroup,
@@ -738,12 +738,7 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
     unit = basis.pos[(0, 0)]
     checks = {"associative": True, "dim_hom": True, "matches_M_form": True}
 
-    ar = np.arange(n)
-    ident = np.column_stack([ar, ar, np.ones_like(ar)])
-    if not (
-        np.array_equal(rows[rows[:, 0] == unit][:, 1:], ident)
-        and np.array_equal(rows[rows[:, 1] == unit][:, [0, 2, 3]], ident)
-    ):
+    if not is_two_sided_unit(rows, n, unit):
         raise InvariantViolation("unit row/column is not the identity")
     # sum_k N_ij^k dims[k] per pair, every pair having rows
     pair = rows[:, 0] * n + rows[:, 1]

@@ -3,24 +3,27 @@ machine verifier for their axioms.
 
 A family assigns to every lattice subgroup H a free Z-module with a fixed
 basis, together with single-step restriction and induction matrices, the
-conjugations as permutations of the basis (and optionally a multiplication
-tensor).  Each c_{H,x} comes from an equivalence of categories, so it sends
-simples to simples: the family gives it as an int row, c_{H,x}(e_j) =
-e_{perm[x, j]}, and every check on it is a gather.  The verifier composes
-those single-step maps itself, so transitivity and the double-coset relation
-are checked against independent re-compositions rather than any internal
-shortcut of the family.  Identity maps, transitivity, composition of
-conjugations and conjugation compatibility are checked on every instance;
-the double-coset relation once per conjugacy class of triples (L, H, K),
-which a lemma in `verify_mackey_axioms` proves is enough once those pass.
-These checks are gathers and int64 products, exact while |G| n t^2 < 2**53
-(n the largest rank, t the largest |entry| of an R or I read, at least 1);
-the verifier checks that bound before it returns a report.
+conjugations as permutations of the basis, and optionally a ring: the int64
+[i, j, k, N] rows of its nonzero structure constants (module `_rows`) and
+the index of its unit.  Each c_{H,x} comes from an equivalence of
+categories, so it sends simples to simples: the family gives it as an int
+row, c_{H,x}(e_j) = e_{perm[x, j]}, and every check on it is a gather.  The
+verifier composes those single-step maps itself, so transitivity and the
+double-coset relation are checked against independent re-compositions
+rather than any internal shortcut of the family.  Identity maps,
+transitivity, composition of conjugations and conjugation compatibility are
+checked on every instance; the double-coset relation once per conjugacy
+class of triples (L, H, K), which a lemma in `verify_mackey_axioms` proves
+is enough once those pass.  These checks are gathers and int64 products,
+exact while |G| n t^2 < 2**53 (n the largest rank, t the largest |entry| of
+an R or I read, at least 1); the verifier checks that bound before it
+returns a report.
 The Green axioms (unitary ring maps G1, projection formulas G2 and G3) are
-checked exhaustively: G1 for a conjugation as a gather of the product
-tensor, G1 for a restriction and the projection formulas as float64 BLAS
-products that are exact below a bound each check states
-(`_kernels.require_exact`); see `verify_green_axioms`.
+checked exhaustively: G1 for a conjugation as a gather of each target's
+table over the nonzero entries of the source's table (exhaustive by the
+lemma in `verify_green_axioms`), G1 for a restriction and the projection
+formulas as float64 BLAS products that are exact below a bound each check
+states (`_kernels.require_exact`); see `verify_green_axioms`.
 
 Two families ship: the character rings of all subgroups, and the
 equivariantization family built on the fusion engine.  The first realizes
@@ -35,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, chartab, fusion
-from ._rows import associativity_failure, dense, rows_of
+from ._rows import associativity_failure, dense, is_two_sided_unit, rows_of
 from .chartab import ModularContext, character_table, reciprocity_block
 from .errors import ElementNotInGroup, InvariantViolation, NoRingStructure, NotASubgroup
 from .permgrp import Group, Subgroup, conjugation_index, double_coset_reps, subgroup_lattice
@@ -50,15 +53,17 @@ class MackeyFamily:
     callbacks return one matrix per pair of subgroups; the c callback
     returns, for one subgroup H, (perm, target): perm of shape (|G|, n),
     n = size(H), with c_{H,x}(e_j) = e_{perm[x, j]}, and target[x] the
-    lattice index of the subgroup c_{H,x} names, for every x in G.  R and
-    I are cached by subgroup membership keys and each (perm, target) by
-    H's key (`conjugations`), since the verifiers read each one many times;
-    sizes and product tensors are not, since each is read once per
-    subgroup (the Green verifier keeps its own tensors).
+    lattice index of the subgroup c_{H,x} names, for every x in G.  The
+    optional ring callback returns, for one H, (rows, unit): the int64
+    [i, j, k, N] rows of the nonzero structure constants of a(H) in
+    ascending (i, j, k), and the index of its unit (`ring`).  R and I are
+    cached by subgroup membership keys and each (perm, target) by H's key
+    (`conjugations`), since the verifiers read each one many times; sizes
+    and rings are not, since each is read once per subgroup (the Green
+    verifier keeps its own tables).
     """
 
-    def __init__(self, ambient, lattice, title, size_fn, r_fn, i_fn, c_fn,
-                 mul_fn=None, unit_fn=None):
+    def __init__(self, ambient, lattice, title, size_fn, r_fn, i_fn, c_fn, ring_fn=None):
         self.ambient = ambient
         self.lattice = list(lattice)
         self.title = title
@@ -67,8 +72,7 @@ class MackeyFamily:
         self._r_fn = r_fn
         self._i_fn = i_fn
         self._c_fn = c_fn
-        self._mul_fn = mul_fn
-        self._unit_fn = unit_fn
+        self._ring_fn = ring_fn
         self._R = {}
         self._I = {}
         self._C = {}
@@ -133,15 +137,23 @@ class MackeyFamily:
         perm, target = self.conjugations(self.lattice_member(H))
         return np.eye(perm.shape[1], dtype=np.int64)[:, perm[x]], self.lattice[target[x]]
 
-    def product_tensor(self, H: Subgroup) -> np.ndarray:
-        if self._mul_fn is None:
+    def ring(self, H: Subgroup):
+        """(rows, unit) of a(H) from one callback, checked as `conjugations`
+        checks its rows: int64 rows of shape (m, 4), strictly ascending in
+        (i, j, k), every index and the unit in range(size(H)), and no zero
+        N; InvariantViolation otherwise.  NoRingStructure for a family
+        without a ring callback."""
+        if self._ring_fn is None:
             raise NoRingStructure("family has no multiplication")
-        return self._mul_fn(H)
-
-    def unit_index(self, H: Subgroup) -> int:
-        if self._unit_fn is None:
-            raise NoRingStructure("family has no unit")
-        return self._unit_fn(H)
+        rows, unit = self._ring_fn(H)
+        n = self.size(H)
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape[1:] == (4,)
+                and 0 <= unit < n and ((rows[:, :3] >= 0) & (rows[:, :3] < n)).all()
+                and rows[:, 3].all() and (np.diff(rows[:, :3] @ [n * n, n, 1]) > 0).all()):
+            raise InvariantViolation(
+                f"the ring of {H} is not int64 [i, j, k, N != 0] rows over its {n} basis "
+                "elements, strictly ascending in (i, j, k), and a unit")
+        return rows, int(unit)
 
 
 def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
@@ -186,9 +198,6 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
         target = conj[index[H.key]]
         return chartab.conjugation_perms(H, lattice, target, ctx), target
 
-    def mul_fn(H):
-        return reciprocity_block(H, (H, H), H, ctx)
-
     return MackeyFamily(
         G,
         lattice,
@@ -197,8 +206,7 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
         r_fn,
         i_fn,
         c_fn,
-        mul_fn=mul_fn,
-        unit_fn=lambda H: 0,
+        ring_fn=lambda H: (rows_of(reciprocity_block(H, (H, H), H, ctx)), 0),
     )
 
 
@@ -206,9 +214,9 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
     """The family H |-> free Z-module on the equivariant simples over H.
     Its maps are the fusion engine's: restriction and induction matrices
     and conjugation rows, assembled once per orbit representative from
-    cached reciprocity blocks and conjugation stacks, and the double-coset
-    product tensor, made dense from `_Engine.product_rows` for the G1-G3
-    checks."""
+    cached reciprocity blocks and conjugation stacks, and the ring as the
+    double-coset product rows of `_Engine.product_rows`, with the unit at
+    the trivial character of the identity grading."""
     F = datum.F
     eng = fusion._engine(datum, ctx)
     lattice = subgroup_lattice(F)
@@ -226,8 +234,7 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
         eng.restriction,
         eng.induction,
         c_fn,
-        mul_fn=lambda H: dense(eng.product_rows(H), len(eng.basis(H).labels)),
-        unit_fn=lambda H: eng.basis(H).pos[(0, 0)],
+        ring_fn=lambda H: (eng.product_rows(H), eng.basis(H).pos[(0, 0)]),
     )
 
 
@@ -496,52 +503,63 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     and conjugation are unitary ring maps (G1), and both projection formulas
     (G2), (G3) on all basis pairs of every nested pair of subgroups.
 
-    Associativity is `_rows.associativity_failure` on the nonzero rows of
-    each product tensor (`_rows.rows_of`), the check `fusion.fusion_ring`
-    runs: it joins rows with rows on the slices of a generating set of
-    basis elements, sums them by `np.bincount` with no n^3 temporary, and
-    proves the rest by its generator lemma.  G1, G2 and G3 are exhaustive:
-    every basis pair of every map and every nested pair.  G1 for c_{H,x}, the
-    permutation e_j -> e_{p[j]} of the row p of `fam.conjugations(H)`, is
-    a gather (`_permutes_ring`), recorded in increasing x: it is a unitary
-    ring map iff p[u_H] = u_xH and N^{xH}_{p(i) p(j)}^{p(k)} = N^H_ij^k
-    for all i, j, k.  G1 for restriction (`_ring_map_holds`), G2 and G3
-    are float64 BLAS products on float64 copies of the product tensors,
-    exact by the lemma of `_kernels.require_exact`; each check states its
-    bound and raises `ExactnessBoundExceeded` above it.  G2 and G3 compare
-    both sides in blocks of basis elements of a(K) (`_projection_holds`),
-    and build the integer sides only for a witness.  A family without a
-    multiplication raises `NoRingStructure` at its first `product_tensor`."""
+    Each ring comes from `fam.ring` as [i, j, k, N] rows, the format
+    `fusion.fusion_ring` checks, with the same checks: the unit by
+    `_rows.is_two_sided_unit`, and associativity by
+    `_rows.associativity_failure`, which joins rows with rows on the slices
+    of a generating set of basis elements, sums them by `np.bincount` with
+    no n^3 temporary, and proves the rest by its generator lemma.  Then the
+    rows are dropped: the G checks keep, per ring, its float64 table
+    t[i, j, k] = N_ij^k, its unit, max|N| and its number of nonzero
+    entries.  The nested pairs come from one boolean product (`_nested`),
+    each loop in ascending lattice index.
+
+    G1, G2 and G3 are exhaustive: every basis pair of every map and every
+    nested pair.  G1 for c_{H,x}, the permutation e_j -> e_{p[j]} of the row
+    p of `fam.conjugations(H)`, is a unitary ring map iff p[u_H] = u_xH and
+    N^{xH}_{p(i) p(j)}^{p(k)} = N^H_ij^k for all i, j, k.  It is checked for
+    every x in one call per H (`_permutes_rings`) and recorded in increasing
+    x: the units, equal numbers of nonzero entries, and a gather of the
+    target's table at (p(i), p(j), p(k)) over the nonzero (i, j, k) of H.
+    Lemma: that is the whole condition.  (i, j, k) -> (p i, p j, p k) is a
+    bijection of triples.  If every nonzero entry of H maps to an equal
+    entry of xH, the support of H maps into the support of xH, and if the
+    two supports have equal size it maps onto it.  So every zero of H maps
+    to a zero, and the check is exhaustive.
+
+    G1 for restriction (`_ring_map_holds`), G2 and G3 are float64 BLAS
+    products on the float64 tables, exact by the lemma of
+    `_kernels.require_exact`; each check states its bound and raises
+    `ExactnessBoundExceeded` above it.  G2 and G3 compare both sides in
+    blocks of basis elements of a(K) (`_projection_holds`), and build the
+    integer sides only for a witness.  A family without a multiplication
+    raises `NoRingStructure` at its first `ring`."""
     lattice = fam.lattice
     report = AxiomReport(title=fam.title)
 
-    # [i] = the ring of lattice[i], its int64 tensor dropped once the ring
-    # checks are done
     rings = []
     for H in lattice:
-        t, u = fam.product_tensor(H), fam.unit_index(H)
-        ident = np.eye(len(t), dtype=np.int64)
-        bad = associativity_failure(rows_of(t), len(t))
+        rows, u = fam.ring(H)
+        n = fam.size(H)
+        bad = associativity_failure(rows, n)
         report.record("ring", bad is None, (H,), "associativity on basis triples")
-        report.record("ring", np.array_equal(t[u], ident) and np.array_equal(t[:, u], ident),
-                      (H,), "two-sided unit")
-        rings.append(_Ring(t.astype(np.float64), u, _top(t)))
+        report.record("ring", is_two_sided_unit(rows, n, u), (H,), "two-sided unit")
+        rings.append(_Ring(dense(rows, n, np.float64), u, _top(rows[:, 3]), len(rows)))
 
+    # [hi] = lattice indices of the subgroups of lattice[hi], ascending
+    below = [np.flatnonzero(row).tolist() for row in _nested(lattice)]
     for hi, H in enumerate(lattice):
-        for ki, K in enumerate(lattice):
-            if not H.contains(K) or ki == hi:
-                continue
-            r = fam.restriction(H, K).astype(np.float64)
-            ok = _ring_map_holds(r, rings[hi], rings[ki])
-            report.record("G1", ok, (H, K), "R is a unitary ring map")
-        perm, target = fam.conjugations(H)
-        ok = [_permutes_ring(p, rings[hi], rings[t]) for p, t in zip(perm, target.tolist())]
-        report.record_all("G1", np.array(ok), lambda x: (H, f"x={x}"), "c is a unitary ring map")
+        for ki in below[hi]:
+            if ki != hi:
+                r = fam.restriction(H, lattice[ki]).astype(np.float64)
+                ok = _ring_map_holds(r, rings[hi], rings[ki])
+                report.record("G1", ok, (H, lattice[ki]), "R is a unitary ring map")
+        ok = _permutes_rings(*fam.conjugations(H), rings[hi], rings)
+        report.record_all("G1", ok, lambda x: (H, f"x={x}"), "c is a unitary ring map")
 
-    for H, rh in zip(lattice, rings):
-        for K, rk in zip(lattice, rings):
-            if not H.contains(K):
-                continue
+    for hi, (H, rh) in enumerate(zip(lattice, rings)):
+        for ki in below[hi]:
+            K, rk = lattice[ki], rings[ki]
             r = fam.restriction(H, K).astype(np.float64)
             ind = fam.induction(K, H).astype(np.float64)
             for axiom, tk, th, detail in (
@@ -593,26 +611,37 @@ def _top(a) -> int:
 
 
 class _Ring(NamedTuple):
-    """A based ring for the G1-G3 checks: its product tensor in float64,
-    t[i, j, k] = N_ij^k, the index of its unit and max|t|."""
+    """A based ring for the G1-G3 checks: its table in float64,
+    t[i, j, k] = N_ij^k, the index of its unit, max|t| and the number of
+    nonzero entries of t."""
 
     t: np.ndarray
     unit: int
     top: int
+    nnz: int
 
 
-def _permutes_ring(p, src: _Ring, dst: _Ring) -> bool:
-    """Whether e_i -> e_{p[i]}, p a permutation, is a unitary ring map
-    from src to dst: p[src.unit] = dst.unit, and f(e_i e_j) = f(e_i) f(e_j)
-    is sum_k N^src_ij^k e_{p(k)} = sum_m N^dst_{p(i) p(j)}^m e_m, which
-    compares coefficients at m = p(k).  A gather, so exact, over blocks of
-    about _CHUNK / n^2 rows i, so that no n^3 temporary is made."""
-    step = max(1, _CHUNK // len(p) ** 2)
-    return int(p[src.unit]) == dst.unit and all(
-        # [i, j, k] = N^dst_{p(i) p(j)}^{p(k)} for a block of i
-        (dst.t[p[i0:i0 + step, None, None], p[:, None], p] == src.t[i0:i0 + step]).all()
-        for i0 in range(0, len(p), step)
-    )
+def _permutes_rings(perm, target, src: _Ring, rings) -> np.ndarray:
+    """[x] = whether e_i -> e_{perm[x, i]}, a permutation, is a unitary
+    ring map from src to rings[target[x]], for every row x of perm: the
+    map sends the unit to the unit, and f(e_i e_j) = f(e_i) f(e_j) is
+    sum_k N^src_ij^k e_{p(k)} = sum_m N^dst_{p(i) p(j)}^m e_m, which
+    compares coefficients at m = p(k).  For each distinct target, the units
+    and the numbers of nonzero entries are compared, and its table is
+    gathered at the one flat index (p(i) n + p(j)) n + p(k) over the
+    nonzero (i, j, k) of src, in chunks of x: exhaustive by the lemma of
+    `verify_green_axioms`, and exact, since nothing is multiplied."""
+    n = perm.shape[1]
+    i, j, k = np.nonzero(src.t)
+    values = src.t[i, j, k]
+    ok = np.empty(len(perm), dtype=bool)
+    for t in sorted(set(target.tolist())):
+        dst, xs = rings[t], np.flatnonzero(target == t)
+        ok[xs] = (perm[xs, src.unit] == dst.unit) & (dst.nnz == src.nnz)
+        for c in _chunks(len(xs), 8 * max(1, len(values))):
+            q = perm[xs[c]]
+            ok[xs[c]] &= (dst.t.ravel()[(q[:, i] * n + q[:, j]) * n + q[:, k]] == values).all(1)
+    return ok
 
 
 def _ring_map_holds(f, src: _Ring, dst: _Ring) -> bool:

@@ -651,27 +651,29 @@ def conjugates(S: Subgroup):
     least x (subs[0] is S), and which[x] = the position of xSx^-1 in subs.
 
     The class of S as an orbit under conjugation (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 2005): one gather
-    cg[:, S.members] of cg[x, g] = x g x^-1 (`Group.conjugation_table`)
-    gives the members of every conjugate, with generators cg[x, gens], told
-    apart by packed masks.  A normal S (S.mask[cg[:, S.members]] all true)
-    is its own class, found without the |G| x |G| mask."""
+    Handbook of Computational Group Theory, 2005): gathers
+    cg[xs][:, S.members] of cg[x, g] = x g x^-1 (`Group.conjugation_table`)
+    give the members of every conjugate, with generators cg[x, gens], told
+    apart by packed masks.  The masks are made a chunk of x at a time, each
+    chunk's bool array at most 64 KiB, and each new conjugate keeps a copy
+    of its own row, so no |G| x |G| array is made or kept alive."""
     G = S.parent
     cg = G.conjugation_table
-    conj = cg[:, S.members]
-    if S.mask[conj].all():
-        return [S], np.zeros(G.order, dtype=np.int64)
     gens = np.asarray(S.generators, dtype=np.int64)
-    masks = np.zeros((G.order, G.order), dtype=bool)
-    masks[np.arange(G.order)[:, None], conj] = True
     seen, subs = {}, []
     which = np.empty(G.order, dtype=np.int64)
-    for x, key in enumerate(np.packbits(masks, axis=1)):
-        key = key.tobytes()
-        if key not in seen:
-            seen[key] = len(subs)
-            subs.append(S if x == 0 else Subgroup(G, masks[x], cg[x, gens].tolist(), _verified=True))
-        which[x] = seen[key]
+    step = max(1, (1 << 16) // G.order)
+    for x0 in range(0, G.order, step):
+        conj = cg[x0:x0 + step][:, S.members]
+        masks = np.zeros((len(conj), G.order), dtype=bool)
+        masks[np.arange(len(conj))[:, None], conj] = True
+        for x, key in enumerate(np.packbits(masks, axis=1), x0):
+            key = key.tobytes()
+            if key not in seen:
+                seen[key] = len(subs)
+                subs.append(S if x == 0 else Subgroup(G, masks[x - x0].copy(),
+                                                      cg[x, gens].tolist(), _verified=True))
+            which[x] = seen[key]
     return subs, which
 
 

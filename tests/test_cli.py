@@ -292,11 +292,11 @@ class TestErrorsAndExitCodes:
 
     def test_memory_error_exits_2(self):
         # chartable cyclic:1291 keeps k - 1 dense k x k class matrices
-        # (k = 1291, 12.7 MiB each), which run out of a 2 GiB address-space
-        # limit, which only the child process gets, after about 1 s
+        # (k = 1291, 12.7 MiB each), which run out of a 1 GiB address-space
+        # limit, which only the child process gets, after about 0.5 s
         def lower_address_space():
             _, hard = resource.getrlimit(resource.RLIMIT_AS)
-            soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+            soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
             resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
         cmd = [sys.executable, "-m", "equifuse", "chartable", "cyclic:1291"]

@@ -677,6 +677,33 @@ class TestFusionRing:
         assert str(exc.value) == "double-coset and orbit-sum products disagree at pair (2, 3)"
 
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_unit_row_or_column_tampered(self, ds3, monkeypatch, side):
+        """N_{u1}^1 (side 0) or N_{1u}^1 (side 1) of D(S3) set to 2: the
+        ring is refused by the unit check `_rows.is_two_sided_unit`, which
+        the Green verifier shares."""
+        d, ctx, H = ds3.datum, ds3.ctx, full(ds3)
+        unit = fu._engine(d, ctx).basis(H).pos[(0, 0)]
+        other = 1 if unit != 1 else 0
+        original = fu._Engine.product_rows
+        tampered = []
+
+        def product_rows(self, H):
+            rows = original(self, H).copy()
+            key = [other, other, other, 1]
+            key[side] = unit
+            (at,) = np.flatnonzero((rows == key).all(axis=1))
+            rows[at, 3] = 2
+            tampered.append(rows)
+            return rows
+
+        monkeypatch.setattr(fu._Engine, "product_rows", product_rows)
+        with pytest.raises(InvariantViolation, match="^unit row/column is not the identity$"):
+            fu.fusion_ring(d, H, ctx)
+        n = len(fu._engine(d, ctx).basis(H).labels)
+        assert not _rows.is_two_sided_unit(tampered[0], n, unit)
+
+
 class TestRingStore:
     """A ring keeps its constants once, as the nonzero [i, j, k, N] rows:
     the dense tensor and the per-pair mapping are both read off them."""

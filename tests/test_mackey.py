@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from equifuse import _rows
 from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse import mackey as mk
@@ -61,7 +62,7 @@ class TestCharRingFamily:
 
     def test_unit_is_trivial_character(self, char_s3):
         for H in char_s3.lattice:
-            assert char_s3.unit_index(H) == 0
+            assert char_s3.ring(H)[1] == 0
 
 
 class TestEquivariantFamily:
@@ -523,13 +524,22 @@ def _swap(row):
     return row
 
 
+def _bump_rows(rows):
+    """Ring rows with `_bump` made to their dense table: N_00^k + 1 for
+    every k."""
+    return _rows.rows_of(_bump(_rows.dense(rows, int(rows[:, 0].max()) + 1)))
+
+
 def _tamper(fn, when, change):
-    """fn with `change` applied to the matrix (or tensor) of every call that
-    matches `when`; for the conjugation callback of a subgroup H, to every
-    row perm[x] with when(H, x), leaving the targets alone."""
+    """fn with `change` applied to the matrix of every call that matches
+    `when`; for the conjugation callback of a subgroup H, to every row
+    perm[x] with when(H, x), leaving the targets alone; for the ring
+    callback, to the rows, leaving the unit alone."""
 
     def wrapped(*args):
         out = fn(*args)
+        if isinstance(out, tuple) and np.ndim(out[1]) == 0:
+            return (change(out[0]) if when(*args) else out[0]), out[1]
         if isinstance(out, tuple):
             perm = out[0].copy()
             for x in range(len(perm)):
@@ -545,7 +555,8 @@ def _tamper(fn, when, change):
 # context, sha256 of the whole report JSON as `verify green` prints it.  The
 # "c" row was recorded with the images of e_0 and e_1 swapped by a column
 # swap of the dense matrix of c_{H,5}; its report is the one a +1 on the
-# (0, 0) entry gave.
+# (0, 0) entry gave.  The "product" row was recorded with `_bump` made to
+# the dense product tensor, the change `_bump_rows` makes to the rows.
 GREEN_TAMPERS = {
     "R": ("r", lambda H, K: H.order == 24 and K.order == 4, _bump,
           {"G1": 7, "G2": 7, "G3": 7},
@@ -563,7 +574,7 @@ GREEN_TAMPERS = {
           {"G1": 3},
           ["H[o8:[0, 1, 6, 7]]", "x=5"],
           "f9a74737f5e6d0dc3356f51f305bb816dc7c143c72d2a1fab62445c4bf200fce"),
-    "product": ("mul", lambda H: H.order == 6, _bump,
+    "product": ("ring", lambda H: H.order == 6, _bump_rows,
                 {"ring": 8, "G1": 24, "G2": 24, "G3": 24},
                 ["H[o6:[0, 1, 2, 3]]"],
                 "573773369fc13ec178a44e1e47611e4134d7060e20e740d087edb62cac097d62"),
@@ -572,11 +583,11 @@ GREEN_TAMPERS = {
 
 def _green_tampered(fam, which, when, change):
     """fam, with `change` made to the maps of one callback as `_tamper` says."""
-    fns = {k: getattr(fam, f"_{k}_fn") for k in ("r", "i", "c", "mul")}
+    fns = {k: getattr(fam, f"_{k}_fn") for k in ("r", "i", "c", "ring")}
     fns[which] = _tamper(fns[which], when, change)
     return mk.MackeyFamily(
         fam.ambient, fam.lattice, "tampered", fam._size_fn,
-        fns["r"], fns["i"], fns["c"], mul_fn=fns["mul"], unit_fn=fam._unit_fn,
+        fns["r"], fns["i"], fns["c"], ring_fn=fns["ring"],
     )
 
 
@@ -631,7 +642,14 @@ def reference_projection_sides(r, ind, tk, th):
 
 
 def _ring(t, unit):
-    return mk._Ring(t.astype(np.float64), unit, mk._top(t))
+    return mk._Ring(t.astype(np.float64), unit, mk._top(t), np.count_nonzero(t))
+
+
+def _tables(fam):
+    """(dense int64 tables, units) of every ring of fam, in lattice order."""
+    rings = [fam.ring(H) for H in fam.lattice]
+    return ([_rows.dense(rows, fam.size(H)) for H, (rows, _) in zip(fam.lattice, rings)],
+            [u for _, u in rings])
 
 
 def _float(*arrays):
@@ -657,8 +675,7 @@ def _assert_g1_to_g3_agree(fam):
     or swapped, checked by the float64 and gather helpers and by the einsum
     references."""
     lattice = fam.lattice
-    tensors = [fam.product_tensor(H) for H in lattice]
-    units = [fam.unit_index(H) for H in lattice]
+    tensors, units = _tables(fam)
     rings = [_ring(t, u) for t, u in zip(tensors, units)]
 
     def want(f, hi, ki):
@@ -672,13 +689,14 @@ def _assert_g1_to_g3_agree(fam):
     for hi, H in enumerate(lattice):
         perm, target = fam.conjugations(H)
         n = len(tensors[hi])
-        for p, t in zip(perm, target.tolist()):
-            assert mk._permutes_ring(p, rings[hi], rings[t])
+        assert mk._permutes_rings(perm, target, rings[hi], rings).all()
+        # with the images of e_0 and e_1 swapped the unit moves: fails
+        # unless a(H) has rank 1
+        swapped = np.array([_swap(p) for p in perm])
+        got = mk._permutes_rings(swapped, target, rings[hi], rings)
+        for p, q, t, g in zip(perm, swapped, target.tolist(), got):
             assert want(np.eye(n, dtype=np.int64)[:, p], hi, t)
-            # with the images of e_0 and e_1 swapped the unit moves: fails
-            # unless a(H) has rank 1
-            got = mk._permutes_ring(_swap(p), rings[hi], rings[t])
-            assert got == want(np.eye(n, dtype=np.int64)[:, _swap(p)], hi, t) == (n == 1)
+            assert g == want(np.eye(n, dtype=np.int64)[:, q], hi, t) == (n == 1)
         for ki, K in enumerate(lattice):
             if not H.contains(K):
                 continue
@@ -739,11 +757,12 @@ class TestStackedGreenChecks:
         assert got == reference_is_unitary_ring_map(g, a, 0, b, 1)
         # the gather form on every permutation of the basis of Z[C_n]: the
         # ring automorphisms (i -> ki for k prime to n) fix the unit 0
-        for p in itertools.islice(itertools.permutations(range(n)), 200):
-            p = np.array(p)
-            got = mk._permutes_ring(p, _ring(t_src, 0), _ring(t_src, 0))
+        perms = np.array(list(itertools.islice(itertools.permutations(range(n)), 200)))
+        got = mk._permutes_rings(perms, np.zeros(len(perms), dtype=np.intp),
+                                 _ring(t_src, 0), [_ring(t_src, 0)])
+        for p, g in zip(perms, got):
             mat = np.eye(n, dtype=np.int64)[:, p]
-            assert got == reference_is_unitary_ring_map(mat, t_src, 0, t_src, 0)
+            assert g == reference_is_unitary_ring_map(mat, t_src, 0, t_src, 0)
         # projection sides of random integer data with nk != nh
         nk, nh = 2 + seed % 3, 3 + seed % 5
         r, ind = rng.integers(-3, 4, size=(nk, nh)), rng.integers(-3, 4, size=(nh, nk))
@@ -758,13 +777,13 @@ class TestStackedGreenChecks:
         # report is the one the dense matrices gave with columns 0 and 1 of
         # c_{A4,7} swapped
         a4 = next(H for H in char_s4.lattice if H.order == 12)
-        ring = _ring(char_s4.product_tensor(a4), 0)
+        ring = _ring(_rows.dense(char_s4.ring(a4)[0], char_s4.size(a4)), 0)
         perm, target = char_s4.conjugations(a4)
         assert len(set(target.tolist())) == 1
         perm = perm.copy()
         perm[7] = _swap(perm[7])
-        ok = [mk._permutes_ring(p, ring, ring) for p in perm]
-        assert np.flatnonzero(~np.array(ok)).tolist() == [7]
+        ok = mk._permutes_rings(perm, np.zeros_like(target), ring, [ring])
+        assert np.flatnonzero(~ok).tolist() == [7]
         broken = _green_tampered(char_s4, "c", lambda H, x: H.order == 12 and x == 7, _swap)
         report = mk.verify_green_axioms(broken)
         assert report.counts["G1"] == (green_s4.counts["G1"][0], 1)
@@ -781,19 +800,88 @@ class TestStackedGreenChecks:
         # the n = 40 subgroup of D(D6) is normal: its 12 maps share a target;
         # the einsum form held three n^3 int64 arrays for each of them, the
         # whole gather one n^3 float64 array for one map at a time, and the
-        # gather by blocks of rows i holds less than that
+        # gather over the nonzero entries holds less than that
         H = next(H for H in equiv_d6.lattice if equiv_d6.size(H) == 40)
         perm, target = equiv_d6.conjugations(H)
         assert set(target.tolist()) == {equiv_d6.index[H.key]} and len(perm) == 12
-        ring = _ring(equiv_d6.product_tensor(H), equiv_d6.unit_index(H))
+        rows, unit = equiv_d6.ring(H)
+        ring = _ring(_rows.dense(rows, 40), unit)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            assert all(mk._permutes_ring(p, ring, ring) for p in perm)
+            assert mk._permutes_rings(perm, np.zeros_like(target), ring, [ring]).all()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 40**3 * 8
+
+    def test_extra_nonzero_entry_fails_only_its_target(self, char_s4):
+        # D4 has three conjugates in S4.  One of them, T, gains one nonzero
+        # N_ij^k at a zero of its table: the images of H's nonzero entries
+        # still match, so only the count of nonzero entries can fail the
+        # maps c_{H,x} onto T, and exactly those fail
+        tensors, units = _tables(char_s4)
+        rings = [_ring(t, u) for t, u in zip(tensors, units)]
+        hi = next(i for i, S in enumerate(char_s4.lattice) if S.order == 8)
+        perm, target = char_s4.conjugations(char_s4.lattice[hi])
+        ti = next(t for t in target.tolist() if t != hi)
+        bigger = tensors[ti].copy()
+        zeros = np.argwhere(bigger == 0)
+        i, j, k = zeros[(zeros[:, 0] != units[ti]) & (zeros[:, 1] != units[ti])][0]
+        bigger[i, j, k] = 1
+        rings[ti] = _ring(bigger, units[ti])
+        ok = mk._permutes_rings(perm, target, rings[hi], rings)
+        assert np.flatnonzero(~ok).tolist() == np.flatnonzero(target == ti).tolist()
+        # the gather half alone passes every x: the count is what fails
+        rings[ti] = rings[ti]._replace(nnz=np.count_nonzero(tensors[ti]))
+        assert mk._permutes_rings(perm, target, rings[hi], rings).all()
+
+
+def _ring_rows_tampered(fam, change):
+    """fam with `change` made to the ring rows of its top subgroup."""
+
+    def ring_fn(H):
+        rows, unit = fam._ring_fn(H)
+        return (change(rows.copy()) if H.order == fam.ambient.order else rows), unit
+
+    return mk.MackeyFamily(fam.ambient, fam.lattice, "tampered", fam._size_fn,
+                           fam._r_fn, fam._i_fn, fam._c_fn, ring_fn=ring_fn)
+
+
+def _duplicate_key(rows):
+    return np.insert(rows, 1, rows[1], axis=0)
+
+
+def _zero_constant(rows):
+    rows[-1, 3] = 0
+    return rows
+
+
+def _index_out_of_range(rows):
+    rows[-1, 2] = rows[:, 2].max() + 1
+    return rows
+
+
+def _unsorted(rows):
+    return rows[::-1].copy()
+
+
+class TestRingRowCheck:
+    """`MackeyFamily.ring` takes a ring callback's rows only if they are
+    int64 [i, j, k, N] rows, strictly ascending in (i, j, k), with indices
+    in range and no zero N: each broken form raises InvariantViolation
+    naming H, in the Green verifier too."""
+
+    @pytest.mark.parametrize("change", [_duplicate_key, _zero_constant,
+                                        _index_out_of_range, _unsorted])
+    def test_refused(self, char_s3, change):
+        fam = _ring_rows_tampered(char_s3, change)
+        H = fam.lattice[-1]
+        fam.ring(fam.lattice[0])
+        with pytest.raises(InvariantViolation, match=r"ring of H\[o6:\[0, 1, 2, 3\]\]"):
+            fam.ring(H)
+        with pytest.raises(InvariantViolation, match=r"H\[o6:\[0, 1, 2, 3\]\]"):
+            mk.verify_green_axioms(fam)
 
 
 def _huge_restrictions(fam):
@@ -1148,7 +1236,7 @@ class TestConjugationByClassMap:
 class TestObservedProperties:
     def test_commutative_top_level_products(self, char_s3, equiv_ds3):
         for fam in (char_s3, equiv_ds3):
-            t = fam.product_tensor(fam.lattice[-1])
+            t = _tables(fam)[0][-1]
             assert np.array_equal(t, t.transpose(1, 0, 2))
 
     def test_family_linearity_random_combos(self, char_s3):
@@ -1185,7 +1273,7 @@ def _map_digests(fam):
                 feed("I", fam.induction(K, H))
         for x in range(fam.ambient.order):
             feed("c", fam.conjugation(H, x)[0])
-        feed("product", fam.product_tensor(H))
+        feed("product", _rows.dense(fam.ring(H)[0], fam.size(H)))
     return {kind: h.hexdigest() for kind, h in hashes.items()}
 
 

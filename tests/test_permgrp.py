@@ -689,6 +689,23 @@ class TestConjugates:
             for T in subs:
                 assert (_close(G, None, T.generators) == T.mask).all()
 
+    def test_no_group_square_array(self):
+        # sym:6 is past the lattice cap; <(4 5)> has 15 conjugates.  Each
+        # conjugate owns its mask, and the |G| x |G| bool mask array (0.49
+        # MiB, traced peak 0.58 MiB with the gather) is never made
+        G = group_preset("sym:6")
+        S = G.subgroup(indices=[1])
+        G.conjugation_table
+        tracemalloc.start()
+        try:
+            subs, which = conjugates(S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(subs) == 15 and sorted(set(which.tolist())) == list(range(15))
+        assert all(T.mask.base is None for T in subs)
+        assert peak < 2**18
+
 
 def brute_closure(G, seeds):
     """Sorted members of <seeds>: multiply all pairs until nothing is new."""
