@@ -7,9 +7,10 @@ and a Mackey family hands each ring to the Green verifier in `mackey` in
 this form (`MackeyFamily.ring`).  Both check the unit on the rows with
 `is_two_sided_unit` and associativity with `associativity_failure`: it is
 decided on the slices of a generating set of basis elements (its generator
-lemma); a slice is two joins of rows with rows, summed by `np.bincount` in
-float64, exact while n * max|N|^2 < 2**53.  No (n, n, n) array is built
-here, except by `dense` for a caller that asks.
+lemma, and the caller gets that set too); a slice is two joins of rows
+with rows, summed by `np.bincount` in float64, exact while
+n * max|N|^2 < 2**53.  No (n, n, n) array is built here, except by `dense`
+for a caller that asks.
 """
 
 from __future__ import annotations
@@ -162,9 +163,11 @@ def _join_failure(rows, n: int, i: int, starts, kl, jk, coeff):
 
 
 def associativity_failure(rows: np.ndarray, n: int):
-    """First (i, j, k, l) with ((e_i e_j) e_k)_l != (e_i (e_j e_k))_l for
-    the n-element basis whose structure constants N_ij^k are the int64
-    [i, j, k, N] rows (nonzero, ascending (i, j, k)), or None.
+    """(bad, S): bad is the first (i, j, k, l) with ((e_i e_j) e_k)_l !=
+    (e_i (e_j e_k))_l for the n-element basis whose structure constants
+    N_ij^k are the int64 [i, j, k, N] rows (nonzero, ascending (i, j, k)),
+    or None; S is the generating set below, or None, which the Green
+    verifier in `mackey` reuses rather than run `_generators` again.
 
     The answer is decided on the i-slices of a generating set S
     (`_generators`), by the generator lemma, a linear form of Light's
@@ -211,9 +214,9 @@ def associativity_failure(rows: np.ndarray, n: int):
         rows[:, 3].astype(np.float64),
     )
     if gens is not None and all(_join_failure(rows, n, i, *per_row) is None for i in gens):
-        return None
+        return None, gens
     for i in range(n):
         bad = _join_failure(rows, n, i, *per_row)
         if bad is not None:
-            return bad
-    return None
+            return bad, gens
+    return None, gens

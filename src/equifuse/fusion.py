@@ -712,7 +712,7 @@ def verify_coherent_axioms(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -
     # exhaustive by the generator lemma
     n = len(eng.basis(H).labels)
     orbit = eng.orbit_sum_rows(H)
-    bad = associativity_failure(orbit, n)
+    bad, _ = associativity_failure(orbit, n)
     report.record("C5", bad is None, bad or (), "(ab)c = a(bc) on invariants")
 
     # independence of the factorization-representative choice
@@ -757,7 +757,7 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
             f"{divmod(int(differing_pairs(orbit, rows, n)[0]), n)}"
         )
     del orbit
-    bad = associativity_failure(rows, n)
+    bad, _ = associativity_failure(rows, n)
     if bad is not None:
         raise InvariantViolation(f"associativity fails at {bad}")
     return FusionRing(d, H, labels, unit, rows, checks)

@@ -19,11 +19,13 @@ exact while |G| n t^2 < 2**53 (n the largest rank, t the largest |entry| of
 an R or I read, at least 1); the verifier checks that bound before it
 returns a report.
 The Green axioms (unitary ring maps G1, projection formulas G2 and G3) are
-checked exhaustively: G1 for a conjugation as a gather of each target's
-table over the nonzero entries of the source's table (exhaustive by the
-lemma in `verify_green_axioms`), G1 for a restriction and the projection
-formulas as float64 BLAS products that are exact below a bound each check
-states (`_kernels.require_exact`); see `verify_green_axioms`.
+checked on the rings' [i, j, k, N] rows: G1 for a conjugation as a lookup
+of the source's rows among each target's (exhaustive by a support-size
+lemma), G1 for a restriction and the projection formulas on the generator
+set S_H of each ring, which a subring lemma proves is enough, falling back
+to every basis element where its premises fail.  Their float64 products
+are exact below a bound each check states (`_kernels.require_exact`); see
+`verify_green_axioms`.
 
 Two families ship: the character rings of all subgroups, and the
 equivariantization family built on the fusion engine.  The first realizes
@@ -38,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, chartab, fusion
-from ._rows import associativity_failure, dense, is_two_sided_unit, rows_of
+from ._rows import associativity_failure, is_two_sided_unit, rows_of
 from .chartab import ModularContext, character_table, reciprocity_block
 from .errors import ElementNotInGroup, InvariantViolation, NoRingStructure, NotASubgroup
 from .permgrp import Group, Subgroup, conjugation_index, double_coset_reps, subgroup_lattice
@@ -60,7 +62,7 @@ class MackeyFamily:
     cached by subgroup membership keys and each (perm, target) by H's key
     (`conjugations`), since the verifiers read each one many times; sizes
     and rings are not, since each is read once per subgroup (the Green
-    verifier keeps its own tables).
+    verifier keeps the rows).
     """
 
     def __init__(self, ambient, lattice, title, size_fn, r_fn, i_fn, c_fn, ring_fn=None):
@@ -501,77 +503,121 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
 def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     """Check that every a(H) is an associative unital ring, that restriction
     and conjugation are unitary ring maps (G1), and both projection formulas
-    (G2), (G3) on all basis pairs of every nested pair of subgroups.
+    (G2), (G3) for every nested pair of subgroups K <= H:
+      G1  R(a b) = R(a) R(b) and R(1) = 1, R = R^H_K;
+      G2  I(a R(b)) = I(a) b;
+      G3  I(R(b) a) = b I(a),  I = I^H_K, for a in a(K) and b in a(H).
+    Each report row names its mode: "generators" where every check of the
+    axiom ran by its lemma below, "exhaustive" where any check fell back to
+    every basis element.
 
     Each ring comes from `fam.ring` as [i, j, k, N] rows, the format
     `fusion.fusion_ring` checks, with the same checks: the unit by
     `_rows.is_two_sided_unit`, and associativity by
-    `_rows.associativity_failure`, which joins rows with rows on the slices
-    of a generating set of basis elements, sums them by `np.bincount` with
-    no n^3 temporary, and proves the rest by its generator lemma.  Then the
-    rows are dropped: the G checks keep, per ring, its float64 table
-    t[i, j, k] = N_ij^k, its unit, max|N| and its number of nonzero
-    entries.  The nested pairs come from one boolean product (`_nested`),
-    each loop in ascending lattice index.
+    `_rows.associativity_failure` on the generator set S_H of
+    `_rows._generators`, which it returns: one run per ring.  The G checks
+    keep, per ring, its rows, S_H, its unit and max|N| (`_Ring`); no
+    (n, n, n) table is made.  The nested pairs come from one boolean
+    product (`_nested`), in ascending lattice index; the G2 and G3 rows are
+    recorded after every G1 row.
 
-    G1, G2 and G3 are exhaustive: every basis pair of every map and every
-    nested pair.  G1 for c_{H,x}, the permutation e_j -> e_{p[j]} of the row
-    p of `fam.conjugations(H)`, is a unitary ring map iff p[u_H] = u_xH and
+    Lemma (G1 to G3 on generators).  Let a(H) and a(K) be associative with
+    units 1 (both ring checks pass), and R unital.  The sets
+      T1 = {a in a(H) : R(a b) = R(a) R(b) for all b},
+      T2 = {b in a(H) : I(a R(b)) = I(a) b for all a in a(K)},
+      T3 = {b in a(H) : I(R(b) a) = b I(a) for all a in a(K)}
+    are kernels of linear maps, so subspaces, and each contains 1.  T1 is
+    closed under products: for s, a in T1,
+    R((s a) b) = R(s (a b)) = R(s) R(a b) = R(s) R(a) R(b) = R(s a) R(b).
+    Where G1 holds for the pair, so are T2 and T3: for s, b in T2,
+    I(a R(s b)) = I((a R(s)) R(b)) = I(a R(s)) b = (I(a) s) b = I(a)(s b),
+    and for s, b in T3, I(R(s b) a) = I(R(s) (R(b) a)) = s I(R(b) a)
+    = s (b I(a)) = (s b) I(a).  So each T that contains S_H contains the
+    span W of 1 and S_H under left multiplication by S_H, which is all of
+    a(H): `_rows._generators` grows S_H from the first left unit, which is 1
+    (a two-sided unit is the only left unit), until W has rank n_H mod a
+    prime, hence over Q (the rank argument of
+    `_rows.associativity_failure`).
+    So G1 is checked on the rows a = e_s and G2, G3 on the b = e_s for s in
+    S_H, against every basis element of the other side.  Where a premise
+    fails (a ring check, for G2 and G3 also G1 for the pair, and for K = H
+    R^H_H = id in place of G1) or the reduced check fails, the axiom is
+    checked on every basis element instead, and a failing G2 or G3 keeps
+    its witness over every b.
+
+    G1 for c_{H,x}, the permutation e_j -> e_{p[j]} of the row p of
+    `fam.conjugations(H)`, is a unitary ring map iff p[u_H] = u_xH and
     N^{xH}_{p(i) p(j)}^{p(k)} = N^H_ij^k for all i, j, k.  It is checked for
     every x in one call per H (`_permutes_rings`) and recorded in increasing
-    x: the units, equal numbers of nonzero entries, and a gather of the
-    target's table at (p(i), p(j), p(k)) over the nonzero (i, j, k) of H.
+    x: the units, equal numbers of rows, and a lookup of (p(i), p(j), p(k))
+    in the target's ascending row keys over the rows (i, j, k) of H.
     Lemma: that is the whole condition.  (i, j, k) -> (p i, p j, p k) is a
     bijection of triples.  If every nonzero entry of H maps to an equal
     entry of xH, the support of H maps into the support of xH, and if the
     two supports have equal size it maps onto it.  So every zero of H maps
     to a zero, and the check is exhaustive.
 
-    G1 for restriction (`_ring_map_holds`), G2 and G3 are float64 BLAS
-    products on the float64 tables, exact by the lemma of
+    G1 for restriction, G2 and G3 are checked together, one pair at a time
+    (`_pair_holds`): the dense slices t_H[S_H] and t_H[:, S_H] of one H at
+    a time are multiplied by the maps in float64, and the a(K)-side
+    products R(e_b) e_x and e_x R(e_b) are joins of coefficient rows with
+    the rows of a(K) (`_products`), in blocks whose temporaries stay near
+    _CHUNK entries.  Each sum is exact by the lemma of
     `_kernels.require_exact`; each check states its bound and raises
-    `ExactnessBoundExceeded` above it.  G2 and G3 compare both sides in
-    blocks of basis elements of a(K) (`_projection_holds`), and build the
-    integer sides only for a witness.  A family without a multiplication
+    `ExactnessBoundExceeded` above it.  A family without a multiplication
     raises `NoRingStructure` at its first `ring`."""
     lattice = fam.lattice
     report = AxiomReport(title=fam.title)
+    modes = dict.fromkeys(("ring", "G1", "G2", "G3"), "generators")
 
     rings = []
     for H in lattice:
         rows, u = fam.ring(H)
         n = fam.size(H)
-        bad = associativity_failure(rows, n)
+        bad, gens = associativity_failure(rows, n)
+        unit_ok = is_two_sided_unit(rows, n, u)
         report.record("ring", bad is None, (H,), "associativity on basis triples")
-        report.record("ring", is_two_sided_unit(rows, n, u), (H,), "two-sided unit")
-        rings.append(_Ring(dense(rows, n, np.float64), u, _top(rows[:, 3]), len(rows)))
+        report.record("ring", unit_ok, (H,), "two-sided unit")
+        if gens is None or bad is not None:
+            modes["ring"] = "exhaustive"
+        ok = bad is None and unit_ok
+        rings.append(_Ring(rows, n, u, _top(rows[:, 3]),
+                           np.array(gens, dtype=np.intp) if ok else None))
 
-    # [hi] = lattice indices of the subgroups of lattice[hi], ascending
+    # [hi] = lattice indices of the subgroups of lattice[hi], ascending; the
+    # G2 and G3 records wait in `later` so that they follow every G1 record
     below = [np.flatnonzero(row).tolist() for row in _nested(lattice)]
+    later = []
     for hi, H in enumerate(lattice):
-        for ki in below[hi]:
-            if ki != hi:
-                r = fam.restriction(H, lattice[ki]).astype(np.float64)
-                ok = _ring_map_holds(r, rings[hi], rings[ki])
-                report.record("G1", ok, (H, lattice[ki]), "R is a unitary ring map")
-        ok = _permutes_rings(*fam.conjugations(H), rings[hi], rings)
-        report.record_all("G1", ok, lambda x: (H, f"x={x}"), "c is a unitary ring map")
-
-    for hi, (H, rh) in enumerate(zip(lattice, rings)):
+        rh = rings[hi]
+        slices = _slices(rh, rh.gens) if rh.gens is not None else None
         for ki in below[hi]:
             K, rk = lattice[ki], rings[ki]
             r = fam.restriction(H, K).astype(np.float64)
             ind = fam.induction(K, H).astype(np.float64)
-            for axiom, tk, th, detail in (
-                ("G2", rk.t, rh.t, "I(a R(b)) = I(a) b"),
-                ("G3", rk.t.transpose(1, 0, 2), rh.t.transpose(1, 0, 2), "I(R(b) a) = b I(a)"),
-            ):
-                if _projection_holds(r, ind, tk, th, rk.top, rh.top):
-                    report.record(axiom, True, (H, K), detail)
+            reduced = slices is not None and rk.gens is not None
+            held = _pair_holds(r, ind, rk, rh, rh.gens, slices) if reduced else [False] * 3
+            # G2 and G3 need G1 for the pair, and R^H_H = id in its place
+            premise = reduced and (held[0] if ki != hi else np.array_equal(r, np.eye(rh.n)))
+            full = None
+            for i in range(1 if ki == hi else 0, 3):  # no G1 row for K = H
+                axiom = _AXIOMS[i]
+                ok = held[i] and (i == 0 or premise)
+                if not ok:
+                    modes[axiom] = "exhaustive"
+                    full = full or _pair_holds(r, ind, rk, rh, np.arange(rh.n))
+                    ok = full[i]
+                if i == 0:
+                    report.record("G1", ok, (H, K), "R is a unitary ring map")
                 else:
-                    lhs, rhs = _projection_block(r, ind, tk, th, 0, len(r))
-                    report.record(axiom, False, (H, K), detail,
-                                  lhs.astype(np.int64), rhs.astype(np.int64))
+                    witness = () if ok else _projection_witness(axiom, r, ind, rk, rh)
+                    later.append((axiom, ok, (H, K), witness))
+        ok = _permutes_rings(*fam.conjugations(H), rh, rings)
+        report.record_all("G1", ok, lambda x: (H, f"x={x}"), "c is a unitary ring map")
+    detail = {"G2": "I(a R(b)) = I(a) b", "G3": "I(R(b) a) = b I(a)"}
+    for axiom, ok, context, witness in later:
+        report.record(axiom, ok, context, detail[axiom], *witness)
+    report.modes.update(modes)
     return report
 
 
@@ -589,10 +635,12 @@ def _chunks(count: int, width: int):
     step = max(1, _GATHER_BYTES // width)
     return [slice(i, i + step) for i in range(0, count, step)]
 
-# Entries of the largest float64 temporary one step of a G1-G3 check holds
-# (128 KiB); one product over all the rows of a map at n = 40 would hold
-# 40 rows of 40^2 entries, 512 KiB, in each of its temporaries.
-_CHUNK = 1 << 14
+# Entries of the largest float64 array one block of a G1-G3 check holds,
+# and of the keys and of the weights of one block of a row join (32 KiB,
+# below glibc's mmap threshold like _GATHER_BYTES; a block holds a few such
+# arrays at once); one pass over all the rows of a map at n = 40 would hold
+# 40 rows of 40^2 entries, 512 KiB, in each of them.
+_CHUNK = 1 << 12
 
 
 def _nested(lattice) -> np.ndarray:
@@ -611,14 +659,67 @@ def _top(a) -> int:
 
 
 class _Ring(NamedTuple):
-    """A based ring for the G1-G3 checks: its table in float64,
-    t[i, j, k] = N_ij^k, the index of its unit, max|t| and the number of
-    nonzero entries of t."""
+    """A based ring for the G1-G3 checks: its int64 [i, j, k, N] rows,
+    ascending, its rank, the index of its unit, max|N|, and the generator
+    set S of the lemma of `verify_green_axioms` (`_rows._generators`), or
+    None where the ring failed a ring check and the lemma does not apply."""
 
-    t: np.ndarray
+    rows: np.ndarray
+    n: int
     unit: int
     top: int
-    nnz: int
+    gens: np.ndarray | None
+
+
+def _slices(ring: _Ring, bs):
+    """The dense float64 slices t[bs] (len(bs), n, n) and t[:, bs]
+    (n, len(bs), n) of the table t[i, j, k] = N_ij^k, from the rows."""
+    rows, n = ring.rows, ring.n
+    at = np.full(n, -1)
+    at[bs] = np.arange(len(bs))
+    left = np.zeros((len(bs), n, n))
+    right = np.zeros((n, len(bs), n))
+    sel = at[rows[:, 0]] >= 0
+    left[at[rows[sel, 0]], rows[sel, 1], rows[sel, 2]] = rows[sel, 3]
+    sel = at[rows[:, 1]] >= 0
+    right[rows[sel, 0], at[rows[sel, 1]], rows[sel, 2]] = rows[sel, 3]
+    return left, right
+
+
+def _blocks(ring: _Ring, bs, slices, width: int):
+    """(b, t[b], t[:, b]) over blocks b of the basis indices bs, each of
+    about _CHUNK / width^2 elements (at least one), with the slices cut from
+    `slices` = `_slices(ring, bs)`, or made per block where it is None."""
+    step = max(1, _CHUNK // width**2)
+    for lo in range(0, len(bs), step):
+        b = bs[lo:lo + step]
+        if slices is None:
+            yield b, *_slices(ring, b)
+        else:
+            yield b, slices[0][lo:lo + step], slices[1][:, lo:lo + step]
+
+
+def _products(ring: _Ring, v, right: bool) -> np.ndarray:
+    """[s, x, m] = (v_s e_x)_m if `right`, else (e_x v_s)_m, in float64, for
+    the float64 coefficient rows v (len(v), n) of elements of the ring.
+
+    A join of v with the rows: (v_s e_x)_m sums v[s, c] N_cx^m over the rows
+    [c, x, m], and (e_x v_s)_m sums v[s, c] N_xc^m over the rows [x, c, m].
+    `np.bincount` sums the products at bins (s, x, m), over blocks of rows
+    whose keys and weights hold about _CHUNK entries; with at most n terms
+    per bin, each sum is exact while n max|v| max|N| < 2**53, which the
+    callers' bounds cover."""
+    rows, n = ring.rows, ring.n
+    coef, x = (rows[:, 0], rows[:, 1]) if right else (rows[:, 1], rows[:, 0])
+    size = len(v) * n * n
+    base = np.arange(0, size, n * n)[:, None]
+    step = max(1, _CHUNK // len(v))
+    out = np.zeros(size)
+    for lo in range(0, len(rows), step):
+        hi = lo + step
+        out += np.bincount((base + (x[lo:hi] * n + rows[lo:hi, 2])).ravel(),
+                           (v[:, coef[lo:hi]] * rows[lo:hi, 3]).ravel(), minlength=size)
+    return out.reshape(len(v), n, n)
 
 
 def _permutes_rings(perm, target, src: _Ring, rings) -> np.ndarray:
@@ -627,82 +728,102 @@ def _permutes_rings(perm, target, src: _Ring, rings) -> np.ndarray:
     map sends the unit to the unit, and f(e_i e_j) = f(e_i) f(e_j) is
     sum_k N^src_ij^k e_{p(k)} = sum_m N^dst_{p(i) p(j)}^m e_m, which
     compares coefficients at m = p(k).  For each distinct target, the units
-    and the numbers of nonzero entries are compared, and its table is
-    gathered at the one flat index (p(i) n + p(j)) n + p(k) over the
-    nonzero (i, j, k) of src, in chunks of x: exhaustive by the lemma of
-    `verify_green_axioms`, and exact, since nothing is multiplied."""
+    and the numbers of rows are compared, and the flat keys
+    (p(i) n + p(j)) n + p(k) of the rows (i, j, k) of src are looked up by
+    `np.searchsorted` in the target's ascending flat row keys, built once
+    per target, in chunks of x: exhaustive by the lemma of
+    `verify_green_axioms`, and exact, since nothing is multiplied.  Equal
+    pairs (perm[x], target[x]) have one answer, so each distinct pair is
+    checked once (one per coset xH where the conjugations compose)."""
     n = perm.shape[1]
-    i, j, k = np.nonzero(src.t)
-    values = src.t[i, j, k]
+    pairs = np.column_stack([perm, target])
+    order = np.lexsort(pairs.T)
+    pairs = pairs[order]
+    first = np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)]
+    which = np.empty(len(perm), dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    perm, target = perm[order[first]], target[order[first]]
+    i, j, k, values = src.rows.T
     ok = np.empty(len(perm), dtype=bool)
     for t in sorted(set(target.tolist())):
         dst, xs = rings[t], np.flatnonzero(target == t)
-        ok[xs] = (perm[xs, src.unit] == dst.unit) & (dst.nnz == src.nnz)
+        ok[xs] = perm[xs, src.unit] == dst.unit
+        if len(dst.rows) != len(src.rows):
+            ok[xs] = False
+            continue
+        keys = (dst.rows[:, 0] * n + dst.rows[:, 1]) * n + dst.rows[:, 2]
         for c in _chunks(len(xs), 8 * max(1, len(values))):
             q = perm[xs[c]]
-            ok[xs[c]] &= (dst.t.ravel()[(q[:, i] * n + q[:, j]) * n + q[:, k]] == values).all(1)
-    return ok
+            q = (q[:, i] * n + q[:, j]) * n + q[:, k]
+            at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+            ok[xs[c]] &= ((keys[at] == q) & (dst.rows[at, 3] == values)).all(1)
+    return ok[which]
 
 
-def _ring_map_holds(f, src: _Ring, dst: _Ring) -> bool:
-    """Whether the float64 map f (nd, ns) from src to dst is a unitary ring
-    map: f(e_{src.unit}) = e_{dst.unit} and f(e_i e_j) = f(e_i) f(e_j) on
-    all basis pairs.
-
-    The ns rows i, f(e_i) in row form, are taken in chunks of about
-    _CHUNK / max(nd, ns)^2 rows; a chunk's three products are
-      left[i, b, m] = (f(e_i) e_b)_m     rows @ dst.t as nd x nd^2
-      [i, j, m] = (f(e_i) f(e_j))_m      f^T @ left, batched
-      [i, j, a] = f(e_i e_j)_a           src.t[i] @ f^T, batched
-    The right side is a sum over b and a of nd^2 terms of absolute value at
-    most max|f|^2 max|t_dst|, the image one of ns terms at most
-    max|f| max|t_src|, so both are exact by `_kernels.require_exact` below
-    those bounds."""
-    nd, ns = f.shape
-    top = _top(f)
-    _kernels.require_exact(
-        max(nd * nd * top * top * dst.top, ns * top * src.top),
-        f"ring-map check needs nd^2 max|f|^2 max|t_dst| and ns max|f| max|t_src| "
-        f"below 2**53, got nd={nd}, ns={ns}, max|f|={top}",
-    )
-    if not (f[:, src.unit] == np.eye(nd)[dst.unit]).all():
-        return False
-    images = f.T  # [i, a] = f(e_i)_a
-    by_dst = dst.t.reshape(nd, nd * nd)
-    step = max(1, _CHUNK // max(nd, ns) ** 2)
-    return all(
-        (images @ (images[i0:i0 + step] @ by_dst).reshape(-1, nd, nd)
-         == src.t[i0:i0 + step] @ images).all()
-        for i0 in range(0, ns, step)
-    )
+_AXIOMS = ("G1", "G2", "G3")
 
 
-def _projection_block(r, ind, tk, th, a0, a1):
-    """[a - a0, b, :] of I(e_a R(e_b)) and of I(e_a) e_b for a in [a0, a1),
-    r = R_K^H and ind = I_K^H, all float64; with both tensors transposed in
-    their first two axes, of I(R(e_b) e_a) and e_b I(e_a)."""
-    induced = tk[a0:a1] @ ind.T  # [a, c, l] = I(e_a e_c)_l
-    lhs = r.T @ induced  # [a, b, l] = I(e_a R(e_b))_l
-    rhs = ind[:, a0:a1].T @ th.transpose(1, 0, 2)  # [b, a, l] = (I(e_a) e_b)_l
-    return lhs, rhs.transpose(1, 0, 2)
+def _pair_sides(r, ind, rk: _Ring, b, left, right):
+    """Both sides, in float64, of G1, G2 and G3 in turn, for the pair
+    K <= H with r = R^H_K (nk, nh) and ind = I^H_K (nh, nk), at the basis
+    elements b[s] of a(H), with left = t_H[b] and right = t_H[:, b]:
+      G1  [s, j, a]  R(e_b e_j)_a and (R(e_b) R(e_j))_a
+      G2  [a, s, l]  I(e_a R(e_b))_l and (I(e_a) e_b)_l
+      G3  [a, s, l]  I(R(e_b) e_a)_l and (e_b I(e_a))_l
+    The a(K)-side products R(e_b) e_x and e_x R(e_b) are `_products` of the
+    rows of a(K) with the coefficient rows R(e_b).  A generator, so that a
+    caller that compares each pair of sides holds one pair at a time."""
+    nh, nk = ind.shape
+    images = r.T  # [i, a] = R(e_i)_a
+    after = _products(rk, images[b], right=True)  # [s, x, m] = (R(e_b) e_x)_m
+    yield left @ images, images @ after
+    before = _products(rk, images[b], right=False)  # [s, x, m] = (e_x R(e_b))_m
+    yield ((before @ ind.T).transpose(1, 0, 2),
+           (ind.T @ right.reshape(nh, -1)).reshape(nk, len(b), nh))
+    del before
+    yield (after @ ind.T).transpose(1, 0, 2), (ind.T @ left).transpose(1, 0, 2)
 
 
-def _projection_holds(r, ind, tk, th, top_k: int, top_h: int) -> bool:
-    """Whether `_projection_block`'s two sides agree for every a, over
-    blocks of about _CHUNK / (nh max(nh, nk)) basis elements a of a(K), for
-    top_k = max|tk| and top_h = max|th|.  The left side is a sum over c and
-    m of nk^2 terms of absolute value at most max|r| top_k max|ind|, the
-    right one of nh terms at most max|ind| top_h, so both are exact by
-    `_kernels.require_exact` below those bounds."""
+def _pair_holds(r, ind, rk: _Ring, rh: _Ring, bs, slices=None) -> list:
+    """[G1, G2, G3] for the pair K <= H, each checked at every basis element
+    e_b, b in bs, of a(H) (rows of G1, the b of G2 and G3) against every
+    basis element of the other side, with G1 also asking that R(1) = 1:
+    `_pair_sides` over blocks of b (`_blocks`), with `slices` =
+    `_slices(rh, bs)` or None (made per block).  By the lemma of
+    `verify_green_axioms`, bs = S_H decides each axiom where its premises
+    hold; bs = range(nh) decides them anyway.
+
+    Bounds (`_kernels.require_exact`): in G1 the product side is a sum over
+    b and a of nk^2 terms of absolute value at most max|R|^2 max|t_K|, the
+    image side one of nh terms at most max|R| max|t_H|; in G2 and G3 the
+    side through R is a sum over c and m of nk^2 terms at most
+    max|R| max|t_K| max|I|, the other one of nh terms at most
+    max|I| max|t_H|.  Each check raises `ExactnessBoundExceeded` above its
+    bound."""
     nk, nh = r.shape
-    top_ind = _top(ind)
+    top, top_ind = _top(r), _top(ind)
     _kernels.require_exact(
-        max(nk * nk * _top(r) * top_k * top_ind, nh * top_ind * top_h),
+        max(nk * nk * top * top * rk.top, nh * top * rh.top),
+        f"ring-map check needs nd^2 max|f|^2 max|t_dst| and ns max|f| max|t_src| "
+        f"below 2**53, got nd={nk}, ns={nh}, max|f|={top}",
+    )
+    _kernels.require_exact(
+        max(nk * nk * top * rk.top * top_ind, nh * top_ind * rh.top),
         f"projection check needs nk^2 max|R| max|t_K| max|I| and nh max|I| max|t_H| "
         f"below 2**53, got nk={nk}, nh={nh}",
     )
-    step = max(1, _CHUNK // (nh * max(nh, nk)))
-    return all(
-        np.array_equal(*_projection_block(r, ind, tk, th, a0, a0 + step))
-        for a0 in range(0, nk, step)
-    )
+    held = [bool((r[:, rh.unit] == np.eye(nk)[rk.unit]).all()), True, True]
+    for block in _blocks(rh, bs, slices, max(nh, nk)):
+        for i, (lhs, rhs) in enumerate(_pair_sides(r, ind, rk, *block)):
+            held[i] = held[i] and bool((lhs == rhs).all())
+            del lhs, rhs  # before the generator makes the next pair
+    return held
+
+
+def _projection_witness(axiom, r, ind, rk: _Ring, rh: _Ring):
+    """Both sides of G2 or G3 (`_pair_sides`) over every b, as int64
+    [a, b, l]."""
+    i = _AXIOMS.index(axiom)
+    sides = [list(_pair_sides(r, ind, rk, *block))[i]
+             for block in _blocks(rh, np.arange(rh.n), None, max(rh.n, rk.n))]
+    return [np.concatenate(side, axis=1).astype(np.int64) for side in zip(*sides)]

@@ -384,11 +384,24 @@ def _sha256(text):
 
 
 def _pinned(*cases):
-    """Parametrize (argv, digest) over "command line | stdout sha256" cases."""
-    return pytest.mark.parametrize("argv, digest", [
-        pytest.param(cmd.split(), digest, id=cmd.replace(" ", "_"))
-        for cmd, digest in (case.split(" | ") for case in cases)
+    """Parametrize (argv, digests) over "command line | stdout sha256" cases;
+    a `verify green` case adds " | sha256" of the same stdout with the
+    report rows' "mode" keys taken out."""
+    return pytest.mark.parametrize("argv, digests", [
+        pytest.param(cmd.split(), digests, id=cmd.replace(" ", "_"))
+        for cmd, *digests in (case.split(" | ") for case in cases)
     ])
+
+
+def _check_pinned(out, digests):
+    """The stdout digest, and for a `verify green` report also the digest
+    with its rows' modes taken out: the one recorded before they had modes."""
+    assert _sha256(out) == digests[0]
+    if len(digests) > 1:
+        data = json.loads(out)
+        for row in data["axioms"]:
+            del row["mode"]
+        assert _sha256(json.dumps(data, indent=2) + "\n") == digests[1]
 
 
 class TestPinnedOutput:
@@ -397,12 +410,16 @@ class TestPinnedOutput:
     so any change to the local products or the verifier shows byte for
     byte.  The `verify mackey` digests were re-recorded when the report
     gained the Mc row and per-axiom modes and M4 went to class
-    representatives; every row still reads failed 0."""
+    representatives; every row still reads failed 0.  The `verify green`
+    digests were re-recorded when its rows gained modes; the digest each
+    had before is kept second, and the same report with the modes taken
+    out still matches it."""
 
     @_pinned(
         "double sym:4 | 2d01900a5eed97abaf6c1f89e40d062f3e8590c9d1002471c79eb86b9681cd0e",
         "double dihedral:6 | 4be7cc05737cd369357a8f952952bfa9f6e64dd34c99dc022347a0d712ce2e64",
         "verify green --family char:sym:4"
+        " | 2038785be2ed5c401263445cf1fc141906f93277682fcb74d057530c75d196dd"
         " | 8f0907167aa952b088220e9af83a1ba18bd11f8b26dde0d734bf4b477f2cf450",
         "verify mackey --family char:alt:5"
         " | 565ce655a5a5f1f837799066bf82d9d992150f42fdb326b7ca3454eaa0f0c8a5",
@@ -411,14 +428,17 @@ class TestPinnedOutput:
         "verify mackey --family char:dihedral:30"
         " | ebf0da7f031224a2375bed0e29e7b51f7cc0a63a359ca48c73625cab5041c8a7",
         "verify green --family char:dihedral:30"
+        " | 38843b3f8720b8d02a22eb052a9bbdfcf38ce8bff0602299736a85cd93776d17"
         " | 5876e2fd6c45088cf9ed784dabf0cf80fb5f01100ca8b3f4868216f9baac2fe9",
         "verify mackey --family equiv:dihedral:6:dihedral:6:conjugation"
         " | cbcbd32a8c8b479d4ea650823b7f40ccf3a29472b1c4ae14c2791fae572b356f",
         # recorded when the equivariant family built R, I and c one simple
         # at a time through eq_restrict/eq_induce/eq_conjugate
         "verify green --family equiv:dihedral:6:dihedral:6:conjugation"
+        " | e3c2308f2ab4c4d7fff7004a1375109d8c886d43e2b4fd5ae0aa57473092b19b"
         " | f712e49d29807bafa5698dc2d992cd851c33517f67f479832bc9a6b906a11257",
         "verify green --family equiv:sym:4:sym:4:conjugation"
+        " | c03d20c1999d96f8523430fe7a452649d6be2efcc764ce4a5097f5fe549e96aa"
         " | 69cce0e01e5b6faf98fa62a3b6732bc1de713675ba58f3ec130275d6851ce87c",
         "verify mackey --family equiv:sym:4:sym:4:conjugation"
         " | 2fdbddc8cf98a7ad64a22d3532c852bf584f411bc6ed08d54d51b9541e5ff7b4",
@@ -459,10 +479,10 @@ class TestPinnedOutput:
         "double sym:4 --format csv"
         " | e973c5c3da8876c054d59c0e4cc80a237743029c2fa6290d30f0aae5beebde14",
     )
-    def test_stdout(self, capsys, argv, digest):
+    def test_stdout(self, capsys, argv, digests):
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert _sha256(out) == digest
+        _check_pinned(out, digests)
 
     def test_fuse_csv_over_a_cyclic_subgroup(self, capsys):
         # recorded with the writers of the pins above
@@ -528,7 +548,7 @@ class TestLargePrimes:
         "chartable cyclic:40 --prime-override 2305843009213695001"
         " | 0b9f921f11f3ecae260615bd8ce8f6822f80f2e016fdbb698ab36b0289e69432",
     )
-    def test_stdout(self, capsys, argv, digest):
+    def test_stdout(self, capsys, argv, digests):
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert _sha256(out) == digest
+        _check_pinned(out, digests)

@@ -774,7 +774,7 @@ def _dense_failure_by_slices(t):
 
 def _row_failure(t):
     """`associativity_failure` on the rows of the dense table t."""
-    return _rows.associativity_failure(_rows.rows_of(t), len(t))
+    return _rows.associativity_failure(_rows.rows_of(t), len(t))[0]
 
 
 def _cyclic_group_ring(n):
@@ -873,7 +873,7 @@ class TestAssociativityFailure:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            assert _rows.associativity_failure(rows, n) is None
+            assert _rows.associativity_failure(rows, n)[0] is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

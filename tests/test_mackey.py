@@ -30,7 +30,7 @@ from equifuse.errors import (
 )
 from equifuse.permgrp import GroupAction, conjugation_index, subgroup_lattice
 from equifuse.presets import group_preset, load_action
-from test_cli import D4_ON_C4, run
+from test_cli import D4_ON_C4, _sha256, run
 from test_fusion import _cyclic_group_ring
 from test_permgrp import reference_double_coset_reps
 
@@ -289,7 +289,9 @@ class TestVerifiers:
             "M3": "exhaustive", "Mc": "exhaustive",
             "M4": "classes", "M4rel": "classes",
         }
-        assert all("mode" not in row for row in mk.verify_green_axioms(char_s3).axiom_rows())
+        rows = mk.verify_green_axioms(char_s3).axiom_rows()
+        assert {row["id"]: row["mode"] for row in rows} == dict.fromkeys(
+            ("ring", "G1", "G2", "G3"), "generators")
 
     def test_failure_reporting_carries_witness(self, s3):
         ctx = ct.make_context([s3])
@@ -530,6 +532,28 @@ def _bump_rows(rows):
     return _rows.rows_of(_bump(_rows.dense(rows, int(rows[:, 0].max()) + 1)))
 
 
+def _bump_at(i, j):
+    """A matrix with entry (i, j) + 1."""
+
+    def change(m):
+        m = m.copy()
+        m[i, j] += 1
+        return m
+
+    return change
+
+
+def _bump_rows_at(i, j, k):
+    """Ring rows with N_ij^k + 1."""
+
+    def change(rows):
+        t = _rows.dense(rows, int(rows[:, 0].max()) + 1)
+        t[i, j, k] += 1
+        return _rows.rows_of(t)
+
+    return change
+
+
 def _tamper(fn, when, change):
     """fn with `change` applied to the matrix of every call that matches
     `when`; for the conjugation callback of a subgroup H, to every row
@@ -551,33 +575,67 @@ def _tamper(fn, when, change):
     return wrapped
 
 
-# map tampered, which calls, change, failed count per axiom, first witness
-# context, sha256 of the whole report JSON as `verify green` prints it.  The
+# map tampered, which calls, change, failed count per axiom, mode of each
+# G axiom, first witness context, and two sha256 of the whole report JSON as
+# `verify green` prints it: with its rows' modes, and with the "mode" keys
+# taken out, which is the digest recorded before the rows had modes.  The
 # "c" row was recorded with the images of e_0 and e_1 swapped by a column
 # swap of the dense matrix of c_{H,5}; its report is the one a +1 on the
 # (0, 0) entry gave.  The "product" row was recorded with `_bump` made to
-# the dense product tensor, the change `_bump_rows` makes to the rows.
+# the dense product tensor, the change `_bump_rows` makes to the rows.  The
+# last three sit off the generator sets S of the lemma of
+# `verify_green_axioms` (checked by `test_tampers_sit_off_the_generators`):
+# R^{S4}_K at column 4 (S = [1, 2, 3] for S4), the row i = 4 of the ring of
+# S4, and I^{D4}_K on pairs where G1 holds.
 GREEN_TAMPERS = {
     "R": ("r", lambda H, K: H.order == 24 and K.order == 4, _bump,
           {"G1": 7, "G2": 7, "G3": 7},
+          {"G1": "exhaustive", "G2": "exhaustive", "G3": "exhaustive"},
           ["H[o24:[0, 1, 2, 3]]", "H[o4:[0, 1, 6, 7]]"],
-          "7982705951649a5a78c0504312fe2d4872ff1ce1db747ee4a699687b6c8290f9"),
+          ("d7acdb4e57940c404b9bf2bfb76f076705fb290912dff5fbe85345796dd0e1e3",
+           "7982705951649a5a78c0504312fe2d4872ff1ce1db747ee4a699687b6c8290f9")),
     "R=0": ("r", lambda H, K: H.order == 24 and K.order == 4, np.zeros_like,
             {"G1": 7, "G2": 7, "G3": 7},
+            {"G1": "exhaustive", "G2": "exhaustive", "G3": "exhaustive"},
             ["H[o24:[0, 1, 2, 3]]", "H[o4:[0, 1, 6, 7]]"],
-            "625d6793df682f5a4a7e1e780a79b9e9e5c6fa3fe9211f7e52cc8685e96e26df"),
+            ("6b9e8e881e86152f0f706bb8b6b89f14e543f23dcf0cea3a10b827764ab26b4c",
+             "625d6793df682f5a4a7e1e780a79b9e9e5c6fa3fe9211f7e52cc8685e96e26df")),
     "I": ("i", lambda K, H: K.order == 3 and H.order == 12, _bump,
           {"G2": 4, "G3": 4},
+          {"G1": "generators", "G2": "exhaustive", "G3": "exhaustive"},
           ["H[o12:[0, 3, 4, 7]]", "H[o3:[0, 3, 4]]"],
-          "ca938620f037016d0420bae7528c16f585764e7e791ac6641eead07f274c3d8f"),
+          ("d126daaf9ca7135a6a055d00f536e57e9b8e95f946b3b6efd7ed6c8754dd6b6e",
+           "ca938620f037016d0420bae7528c16f585764e7e791ac6641eead07f274c3d8f")),
     "c": ("c", lambda H, x: H.order == 8 and x == 5, _swap,
           {"G1": 3},
+          {"G1": "generators", "G2": "generators", "G3": "generators"},
           ["H[o8:[0, 1, 6, 7]]", "x=5"],
-          "f9a74737f5e6d0dc3356f51f305bb816dc7c143c72d2a1fab62445c4bf200fce"),
+          ("a8b3f1713268515294a399f40ff456fc5fecc63402ba462c2dc7c8d7f4db67de",
+           "f9a74737f5e6d0dc3356f51f305bb816dc7c143c72d2a1fab62445c4bf200fce")),
     "product": ("ring", lambda H: H.order == 6, _bump_rows,
                 {"ring": 8, "G1": 24, "G2": 24, "G3": 24},
+                {"G1": "exhaustive", "G2": "exhaustive", "G3": "exhaustive"},
                 ["H[o6:[0, 1, 2, 3]]"],
-                "573773369fc13ec178a44e1e47611e4134d7060e20e740d087edb62cac097d62"),
+                ("c638566145d7a46e8b0a06d0f37a111df30eb8b1fd11ffa1aa09ab28c79f3193",
+                 "573773369fc13ec178a44e1e47611e4134d7060e20e740d087edb62cac097d62")),
+    "R off S": ("r", lambda H, K: H.order == 24 and K.order == 4, _bump_at(0, 4),
+                {"G1": 7, "G2": 7, "G3": 7},
+                {"G1": "exhaustive", "G2": "exhaustive", "G3": "exhaustive"},
+                ["H[o24:[0, 1, 2, 3]]", "H[o4:[0, 1, 6, 7]]"],
+                ("c07b67233ee66b6bec530f3681baa5b4bb6f948af5a1b6b2c562d8793ff9ffed",
+                 "e6ff1d0dea51369471600b09b885dc9ae02c00ff751bc7114c0719968c83845e")),
+    "product off S": ("ring", lambda H: H.order == 24, _bump_rows_at(4, 4, 0),
+                      {"ring": 1, "G1": 29, "G2": 29, "G3": 29},
+                      {"G1": "exhaustive", "G2": "exhaustive", "G3": "exhaustive"},
+                      ["H[o24:[0, 1, 2, 3]]"],
+                      ("c3ea1a6bb002a1c939f28a146359700af1bf7fcd81453583bfa7ccf5e67a02d7",
+                       "b68584fb1e070684845eb8cabdd201da4f5bde85b0090f440d52987d4c2dc3d7")),
+    "I where G1 holds": ("i", lambda K, H: K.order == 4 and H.order == 8, _bump_at(-1, -1),
+                         {"G2": 9, "G3": 9},
+                         {"G1": "generators", "G2": "exhaustive", "G3": "exhaustive"},
+                         ["H[o8:[0, 1, 6, 7]]", "H[o4:[0, 1, 6, 7]]"],
+                         ("f1b38db2b7ab2dc515bbf5a9f4a7836ce98c6b3ed72f5e42f549a22a5a65662f",
+                          "9eca859ab4936e225f36c1abed5295bc7d7cf37258f9db96d9c180fcbe661291")),
 }
 
 
@@ -608,16 +666,34 @@ class TestGreenMutations:
 
     @pytest.mark.parametrize("name", sorted(GREEN_TAMPERS))
     def test_tampered_map_is_caught(self, name, char_s4, green_s4):
-        which, when, change, failed, context, digest = GREEN_TAMPERS[name]
+        which, when, change, failed, modes, context, digests = GREEN_TAMPERS[name]
         report = mk.verify_green_axioms(_green_tampered(char_s4, which, when, change))
         assert {a: f for a, (_, f) in report.counts.items() if f} == failed
         assert {a: c for a, (c, _) in report.counts.items()} == {
             a: c for a, (c, _) in green_s4.counts.items()
         }
+        assert {a: report.modes[a] for a in ("G1", "G2", "G3")} == modes
         data = report.to_json_dict()
         assert data["witnesses"][0]["context"] == context
-        text = json.dumps(data, indent=2)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        stripped = json.loads(json.dumps(data))
+        for row in stripped["axioms"]:
+            del row["mode"]
+        assert (_sha256(json.dumps(data, indent=2)),
+                _sha256(json.dumps(stripped, indent=2))) == digests
+
+    def test_tampers_sit_off_the_generators(self, char_s4):
+        s4 = char_s4.lattice[-1]
+        rows, unit = char_s4.ring(s4)
+        assert _rows._generators(rows, char_s4.size(s4)) == [1, 2, 3] and unit == 0
+        # the tampered pairs of "I where G1 holds" pass G1 intact
+        tensors, units = _tables(char_s4)
+        pairs = [(char_s4.index[H.key], char_s4.index[K.key]) for H in char_s4.lattice
+                 for K in char_s4.lattice if H.order == 8 and K.order == 4 and H.contains(K)]
+        assert pairs and all(
+            reference_is_unitary_ring_map(
+                char_s4.restriction(char_s4.lattice[hi], char_s4.lattice[ki]),
+                tensors[hi], units[hi], tensors[ki], units[ki])
+            for hi, ki in pairs)
 
 
 def reference_is_unitary_ring_map(f, t_src, u_src, t_dst, u_dst) -> bool:
@@ -641,8 +717,14 @@ def reference_projection_sides(r, ind, tk, th):
     return lhs, np.einsum("ma,mbl->abl", ind, th)
 
 
-def _ring(t, unit):
-    return mk._Ring(t.astype(np.float64), unit, mk._top(t), np.count_nonzero(t))
+def _ring(t, unit, gens=None):
+    """`mk._Ring` of the dense int table t, with the basis indices gens as
+    its S, or `_rows._generators` of its rows if gens is None (for a ring)."""
+    n = len(t)
+    rows = _rows.rows_of(np.asarray(t, dtype=np.int64))
+    if gens is None:
+        gens = _rows._generators(rows, n)
+    return mk._Ring(rows, n, unit, mk._top(rows[:, 3]), np.asarray(gens, dtype=np.intp))
 
 
 def _tables(fam):
@@ -672,19 +754,15 @@ def equiv_d6():
 
 def _assert_g1_to_g3_agree(fam):
     """Every (H, K) and every (H, x) of fam, as given and with maps bumped
-    or swapped, checked by the float64 and gather helpers and by the einsum
-    references."""
+    or swapped, checked by the row helpers and by the einsum references:
+    on every basis element, and on S_H where the lemma of
+    `verify_green_axioms` applies."""
     lattice = fam.lattice
     tensors, units = _tables(fam)
     rings = [_ring(t, u) for t, u in zip(tensors, units)]
 
     def want(f, hi, ki):
         return reference_is_unitary_ring_map(f, tensors[hi], units[hi], tensors[ki], units[ki])
-
-    def agree(f, hi, ki):
-        got = mk._ring_map_holds(f.astype(np.float64), rings[hi], rings[ki])
-        assert got == want(f, hi, ki)
-        return got
 
     for hi, H in enumerate(lattice):
         perm, target = fam.conjugations(H)
@@ -697,40 +775,51 @@ def _assert_g1_to_g3_agree(fam):
         for p, q, t, g in zip(perm, swapped, target.tolist(), got):
             assert want(np.eye(n, dtype=np.int64)[:, p], hi, t)
             assert g == want(np.eye(n, dtype=np.int64)[:, q], hi, t) == (n == 1)
+        rh = rings[hi]
+        slices = mk._slices(rh, rh.gens)
         for ki, K in enumerate(lattice):
             if not H.contains(K):
                 continue
             r, ind = fam.restriction(H, K), fam.induction(K, H)
-            if ki != hi:
-                assert agree(r, hi, ki)
-                assert not agree(_bump(r), hi, ki)
-            for tk, th in ((tensors[ki], tensors[hi]),
-                           (tensors[ki].transpose(1, 0, 2), tensors[hi].transpose(1, 0, 2))):
-                # R broken, and the products e_a e_c of the last a only
-                last = tk.copy()
-                last[-1, 0, 0] += 1
-                for rr, tt, intact in ((r, tk, True), (_bump(r), tk, False), (r, last, False)):
-                    lhs, rhs = reference_projection_sides(rr, ind, tt, th)
-                    f_r, f_ind, f_tk, f_th = _float(rr, ind, tt, th)
-                    got = mk._projection_block(f_r, f_ind, f_tk, f_th, 0, len(rr))
+            # R broken (R(1) != 1), and the products e_a e_c of the last a
+            # only, which leave a(K) no ring: checked on every b
+            last = tensors[ki].copy()
+            last[-1, 0, 0] += 1
+            for rr, tk, intact in ((r, tensors[ki], True), (_bump(r), tensors[ki], False),
+                                   (r, last, False)):
+                rk = _ring(tk, units[ki], None if tk is tensors[ki] else range(len(tk)))
+                f_r, f_ind = _float(rr, ind)
+                expected = [reference_is_unitary_ring_map(rr, tensors[hi], units[hi],
+                                                          tk, units[ki])]
+                for axiom, turn in (("G2", lambda t: t), ("G3", lambda t: t.transpose(1, 0, 2))):
+                    lhs, rhs = reference_projection_sides(rr, ind, turn(tk), turn(tensors[hi]))
+                    got = mk._projection_witness(axiom, f_r, f_ind, rk, rh)
                     assert np.array_equal(got[0], lhs) and np.array_equal(got[1], rhs)
-                    holds = mk._projection_holds(f_r, f_ind, f_tk, f_th, mk._top(tt), mk._top(th))
-                    assert holds == np.array_equal(lhs, rhs)
-                    assert holds or not intact
+                    expected.append(np.array_equal(lhs, rhs))
+                full = mk._pair_holds(f_r, f_ind, rk, rh, np.arange(rh.n))
+                assert full == expected
+                assert all(full) or not intact
+                if tk is tensors[ki]:
+                    # both rings intact: S_H decides G1, and G2 and G3
+                    # where G1 holds
+                    reduced = mk._pair_holds(f_r, f_ind, rk, rh, rh.gens, slices)
+                    assert reduced[0] == full[0]
+                    assert reduced == full or not full[0]
 
 
 class TestStackedGreenChecks:
-    """G1 for conjugation as a gather, G1 for restriction and G2/G3 in
-    blocks as float64 BLAS products, against the int64 einsum forms they
-    replaced."""
+    """G1 for conjugation as a lookup of row keys, G1 for restriction and
+    G2/G3 in blocks of basis elements, on ring rows, against the int64
+    einsum forms they replaced."""
 
     @pytest.mark.parametrize("name", ["char_s4", "equiv_d6"])
     def test_every_pair_and_element_agrees_with_the_einsums(self, request, name):
         _assert_g1_to_g3_agree(request.getfixturevalue(name))
 
     def test_rows_of_one_map_split_across_chunks(self, monkeypatch, char_s4):
-        # 3 rows per chunk of 4-dimensional maps: a chunk ends inside a map
-        # of rank 4, and projection blocks hold one basis element each
+        # 3 basis elements per block of the pairs of rank 4: a block ends
+        # inside a map of rank 4, and a row join takes 48 / 3 = 16 rows at
+        # a time
         monkeypatch.setattr(mk, "_CHUNK", 3 * 16)
         _assert_g1_to_g3_agree(char_s4)
 
@@ -746,17 +835,23 @@ class TestStackedGreenChecks:
         maps.append(moved)
         want = [reference_is_unitary_ring_map(g, t_src, 0, t_dst, 0) for g in maps]
         assert want[0]
-        got = [mk._ring_map_holds(g.astype(np.float64), _ring(t_src, 0), _ring(t_dst, 0))
-               for g in maps]
-        assert got == want
-        # random tensors, not rings, and a non-square map between them
+        # G1 alone (I = 0): rings, on S of the source (the lemma) and on
+        # every basis element
+        src, dst = _ring(t_src, 0), _ring(t_dst, 0)
+        zero = np.zeros((n, m))
+        for bs in (src.gens, np.arange(n)):
+            got = [mk._pair_holds(g.astype(np.float64), zero, dst, src, bs)[0] for g in maps]
+            assert got == want
+        # random tensors, not rings, and a non-square map between them, on
+        # every basis element
         nd, ns = 2 + seed % 3, 3 + seed % 4
         a, b = rng.integers(-2, 3, size=(ns, ns, ns)), rng.integers(-2, 3, size=(nd, nd, nd))
         g = rng.integers(-2, 3, size=(nd, ns))
-        got = mk._ring_map_holds(g.astype(np.float64), _ring(a, 0), _ring(b, 1))
+        got = mk._pair_holds(g.astype(np.float64), np.zeros((ns, nd)), _ring(b, 1, range(nd)),
+                             _ring(a, 0, range(ns)), np.arange(ns))[0]
         assert got == reference_is_unitary_ring_map(g, a, 0, b, 1)
-        # the gather form on every permutation of the basis of Z[C_n]: the
-        # ring automorphisms (i -> ki for k prime to n) fix the unit 0
+        # the lookup on every permutation of the basis of Z[C_n]: the ring
+        # automorphisms (i -> ki for k prime to n) fix the unit 0
         perms = np.array(list(itertools.islice(itertools.permutations(range(n)), 200)))
         got = mk._permutes_rings(perms, np.zeros(len(perms), dtype=np.intp),
                                  _ring(t_src, 0), [_ring(t_src, 0)])
@@ -767,10 +862,14 @@ class TestStackedGreenChecks:
         nk, nh = 2 + seed % 3, 3 + seed % 5
         r, ind = rng.integers(-3, 4, size=(nk, nh)), rng.integers(-3, 4, size=(nh, nk))
         tk, th = rng.integers(-3, 4, size=(nk, nk, nk)), rng.integers(-3, 4, size=(nh, nh, nh))
-        lhs, rhs = reference_projection_sides(r, ind, tk, th)
-        got = mk._projection_block(*_float(r, ind, tk, th), 0, nk)
-        assert np.array_equal(got[0], lhs) and np.array_equal(got[1], rhs)
-        assert mk._projection_holds(*_float(r, ind, tk, th), 3, 3) == np.array_equal(lhs, rhs)
+        rk, rh = _ring(tk, 0, range(nk)), _ring(th, 0, range(nh))
+        expected = []
+        for axiom, turn in (("G2", lambda t: t), ("G3", lambda t: t.transpose(1, 0, 2))):
+            lhs, rhs = reference_projection_sides(r, ind, turn(tk), turn(th))
+            got = mk._projection_witness(axiom, *_float(r, ind), rk, rh)
+            assert np.array_equal(got[0], lhs) and np.array_equal(got[1], rhs)
+            expected.append(np.array_equal(lhs, rhs))
+        assert mk._pair_holds(*_float(r, ind), rk, rh, np.arange(nh))[1:] == expected
 
     def test_one_tampered_x_among_one_target(self, char_s4, green_s4):
         # A4 is normal in S4, so all 24 c_{A4,x} share one target; the
@@ -815,6 +914,37 @@ class TestStackedGreenChecks:
             tracemalloc.stop()
         assert peak < 40**3 * 8
 
+    def test_green_heap_below_one_table_on_d_d6(self, equiv_d6):
+        # the n = 40 subgroup H of D(D6) and every K <= H: G1 for R, G2 and
+        # G3 on S_H peak below one (40, 40, 40) float64 table (500 KiB),
+        # the array every ring kept before for all three checks
+        fam = equiv_d6
+        hi = next(i for i, H in enumerate(fam.lattice) if fam.size(H) == 40)
+        H = fam.lattice[hi]
+        below = [i for i, K in enumerate(fam.lattice) if H.contains(K)]
+        rings = {}
+        for i in below:
+            rows, unit = fam.ring(fam.lattice[i])
+            n = fam.size(fam.lattice[i])
+            rings[i] = mk._Ring(rows, n, unit, mk._top(rows[:, 3]),
+                                np.array(_rows._generators(rows, n), dtype=np.intp))
+        maps = {i: (fam.restriction(H, fam.lattice[i]).astype(np.float64),
+                    fam.induction(fam.lattice[i], H).astype(np.float64)) for i in below}
+        rh = rings[hi]
+        assert len(below) > 1 and len(rh.gens) < 40
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            slices = mk._slices(rh, rh.gens)
+            assert all(all(mk._pair_holds(*maps[i], rings[i], rh, rh.gens, slices))
+                       for i in below)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40**3 * 8
+        # and no densifier is left in the verifier
+        assert not hasattr(mk, "dense")
+
     def test_extra_nonzero_entry_fails_only_its_target(self, char_s4):
         # D4 has three conjugates in S4.  One of them, T, gains one nonzero
         # N_ij^k at a zero of its table: the images of H's nonzero entries
@@ -832,9 +962,12 @@ class TestStackedGreenChecks:
         rings[ti] = _ring(bigger, units[ti])
         ok = mk._permutes_rings(perm, target, rings[hi], rings)
         assert np.flatnonzero(~ok).tolist() == np.flatnonzero(target == ti).tolist()
-        # the gather half alone passes every x: the count is what fails
-        rings[ti] = rings[ti]._replace(nnz=np.count_nonzero(tensors[ti]))
-        assert mk._permutes_rings(perm, target, rings[hi], rings).all()
+        # every row of H still maps onto a row of T with its N: the count
+        # is what fails
+        src, keys = rings[hi].rows, rings[ti].rows[:, :3] @ [64, 8, 1]
+        for p in perm[target == ti]:
+            moved = p[src[:, :3]] @ [64, 8, 1]
+            assert np.array_equal(rings[ti].rows[np.searchsorted(keys, moved), 3], src[:, 3])
 
 
 def _ring_rows_tampered(fam, change):
@@ -973,19 +1106,22 @@ class TestExactnessGuard:
     def test_helpers_check_their_bounds(self):
         t = _cyclic_group_ring(2)
         f = np.eye(2) * 2**26  # 2^2 (2**26)^2 = 2**54
+        every, one = np.arange(2), np.eye(2)
         with pytest.raises(ExactnessBoundExceeded, match="ring-map"):
-            mk._ring_map_holds(f, _ring(t, 0), _ring(t, 0))
-        assert not mk._ring_map_holds(f / 2, _ring(t, 0), _ring(t, 0))
+            mk._pair_holds(f, one, _ring(t, 0), _ring(t, 0), every)
+        assert not mk._pair_holds(f / 2, one, _ring(t, 0), _ring(t, 0), every)[0]
         # not a ring map (f(e_1)^2 = e_0 - 2**64 e_1 + 2**126 e_0), but every
         # int64 product wraps to agree with f(e_1 e_1) = e_0
         wraps = np.array([[1, -2**63], [0, 1]], dtype=np.int64)
         assert reference_is_unitary_ring_map(wraps, t, 0, t, 0)
         with pytest.raises(ExactnessBoundExceeded):
-            mk._ring_map_holds(wraps.astype(np.float64), _ring(t, 0), _ring(t, 0))
-        r = np.eye(2) * 2**51  # 2^2 2**51 = 2**53 in I(a R(b))
+            mk._pair_holds(wraps.astype(np.float64), one, _ring(t, 0), _ring(t, 0), every)
+        # 2^2 2**25 2**26 = 2**53 in I(a R(b)), with G1's 2^2 (2**25)^2
+        # below the bound
+        r, ind = one * 2**25, one * 2**26
         with pytest.raises(ExactnessBoundExceeded, match="projection"):
-            mk._projection_holds(r, np.eye(2), *_float(t, t), 1, 1)
-        assert not mk._projection_holds(r / 2, np.eye(2), *_float(t, t), 1, 1)
+            mk._pair_holds(r, ind, _ring(t, 0), _ring(t, 0), every)
+        assert mk._pair_holds(r, ind / 2, _ring(t, 0), _ring(t, 0), every) == [False] * 3
 
     def test_cli_exits_2(self, capsys, monkeypatch, char_s3):
         from equifuse import cli as cli_mod
