@@ -118,12 +118,6 @@ def _generators(rows: np.ndarray, n: int):
         new = np.vstack([eye[[b]], _kernels.matmul_mod(span, left[-1], p)])
 
 
-# Join rows plus bins of one block of j in `_join_failure` (a block holds
-# at least one j): each int64 or float64 temporary of a block stays at
-# 64 KiB, below glibc's 128 KiB mmap threshold, like `mackey._GATHER_BYTES`.
-_JOIN_ROWS = 1 << 13
-
-
 def _joined(keys, weights, lo, hi, b_keys, b_weights, size: int) -> np.ndarray:
     """Float64 sums of weights[r] b_weights[x] at bins keys[r] + b_keys[x]
     over every r and x in lo[r]:hi[r], by `np.bincount`."""
@@ -142,9 +136,12 @@ def _join_failure(rows, n: int, i: int, starts, kl, jk, coeff):
     cost = (np.bincount(ti[:, 1], np.diff(starts)[ti[:, 2]], minlength=n)
             + np.bincount(rows[:, 0], np.diff(by_m)[rows[:, 2]], minlength=n) + n * n)
     cum = np.cumsum(cost)
+    # join rows plus bins of one block of j (at least one j): each int64 or
+    # float64 temporary of a block stays at `_kernels.GATHER_BYTES`
+    most = _kernels.GATHER_BYTES // 8
     j0 = 0
     while j0 < n:
-        j1 = max(j0 + 1, int(np.searchsorted(cum, cum[j0] - cost[j0] + _JOIN_ROWS, "right")))
+        j1 = max(j0 + 1, int(np.searchsorted(cum, cum[j0] - cost[j0] + most, "right")))
         size = (j1 - j0) * n * n
         a = slice(by_m[j0], by_m[j1])  # [i, j, m] . [m, k, l]
         m = ti[a, 2]

@@ -21,10 +21,12 @@ returns a report.
 The Green axioms (unitary ring maps G1, projection formulas G2 and G3) are
 checked on the rings' [i, j, k, N] rows: G1 for a conjugation as a lookup
 of the source's rows among each target's (exhaustive by a support-size
-lemma), G1 for a restriction and the projection formulas on the generator
-set S_H of each ring, which a subring lemma proves is enough, falling back
-to every basis element where its premises fail.  Their float64 products
-are exact below a bound each check states (`_kernels.require_exact`); see
+lemma), G1 for a restriction and the projection formulas at each element
+e_s of the generator set S_H of each ring, which a subring lemma proves is
+enough, falling back to every basis element where its premises fail.  At
+e_s each axiom is one equation of float64 products of R, I, two slices of
+a(H)'s table and the matrices of multiplication by R(e_s) in a(K), exact
+below a bound each check states (`_kernels.require_exact`); see
 `verify_green_axioms`.
 
 Two families ship: the character rings of all subgroups, and the
@@ -435,7 +437,7 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
         # of several arrays, 64 KiB per operand); a temporary holds at most
         # |G| max(n, 8) bytes per x (8 for the intp copy of the int32 index)
         ok = np.empty((order, order), dtype=bool)
-        for xs in _chunks(order, order * max(n, 8)):
+        for xs in _kernels.chunks(order, order * max(n, 8)):
             moved = rows[at[xs, None] * n + p_h[xs]]  # [x, j, y] = P_{xH}[y, P_H[x, j]]
             ok[xs] = (moved == p_h_narrow[G.mult[:, xs].T].transpose(0, 2, 1)).all(axis=1)
         report.record_all("M3", ok.ravel(), lambda i: (H, *divmod(i, order)),
@@ -458,13 +460,13 @@ def verify_mackey_axioms(fam: MackeyFamily) -> AxiomReport:
             r, ind = fam.restriction(H, K), fam.induction(K, H)
             moved_r = np.stack([fam.restriction(xh, xk) for xh, xk in moved])
             ok = good.copy()
-            for xs in _chunks(order, 8 * r.size):
+            for xs in _kernels.chunks(order, 8 * r.size):
                 gathered = moved_r[at[xs], p_k[xs, :, None], p_h[xs, None]]
                 ok[xs] &= (gathered == r).all(axis=(1, 2))
             report.record_all("Mc", ok, lambda x: (H, K, x), "c R = R c")
             moved_i = np.stack([fam.induction(xk, xh) for xh, xk in moved])
             ok = good.copy()
-            for xs in _chunks(order, 8 * ind.size):
+            for xs in _kernels.chunks(order, 8 * ind.size):
                 gathered = moved_i[at[xs], p_h[xs, :, None], p_k[xs, None]]
                 ok[xs] &= (gathered == ind).all(axis=(1, 2))
             report.record_all("Mc", ok, lambda x: (H, K, x), "c I = I c")
@@ -558,11 +560,18 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     to a zero, and the check is exhaustive.
 
     G1 for restriction, G2 and G3 are checked together, one pair at a time
-    (`_pair_holds`): the dense slices t_H[S_H] and t_H[:, S_H] of one H at
-    a time are multiplied by the maps in float64, and the a(K)-side
-    products R(e_b) e_x and e_x R(e_b) are joins of coefficient rows with
-    the rows of a(K) (`_products`), in blocks whose temporaries stay near
-    _CHUNK entries.  Each sum is exact by the lemma of
+    and one basis element e_s of a(H) at a time (`_pair_holds`).  Write
+    t[s] for the slice [j, k] = N_sj^k and t[:, s] for [h, l] = N_hs^l,
+    and let v = R(e_s).  Its multiplication matrices in a(K),
+    L(v)[c, m] = (v e_c)_m and Rt(v)[a, m] = (e_a v)_m, are one
+    `np.bincount` each over the rows of a(K) (`_multiplication`), and the
+    three axioms at e_s are six float64 products (`_element_sides`):
+      G1  t_H[s] R^T = R^T L(v),
+      G2  Rt(v) I^T = I^T t_H[:, s],
+      G3  L(v) I^T = I^T t_H[s].
+    The dense slices t_H[s] and t_H[:, s] are made once per H for each s in
+    S_H (`_slice_pair`) and dropped after that H; the fallback makes them
+    for one b at a time.  Each sum is exact by the lemma of
     `_kernels.require_exact`; each check states its bound and raises
     `ExactnessBoundExceeded` above it.  A family without a multiplication
     raises `NoRingStructure` at its first `ring`."""
@@ -590,7 +599,8 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     later = []
     for hi, H in enumerate(lattice):
         rh = rings[hi]
-        slices = _slices(rh, rh.gens) if rh.gens is not None else None
+        # t_H[s] and t_H[:, s] for s in S_H, for every K <= H
+        slices = None if rh.gens is None else [_slice_pair(rh, s) for s in rh.gens]
         for ki in below[hi]:
             K, rk = lattice[ki], rings[ki]
             r = fam.restriction(H, K).astype(np.float64)
@@ -621,28 +631,6 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     return report
 
 
-# Bytes of the largest temporary of one chunk of an M3 or Mc gather: below
-# glibc's initial 128 KiB mmap threshold, since freeing a larger block raises
-# the threshold and later medium arrays then fragment the heap.  Unchunked,
-# the Mc gathers of `verify mackey --family char:dihedral:100` hold up to
-# 4 MiB each, and its peak RSS moved by 3 MiB with unrelated allocations.
-_GATHER_BYTES = 1 << 16
-
-
-def _chunks(count: int, width: int):
-    """Slices covering range(count), each of at most _GATHER_BYTES // width
-    items (and at least one), for a gather of `width` bytes per item."""
-    step = max(1, _GATHER_BYTES // width)
-    return [slice(i, i + step) for i in range(0, count, step)]
-
-# Entries of the largest float64 array one block of a G1-G3 check holds,
-# and of the keys and of the weights of one block of a row join (32 KiB,
-# below glibc's mmap threshold like _GATHER_BYTES; a block holds a few such
-# arrays at once); one pass over all the rows of a map at n = 40 would hold
-# 40 rows of 40^2 entries, 512 KiB, in each of them.
-_CHUNK = 1 << 12
-
-
 def _nested(lattice) -> np.ndarray:
     """[i, j] = (lattice[j] <= lattice[i]), from one boolean product of the
     membership masks: lattice[j] <= lattice[i] iff no member of lattice[j]
@@ -671,55 +659,29 @@ class _Ring(NamedTuple):
     gens: np.ndarray | None
 
 
-def _slices(ring: _Ring, bs):
-    """The dense float64 slices t[bs] (len(bs), n, n) and t[:, bs]
-    (n, len(bs), n) of the table t[i, j, k] = N_ij^k, from the rows."""
+def _slice_pair(ring: _Ring, s: int):
+    """The dense float64 slices t[s], [j, k] = N_sj^k, and t[:, s],
+    [h, l] = N_hs^l, of the table t[i, j, k] = N_ij^k, from the rows."""
     rows, n = ring.rows, ring.n
-    at = np.full(n, -1)
-    at[bs] = np.arange(len(bs))
-    left = np.zeros((len(bs), n, n))
-    right = np.zeros((n, len(bs), n))
-    sel = at[rows[:, 0]] >= 0
-    left[at[rows[sel, 0]], rows[sel, 1], rows[sel, 2]] = rows[sel, 3]
-    sel = at[rows[:, 1]] >= 0
-    right[rows[sel, 0], at[rows[sel, 1]], rows[sel, 2]] = rows[sel, 3]
+    left, right = np.zeros((n, n)), np.zeros((n, n))
+    at = rows[rows[:, 0] == s]
+    left[at[:, 1], at[:, 2]] = at[:, 3]
+    at = rows[rows[:, 1] == s]
+    right[at[:, 0], at[:, 2]] = at[:, 3]
     return left, right
 
 
-def _blocks(ring: _Ring, bs, slices, width: int):
-    """(b, t[b], t[:, b]) over blocks b of the basis indices bs, each of
-    about _CHUNK / width^2 elements (at least one), with the slices cut from
-    `slices` = `_slices(ring, bs)`, or made per block where it is None."""
-    step = max(1, _CHUNK // width**2)
-    for lo in range(0, len(bs), step):
-        b = bs[lo:lo + step]
-        if slices is None:
-            yield b, *_slices(ring, b)
-        else:
-            yield b, slices[0][lo:lo + step], slices[1][:, lo:lo + step]
-
-
-def _products(ring: _Ring, v, right: bool) -> np.ndarray:
-    """[s, x, m] = (v_s e_x)_m if `right`, else (e_x v_s)_m, in float64, for
-    the float64 coefficient rows v (len(v), n) of elements of the ring.
-
-    A join of v with the rows: (v_s e_x)_m sums v[s, c] N_cx^m over the rows
-    [c, x, m], and (e_x v_s)_m sums v[s, c] N_xc^m over the rows [x, c, m].
-    `np.bincount` sums the products at bins (s, x, m), over blocks of rows
-    whose keys and weights hold about _CHUNK entries; with at most n terms
-    per bin, each sum is exact while n max|v| max|N| < 2**53, which the
-    callers' bounds cover."""
+def _multiplication(ring: _Ring, v, left: bool) -> np.ndarray:
+    """The float64 matrix of multiplication by v (float64 coefficients) in
+    the ring: [c, m] = (v e_c)_m if `left`, else [a, m] = (e_a v)_m.  One
+    `np.bincount` over the rows: (v e_c)_m sums v_i N_ic^m over the rows
+    [i, c, m], (e_a v)_m sums v_j N_aj^m over the rows [a, j, m], and a bin
+    adds at most n terms of at most max|v| max|N| (the callers' bounds cover
+    them).  Selecting the rows where v is nonzero first took the G1-G3
+    checks of `equiv:dihedral:12` from 141 to 184 ms (2 CPUs, best of 7)."""
     rows, n = ring.rows, ring.n
-    coef, x = (rows[:, 0], rows[:, 1]) if right else (rows[:, 1], rows[:, 0])
-    size = len(v) * n * n
-    base = np.arange(0, size, n * n)[:, None]
-    step = max(1, _CHUNK // len(v))
-    out = np.zeros(size)
-    for lo in range(0, len(rows), step):
-        hi = lo + step
-        out += np.bincount((base + (x[lo:hi] * n + rows[lo:hi, 2])).ravel(),
-                           (v[:, coef[lo:hi]] * rows[lo:hi, 3]).ravel(), minlength=size)
-    return out.reshape(len(v), n, n)
+    coef, at = (rows[:, 0], rows[:, 1]) if left else (rows[:, 1], rows[:, 0])
+    return np.bincount(at * n + rows[:, 2], v[coef] * rows[:, 3], minlength=n * n).reshape(n, n)
 
 
 def _permutes_rings(perm, target, src: _Ring, rings) -> np.ndarray:
@@ -752,7 +714,7 @@ def _permutes_rings(perm, target, src: _Ring, rings) -> np.ndarray:
             ok[xs] = False
             continue
         keys = (dst.rows[:, 0] * n + dst.rows[:, 1]) * n + dst.rows[:, 2]
-        for c in _chunks(len(xs), 8 * max(1, len(values))):
+        for c in _kernels.chunks(len(xs), 8 * max(1, len(values))):
             q = perm[xs[c]]
             q = (q[:, i] * n + q[:, j]) * n + q[:, k]
             at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
@@ -763,43 +725,36 @@ def _permutes_rings(perm, target, src: _Ring, rings) -> np.ndarray:
 _AXIOMS = ("G1", "G2", "G3")
 
 
-def _pair_sides(r, ind, rk: _Ring, b, left, right):
-    """Both sides, in float64, of G1, G2 and G3 in turn, for the pair
-    K <= H with r = R^H_K (nk, nh) and ind = I^H_K (nh, nk), at the basis
-    elements b[s] of a(H), with left = t_H[b] and right = t_H[:, b]:
-      G1  [s, j, a]  R(e_b e_j)_a and (R(e_b) R(e_j))_a
-      G2  [a, s, l]  I(e_a R(e_b))_l and (I(e_a) e_b)_l
-      G3  [a, s, l]  I(R(e_b) e_a)_l and (e_b I(e_a))_l
-    The a(K)-side products R(e_b) e_x and e_x R(e_b) are `_products` of the
-    rows of a(K) with the coefficient rows R(e_b).  A generator, so that a
-    caller that compares each pair of sides holds one pair at a time."""
-    nh, nk = ind.shape
-    images = r.T  # [i, a] = R(e_i)_a
-    after = _products(rk, images[b], right=True)  # [s, x, m] = (R(e_b) e_x)_m
-    yield left @ images, images @ after
-    before = _products(rk, images[b], right=False)  # [s, x, m] = (e_x R(e_b))_m
-    yield ((before @ ind.T).transpose(1, 0, 2),
-           (ind.T @ right.reshape(nh, -1)).reshape(nk, len(b), nh))
-    del before
-    yield (after @ ind.T).transpose(1, 0, 2), (ind.T @ left).transpose(1, 0, 2)
+def _element_sides(r, ind, rk: _Ring, s: int, left, right):
+    """Both sides, in float64, of G1, G2 and G3 in turn at the basis element
+    e_s of a(H), as the products of `verify_green_axioms`, for r = R^H_K,
+    ind = I^H_K, left = t_H[s] and right = t_H[:, s] (`_slice_pair`):
+    G1 as [j, a] at (e_s, e_j), G2 and G3 as [a, l] at (e_a, e_s).  A
+    generator, so that a caller holds one pair of sides at a time."""
+    v = r[:, s]
+    after = _multiplication(rk, v, left=True)
+    yield left @ r.T, r.T @ after
+    yield _multiplication(rk, v, left=False) @ ind.T, ind.T @ right
+    yield after @ ind.T, ind.T @ left
 
 
 def _pair_holds(r, ind, rk: _Ring, rh: _Ring, bs, slices=None) -> list:
     """[G1, G2, G3] for the pair K <= H, each checked at every basis element
     e_b, b in bs, of a(H) (rows of G1, the b of G2 and G3) against every
     basis element of the other side, with G1 also asking that R(1) = 1:
-    `_pair_sides` over blocks of b (`_blocks`), with `slices` =
-    `_slices(rh, bs)` or None (made per block).  By the lemma of
+    `_element_sides` one b at a time, with `slices` the `_slice_pair` of
+    rh at each b, or None (made per b).  By the lemma of
     `verify_green_axioms`, bs = S_H decides each axiom where its premises
     hold; bs = range(nh) decides them anyway.
 
     Bounds (`_kernels.require_exact`): in G1 the product side is a sum over
-    b and a of nk^2 terms of absolute value at most max|R|^2 max|t_K|, the
-    image side one of nh terms at most max|R| max|t_H|; in G2 and G3 the
-    side through R is a sum over c and m of nk^2 terms at most
-    max|R| max|t_K| max|I|, the other one of nh terms at most
-    max|I| max|t_H|.  Each check raises `ExactnessBoundExceeded` above its
-    bound."""
+    c and the bins of L(v) of nk^2 terms of absolute value at most
+    max|R|^2 max|t_K|, the image side one of nh terms at most
+    max|R| max|t_H|; in G2 and G3 the side through R is a sum over c and m
+    of nk^2 terms at most max|R| max|t_K| max|I|, the other one of nh terms
+    at most max|I| max|t_H|.  A bin of L(v) or Rt(v) alone adds nk terms
+    of at most max|R| max|t_K|, which G1's bound covers.  Each check raises
+    `ExactnessBoundExceeded` above its bound."""
     nk, nh = r.shape
     top, top_ind = _top(r), _top(ind)
     _kernels.require_exact(
@@ -812,18 +767,19 @@ def _pair_holds(r, ind, rk: _Ring, rh: _Ring, bs, slices=None) -> list:
         f"projection check needs nk^2 max|R| max|t_K| max|I| and nh max|I| max|t_H| "
         f"below 2**53, got nk={nk}, nh={nh}",
     )
+    if slices is None:
+        slices = (_slice_pair(rh, b) for b in bs)
     held = [bool((r[:, rh.unit] == np.eye(nk)[rk.unit]).all()), True, True]
-    for block in _blocks(rh, bs, slices, max(nh, nk)):
-        for i, (lhs, rhs) in enumerate(_pair_sides(r, ind, rk, *block)):
+    for b, (left, right) in zip(bs, slices):
+        for i, (lhs, rhs) in enumerate(_element_sides(r, ind, rk, b, left, right)):
             held[i] = held[i] and bool((lhs == rhs).all())
             del lhs, rhs  # before the generator makes the next pair
     return held
 
 
 def _projection_witness(axiom, r, ind, rk: _Ring, rh: _Ring):
-    """Both sides of G2 or G3 (`_pair_sides`) over every b, as int64
-    [a, b, l]."""
+    """Both sides of G2 or G3 (`_element_sides`) at every b, stacked as
+    int64 [a, b, l]."""
     i = _AXIOMS.index(axiom)
-    sides = [list(_pair_sides(r, ind, rk, *block))[i]
-             for block in _blocks(rh, np.arange(rh.n), None, max(rh.n, rk.n))]
-    return [np.concatenate(side, axis=1).astype(np.int64) for side in zip(*sides)]
+    sides = [list(_element_sides(r, ind, rk, b, *_slice_pair(rh, b)))[i] for b in range(rh.n)]
+    return [np.stack(side, axis=1).astype(np.int64) for side in zip(*sides)]

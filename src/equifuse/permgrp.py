@@ -655,16 +655,17 @@ def conjugates(S: Subgroup):
     cg[xs][:, S.members] of cg[x, g] = x g x^-1 (`Group.conjugation_table`)
     give the members of every conjugate, with generators cg[x, gens], told
     apart by packed masks.  The masks are made a chunk of x at a time, each
-    chunk's bool array at most 64 KiB, and each new conjugate keeps a copy
-    of its own row, so no |G| x |G| array is made or kept alive."""
+    chunk's bool array at most `_kernels.GATHER_BYTES`, and each new
+    conjugate keeps a copy of its own row, so no |G| x |G| array is made or
+    kept alive."""
     G = S.parent
     cg = G.conjugation_table
     gens = np.asarray(S.generators, dtype=np.int64)
     seen, subs = {}, []
     which = np.empty(G.order, dtype=np.int64)
-    step = max(1, (1 << 16) // G.order)
-    for x0 in range(0, G.order, step):
-        conj = cg[x0:x0 + step][:, S.members]
+    for xs in _kernels.chunks(G.order, G.order):
+        x0 = xs.start
+        conj = cg[xs][:, S.members]
         masks = np.zeros((len(conj), G.order), dtype=bool)
         masks[np.arange(len(conj))[:, None], conj] = True
         for x, key in enumerate(np.packbits(masks, axis=1), x0):

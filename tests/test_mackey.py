@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from equifuse import _rows
+from equifuse import _kernels, _rows
 from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse import mackey as mk
@@ -776,7 +776,7 @@ def _assert_g1_to_g3_agree(fam):
             assert want(np.eye(n, dtype=np.int64)[:, p], hi, t)
             assert g == want(np.eye(n, dtype=np.int64)[:, q], hi, t) == (n == 1)
         rh = rings[hi]
-        slices = mk._slices(rh, rh.gens)
+        slices = [mk._slice_pair(rh, s) for s in rh.gens]
         for ki, K in enumerate(lattice):
             if not H.contains(K):
                 continue
@@ -809,19 +809,26 @@ def _assert_g1_to_g3_agree(fam):
 
 class TestStackedGreenChecks:
     """G1 for conjugation as a lookup of row keys, G1 for restriction and
-    G2/G3 in blocks of basis elements, on ring rows, against the int64
-    einsum forms they replaced."""
+    G2/G3 one basis element at a time as products of multiplication
+    matrices, on ring rows, against the int64 einsum forms they replaced."""
 
     @pytest.mark.parametrize("name", ["char_s4", "equiv_d6"])
     def test_every_pair_and_element_agrees_with_the_einsums(self, request, name):
         _assert_g1_to_g3_agree(request.getfixturevalue(name))
 
-    def test_rows_of_one_map_split_across_chunks(self, monkeypatch, char_s4):
-        # 3 basis elements per block of the pairs of rank 4: a block ends
-        # inside a map of rank 4, and a row join takes 48 / 3 = 16 rows at
-        # a time
-        monkeypatch.setattr(mk, "_CHUNK", 3 * 16)
-        _assert_g1_to_g3_agree(char_s4)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multiplication_matrices(self, seed):
+        # random integer tensors with negative entries, not rings, and
+        # coefficient vectors with zeros and negatives, the zero vector too
+        rng = np.random.default_rng(seed)
+        n = 1 + seed
+        t = rng.integers(-3, 4, size=(n, n, n))
+        ring = _ring(t, 0, range(n))
+        for v in (rng.integers(-2, 3, size=n), np.zeros(n, dtype=np.int64),
+                  np.where(np.arange(n) % 2, 0, -1 - np.arange(n))):
+            got = [mk._multiplication(ring, v.astype(np.float64), left) for left in (True, False)]
+            assert np.array_equal(got[0], np.einsum("i,icm->cm", v, t))  # (v e_c)_m
+            assert np.array_equal(got[1], np.einsum("j,ajm->am", v, t))  # (e_a v)_m
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_integer_maps(self, seed):
@@ -892,7 +899,9 @@ class TestStackedGreenChecks:
     def test_small_chunks_give_the_same_report(self, name, monkeypatch, char_s4):
         broken = _green_tampered(char_s4, *GREEN_TAMPERS[name][:3])
         whole = mk.verify_green_axioms(broken).to_json_dict()
-        monkeypatch.setattr(mk, "_CHUNK", 3 * 16)
+        # the `_permutes_rings` lookups and the associativity joins split
+        # into chunks of one to a few x or j
+        monkeypatch.setattr(_kernels, "GATHER_BYTES", 8 * 16)
         assert mk.verify_green_axioms(broken).to_json_dict() == whole
 
     def test_stack_heap_below_the_einsum_outputs(self, equiv_d6):
@@ -916,8 +925,8 @@ class TestStackedGreenChecks:
 
     def test_green_heap_below_one_table_on_d_d6(self, equiv_d6):
         # the n = 40 subgroup H of D(D6) and every K <= H: G1 for R, G2 and
-        # G3 on S_H peak below one (40, 40, 40) float64 table (500 KiB),
-        # the array every ring kept before for all three checks
+        # G3 on S_H peak below 256 KiB, half of one (40, 40, 40) float64
+        # table, the array every ring kept before for all three checks
         fam = equiv_d6
         hi = next(i for i, H in enumerate(fam.lattice) if fam.size(H) == 40)
         H = fam.lattice[hi]
@@ -935,13 +944,13 @@ class TestStackedGreenChecks:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            slices = mk._slices(rh, rh.gens)
+            slices = [mk._slice_pair(rh, s) for s in rh.gens]
             assert all(all(mk._pair_holds(*maps[i], rings[i], rh, rh.gens, slices))
                        for i in below)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40**3 * 8
+        assert peak < 256 * 1024
         # and no densifier is left in the verifier
         assert not hasattr(mk, "dense")
 
