@@ -15,9 +15,8 @@ table of xHx^-1 is the table of H moved along conjugation, installed by
 Every multiplicity the rest of the package needs, of a restriction, an
 induction, a product of characters or a local product, is a
 `reciprocity_block`: one modular contraction of class-fused tables over the
-classes of a subgroup, for all irreducibles at once.  `restriction_blocks`
-takes the restrictions to one subgroup from all its overgroups in one
-contraction.  `restrict`, `induce`,
+classes of a subgroup, for all irreducibles at once; a restriction block is
+also the transpose of its induction block.  `restrict`, `induce`,
 `pointwise_product` and `decompose` act on one class function at a time;
 they are the public calculus and the tests' reference for the block.
 """
@@ -565,13 +564,18 @@ def reciprocity_block(inner: Subgroup, factors, target: Subgroup, ctx: ModularCo
     multiplicity at once.  It is one contraction over the classes c of I:
     (1/|I|) sum_c |c| chi_{i_1}(c) ... chi_{i_r}(c) rho_k(c^-1), through the
     class-fusion columns of I into each table, taken mod p and lifted
-    symmetrically, which is exactly what `decompose` returns.  The rows of
-    the target table are orthonormal (`character_table` checks it), so they
-    are a basis of the class functions and the coordinates need no
+    symmetrically, which is exactly what `decompose` returns.  With one
+    factor the contraction is unchanged by c -> c^-1, which permutes the
+    classes of I and keeps their sizes, so the block of (I, (A,), T) is the
+    transpose of that of (I, (T,), A): the restriction block of K <= H,
+    (K, (H,), K), transposed is its induction block (K, (K,), H).  The rows
+    of the target table are orthonormal (`character_table` checks it), so
+    they are a basis of the class functions and the coordinates need no
     reconstruction check.  The block is checked instead for negative parts
     (every entry is the multiplicity of a genuine character) and against the
-    degrees: Res Reg_T = [T : I] Reg_I, so
-    N @ deg_T = [T : I] deg_1 x ... x deg_r."""
+    degrees: Res_I Reg_S = [S : I] Reg_I for S containing I, so (S = T)
+    N @ deg_T = [T : I] deg_1 x ... x deg_r and, with one factor A, (S = A)
+    N.T @ deg_A = [A : I] deg_T."""
     p = ctx.p
     parent, igrp = inner.parent, inner.group()
     reps = inner.members[igrp.class_reps]
@@ -584,57 +588,16 @@ def reciprocity_block(inner: Subgroup, factors, target: Subgroup, ctx: ModularCo
     block = _symmetric(_kernels.matmul_mod(prod, rho_inv.T, p), p)
     degs = [np.array(t.degrees, dtype=np.int64) for t in tables]
     block = block.reshape([len(d) for d in degs])
-    _check_block(block, degs, target.order // inner.order)
-    return block
-
-
-def _check_block(block, degs, index: int) -> None:
-    """`reciprocity_block`'s checks of a block with axes of degrees degs
-    and inner subgroup of index `index` in the target: no negative entry,
-    and block @ degs[-1] = index * deg_1 x ... x deg_r."""
     if (block < 0).any():
         raise InvariantViolation("reciprocity block has a negative multiplicity")
-    expected = index * functools.reduce(np.multiply.outer, degs[:-1])
-    if not np.array_equal(block @ degs[-1], expected):
-        raise InvariantViolation("reciprocity block fails the degree identity")
-
-
-def restriction_blocks(inner: Subgroup, overs, ctx: ModularContext) -> list:
-    """[N_H for H in overs], N_H[i, k] = <Res chi_i, rho_k>_K for chi_i the
-    irreducibles of H and rho_k those of K = `inner`, every H a Subgroup of
-    K's parent containing K: `reciprocity_block(K, (H,), K)` for every H,
-    from one contraction over the classes of K.
-
-    The tables of every H, read at K's class representatives through their
-    class fusions, are stacked into one (sum n_H) x k matrix, and one
-    `_kernels.matmul_mod` with K's table at the inverse classes gives every
-    N_H at once; each is split off as a contiguous copy, so no stacked array
-    outlives the call.  By Frobenius reciprocity N_H is also the induction
-    block: (1/|K|) sum_c |c| chi(c) rho(c^-1) is unchanged by c -> c^-1,
-    which permutes the classes of K and keeps their sizes, so
-    <Res chi, rho>_K = <rho, Res chi>_K = <Ind rho, chi>_H and N_H.T is
-    `reciprocity_block(K, (K,), H)`.  Each N_H gets the checks of both
-    blocks: no negative entry, N_H @ deg_K = deg_H and
-    N_H.T @ deg_H = [H : K] deg_K."""
-    p = ctx.p
-    igrp = inner.group()
-    reps = inner.members[igrp.class_reps]
-    own = character_table(igrp, ctx)
-    tables = [character_table(H.group(), ctx) for H in overs]
-    stacked = np.concatenate([_class_columns(H, t, reps) for H, t in zip(overs, tables)])
-    weights = _kernels.mul_mod(pow(inner.order, p - 2, p), igrp.class_sizes, p)
-    flat = _kernels.matmul_mod(_kernels.mul_mod(stacked, weights, p),
-                               own.values[:, igrp.inverse_class].T, p)
-    deg_k = np.array(own.degrees, dtype=np.int64)
-    blocks, start = [], 0
-    for H, t in zip(overs, tables):
-        block = _symmetric(flat[start:start + t.size], p)
-        deg_h = np.array(t.degrees, dtype=np.int64)
-        _check_block(block, [deg_h, deg_k], 1)
-        _check_block(block.T, [deg_k, deg_h], H.order // inner.order)
-        blocks.append(block)
-        start += t.size
-    return blocks
+    # (block, degrees of its axes, index of I in the group of its last axis)
+    sides = [(block, degs, target.order // inner.order)]
+    if len(factors) == 1:
+        sides.append((block.T, degs[::-1], factors[0].order // inner.order))
+    for b, d, index in sides:
+        if not np.array_equal(b @ d[-1], index * functools.reduce(np.multiply.outer, d[:-1])):
+            raise InvariantViolation("reciprocity block fails the degree identity")
+    return block
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> VirtualCharacter:

@@ -27,9 +27,10 @@ decomposition.  Every block comes from one cache, `_Engine.block`, keyed by
 its subgroups, and every move of a result to the canonical orbit
 representative goes through one transport map, `_Engine.slots`, and every
 conjugation through one stack per subgroup, `_Engine.conj_stack`.  The
-restriction and induction matrices of the simples, and their conjugations
-as permutation rows (simple j goes to simple perm[x, j]), are assembled
-from those, one orbit representative at a time; the engine does not keep
+restriction and induction matrices of the simples, both read off one kind
+of block, (K_g, (H_g,), K_g) for K <= H, and their conjugations as
+permutation rows (simple j goes to simple perm[x, j]), are assembled from
+those, one orbit representative at a time; the engine does not keep
 them, `mackey.MackeyFamily` does.  Of the public per-label functions,
 `eq_restrict` and `eq_induce` build one whole matrix and read one column
 of it, and `eq_conjugate` reads its one entry off the stacks.
@@ -194,7 +195,8 @@ class _Engine:
     transporter of every point to its representative, each a column
     minimum of one gather), bases, one conjugation stack per subgroup (over
     every x in F), transport slots, reciprocity blocks (by subgroups, and
-    indexed by pairs of grading points) and the double-coset
+    indexed by pairs of grading points; the restriction and induction
+    matrices share the blocks of one kind) and the double-coset
     representatives of each pair of grading points.  Factorizations, the
     whole restriction and induction matrices and the conjugation rows are
     built on every call; `mackey.MackeyFamily` caches the maps."""
@@ -397,15 +399,16 @@ class _Engine:
 
     def induction(self, K: Subgroup, H: Subgroup) -> np.ndarray:
         """Matrix of induction from the simples over K <= H to those over H:
-        (g, chi) goes to (g, Ind_{K_g}^{H_g} chi), a row of the block
-        (K_g, (K_g,), H_g), moved to the canonical representative.  Not
-        cached."""
+        (g, chi) goes to (g, Ind_{K_g}^{H_g} chi), a column of the block
+        (K_g, (H_g,), K_g) that `restriction` reads (the transpose of the
+        induction block, by the lemma of `chartab.reciprocity_block`),
+        moved to the canonical representative.  Not cached."""
         bh, bk = self.basis(H), self.basis(K)
         m = np.zeros((len(bh.labels), len(bk.labels)), dtype=np.int64)
         for g in self.orbit_data(K)[0]:
             Kg = self.stab(K, g)
             rows = np.ix_(self.slots(H, g), self.slots(K, g))
-            m[rows] += self.block(Kg, (Kg,), self.stab(H, g)).T
+            m[rows] += self.block(Kg, (self.stab(H, g),), Kg)
         if not np.array_equal(bh.dims @ m, (H.order // K.order) * bk.dims):
             raise InvariantViolation("induction changed the dimension bookkeeping")
         return m

@@ -53,32 +53,31 @@ class MackeyFamily:
     """Based family {a(H)} over a lattice with R/I maps as integer matrices
     and c maps as permutations of the basis.
 
-    `lattice` is `subgroup_lattice(ambient)`, in its order.  The R and I
-    callbacks return one matrix per pair of subgroups; the c callback
+    `lattice` is `subgroup_lattice(ambient)`, in its order.  The maps
+    callback returns (R^H_K, I^H_K) for one pair K <= H, since the
+    verifiers read both maps of every pair they read; the c callback
     returns, for one subgroup H, (perm, target): perm of shape (|G|, n),
     n = size(H), with c_{H,x}(e_j) = e_{perm[x, j]}, and target[x] the
     lattice index of the subgroup c_{H,x} names, for every x in G.  The
     optional ring callback returns, for one H, (rows, unit): the int64
     [i, j, k, N] rows of the nonzero structure constants of a(H) in
-    ascending (i, j, k), and the index of its unit (`ring`).  R and I are
-    cached by subgroup membership keys and each (perm, target) by H's key
-    (`conjugations`), since the verifiers read each one many times; sizes
-    and rings are not, since each is read once per subgroup (the Green
-    verifier keeps the rows).
+    ascending (i, j, k), and the index of its unit (`ring`).  Each pair of
+    maps is cached by the subgroups' membership keys and each
+    (perm, target) by H's key (`conjugations`), since the verifiers read
+    each one many times; sizes and rings are not, since each is read once
+    per subgroup (the Green verifier keeps the rows).
     """
 
-    def __init__(self, ambient, lattice, title, size_fn, r_fn, i_fn, c_fn, ring_fn=None):
+    def __init__(self, ambient, lattice, title, size_fn, maps_fn, c_fn, ring_fn=None):
         self.ambient = ambient
         self.lattice = list(lattice)
         self.title = title
         self.index = {s.key: i for i, s in enumerate(self.lattice)}
         self._size_fn = size_fn
-        self._r_fn = r_fn
-        self._i_fn = i_fn
+        self._maps_fn = maps_fn
         self._c_fn = c_fn
         self._ring_fn = ring_fn
-        self._R = {}
-        self._I = {}
+        self._maps = {}
         self._C = {}
 
     def lattice_member(self, sub: Subgroup) -> Subgroup:
@@ -89,27 +88,24 @@ class MackeyFamily:
     def size(self, H: Subgroup) -> int:
         return self._size_fn(H)
 
+    def _pair(self, H: Subgroup, K: Subgroup, refusal: str):
+        """(R^H_K, I^H_K) from one maps callback on first use; NotASubgroup
+        with `refusal` unless K <= H."""
+        key = (H.key, K.key)
+        maps = self._maps.get(key)
+        if maps is None:
+            if not H.contains(K):
+                raise NotASubgroup(refusal)
+            maps = self._maps[key] = self._maps_fn(H, K)
+        return maps
+
     def restriction(self, H: Subgroup, K: Subgroup) -> np.ndarray:
         """Matrix of R_K^H : a(H) -> a(K) for K <= H."""
-        key = (H.key, K.key)
-        m = self._R.get(key)
-        if m is None:
-            if not H.contains(K):
-                raise NotASubgroup("restriction target is not contained")
-            m = self._r_fn(H, K)
-            self._R[key] = m
-        return m
+        return self._pair(H, K, "restriction target is not contained")[0]
 
     def induction(self, K: Subgroup, H: Subgroup) -> np.ndarray:
         """Matrix of I_K^H : a(K) -> a(H) for K <= H."""
-        key = (K.key, H.key)
-        m = self._I.get(key)
-        if m is None:
-            if not H.contains(K):
-                raise NotASubgroup("induction source is not contained")
-            m = self._i_fn(K, H)
-            self._I[key] = m
-        return m
+        return self._pair(H, K, "induction source is not contained")[1]
 
     def conjugations(self, H: Subgroup):
         """(perm, target): c_{H,x}(e_j) = e_{perm[x, j]} and target[x] is
@@ -165,38 +161,18 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
     Frobenius induction, conjugation of characters, and pointwise product.
     Every c_{H,x} of one H is a row of one `chartab.conjugation_perms`
     over all x, with the targets read off `conjugation_index`.  R^H_K and
-    I^H_K come a lattice row at a time: the first request of a pair with
-    lower subgroup K builds them for every overgroup H of K with one
-    `chartab.restriction_blocks`, and each matrix is handed to the family
-    once (the callbacks still run once per pair) and then dropped here."""
+    I^H_K are one `chartab.reciprocity_block` (K, (H,), K): I is the block
+    and R its transpose, by the lemma of its docstring."""
     lattice = subgroup_lattice(G)
     conj = conjugation_index(G)
     index = {s.key: i for i, s in enumerate(lattice)}
-    nested = _nested(lattice)
-    # K's key -> {(H's key, "R" or "I"): matrix} of the maps built with one
-    # `chartab.restriction_blocks` and not yet handed to the family
-    pending = {}
-
-    def row_map(H, K, which):
-        row = pending.get(K.key)
-        if row is None or (H.key, which) not in row:
-            overs = [lattice[i] for i in np.flatnonzero(nested[:, index[K.key]]).tolist()]
-            row = pending[K.key] = {}
-            for S, block in zip(overs, chartab.restriction_blocks(K, overs, ctx)):
-                row[S.key, "R"], row[S.key, "I"] = np.ascontiguousarray(block.T), block
-        m = row.pop((H.key, which))
-        if not row:
-            del pending[K.key]
-        return m
 
     def size_fn(H):
         return character_table(H.group(), ctx).size
 
-    def r_fn(H, K):
-        return row_map(H, K, "R")
-
-    def i_fn(K, H):
-        return row_map(H, K, "I")
+    def maps_fn(H, K):
+        block = reciprocity_block(K, (H,), K, ctx)
+        return np.ascontiguousarray(block.T), block
 
     def c_fn(H):
         target = conj[index[H.key]]
@@ -207,8 +183,7 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
         lattice,
         f"character rings of subgroups (|G|={G.order}, p={ctx.p})",
         size_fn,
-        r_fn,
-        i_fn,
+        maps_fn,
         c_fn,
         ring_fn=lambda H: (rows_of(reciprocity_block(H, (H, H), H, ctx)), 0),
     )
@@ -216,11 +191,12 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
 
 def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> MackeyFamily:
     """The family H |-> free Z-module on the equivariant simples over H.
-    Its maps are the fusion engine's: restriction and induction matrices
-    and conjugation rows, assembled once per orbit representative from
-    cached reciprocity blocks and conjugation stacks, and the ring as the
-    double-coset product rows of `_Engine.product_rows`, with the unit at
-    the trivial character of the identity grading."""
+    Its maps are the fusion engine's: restriction and induction matrices,
+    both read off one kind of reciprocity block, and conjugation rows,
+    assembled once per orbit representative from cached blocks and
+    conjugation stacks, and the ring as the double-coset product rows of
+    `_Engine.product_rows`, with the unit at the trivial character of the
+    identity grading."""
     F = datum.F
     eng = fusion._engine(datum, ctx)
     lattice = subgroup_lattice(F)
@@ -235,8 +211,7 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
         lattice,
         f"equivariant K0 family (|F|={F.order}, |G|={datum.G.order}, p={ctx.p})",
         lambda H: len(eng.basis(H).labels),
-        eng.restriction,
-        eng.induction,
+        lambda H, K: (eng.restriction(H, K), eng.induction(K, H)),
         c_fn,
         ring_fn=lambda H: (eng.product_rows(H), eng.basis(H).pos[(0, 0)]),
     )
@@ -545,7 +520,8 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
     fails (a ring check, for G2 and G3 also G1 for the pair, and for K = H
     R^H_H = id in place of G1) or the reduced check fails, the axiom is
     checked on every basis element instead, and a failing G2 or G3 keeps
-    its witness over every b.
+    its witness over every b.  A pair K = H with R^H_H = I^H_H = id needs
+    no product: G2 and G3 there read a b = a b.
 
     G1 for c_{H,x}, the permutation e_j -> e_{p[j]} of the row p of
     `fam.conjugations(H)`, is a unitary ring map iff p[u_H] = u_xH and
@@ -605,6 +581,9 @@ def verify_green_axioms(fam: MackeyFamily) -> AxiomReport:
             K, rk = lattice[ki], rings[ki]
             r = fam.restriction(H, K).astype(np.float64)
             ind = fam.induction(K, H).astype(np.float64)
+            if ki == hi and np.array_equal(r, np.eye(rh.n)) and np.array_equal(ind, r):
+                later += [("G2", True, (H, K), ()), ("G3", True, (H, K), ())]
+                continue
             reduced = slices is not None and rk.gens is not None
             held = _pair_holds(r, ind, rk, rh, rh.gens, slices) if reduced else [False] * 3
             # G2 and G3 need G1 for the pair, and R^H_H = id in its place

@@ -16,7 +16,12 @@ from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse.errors import InvalidInput, InvariantViolation, SubgroupMismatch
 from equifuse.permgrp import GroupAction, orbits, subgroup_lattice, transporter
-from equifuse.presets import classical_scenario, drinfeld_double_scenario, group_preset
+from equifuse.presets import (
+    SCENARIO_PRESETS,
+    classical_scenario,
+    drinfeld_double_scenario,
+    group_preset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -1145,13 +1150,36 @@ class TestEqConjugate:
                     assert fu.eq_conjugate(d, H, x, a, ctx) == expected
 
 
+def reference_induction(eng, K, H):
+    """The induction matrix from the other block kind, the one
+    `_Engine.induction` read before it shared restriction's: (g, chi) goes
+    to a row of the block (K_g, (K_g,), H_g), moved to the canonical
+    representative."""
+    m = np.zeros((len(eng.basis(H).labels), len(eng.basis(K).labels)), dtype=np.int64)
+    for g in eng.orbit_data(K)[0]:
+        Kg = eng.stab(K, g)
+        block = ct.reciprocity_block(Kg, (Kg,), eng.stab(H, g), eng.ctx)
+        m[np.ix_(eng.slots(H, g), eng.slots(K, g))] += block.T
+    return m
+
+
+@pytest.mark.parametrize("spec", [*SCENARIO_PRESETS, "sym:4"])
+def test_induction_matches_the_induction_block_reference(spec):
+    scen = drinfeld_double_scenario(group_preset(spec))
+    eng = fu._engine(scen.datum, scen.ctx)
+    lattice = subgroup_lattice(scen.datum.F)
+    for H in lattice:
+        for K in (K for K in lattice if H.contains(K)):
+            assert np.array_equal(eng.induction(K, H), reference_induction(eng, K, H))
+
+
 class TestMapChecks:
     """Each whole-matrix check of the restriction, induction and
     conjugation maps catches a tampered cache entry of a fresh D(S3), as
     TestCoherentAxioms catches a tampered conjugation stack.  With H = S3
     and K = A3, the simples at g = e read the block (A3, (S3,), A3) for
-    restriction, the block (A3, (A3,), S3) for induction, and the
-    conjugation stack of H_e = S3 for conjugation."""
+    restriction and induction, and the conjugation stack of H_e = S3 for
+    conjugation."""
 
     @pytest.fixture
     def fresh(self, s3):
@@ -1173,7 +1201,7 @@ class TestMapChecks:
 
     def test_induction_keeps_dimension_bookkeeping(self, fresh):
         d, ctx, H, a3, eng = fresh
-        eng._block[(a3.key, (a3.key,), H.key)] = self._bump(eng.block(a3, (a3,), H))
+        eng._block[(a3.key, (H.key,), a3.key)] = self._bump(eng.block(a3, (H,), a3))
         with pytest.raises(InvariantViolation, match="induction changed the dimension bookkeeping"):
             fu.eq_induce(d, a3, H, fu.simples(d, a3, ctx)[0], ctx)
 

@@ -293,21 +293,21 @@ class TestVerifiers:
         assert {row["id"]: row["mode"] for row in rows} == dict.fromkeys(
             ("ring", "G1", "G2", "G3"), "generators")
 
+    def test_pairs_k_equal_h_need_no_products(self, char_s3, monkeypatch):
+        # R^H_H = I^H_H = id settles G2 and G3 at K = H, so `_pair_holds`
+        # runs on the proper pairs only
+        calls = []
+        original = mk._pair_holds
+        monkeypatch.setattr(mk, "_pair_holds", lambda *a: calls.append(a) or original(*a))
+        report = mk.verify_green_axioms(char_s3)
+        nested = sum(H.contains(K) for H in char_s3.lattice for K in char_s3.lattice)
+        assert report.ok and report.counts["G2"] == report.counts["G3"] == (nested, 0)
+        assert len(calls) == nested - len(char_s3.lattice)
+
     def test_failure_reporting_carries_witness(self, s3):
         ctx = ct.make_context([s3])
         fam = mk.char_ring_family(s3, ctx)
-        bad_r = fam._r_fn
-
-        def tampered(H, K):
-            m = bad_r(H, K).copy()
-            if H.order == 6 and K.order == 2:
-                m[0, 0] += 1
-            return m
-
-        broken = mk.MackeyFamily(
-            fam.ambient, fam.lattice, "tampered", fam._size_fn,
-            tampered, fam._i_fn, fam._c_fn,
-        )
+        broken = _wrapped(fam, "r", _bumped(lambda H, K: H.order == 6 and K.order == 2))
         report = mk.verify_mackey_axioms(broken)
         assert not report.ok
         assert report.witnesses
@@ -317,10 +317,7 @@ class TestVerifiers:
     def test_no_ring_structure(self, s3):
         ctx = ct.make_context([s3])
         fam = mk.char_ring_family(s3, ctx)
-        stripped = mk.MackeyFamily(
-            fam.ambient, fam.lattice, "no-ring", fam._size_fn,
-            fam._r_fn, fam._i_fn, fam._c_fn,
-        )
+        stripped = _family(fam, "no-ring", ring_fn=None)
         with pytest.raises(NoRingStructure):
             mk.verify_green_axioms(stripped)
 
@@ -398,8 +395,7 @@ class TestConjugationRowCheck:
 
     @pytest.mark.parametrize("broken", ROW_TAMPERS)
     def test_refused(self, s3, char_s3, broken):
-        fam = mk.MackeyFamily(s3, char_s3.lattice, "tampered", char_s3._size_fn,
-                              char_s3._r_fn, char_s3._i_fn, broken(char_s3))
+        fam = _family(char_s3, c_fn=broken(char_s3))
         H = fam.lattice[-1]
         with pytest.raises(InvariantViolation, match=r"H\[o6:\[0, 1, 2, 3\]\]"):
             fam.conjugations(H)
@@ -408,9 +404,8 @@ class TestConjugationRowCheck:
     def test_cli_exits_1(self, capsys, monkeypatch, char_s3, broken):
         from equifuse import cli as cli_mod
 
-        monkeypatch.setattr(cli_mod.mackey, "char_ring_family", lambda G, ctx: mk.MackeyFamily(
-            G, char_s3.lattice, "tampered", char_s3._size_fn,
-            char_s3._r_fn, char_s3._i_fn, broken(char_s3)))
+        monkeypatch.setattr(cli_mod.mackey, "char_ring_family",
+                            lambda G, ctx: _family(char_s3, c_fn=broken(char_s3)))
         code, out, err = run(capsys, "verify", "mackey", "--family", "char:sym:3")
         assert code == 1 and out == ""
         assert err.count("\n") == 1
@@ -418,13 +413,13 @@ class TestConjugationRowCheck:
 
 
 class TestFamilyCaches:
-    """The family caches every R, I and c matrix, so one Mackey verifier
-    run calls each callback exactly once per distinct argument pair, and
-    it asks for R and I on every nested pair and for c at every (H, x)."""
+    """The family caches every pair (R, I) and every c stack, so one Mackey
+    verifier run calls each callback exactly once per distinct argument, and
+    it asks for the maps of every nested pair and for c at every (H, x)."""
 
     @staticmethod
     def _counted(fam):
-        calls = {name: collections.Counter() for name in "ric"}
+        calls = {name: collections.Counter() for name in ("maps", "c")}
 
         def counting(name, fn):
             def wrapped(*args):
@@ -433,8 +428,7 @@ class TestFamilyCaches:
 
             return wrapped
 
-        fam._r_fn = counting("r", fam._r_fn)
-        fam._i_fn = counting("i", fam._i_fn)
+        fam._maps_fn = counting("maps", fam._maps_fn)
         fam._c_fn = counting("c", fam._c_fn)
         return calls
 
@@ -448,9 +442,9 @@ class TestFamilyCaches:
         calls = self._counted(fam)
         assert mk.verify_mackey_axioms(fam).ok
         nested = sum(H.contains(K) for H in fam.lattice for K in fam.lattice)
-        assert len(calls["r"]) == len(calls["i"]) == nested
+        assert len(calls["maps"]) == nested
         assert len(calls["c"]) == len(fam.lattice)
-        for name in "ric":
+        for name in calls:
             assert set(calls[name].values()) == {1}, name
 
     @pytest.mark.parametrize("which", ["char:sym:4", "equiv:sym:3"])
@@ -575,6 +569,29 @@ def _tamper(fn, when, change):
     return wrapped
 
 
+def _family(fam, title="tampered", **fns):
+    """A family over fam's lattice and sizes with fam's callbacks, any of
+    them replaced by a keyword of `MackeyFamily` (ring_fn=None: no ring)."""
+    fns = {"maps_fn": fam._maps_fn, "c_fn": fam._c_fn, "ring_fn": fam._ring_fn, **fns}
+    return mk.MackeyFamily(fam.ambient, fam.lattice, title, fam._size_fn, **fns)
+
+
+def _wrapped(fam, which, wrap):
+    """fam with `wrap` made to one callback: "c" or "ring", or inside
+    maps_fn to R^H_K alone ("r", as a function of (H, K)) or to I^H_K alone
+    ("i", as a function of (K, H))."""
+    if which not in ("r", "i"):
+        return _family(fam, **{f"{which}_fn": wrap(getattr(fam, f"_{which}_fn"))})
+
+    def maps_fn(H, K):
+        r, i = fam._maps_fn(H, K)
+        if which == "r":
+            return wrap(lambda H, K: r)(H, K), i
+        return r, wrap(lambda K, H: i)(K, H)
+
+    return _family(fam, maps_fn=maps_fn)
+
+
 # map tampered, which calls, change, failed count per axiom, mode of each
 # G axiom, first witness context, and two sha256 of the whole report JSON as
 # `verify green` prints it: with its rows' modes, and with the "mode" keys
@@ -586,7 +603,8 @@ def _tamper(fn, when, change):
 # last three sit off the generator sets S of the lemma of
 # `verify_green_axioms` (checked by `test_tampers_sit_off_the_generators`):
 # R^{S4}_K at column 4 (S = [1, 2, 3] for S4), the row i = 4 of the ring of
-# S4, and I^{D4}_K on pairs where G1 holds.
+# S4, and I^{D4}_K on pairs where G1 holds.  "I^H_H" breaks I^{S4}_{S4} = id,
+# so the pair K = H is not settled by identity and falls back.
 GREEN_TAMPERS = {
     "R": ("r", lambda H, K: H.order == 24 and K.order == 4, _bump,
           {"G1": 7, "G2": 7, "G3": 7},
@@ -606,6 +624,12 @@ GREEN_TAMPERS = {
           ["H[o12:[0, 3, 4, 7]]", "H[o3:[0, 3, 4]]"],
           ("d126daaf9ca7135a6a055d00f536e57e9b8e95f946b3b6efd7ed6c8754dd6b6e",
            "ca938620f037016d0420bae7528c16f585764e7e791ac6641eead07f274c3d8f")),
+    "I^H_H": ("i", lambda K, H: K.order == H.order == 24, _bump,
+              {"G2": 1, "G3": 1},
+              {"G1": "generators", "G2": "exhaustive", "G3": "exhaustive"},
+              ["H[o24:[0, 1, 2, 3]]", "H[o24:[0, 1, 2, 3]]"],
+              ("ced6d80b651abdd174b99336ec9987207825d281e0a43ed7971603218feb9b1a",
+               "f1dfb077ee132b8ed8ee6260b89ffee1c3d1500a2a2d48d1caf55784a3c5d53d")),
     "c": ("c", lambda H, x: H.order == 8 and x == 5, _swap,
           {"G1": 3},
           {"G1": "generators", "G2": "generators", "G3": "generators"},
@@ -641,12 +665,7 @@ GREEN_TAMPERS = {
 
 def _green_tampered(fam, which, when, change):
     """fam, with `change` made to the maps of one callback as `_tamper` says."""
-    fns = {k: getattr(fam, f"_{k}_fn") for k in ("r", "i", "c", "ring")}
-    fns[which] = _tamper(fns[which], when, change)
-    return mk.MackeyFamily(
-        fam.ambient, fam.lattice, "tampered", fam._size_fn,
-        fns["r"], fns["i"], fns["c"], ring_fn=fns["ring"],
-    )
+    return _wrapped(fam, which, lambda fn: _tamper(fn, when, change))
 
 
 @pytest.fixture(scope="module")
@@ -986,8 +1005,7 @@ def _ring_rows_tampered(fam, change):
         rows, unit = fam._ring_fn(H)
         return (change(rows.copy()) if H.order == fam.ambient.order else rows), unit
 
-    return mk.MackeyFamily(fam.ambient, fam.lattice, "tampered", fam._size_fn,
-                           fam._r_fn, fam._i_fn, fam._c_fn, ring_fn=ring_fn)
+    return _family(fam, ring_fn=ring_fn)
 
 
 def _duplicate_key(rows):
@@ -1043,16 +1061,14 @@ def _regauged_c2(t, bump=0):
     gauge = {1: (np.eye(1, dtype=np.int64),) * 2,
              2: (np.array([[1, t], [0, 1]]), np.array([[1, -t], [0, 1]]))}
 
-    def r_fn(H, K):
-        return gauge[K.order][0] @ base.restriction(H, K) @ gauge[H.order][1]
-
-    def i_fn(K, H):
-        m = gauge[H.order][0] @ base.induction(K, H) @ gauge[K.order][1]
+    def maps_fn(H, K):
+        r = gauge[K.order][0] @ base.restriction(H, K) @ gauge[H.order][1]
+        i = gauge[H.order][0] @ base.induction(K, H) @ gauge[K.order][1]
         if (K.order, H.order) == (1, 2):
-            m[0, 0] += bump
-        return m
+            i[0, 0] += bump
+        return r, i
 
-    return mk.MackeyFamily(G, base.lattice, "regauged", base.size, r_fn, i_fn, base._c_fn)
+    return mk.MackeyFamily(G, base.lattice, "regauged", base.size, maps_fn, base._c_fn)
 
 
 def _rank_one_family(top):
@@ -1064,15 +1080,14 @@ def _rank_one_family(top):
     pos = {S.key: i for i, S in enumerate(lattice)}
     steps = {(2, 1): top, (1, 0): top, (2, 0): 0}
 
-    def r_fn(H, K):
+    def maps_fn(H, K):
         i, j = pos[H.key], pos[K.key]
-        return np.array([[1 if i == j else steps[i, j]]], dtype=np.int64)
+        return np.array([[1 if i == j else steps[i, j]]], dtype=np.int64), np.eye(1, dtype=np.int64)
 
     def c_fn(H):
         return np.zeros((G.order, 1), dtype=np.intp), conjugation_index(G)[pos[H.key]]
 
-    return mk.MackeyFamily(G, lattice, "rank one", lambda H: 1, r_fn,
-                           lambda K, H: np.eye(1, dtype=np.int64), c_fn)
+    return mk.MackeyFamily(G, lattice, "rank one", lambda H: 1, maps_fn, c_fn)
 
 
 class TestExactnessGuard:
@@ -1243,15 +1258,6 @@ def mackey_s4(char_s4):
     return mk.verify_mackey_axioms(char_s4)
 
 
-def _tampered_s4(char_s4, which, wrap):
-    fns = {k: getattr(char_s4, f"_{k}_fn") for k in ("r", "i", "c")}
-    fns[which] = wrap(fns[which])
-    return mk.MackeyFamily(
-        char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
-        fns["r"], fns["i"], fns["c"],
-    )
-
-
 class TestMackeyMutations:
     """One map of the S4 character-ring family is broken at a time; the
     Mackey verifier must count every broken identity, with the same checks
@@ -1261,7 +1267,7 @@ class TestMackeyMutations:
     @pytest.mark.parametrize("name", sorted(MACKEY_TAMPERS))
     def test_tampered_map_is_caught(self, name, char_s4, mackey_s4):
         which, wrap, failed, context, digest = MACKEY_TAMPERS[name]
-        report = mk.verify_mackey_axioms(_tampered_s4(char_s4, which, wrap))
+        report = mk.verify_mackey_axioms(_wrapped(char_s4, which, wrap))
         assert {a: f for a, (_, f) in report.counts.items() if f} == failed
         assert {a: c for a, (c, _) in report.counts.items()} == {
             a: c for a, (c, _) in mackey_s4.counts.items()
@@ -1274,14 +1280,14 @@ class TestMackeyMutations:
     @pytest.mark.parametrize("name", sorted(MACKEY_TAMPERS))
     def test_reference_m4_failure_fails_the_report(self, name, char_s4):
         which, wrap, *_ = MACKEY_TAMPERS[name]
-        broken = _tampered_s4(char_s4, which, wrap)
+        broken = _wrapped(char_s4, which, wrap)
         if reference_m4_failures(broken):
             assert not mk.verify_mackey_axioms(broken).ok
 
     @pytest.mark.parametrize("name, m4_failures", [("R-off-class", 29), ("c-regauged", 8)])
     def test_m4_broken_off_the_representatives(self, name, m4_failures, char_s4):
         which, wrap, failed, *_ = MACKEY_TAMPERS[name]
-        broken = _tampered_s4(char_s4, which, wrap)
+        broken = _wrapped(char_s4, which, wrap)
         bad = reference_m4_failures(broken)
         assert len(bad) == m4_failures
         assert not _keys(bad) & _keys(class_representatives(char_s4))
@@ -1305,10 +1311,7 @@ class TestMackeyMutations:
                 target[2] = char_s4.index[H.key]
             return perm, target
 
-        broken = mk.MackeyFamily(
-            char_s4.ambient, char_s4.lattice, "tampered", char_s4._size_fn,
-            char_s4._r_fn, char_s4._i_fn, misnamed,
-        )
+        broken = _family(char_s4, c_fn=misnamed)
         report = mk.verify_mackey_axioms(broken)
         pairs = sum(S.contains(H) or H.contains(S) for S in char_s4.lattice)
         assert report.counts["Mc"] == (mackey_s4.counts["Mc"][0], 2 * pairs)
@@ -1333,8 +1336,7 @@ class TestMackeyMutations:
                 perm[x] = perm[x][[1, 0, 2]]
             return perm, target
 
-        broken = mk.MackeyFamily(G, fam.lattice, "tampered", fam._size_fn,
-                                 fam._r_fn, fam._i_fn, swapped)
+        broken = _family(fam, c_fn=swapped)
         report = mk.verify_mackey_axioms(broken)
         failed = {a for a, (_, f) in report.counts.items() if f}
         assert {"M3", "Mc"} <= failed and "M0" not in failed
