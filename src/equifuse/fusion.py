@@ -27,13 +27,13 @@ decomposition.  Every block comes from one cache, `_Engine.block`, keyed by
 its subgroups, and every move of a result to the canonical orbit
 representative goes through one transport map, `_Engine.slots`, and every
 conjugation through one stack per subgroup, `_Engine.conj_stack`.  The
-restriction and induction matrices of the simples, both read off one kind
-of block, (K_g, (H_g,), K_g) for K <= H, and their conjugations as
-permutation rows (simple j goes to simple perm[x, j]), are assembled from
-those, one orbit representative at a time; the engine does not keep
-them, `mackey.MackeyFamily` does.  Of the public per-label functions,
-`eq_restrict` and `eq_induce` build one whole matrix and read one column
-of it, and `eq_conjugate` reads its one entry off the stacks.
+induction matrix of the simples, read off the blocks (K_g, (H_g,), K_g)
+for K <= H, and their conjugations as permutation rows (simple j goes to
+simple perm[x, j]) are assembled from those, one orbit representative at a
+time, and kept by `mackey.MackeyFamily`.  Restriction is that matrix
+transposed (Frobenius reciprocity), so the Mackey formula is not used
+here: it lives in the verifier.  `eq_induce` reads a column of the matrix,
+`eq_restrict` a row, and `eq_conjugate` its one entry off the stacks.
 Structure constants travel as int64 [i, j, k, N] rows (module `_rows`),
 the nonzero N_ij^k in ascending (i, j, k), from `_Engine.product_rows` to
 the ring a `FusionRing` keeps: no (n, n, n) array is built on the way, and
@@ -58,7 +58,6 @@ from .errors import (
     InvalidInput,
     InvariantViolation,
     NotAClassFunction,
-    NotASubgroup,
     SubgroupMismatch,
 )
 from .permgrp import Group, GroupAction, Subgroup, conjugates, double_coset_reps
@@ -141,7 +140,8 @@ class FusionRing:
     each label pair, is built on first access.
 
     All invariants (unit row/column, dimension homomorphism, associativity,
-    agreement of the two product forms) are verified at construction.
+    agreement of the two product forms) are verified at construction, the
+    dimension homomorphism pair by pair (`_Engine.fuse_pair`).
     """
 
     def __init__(self, datum, subgroup, labels, unit, rows, checks):
@@ -195,11 +195,10 @@ class _Engine:
     transporter of every point to its representative, each a column
     minimum of one gather), bases, one conjugation stack per subgroup (over
     every x in F), transport slots, reciprocity blocks (by subgroups, and
-    indexed by pairs of grading points; the restriction and induction
-    matrices share the blocks of one kind) and the double-coset
+    indexed by pairs of grading points) and the double-coset
     representatives of each pair of grading points.  Factorizations, the
-    whole restriction and induction matrices and the conjugation rows are
-    built on every call; `mackey.MackeyFamily` caches the maps."""
+    whole induction matrices and the conjugation rows are built on every
+    call; `mackey.MackeyFamily` caches the maps."""
 
     def __init__(self, d: CoherentDatum, ctx: ModularContext):
         self.d = d
@@ -371,64 +370,42 @@ class _Engine:
             out.append(np.column_stack([np.full_like(js, i), js, ks, block[js, ks]]))
         return np.concatenate(out)
 
-    # -- restriction, induction and conjugation of simples --------------------
-
-    def restriction(self, H: Subgroup, K: Subgroup) -> np.ndarray:
-        """Matrix of restriction from the simples over H to those over
-        K <= H.  The simple (g, chi) over H underlies Ind_{H_g}^H, so by
-        Mackey it restricts to the sum over double cosets K x H_g of the
-        restriction of x.chi from x H_g x^-1 = H_xg (x is in H) to K_xg: a
-        column of the block (K_xg, (H_xg,), K_xg), moved to the canonical
-        representative.  Not cached."""
-        if not H.contains(K):
-            raise NotASubgroup("restriction target is not contained")
-        bh, bk = self.basis(H), self.basis(K)
-        r = np.zeros((len(bk.labels), len(bh.labels)), dtype=np.int64)
-        for g in self.orbit_data(H)[0]:
-            Sg = self.stab(H, g)
-            perm = self.conj_stack(Sg)[0]
-            xs = double_coset_reps(self.F, K, Sg)
-            for x in xs[H.mask[xs]].tolist():
-                g2 = int(self.A[x, g])
-                Kg2 = self.stab(K, g2)
-                rows = np.ix_(self.slots(K, g2), self.slots(H, g))
-                r[rows] += self.block(Kg2, (self.stab(H, g2),), Kg2)[perm[x]].T
-        if not np.array_equal(bk.dims @ r, bh.dims):
-            raise InvariantViolation("restriction changed the total dimension")
-        return r
+    # -- induction (and so restriction) and conjugation of simples -----------
 
     def induction(self, K: Subgroup, H: Subgroup) -> np.ndarray:
-        """Matrix of induction from the simples over K <= H to those over H:
-        (g, chi) goes to (g, Ind_{K_g}^{H_g} chi), a column of the block
-        (K_g, (H_g,), K_g) that `restriction` reads (the transpose of the
-        induction block, by the lemma of `chartab.reciprocity_block`),
-        moved to the canonical representative.  Not cached."""
+        """Matrix of induction from the simples over K <= H to those over H.
+        Lemma: each K-orbit on G lies in exactly one H-orbit, so the simple
+        (g, psi) over K, g a K-orbit representative, induces to simples
+        over the H-orbit of g alone, with fibre Ind_{K_g}^{H_g} psi at g;
+        its entry at (g, chi) is the reciprocity multiplicity
+        [Ind psi : chi] = [psi : Res chi] of the stabilizers, an entry of
+        the block (K_g, (H_g,), K_g) moved along `slots`.  Checked:
+        bh.dims @ I = [H : K] bk.dims, and I @ bk.dims = bh.dims, which
+        says restriction, I transposed, keeps dimension.  Not cached."""
         bh, bk = self.basis(H), self.basis(K)
         m = np.zeros((len(bh.labels), len(bk.labels)), dtype=np.int64)
         for g in self.orbit_data(K)[0]:
             Kg = self.stab(K, g)
-            rows = np.ix_(self.slots(H, g), self.slots(K, g))
-            m[rows] += self.block(Kg, (self.stab(H, g),), Kg)
+            m[np.ix_(self.slots(H, g), self.slots(K, g))] = self.block(Kg, (self.stab(H, g),), Kg)
         if not np.array_equal(bh.dims @ m, (H.order // K.order) * bk.dims):
             raise InvariantViolation("induction changed the dimension bookkeeping")
+        if not np.array_equal(m @ bk.dims, bh.dims):
+            raise InvariantViolation("restriction changed the total dimension")
         return m
 
     def conjugations(self, H: Subgroup):
         """(perm, targets, which): transport along x takes simple j over H
         to simple perm[x, j] over xHx^-1 = targets[which[x]] (of
         `conj_stack(H)`), for every x in F: (g, chi) goes to (xg, x.chi),
-        moved to the canonical representative.  Each row is checked to be
-        a bijection of bases.  Not cached."""
+        moved to the canonical representative.  Not checked or cached:
+        `mackey.MackeyFamily.conjugations` checks and keeps the rows."""
         _, targets, which = self.conj_stack(H)
-        n = len(self.basis(H).labels)
-        out = np.full((self.F.order, n), -1, dtype=np.intp)
+        out = np.full((self.F.order, len(self.basis(H).labels)), -1, dtype=np.intp)
         for g in self.orbit_data(H)[0]:
             perm = self.conj_stack(self.stab(H, g))[0]
             cols = self.slots(H, g)
             for x, w in enumerate(which.tolist()):
                 out[x, cols] = self.slots(targets[w], int(self.A[x, g]))[perm[x]]
-        if not (np.sort(out, axis=1) == np.arange(n)).all():
-            raise InvariantViolation("conjugation did not map a simple to a simple")
         return out, targets, which
 
     def factorizations(self, H: Subgroup, choice: str) -> list:
@@ -588,22 +565,23 @@ def fuse_via_M(
 
 
 def eq_restrict(d: CoherentDatum, H: Subgroup, K: Subgroup, a: SimpleLabel, ctx: ModularContext):
-    """Restriction of a simple over H to K <= H, by the double-coset
-    decomposition of the underlying induced object.  Each call builds the
-    whole matrix `_Engine.restriction(H, K)` and reads one column."""
+    """Restriction of a simple over H to K <= H.  By Frobenius reciprocity
+    its multiplicity at a simple b over K is that of a in the induction of
+    b, so each call builds the whole matrix `_Engine.induction(K, H)` and
+    reads the row of a, where `eq_induce` reads a column."""
     if a.subgroup != H:
         raise SubgroupMismatch("label lives over a different subgroup")
     if not H.contains(K):
         raise SubgroupMismatch("K is not contained in H")
     eng = _engine(d, ctx)
-    col = eng.restriction(H, K)[:, eng.basis(H).pos[(a.orbit_rep, a.char_index)]]
-    return _labels(eng.basis(K), col)
+    row = eng.induction(K, H)[eng.basis(H).pos[(a.orbit_rep, a.char_index)]]
+    return _labels(eng.basis(K), row)
 
 
 def eq_induce(d: CoherentDatum, K: Subgroup, H: Subgroup, a: SimpleLabel, ctx: ModularContext):
     """Induction of a simple over K up to H >= K, via induction between the
     stabilizers at the same grading point.  Each call builds the whole
-    matrix `_Engine.induction(K, H)` and reads one column."""
+    matrix `_Engine.induction(K, H)` and reads the column of a."""
     if a.subgroup != K:
         raise SubgroupMismatch("label lives over a different subgroup")
     if not H.contains(K):
@@ -732,7 +710,8 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
     """Full structure-constant table over simples(d, H), with every ring
     invariant verified on its rows (and cross-checked against the
     orbit-sum form); associativity is the Green verifier's
-    `associativity_failure`."""
+    `associativity_failure`.  The dimension homomorphism is `fuse_pair`'s
+    check of every pair (a pair with no rows cannot conserve dim_i dim_j)."""
     eng = _engine(d, ctx)
     basis = eng.basis(H)
     labels = basis.labels
@@ -743,14 +722,6 @@ def fusion_ring(d: CoherentDatum, H: Subgroup, ctx: ModularContext) -> FusionRin
 
     if not is_two_sided_unit(rows, n, unit):
         raise InvariantViolation("unit row/column is not the identity")
-    # sum_k N_ij^k dims[k] per pair, every pair having rows
-    pair = rows[:, 0] * n + rows[:, 1]
-    first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-    dims = basis.dims
-    if len(first) != n * n or not np.array_equal(
-        np.add.reduceat(rows[:, 3] * dims[rows[:, 2]], first), np.outer(dims, dims).ravel()
-    ):
-        raise InvariantViolation("dimension map is not a ring homomorphism")
     # the orbit-sum rows are dropped before the associativity check, whose
     # temporaries then meet only the ring's own rows
     orbit = eng.orbit_sum_rows(H)

@@ -160,19 +160,14 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
     """The family H |-> (virtual characters of H), with restriction,
     Frobenius induction, conjugation of characters, and pointwise product.
     Every c_{H,x} of one H is a row of one `chartab.conjugation_perms`
-    over all x, with the targets read off `conjugation_index`.  R^H_K and
-    I^H_K are one `chartab.reciprocity_block` (K, (H,), K): I is the block
-    and R its transpose, by the lemma of its docstring."""
+    over all x, with the targets read off `conjugation_index`.  I^H_K is
+    one `chartab.reciprocity_block` (K, (H,), K), R^H_K its transpose."""
     lattice = subgroup_lattice(G)
     conj = conjugation_index(G)
     index = {s.key: i for i, s in enumerate(lattice)}
 
     def size_fn(H):
         return character_table(H.group(), ctx).size
-
-    def maps_fn(H, K):
-        block = reciprocity_block(K, (H,), K, ctx)
-        return np.ascontiguousarray(block.T), block
 
     def c_fn(H):
         target = conj[index[H.key]]
@@ -183,7 +178,7 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
         lattice,
         f"character rings of subgroups (|G|={G.order}, p={ctx.p})",
         size_fn,
-        maps_fn,
+        lambda H, K: _reciprocal(reciprocity_block(K, (H,), K, ctx)),
         c_fn,
         ring_fn=lambda H: (rows_of(reciprocity_block(H, (H, H), H, ctx)), 0),
     )
@@ -191,12 +186,12 @@ def char_ring_family(G: Group, ctx: ModularContext) -> MackeyFamily:
 
 def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> MackeyFamily:
     """The family H |-> free Z-module on the equivariant simples over H.
-    Its maps are the fusion engine's: restriction and induction matrices,
-    both read off one kind of reciprocity block, and conjugation rows,
-    assembled once per orbit representative from cached blocks and
-    conjugation stacks, and the ring as the double-coset product rows of
-    `_Engine.product_rows`, with the unit at the trivial character of the
-    identity grading."""
+    Its maps are the fusion engine's: the induction matrix, R^H_K its
+    transpose, and the conjugation rows, assembled once per orbit
+    representative from cached blocks and conjugation stacks, and the ring
+    as the product rows of `_Engine.product_rows`, with the unit at the
+    trivial character of the identity grading.  No map uses the Mackey
+    formula, so M4 checks it against maps made without it."""
     F = datum.F
     eng = fusion._engine(datum, ctx)
     lattice = subgroup_lattice(F)
@@ -211,10 +206,17 @@ def equivariant_k0_family(datum: fusion.CoherentDatum, ctx: ModularContext) -> M
         lattice,
         f"equivariant K0 family (|F|={F.order}, |G|={datum.G.order}, p={ctx.p})",
         lambda H: len(eng.basis(H).labels),
-        lambda H, K: (eng.restriction(H, K), eng.induction(K, H)),
+        lambda H, K: _reciprocal(eng.induction(K, H)),
         c_fn,
         ring_fn=lambda H: (eng.product_rows(H), eng.basis(H).pos[(0, 0)]),
     )
+
+
+def _reciprocal(ind: np.ndarray):
+    """(R^H_K, I^H_K) = (I^T, I), the rule of both shipped families: by
+    Frobenius reciprocity [Res a : b] = [Ind b : a] for basis elements
+    (simples) a of a(H) and b of a(K)."""
+    return np.ascontiguousarray(ind.T), ind
 
 
 def _double_coset_side(fam: MackeyFamily, L: Subgroup, H: Subgroup, K: Subgroup,

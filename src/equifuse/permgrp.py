@@ -458,6 +458,8 @@ def build_group(generators, degree=None, cap=None) -> Group:
         degree = gens[0].degree
     elif degree is None:
         raise ValueError("degree is required when there are no generators")
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
     gen_images = np.array([g.images for g in gens], dtype=np.int32).reshape(len(gens), degree)
     found = [np.arange(degree, dtype=np.int32)]
     index = {found[0].tobytes(): 0}
@@ -551,8 +553,12 @@ class GroupAction:
     """Action of a group F on the element list of a group G, stored as one
     permutation row of G-indices per F-element.
 
-    Construction verifies that generator rows are automorphisms of G, so
-    every row is an automorphism (rows compose along the Cayley graph).
+    Construction verifies that each generator row is an automorphism of G
+    and that row(s y) = row(s) row(y) for every generator s and every y in
+    F.  With row(e) = id, induction on the length of x as a word in the
+    generators gives row(x y) = row(x) row(y) for all x and y
+    (row(s x y) = row(s) row(x y) = row(s) row(x) row(y) = row(s x) row(y)),
+    so the table is a homomorphism F -> Aut(G).
     """
 
     __slots__ = ("actor", "target", "point_maps")
@@ -565,8 +571,13 @@ class GroupAction:
             raise ValueError("point map table has wrong shape")
         if not np.array_equal(self.point_maps[0], np.arange(target.order)):
             raise ValueError("identity must act trivially")
+        pm = self.point_maps
         for g in actor.generators:
-            self._check_automorphism(self.point_maps[actor.element_index(g)])
+            s = actor.element_index(g)
+            self._check_automorphism(pm[s])
+            for ys in _kernels.chunks(actor.order, 8 * target.order):
+                if not np.array_equal(pm[actor.mult[s, ys]], pm[s][pm[ys]]):
+                    raise ValueError("action table is not a homomorphism")
 
     def _check_automorphism(self, row):
         m = self.target.order

@@ -108,6 +108,8 @@ def group_from_json_dict(data: dict) -> Group:
         gens = [Perm(imgs) for imgs in data["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad group JSON: {exc}") from exc
+    if degree < 1:
+        raise InvalidInput(f"bad group JSON: degree must be at least 1, got {degree}")
     return build_group(gens, degree=degree)
 
 

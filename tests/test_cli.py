@@ -32,6 +32,18 @@ class TestGroupCommand:
         code2, out2, _ = run(capsys, "group", str(path))
         assert code2 == 0 and json.loads(out2)["order"] == 6
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_exits_2(self, capsys, tmp_path, degree):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"degree": degree, "generators": []}))
+        code, out, err = run(capsys, "group", str(path))
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "InvalidInput",
+            "message": f"bad group JSON: degree must be at least 1, got {degree}",
+        }
+
 
 class TestChartable:
     def test_s3(self, capsys):
@@ -162,6 +174,8 @@ class TestFuse:
         pytest.param({"actor": "sym:3", "target": "sym:3",
                       "images": {"0": [0, 1.5, 2, 3, 4, 5], "1": [0, 1, 2, 3, 4, 5]}},
                      id="float-row"),
+        pytest.param({"actor": "cyclic:3", "target": "cyclic:3", "images": {"0": [0, 2, 1]}},
+                     id="not-a-homomorphism"),
     ])
     def test_malformed_action_file_exits_2(self, capsys, tmp_path, data):
         path = tmp_path / "act.json"

@@ -15,7 +15,8 @@ from equifuse import _kernels, _rows
 from equifuse import chartab as ct
 from equifuse import fusion as fu
 from equifuse.errors import InvalidInput, InvariantViolation, SubgroupMismatch
-from equifuse.permgrp import GroupAction, orbits, subgroup_lattice, transporter
+from equifuse.mackey import equivariant_k0_family
+from equifuse.permgrp import GroupAction, double_coset_reps, orbits, subgroup_lattice, transporter
 from equifuse.presets import (
     SCENARIO_PRESETS,
     classical_scenario,
@@ -1163,23 +1164,67 @@ def reference_induction(eng, K, H):
     return m
 
 
+def reference_restriction(eng, H, K):
+    """The restriction matrix by the double-coset formula, as
+    `_Engine.restriction` assembled it before restriction became induction
+    transposed: the simple (g, chi) over H underlies Ind_{H_g}^H, so by
+    Mackey it restricts to the sum over double cosets K x H_g of the
+    restriction of x.chi from H_xg to K_xg, a column of the block
+    (K_xg, (H_xg,), K_xg), moved to the canonical representative."""
+    r = np.zeros((len(eng.basis(K).labels), len(eng.basis(H).labels)), dtype=np.int64)
+    for g in eng.orbit_data(H)[0]:
+        Sg = eng.stab(H, g)
+        perm = eng.conj_stack(Sg)[0]
+        xs = double_coset_reps(eng.F, K, Sg)
+        for x in xs[H.mask[xs]].tolist():
+            g2 = int(eng.A[x, g])
+            Kg2 = eng.stab(K, g2)
+            rows = np.ix_(eng.slots(K, g2), eng.slots(H, g))
+            r[rows] += eng.block(Kg2, (eng.stab(H, g2),), Kg2)[perm[x]].T
+    return r
+
+
+def _nested_pairs(F):
+    lattice = subgroup_lattice(F)
+    return [(H, K) for H in lattice for K in lattice if H.contains(K)]
+
+
 @pytest.mark.parametrize("spec", [*SCENARIO_PRESETS, "sym:4"])
 def test_induction_matches_the_induction_block_reference(spec):
     scen = drinfeld_double_scenario(group_preset(spec))
     eng = fu._engine(scen.datum, scen.ctx)
-    lattice = subgroup_lattice(scen.datum.F)
-    for H in lattice:
-        for K in (K for K in lattice if H.contains(K)):
-            assert np.array_equal(eng.induction(K, H), reference_induction(eng, K, H))
+    for H, K in _nested_pairs(scen.datum.F):
+        assert np.array_equal(eng.induction(K, H), reference_induction(eng, K, H))
+
+
+def _scenario_data(name):
+    if name == "classical:sym:3":
+        scen = classical_scenario(group_preset("sym:3"))
+    elif name == "d4_on_c4":
+        return _d4_on_c4()
+    else:
+        scen = drinfeld_double_scenario(group_preset(name))
+    return scen.datum, scen.ctx
+
+
+@pytest.mark.parametrize("name", [*SCENARIO_PRESETS, "sym:4", "classical:sym:3", "d4_on_c4"])
+def test_restriction_by_double_cosets_is_the_induction_transposed(name):
+    # the Mackey sum the engine no longer makes agrees with the transpose
+    # of the induction matrix that both families now read restriction from
+    d, ctx = _scenario_data(name)
+    eng = fu._engine(d, ctx)
+    for H, K in _nested_pairs(d.F):
+        assert np.array_equal(reference_restriction(eng, H, K), eng.induction(K, H).T)
 
 
 class TestMapChecks:
-    """Each whole-matrix check of the restriction, induction and
-    conjugation maps catches a tampered cache entry of a fresh D(S3), as
-    TestCoherentAxioms catches a tampered conjugation stack.  With H = S3
-    and K = A3, the simples at g = e read the block (A3, (S3,), A3) for
-    restriction and induction, and the conjugation stack of H_e = S3 for
-    conjugation."""
+    """Each whole-matrix check of the induction and conjugation maps, and
+    the conservation check of the products, catches a tampered cache entry
+    of a fresh D(S3), as TestCoherentAxioms catches a tampered conjugation
+    stack.  With H = S3 and K = A3, the simples at g = e read the block
+    (A3, (S3,), A3) for induction, and so for restriction, its transpose;
+    the conjugation stack of H_e = S3 for conjugation; and the block of
+    (e, e) for the products of the simples at e."""
 
     @pytest.fixture
     def fresh(self, s3):
@@ -1187,28 +1232,45 @@ class TestMapChecks:
         d, ctx = scen.datum, scen.ctx
         return d, ctx, full(scen), s3.subgroup(indices=[3]), fu._engine(d, ctx)
 
-    @staticmethod
-    def _bump(m):
-        m = m.copy()
-        m[0, 0] += 1
-        return m
-
     def test_restriction_keeps_total_dimension(self, fresh):
+        # one unit moves between the block's two rows of degree 1, so
+        # bh.dims @ I still equals [H : K] bk.dims and only the transposed
+        # identity I @ bk.dims = bh.dims (restriction's) can fail
         d, ctx, H, a3, eng = fresh
-        eng._block[(a3.key, (H.key,), a3.key)] = self._bump(eng.block(a3, (H,), a3))
+        block = eng.block(a3, (H,), a3).copy()
+        assert block[0, 0] == 1 and eng.basis(H).dims[:2].tolist() == [1, 1]
+        block[0, 0] -= 1
+        block[1, 0] += 1
+        assert np.array_equal(eng.basis(H).dims[:3] @ block, 2 * eng.basis(a3).dims[:3])
+        eng._block[(a3.key, (H.key,), a3.key)] = block
         with pytest.raises(InvariantViolation, match="restriction changed the total dimension"):
             fu.eq_restrict(d, H, a3, fu.simples(d, H, ctx)[0], ctx)
 
     def test_induction_keeps_dimension_bookkeeping(self, fresh):
         d, ctx, H, a3, eng = fresh
-        eng._block[(a3.key, (H.key,), a3.key)] = self._bump(eng.block(a3, (H,), a3))
+        block = eng.block(a3, (H,), a3).copy()
+        block[0, 0] += 1
+        eng._block[(a3.key, (H.key,), a3.key)] = block
         with pytest.raises(InvariantViolation, match="induction changed the dimension bookkeeping"):
             fu.eq_induce(d, a3, H, fu.simples(d, a3, ctx)[0], ctx)
 
     def test_conjugation_maps_simples_to_simples(self, fresh):
-        # eq_conjugate reads one entry, so the whole rows are built here
+        # eq_conjugate reads one entry, so the whole rows are built and
+        # checked by the family that caches them
         d, ctx, H, _, eng = fresh
         x = 1  # a transposition
         eng.conj_stack(H)[0][x] = 0
-        with pytest.raises(InvariantViolation, match="conjugation did not map a simple to a simple"):
-            eng.conjugations(H)
+        with pytest.raises(InvariantViolation, match="conjugations of .* are not 6 permutations"):
+            equivariant_k0_family(d, ctx).conjugations(H)
+
+    def test_fusion_ring_keeps_dimension_by_conservation(self, fresh):
+        # sgn . sgn at (e, e) gains a trivial summand, so that pair's
+        # product has dimension 2, not 1: fuse_pair's check of the pair is
+        # the dimension-homomorphism check of the whole ring
+        d, ctx, H, _, eng = fresh
+        q, block = eng.m_block(H, 0, 0)
+        block = block.copy()
+        block[1, 1, 0] += 1
+        eng._blocks[(H.key, 0, 0)] = (q, block)
+        with pytest.raises(InvariantViolation, match="dimension conservation failed"):
+            fu.fusion_ring(d, H, ctx)

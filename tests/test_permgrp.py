@@ -129,6 +129,11 @@ class TestBuildGroup:
     def test_order_equal_to_the_cap(self):
         assert build_group([cyc([(0, 1)], 3), cyc([(0, 1, 2)], 3)], cap=6).order == 6
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            build_group([], degree=degree)
+
     @pytest.mark.parametrize("name", [
         "sym:5", "alt:5", "dihedral:12", "quaternion8", "cyclic:1", "klein4", "moved", "repeated",
     ])
@@ -499,6 +504,14 @@ class TestActions:
         bad = np.array([[0, 1, 2, 3], [0, 2, 1, 3]], dtype=np.int32)
         with pytest.raises(ValueError):
             GroupAction(z2, z4, bad)
+
+    def test_generator_rows_that_define_no_homomorphism_rejected(self):
+        # inversion is an automorphism of Z3 of order 2, so the generator
+        # of Z3, of order 3, cannot act by it
+        z3 = build_group([cyc([(0, 1, 2)], 3)])
+        inv_row = [int(z3.inv[i]) for i in range(3)]
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            GroupAction.from_generator_rows(z3, z3, [inv_row])
 
     def test_inversion_action_on_z3(self):
         z2 = build_group([cyc([(0, 1)], 2)])
